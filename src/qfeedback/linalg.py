@@ -12,14 +12,11 @@ import numpy as np
 # Tolerances used across the package.
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
-EIG_TOL = 1e-9
 RANK_TOL = 1e-10  # relative to the largest eigenvalue
-
-_JACOBI_MAX_SWEEPS = 60
 
 
 class LinalgError(Exception):
-    """Invalid matrix input or eigensolver non-convergence."""
+    """Invalid matrix input: wrong shape, or not Hermitian (NaN included)."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -158,115 +155,31 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return permute_registers(big, [dims[p] for p in order], inverse)
 
 
-def _offdiag_sq(a: np.ndarray) -> float:
-    # Summed directly (not total minus diagonal) to avoid cancellation.
-    sq = np.abs(a) ** 2
-    np.fill_diagonal(sq, 0.0)
-    return float(np.sum(sq))
-
-
-def _eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Hermitian 2x2 eigendecomposition."""
-    p = a[0, 0].real
-    q = a[1, 1].real
-    g = a[0, 1]
-    if abs(g) == 0.0:
-        w = np.array([p, q])
-        v = np.eye(2, dtype=complex)
-    else:
-        mean = 0.5 * (p + q)
-        half = 0.5 * (p - q)
-        r = np.hypot(half, abs(g))
-        w = np.array([mean + r, mean - r])
-        u = g / abs(g)
-        # Eigenvector for w[0]; the companion is orthogonal by construction.
-        v0 = np.array([w[0] - q, np.conj(u) * abs(g)], dtype=complex)
-        v0 /= np.linalg.norm(v0)
-        v1 = np.array([-np.conj(v0[1]), np.conj(v0[0])], dtype=complex)
-        v = np.column_stack([v0, v1])
-    return w, v
-
-
 def herm_eig(m: np.ndarray, vectors: bool = True, tol: float = HERM_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy's ``eigh``).
 
-    Returns eigenvalues in descending order (ties broken by original index,
-    so projector construction is reproducible) and, if ``vectors``, a unitary
-    whose columns are the matching eigenvectors.
+    Returns eigenvalues in descending order (ties keep the solver's order, so
+    the result is reproducible) and, if ``vectors``, a unitary whose columns
+    are the matching eigenvectors.  Inside a degenerate eigenspace the basis
+    is whatever the solver returns; ``DensityMatrix.eig`` makes it canonical.
 
-    Raises LinalgError on non-Hermitian input or non-convergence.
+    Raises LinalgError on non-square or non-Hermitian input, NaN included.
     """
     m = as_matrix(m)
     n = m.shape[0]
     if n != m.shape[1]:
         raise LinalgError("herm_eig requires a square matrix")
     scale = float(np.max(np.abs(m))) if n else 0.0
-    if hermitian_defect(m) > tol * max(1.0, scale):
+    # Written as "not <=" so that a NaN defect is rejected too.
+    if not hermitian_defect(m) <= tol * max(1.0, scale):
         raise LinalgError(f"matrix is not Hermitian within {tol}")
     a = 0.5 * (m + m.conj().T)
-
-    if n == 1:
-        w = np.array([a[0, 0].real])
-        v = np.ones((1, 1), dtype=complex)
-    elif n == 2:
-        w, v = _eig2(a)
-    else:
-        w, v = _jacobi(a, vectors)
-
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
     if not vectors:
-        return w
-    return w, (v[:, order] if v is not None else None)
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    norm = float(np.linalg.norm(a))
-    stop = (1e-14 * max(1.0, norm)) ** 2
-    pivot_floor = np.sqrt(stop) / (n * n)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_sq(a) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                absg = abs(g)
-                if absg <= pivot_floor:
-                    continue
-                u = g / absg
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absg)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                su = s * u
-                # Column update A <- A V, then row update A <- V^dagger A.
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - np.conj(su) * aq
-                a[:, q] = su * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - su * rq
-                a[q, :] = np.conj(su) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - np.conj(su) * vq
-                    v[:, q] = su * vp + c * vq
-    else:
-        raise LinalgError("Jacobi eigensolver did not converge")
-    return np.diag(a).real.copy(), v
+        w = np.linalg.eigvalsh(a)
+        return w[np.argsort(-w, kind="stable")]
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 def herm_eigvals(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:

@@ -47,9 +47,10 @@ class DensityMatrix:
         m = as_matrix(self.mat)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", check_register_shape(self.dims, m.shape[0]))
-        if linalg.hermitian_defect(m) > HERM_TOL:
+        # Each check is written "not <=" so that NaN entries fail it.
+        if not linalg.hermitian_defect(m) <= HERM_TOL:
             raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        if not (abs(np.trace(m).real - 1.0) <= TRACE_TOL and abs(np.trace(m).imag) <= TRACE_TOL):
             raise ValidationError(f"density matrix trace {np.trace(m):.12g} != 1")
         object.__setattr__(self, "_eig", None)
 
@@ -58,11 +59,22 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition; also enforces positivity."""
+        """Cached eigendecomposition with a canonical degenerate basis.
+
+        Also enforces positivity.  The eigenvectors of each degenerate
+        eigenspace are the canonical basis of ``_canonical_basis``, so what
+        is built from individual eigenvectors (typical projectors) depends
+        on the state alone, not on the solver's choice inside the eigenspace.
+        """
         if self._eig is None:
             w, v = herm_eig(self.mat)
             if w[-1] < -PSD_TOL:
                 raise ValidationError(f"density matrix has eigenvalue {w[-1]:.3e}")
+            # Eigenvalues within HERM_TOL of their neighbour form one cluster.
+            ends = np.flatnonzero(w[:-1] - w[1:] > HERM_TOL) + 1
+            for lo, hi in zip([0, *ends], [*ends, len(w)]):
+                if hi - lo > 1:
+                    v[:, lo:hi] = _canonical_basis(v[:, lo:hi])
             object.__setattr__(self, "_eig", (w, v))
         return self._eig
 
@@ -76,6 +88,29 @@ class DensityMatrix:
         keep = sorted(set(keep))
         out = partial_trace(self.mat, self.dims, keep)
         return DensityMatrix(out, tuple(self.dims[k] for k in keep))
+
+
+def _canonical_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(v) that depends on the span alone.
+
+    Gram-Schmidt of P e_0, P e_1, ... with P = v v^dagger, skipping vectors
+    whose residual is below 1e-6: rounding leaves about 1e-15 of an axis
+    orthogonal to the span, which must not be picked up.  Works in the
+    coordinates of ``v`` (P e_j = v c_j with c_j = v^dagger e_j).
+    """
+    k = v.shape[1]
+    q = np.zeros((k, k), dtype=complex)
+    found = 0
+    for c in v.conj():
+        for _ in range(2):  # the second pass restores orthogonality lost to rounding
+            c = c - q[:, :found] @ (q[:, :found].conj().T @ c)
+        norm = np.linalg.norm(c)
+        if norm > 1e-6:
+            q[:, found] = c / norm
+            found += 1
+            if found == k:
+                break
+    return v @ q
 
 
 def density(mat, dims=None) -> DensityMatrix:
@@ -118,7 +153,7 @@ class QuantumChannel:
         if any(k.shape != (rows, cols) for k in ks):
             raise ValidationError("Kraus operators have mixed shapes")
         total = sum(k.conj().T @ k for k in ks)
-        if np.max(np.abs(total - identity(cols))) > COMPLETENESS_TOL:
+        if not np.max(np.abs(total - identity(cols))) <= COMPLETENESS_TOL:
             raise ValidationError(f"channel '{self.label}' is not trace preserving")
         object.__setattr__(self, "kraus", ks)
 
@@ -161,16 +196,12 @@ def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
     mats = [as_matrix(m) for m in maps]
     dim = mats[0].shape[0]
     total = sum(m.conj().T @ m for m in mats)
-    if np.max(np.abs(total - identity(dim))) > COMPLETENESS_TOL:
+    if not np.max(np.abs(total - identity(dim))) <= COMPLETENESS_TOL:
         raise ValidationError("Kraus family is not complete")
     if registers is not None:
         mats = [embed_operator(m, rho.dims, registers) for m in mats]
     out = sum(m @ rho.mat @ m.conj().T for m in mats)
     return DensityMatrix(out, rho.dims)
-
-
-# Backwards-friendly alias matching the operation name used in the protocol.
-apply_cp_map = apply_kraus
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -251,11 +282,11 @@ class Povm:
             raise ValidationError("POVM elements have mixed shapes")
         if self.mode == "complete":
             total = sum(m.conj().T @ m for _, m in els)
-            if np.max(np.abs(total - identity(dim))) > COMPLETENESS_TOL:
+            if not np.max(np.abs(total - identity(dim))) <= COMPLETENESS_TOL:
                 raise ValidationError("POVM is not complete")
         elif self.mode == "sub":
             total = sum(m for _, m in els)
-            if linalg.hermitian_defect(total) > HERM_TOL:
+            if not linalg.hermitian_defect(total) <= HERM_TOL:
                 raise ValidationError("sub-POVM effects must be Hermitian")
             w = herm_eigvals(0.5 * (total + total.conj().T))
             if w[0] > 1.0 + COMPLETENESS_TOL or w[-1] < -COMPLETENESS_TOL:

@@ -109,6 +109,25 @@ def test_typical_projector_rank_matches_set():
     assert np.max(np.abs(proj @ big - big @ proj)) < 1e-10
 
 
+def test_typical_projector_independent_of_degenerate_basis():
+    # rho has a twofold eigenvalue; W rotates inside that eigenspace, so
+    # W rho W^dagger equals rho up to rounding, which is enough to make the
+    # solver return a different basis there.  The kept strings (letter counts
+    # 2, 1, 1) are not rotation invariant, so only a canonical basis agrees.
+    rng = np.random.default_rng(5)
+    u = np.ones(3) / np.sqrt(3.0)
+    rho = 0.5 * np.outer(u, u) + 0.25 * (identity(3) - np.outer(u, u))
+    perp = np.column_stack([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0), np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    r, _ = np.linalg.qr(z)
+    w = np.outer(u, u) + perp @ r @ perp.conj().T
+    rotated = w @ rho @ w.conj().T
+    a = typical_projector(density(rho), 4, 0.1)
+    b = typical_projector(density(rotated), 4, 0.1)
+    assert abs(np.trace(a).real - 12.0) < 1e-9
+    assert np.max(np.abs(a - b)) < 1e-9
+
+
 def test_cond_typical_projector_uniform_word():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(rng, 2)

@@ -45,6 +45,26 @@ def test_coordinate_ascent_quadratic():
     assert abs(res.x[0] - 1.0) < 1e-3 and abs(res.x[1] + 2.0) < 1e-3
 
 
+def test_coordinate_ascent_follows_tiny_slope_and_skips_exact_tie():
+    # Slope 5e-13 along x at the start: below any |g| cutoff near 1e-12, but
+    # the probes differ, so the coordinate must move.  Along y the probes are
+    # mirror images and tie exactly, so y is skipped.
+    f = lambda v: -2.5e-13 * (v[0] - 1.0) ** 2 - v[1] ** 2
+    res = coordinate_ascent(f, np.zeros(2), None, small_cfg(max_sweeps=1))
+    assert res.x[0] > 0.5
+    assert res.x[1] == 0.0
+    assert res.value > f(np.zeros(2))
+
+
+def test_n3_one_sweep_rates_pinned():
+    # The family's start is stationary; one sweep escapes it only if a
+    # near-zero but nonzero probe difference is followed.
+    cfg = OptimizerConfig(starts=1, seed=0, max_sweeps=1)
+    res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, cfg)
+    assert abs(res.rate - 0.7135464) <= 1e-6
+    assert abs(res.no_feedback_rate - 0.7005103) <= 1e-6
+
+
 def test_holevo_identity_qubit():
     res = holevo_capacity(identity_channel(2), small_cfg())
     assert res.value >= 1.0 - 1e-6

@@ -233,6 +233,13 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eig_rejects_nan():
+    with pytest.raises(LinalgError):
+        herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(LinalgError):
+        herm_eigvals(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_psd_sqrt_basic():
     assert np.allclose(psd_sqrt(identity(3)), identity(3))
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))

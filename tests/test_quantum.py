@@ -43,6 +43,36 @@ def test_density_matrix_validation():
         rho.validate()  # negative eigenvalue surfaces lazily
 
 
+def test_nan_fails_every_validation():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError):
+        density(nan)
+    with pytest.raises(ValidationError):
+        density(np.array([[np.nan, 0.0], [0.0, 0.0]]))  # NaN trace
+    with pytest.raises(ValidationError):
+        QuantumChannel((nan,))
+    with pytest.raises(ValidationError):
+        apply_kraus([nan], basis_state(2, 0))
+    with pytest.raises(ValidationError):
+        Povm(((0, nan),))
+    with pytest.raises(ValidationError):
+        Povm(((0, nan),), mode="sub")
+
+
+def test_eig_basis_canonical_inside_degenerate_eigenspace():
+    # Eigenvalue 1/4 is twofold on the plane orthogonal to (1, 1, 1).  Its
+    # canonical basis is Gram-Schmidt of P e_0, P e_1 for that plane's
+    # projector P, whichever basis the solver returns.
+    u = np.ones(3) / np.sqrt(3.0)
+    rho = density(0.5 * np.outer(u, u) + 0.25 * (identity(3) - np.outer(u, u)))
+    w, v = rho.eig()
+    assert np.allclose(w, [0.5, 0.25, 0.25], atol=1e-12)
+    want = np.column_stack([np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0), np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)])
+    assert np.max(np.abs(v[:, 1:] - want)) < 1e-12
+    assert np.max(np.abs(v.conj().T @ v - identity(3))) < 1e-12
+    assert np.max(np.abs((v * w) @ v.conj().T - rho.mat)) < 1e-12
+
+
 def test_apply_identity_channel():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(rng, 3)
