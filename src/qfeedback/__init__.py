@@ -8,6 +8,7 @@ from .quantum import (  # noqa: F401
     Ensemble,
     Povm,
     QuantumChannel,
+    SubPovm,
     ValidationError,
     amplitude_damping_channel,
     apply_channel,
@@ -23,6 +24,7 @@ from .quantum import (  # noqa: F401
     identity_channel,
     measure,
     pure_state,
+    square_root_measurement,
 )
 from .cqstate import (  # noqa: F401
     CqState,
@@ -41,7 +43,6 @@ from .protocol import (  # noqa: F401
     ehs_states,
     enumerate_transcripts,
     error_probability,
-    markov_check,
     outcome_chain,
     random_feedback_code,
     round_update,
@@ -66,7 +67,6 @@ from .capacity import (  # noqa: F401
     holevo_capacity,
 )
 from .achievability import (  # noqa: F401
-    SubPovm,
     TypicalityParams,
     build_double_blocked_code,
     cond_typical_projector,
@@ -77,7 +77,6 @@ from .achievability import (  # noqa: F401
     hayashi_nagaoka_check,
     cumulative_disturbance_report,
     rate_split,
-    square_root_measurement,
     typical_projector,
     typical_set,
     typicality_bounds_check,

@@ -11,7 +11,7 @@ the posterior ensembles via the square-root recipe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +33,19 @@ from .protocol import (
     Codebook,
     FeedbackCode,
     round_zero,
-    _padded_povm,
+    _walk,
 )
 from .quantum import (
     ER,
     PROB_FLOOR,
     DensityMatrix,
     Povm,
+    SubPovm,  # noqa: F401  (re-exported: the effect form lives next to Povm)
     ValidationError,
     apply_channel_at,
     apply_kraus,
     entropy,
-    measure,
+    square_root_measurement,
 )
 
 PROJECTOR_CAP = 4096
@@ -177,60 +178,6 @@ def gamma_operator(avg_proj: np.ndarray, cond_proj: np.ndarray) -> np.ndarray:
         raise LinalgError("projector dimensions differ")
     g = avg_proj @ cond_proj @ avg_proj
     return 0.5 * (g + g.conj().T)
-
-
-@dataclass(frozen=True)
-class SubPovm:
-    """PSD effects summing to at most the identity, with an explicit remainder."""
-
-    elements: tuple
-    remainder: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        els = tuple((lab, np.asarray(m, dtype=complex)) for lab, m in self.elements)
-        if not els:
-            raise ValidationError("sub-POVM needs at least one element")
-        dim = els[0][1].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for _, m in els:
-            total += m
-        w = herm_eigvals(0.5 * (total + total.conj().T))
-        if w[0] > 1.0 + 1e-9 or w[-1] < -1e-9:
-            raise ValidationError("effects violate 0 <= sum R <= I")
-        rem = identity(dim) - total
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "remainder", 0.5 * (rem + rem.conj().T))
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0][1].shape[0]
-
-    def as_complete_povm(self, er_label=ER) -> Povm:
-        """Measurement-operator form: sqrt(R_r) elements plus sqrt(remainder)."""
-        els = [(lab, psd_sqrt(m)) for lab, m in self.elements]
-        els.append((er_label, psd_sqrt(self.remainder)))
-        return Povm(tuple(els))
-
-
-def square_root_measurement(gammas: dict) -> SubPovm:
-    """Pretty-good measurement: R_r = T^(-1/2) Gamma_r T^(-1/2), T = sum Gamma.
-
-    The inverse square root lives on the support of T, so the elements sum to
-    the support projector (never above the identity).
-    """
-    labels = sorted(gammas, key=repr)
-    if not labels:
-        raise ValidationError("no Gamma operators supplied")
-    total = None
-    for lab in labels:
-        g = np.asarray(gammas[lab], dtype=complex)
-        total = g.copy() if total is None else total + g
-    w = pinv_sqrt(total)
-    els = []
-    for lab in labels:
-        r = w @ np.asarray(gammas[lab], dtype=complex) @ w
-        els.append((lab, 0.5 * (r + r.conj().T)))
-    return SubPovm(tuple(els))
 
 
 @dataclass(frozen=True)
@@ -368,27 +315,11 @@ def _copy_to_flat_perm(n: int, l: int) -> list[int]:
 
 def base_prefix_tables(code: FeedbackCode) -> list[dict]:
     """For t = 0..n-1: (word, k_1^t) -> (P(k_1^t | word), omega^t)."""
-    n = code.n
-    tables: list[dict] = [dict() for _ in range(n)]
+    tables: list[dict] = [dict() for _ in range(code.n)]
     for word in code.codebook.words:
-        frontier = [((), 1.0, round_zero(code, word))]
-        tables[0][(word, ())] = (1.0, frontier[0][2])
-        for t in range(1, n):
-            m = t + 1
-            new = []
-            for history, p_path, state in frontier:
-                povm = _padded_povm(code.measurement(t, history), code.dims, t)
-                sigma = apply_channel_at(code.channel, state, t)
-                for outcome, (p, post) in measure(povm, sigma).items():
-                    if p_path * p < PROB_FLOOR:
-                        continue
-                    kraus = code.feedback_kraus(m, outcome)
-                    if kraus is not None and m < n:
-                        post = apply_kraus(kraus, post, registers=range(m, n))
-                    new.append((history + (outcome,), p_path * p, post))
-            frontier = new
-            for history, p_path, state in frontier:
-                tables[t][(word, history)] = (p_path, state)
+        for table, frontier in zip(tables, _walk(code, word)):
+            for history, p_path, states in frontier:
+                table[(word, history)] = (p_path, states[-1])
     return tables
 
 

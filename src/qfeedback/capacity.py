@@ -15,7 +15,7 @@ import numpy as np
 
 from .directed import directed_information_total
 from .linalg import identity, kron
-from .protocol import Codebook, FeedbackCode, _walk, pgm_decoder
+from .protocol import Codebook, FeedbackCode, average_final_state, pgm_decoder
 from .quantum import (
     DensityMatrix,
     Ensemble,
@@ -355,14 +355,8 @@ class FeedbackCodeFamily:
         partial = FeedbackCode(
             book, self.channel, probs_t, tuple(states), tuple(measurements) + (None,), feedback
         )
-        finals = []
-        weights = []
-        for i, w in enumerate(self.words):
-            acc = None
-            for _hist, p, sts in _walk(partial, w):
-                acc = p * sts[-1].mat if acc is None else acc + p * sts[-1].mat
-            finals.append(DensityMatrix(acc / np.trace(acc).real, (d,) * n))
-            weights.append(max(probs_t[i], 1e-12))
+        finals = [average_final_state(partial, w) for w in self.words]
+        weights = [max(p, 1e-12) for p in probs_t]
         total = sum(weights)
         decoder = pgm_decoder(finals, [w / total for w in weights], list(self.words))
         return FeedbackCode(book, self.channel, probs_t, tuple(states), tuple(measurements) + (decoder,), feedback)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacity import OptimizerConfig
 from .linalg import identity, kron
-from .protocol import Codebook, FeedbackCode, pgm_decoder, _walk
+from .protocol import Codebook, FeedbackCode, average_final_state, pgm_decoder
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -135,7 +135,8 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     probs = tuple(float(p) for p in spec["probs"])
     if len(probs) != len(words):
         raise ConfigError("protocol.probs: arity does not match words")
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+    # Written "not >=" / "not <=" so that a NaN probability fails the check.
+    if not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
         raise ValidationError("protocol.probs: not a probability distribution")
 
     if ("letter_states" in spec) == ("states" in spec):
@@ -221,12 +222,7 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         partial = FeedbackCode(
             book, channel, probs, tuple(states), tuple(measurements) + (None,), feedback
         )
-        finals = []
-        for w in words:
-            acc = None
-            for _h, p, sts in _walk(partial, w):
-                acc = p * sts[-1].mat if acc is None else acc + p * sts[-1].mat
-            finals.append(DensityMatrix(acc / np.trace(acc).real, (d,) * n))
+        finals = [average_final_state(partial, w) for w in words]
         measurements.append(pgm_decoder(finals, probs, list(words)))
 
     code = FeedbackCode(book, channel, probs, tuple(states), tuple(measurements), feedback)

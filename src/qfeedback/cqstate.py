@@ -55,12 +55,12 @@ class CqState:
             if lab in seen:
                 raise ValidationError(f"duplicate branch label {lab}")
             seen.add(lab)
-            if w < -1e-12:
+            if not w >= -1e-12:  # "not >=" so that a NaN weight fails
                 raise ValidationError("negative branch weight")
             if rho.dims != qdims:
                 raise ValidationError("branch state shape mismatch")
             total += w
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"branch weights sum to {total:.12g}")
         object.__setattr__(self, "classical_registers", regs)
         object.__setattr__(self, "quantum_dims", qdims)

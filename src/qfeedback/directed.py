@@ -17,12 +17,17 @@ from .cqstate import conditional_mutual_information
 from .protocol import (
     ENUM_CAP,
     FeedbackCode,
+    _average_state,
+    _ehs_states,
+    _error_figures,
+    _p_correct,
+    _transcripts,
+    _walk,
+    average_final_state,  # noqa: F401  (public name, kept importable here)
     ehs_state,
     ehs_states,
-    enumerate_transcripts,
-    error_probability,
 )
-from .quantum import PROB_FLOOR, DensityMatrix, ValidationError, entropy_of, shannon
+from .quantum import PROB_FLOOR, ValidationError, entropy_of, shannon
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,25 @@ def _directed_parts(t: int):
     return part_a, part_b, part_c
 
 
+def _terms(states) -> list[float]:
+    """Term t on the EHS state at time t-1."""
+    return [
+        conditional_mutual_information(state, *_directed_parts(t))
+        for t, state in enumerate(states, start=1)
+    ]
+
+
+def _final_total(state, n: int) -> float:
+    """Sum of all n terms on one (the final pre-decoding) EHS state."""
+    total = 0.0
+    for t in range(1, n + 1):
+        total += conditional_mutual_information(state, *_directed_parts(t))
+    return float(total)
+
+
 def directed_terms(code: FeedbackCode) -> list[float]:
     """Per-round terms, each on its own protocol-time state."""
-    states = ehs_states(code)
-    terms = []
-    for t in range(1, code.n + 1):
-        a, b, c = _directed_parts(t)
-        terms.append(conditional_mutual_information(states[t - 1], a, b, c))
-    return terms
+    return _terms(ehs_states(code))
 
 
 def directed_information_total(code: FeedbackCode) -> float:
@@ -73,12 +89,7 @@ def directed_information_total(code: FeedbackCode) -> float:
 
 def directed_information_final(code: FeedbackCode) -> float:
     """All terms evaluated on the final pre-decoding state."""
-    s = ehs_state(code, code.n - 1)
-    total = 0.0
-    for t in range(1, code.n + 1):
-        a, b, c = _directed_parts(t)
-        total += conditional_mutual_information(s, a, b, c)
-    return float(total)
+    return _final_total(ehs_state(code, code.n - 1), code.n)
 
 
 def _message_table(code: FeedbackCode, message_map, message_probs):
@@ -94,19 +105,39 @@ def _message_table(code: FeedbackCode, message_map, message_probs):
         probs = {m: p / total for m, p in probs.items()}
     else:
         probs = {m: float(message_probs[m]) for m in msgs}
-        if abs(sum(probs.values()) - 1.0) > 1e-9:
+        if not abs(sum(probs.values()) - 1.0) <= 1e-9:
             raise ValidationError("message probabilities do not sum to 1")
     return message_map, msgs, probs
 
 
-def average_final_state(code: FeedbackCode, word) -> DensityMatrix:
-    """Receiver's pre-decoding state for one codeword, averaged over outcomes."""
-    from .protocol import _walk
+def _word_views(code: FeedbackCode, walks: dict, cap: int = ENUM_CAP):
+    """Averaged final state and transcripts of each walked codeword."""
+    averages = {w: _average_state(code, frontiers[-1]) for w, frontiers in walks.items()}
+    transcripts = {w: _transcripts(code, w, frontiers, cap) for w, frontiers in walks.items()}
+    return averages, transcripts
 
-    acc = None
-    for _hist, p, states in _walk(code, word):
-        acc = p * states[-1].mat if acc is None else acc + p * states[-1].mat
-    return DensityMatrix(acc / np.trace(acc).real, code.dims)
+
+def _message_informations(message_map, msgs, probs, averages, transcripts) -> tuple[float, float]:
+    """(I(M : Z_1^n), I(M : K_1^n)) from per-word averaged states and transcripts."""
+    rho_m = {m: averages[message_map[m]] for m in msgs}
+    avg = sum(probs[m] * rho_m[m].mat for m in msgs)
+    i_mz = entropy_of(avg) - sum(
+        probs[m] * entropy_of(rho_m[m].mat) for m in msgs if probs[m] > PROB_FLOOR
+    )
+
+    cond = {}
+    for w, trs in transcripts.items():
+        law: dict = {}
+        for tr in trs:
+            law[tr.outcomes] = law.get(tr.outcomes, 0.0) + tr.probability
+        cond[w] = law
+    h_k_given_m = sum(probs[m] * shannon(cond[message_map[m]].values()) for m in msgs)
+    marginal: dict = {}
+    for m in msgs:
+        for k, p in cond[message_map[m]].items():
+            marginal[k] = marginal.get(k, 0.0) + probs[m] * p
+    i_mk = shannon(marginal.values()) - h_k_given_m
+    return float(max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz), float(i_mk)
 
 
 def message_information(
@@ -122,27 +153,8 @@ def message_information(
     message-outcome joint law.
     """
     message_map, msgs, probs = _message_table(code, message_map, message_probs)
-
-    word_avg = {w: average_final_state(code, w) for w in {message_map[m] for m in msgs}}
-    rho_m = {m: word_avg[message_map[m]] for m in msgs}
-    avg = sum(probs[m] * rho_m[m].mat for m in msgs)
-    i_mz = entropy_of(avg) - sum(
-        probs[m] * entropy_of(rho_m[m].mat) for m in msgs if probs[m] > PROB_FLOOR
-    )
-
-    cond = {}
-    for w in {message_map[m] for m in msgs}:
-        law: dict = {}
-        for tr in enumerate_transcripts(code, w, cap):
-            law[tr.outcomes] = law.get(tr.outcomes, 0.0) + tr.probability
-        cond[w] = law
-    h_k_given_m = sum(probs[m] * shannon(cond[message_map[m]].values()) for m in msgs)
-    marginal: dict = {}
-    for m in msgs:
-        for k, p in cond[message_map[m]].items():
-            marginal[k] = marginal.get(k, 0.0) + probs[m] * p
-    i_mk = shannon(marginal.values()) - h_k_given_m
-    return float(max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz), float(i_mk)
+    walks = {w: _walk(code, w, cap) for w in {message_map[m] for m in msgs}}
+    return _message_informations(message_map, msgs, probs, *_word_views(code, walks, cap))
 
 
 def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_probs=None):
@@ -167,54 +179,51 @@ def fano_bound(
     message_map, msgs, probs = _message_table(code, message_map, message_probs)
     if rate is None:
         rate = np.log2(len(msgs)) / code.n if len(msgs) > 1 else 0.0
-    _, i_mk = message_information(code, message_map, probs)
-    p_err = _message_error(code, message_map, probs)
+    walks = {w: _walk(code, w) for w in set(message_map.values())}
+    averages, transcripts = _word_views(code, walks)
+    _, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
+    p_err = _message_error(message_map, probs, transcripts)
     return float((1.0 + p_err * code.n * rate + i_mk) / code.n)
 
 
-def _message_error(code: FeedbackCode, message_map, probs) -> float:
+def _message_error(message_map, probs, transcripts) -> float:
     err = 0.0
     for m, w in message_map.items():
-        p_correct = 0.0
-        for tr in enumerate_transcripts(code, w):
-            if tr.decoded == w:
-                p_correct += tr.probability
-        err += probs[m] * (1.0 - p_correct)
+        err += probs[m] * (1.0 - _p_correct(transcripts[w], w))
     return err
 
 
 def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport:
-    """Full converse-chain report for one code.
+    """Full converse-chain report for one code, from one walk per codeword.
 
     Messages default to one per codeword with a uniform law (the source model
     used for the error exponent); set ``uniform_messages=False`` to weight
     messages by the input ensemble instead.
     """
     n = code.n
-    num = code.codebook.size
-    message_map = {i: w for i, w in enumerate(code.codebook.words)}
-    if uniform_messages:
-        probs = {i: 1.0 / num for i in range(num)}
-    else:
-        probs = None
+    words = code.codebook.words
+    num = len(words)
+    probs = {i: 1.0 / num for i in range(num)} if uniform_messages else None
+    message_map, msgs, probs = _message_table(code, dict(enumerate(words)), probs)
 
-    terms = directed_terms(code)
-    total = float(sum(terms))
-    final = directed_information_final(code)
-    i_mz, i_mk = message_information(code, message_map, probs)
-    _map, _msgs, probs_resolved = _message_table(code, message_map, probs)
-    p_err = _message_error(code, message_map, probs_resolved)
-    avg_err, max_err = error_probability(code)
+    walks = {w: _walk(code, w) for w in words}
+    states = _ehs_states(code, walks, n - 1)
+    terms = _terms(states)
+    final = _final_total(states[-1], n)
+    averages, transcripts = _word_views(code, walks)
+    i_mz, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
+    p_err = _message_error(message_map, probs, transcripts)
+    avg_err, max_err = _error_figures(code, (_p_correct(transcripts[w], w) for w in words))
     rate = float(np.log2(num) / n) if num > 1 else 0.0
     eps = (1.0 + p_err * n * rate) / n
     fano = eps + i_mk / n
-    h_m = shannon(probs_resolved.values()) / n
+    h_m = shannon(probs.values()) / n
     report = RateReport(
         n=n,
         num_messages=num,
         per_round=tuple(float(x) for x in terms),
-        directed_total=total,
-        directed_final=float(final),
+        directed_total=float(sum(terms)),
+        directed_final=final,
         i_message_quantum=float(i_mz),
         i_message_classical=float(i_mk),
         rate=rate,

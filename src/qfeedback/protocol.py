@@ -8,6 +8,11 @@ After update n the final measurement M_n produces the decoding outcome.
 Every register therefore passes through the channel exactly once, and the
 outcome of M_{m-1} can only influence registers m+1..n (1-indexed), matching
 the domain of the post-processing maps.
+
+One update is ``_update`` (channel, then measurement) followed by
+``_post_process`` (the feedback map); ``_walk`` expands it over all outcomes
+of one codeword, and transcripts, EHS states, averaged final states, prefix
+tables and error probabilities are all read off that walk.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .cqstate import CqState, prune_branches
-from .linalg import identity, kron, pinv_sqrt, psd_sqrt
+from .linalg import identity, kron
 from .quantum import (
     ER,
     PROB_FLOOR,
@@ -33,6 +38,7 @@ from .quantum import (
     random_povm,
     random_pure_state,
     random_unitary,
+    square_root_measurement,
 )
 
 ENUM_CAP = 10**6
@@ -208,9 +214,9 @@ def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
         rep.add("ensemble: arity mismatch with codebook", 0.0)
         return rep
     psum = sum(code.probs)
-    if abs(psum - 1.0) > 1e-12:
+    if not abs(psum - 1.0) <= 1e-12:
         rep.add("ensemble: probabilities do not sum to 1", abs(psum - 1.0))
-    if any(p < -1e-12 for p in code.probs):
+    if not all(p >= -1e-12 for p in code.probs):
         rep.add("ensemble: negative probability", min(code.probs))
     for i, rho in enumerate(code.states):
         if rho.dims != (d,) * n:
@@ -270,13 +276,37 @@ def _padded_povm(povm: Povm, dims, j: int) -> Povm:
     if j == len(dims):
         return povm
     pad = identity(_prod(dims[j:]))
-    return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements), povm.mode)
+    return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements))
 
 
 def round_zero(code: FeedbackCode, word) -> DensityMatrix:
     """omega^0: the codeword state with the channel applied on register 0."""
     idx = code.word_index(word)
     return apply_channel_at(code.channel, code.states[idx], 0)
+
+
+def _update(code: FeedbackCode, state: DensityMatrix, m: int, history: tuple) -> dict:
+    """Update m up to the measurement: channel on register m-1, then padded M_{m-1}.
+
+    ``state`` is omega^{m-2}; returns outcome -> (probability, post-state)
+    before post-processing.
+    """
+    sigma = apply_channel_at(code.channel, state, m - 1)
+    povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
+    return measure(povm, sigma)
+
+
+def _post_process(code: FeedbackCode, m: int, outcome, post: DensityMatrix) -> DensityMatrix:
+    """Apply the outcome's feedback Kraus family on the registers still to be sent."""
+    kraus = code.feedback_kraus(m, outcome)
+    if kraus is not None and m < code.n:
+        post = apply_kraus(kraus, post, registers=range(m, code.n))
+    return post
+
+
+def _final_branches(code: FeedbackCode, state: DensityMatrix, history: tuple) -> dict:
+    povm = _padded_povm(code.measurement(code.n, history), code.dims, code.n)
+    return measure(povm, state)
 
 
 def round_update(
@@ -295,53 +325,39 @@ def round_update(
     n = code.n
     if not 2 <= m <= n:
         raise ValidationError(f"round {m} out of range 2..{n}")
-    sigma = apply_channel_at(code.channel, state, m - 1)
-    povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
-    branches = measure(povm, sigma)
+    branches = _update(code, state, m, history)
     if outcome not in branches:
         raise ValidationError(f"outcome {outcome!r} has probability below the floor")
     p, post = branches[outcome]
-    kraus = code.feedback_kraus(m, outcome)
-    if kraus is not None and m < n:
-        post = apply_kraus(kraus, post, registers=range(m, n))
-    return p, post
+    return p, _post_process(code, m, outcome, post)
 
 
-def _final_branches(code: FeedbackCode, state: DensityMatrix, history: tuple) -> dict:
-    povm = _padded_povm(code.measurement(code.n, history), code.dims, code.n)
-    return measure(povm, state)
+def _walk(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[list]:
+    """Branch frontiers of one codeword for t = 0..n-1.
 
-
-def _walk(code: FeedbackCode, word, cap: int = ENUM_CAP):
-    """Yield (outcomes, probability, states) over all intermediate histories.
-
-    Probability is conditional on the word; states collect omega^0..omega^{n-1}.
+    Frontier t lists (outcomes of M_1..M_t, their probability given the
+    word, omega^0..omega^t).  Branches whose path probability falls below
+    PROB_FLOOR are dropped; a frontier larger than ``cap`` raises.
     """
-    n = code.n
-    frontier = [((), 1.0, (round_zero(code, word),))]
-    for m in range(2, n + 1):
+    frontiers = [[((), 1.0, (round_zero(code, word),))]]
+    for m in range(2, code.n + 1):
         new = []
-        for history, p_path, states in frontier:
-            povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
-            sigma = apply_channel_at(code.channel, states[-1], m - 1)
-            for outcome, (p, post) in measure(povm, sigma).items():
+        for history, p_path, states in frontiers[-1]:
+            for outcome, (p, post) in _update(code, states[-1], m, history).items():
                 if p_path * p < PROB_FLOOR:
                     continue
-                kraus = code.feedback_kraus(m, outcome)
-                if kraus is not None and m < n:
-                    post = apply_kraus(kraus, post, registers=range(m, n))
+                post = _post_process(code, m, outcome, post)
                 new.append((history + (outcome,), p_path * p, states + (post,)))
             if len(new) > cap:
                 raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
-        frontier = new
-    return frontier
+        frontiers.append(new)
+    return frontiers
 
 
-def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
-    """Exact expansion of the round recursion over all outcome sequences."""
-    word = tuple(int(x) for x in word)
+def _transcripts(code: FeedbackCode, word, frontiers, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
+    """Final measurement on the last frontier of ``_walk``."""
     out = []
-    for history, p_path, states in _walk(code, word, cap):
+    for history, p_path, states in frontiers[-1]:
         for k_n, (p, _post) in _final_branches(code, states[-1], history).items():
             prob = p_path * p
             if prob < PROB_FLOOR:
@@ -355,50 +371,55 @@ def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list
     return out
 
 
+def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
+    """Exact expansion of the round recursion over all outcome sequences."""
+    word = tuple(int(x) for x in word)
+    return _transcripts(code, word, _walk(code, word, cap), cap)
+
+
+def _draw(branches: dict, rng):
+    labels = list(branches)
+    weights = np.array([branches[k][0] for k in labels])
+    return labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+
+
 def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
     """Draw one transcript; reproducible for a seeded generator."""
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
     word = tuple(int(x) for x in word)
-    n = code.n
     history: tuple = ()
     states = (round_zero(code, word),)
     prob = 1.0
-    for m in range(2, n + 1):
-        povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
-        sigma = apply_channel_at(code.channel, states[-1], m - 1)
-        branches = measure(povm, sigma)
-        labels = list(branches)
-        weights = np.array([branches[k][0] for k in labels])
-        pick = labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+    for m in range(2, code.n + 1):
+        branches = _update(code, states[-1], m, history)
+        pick = _draw(branches, rng)
         p, post = branches[pick]
-        kraus = code.feedback_kraus(m, pick)
-        if kraus is not None and m < n:
-            post = apply_kraus(kraus, post, registers=range(m, n))
         history += (pick,)
-        states += (post,)
+        states += (_post_process(code, m, pick, post),)
         prob *= p
     finals = _final_branches(code, states[-1], history)
-    labels = list(finals)
-    weights = np.array([finals[k][0] for k in labels])
-    pick = labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+    pick = _draw(finals, rng)
     prob *= finals[pick][0]
     outcomes = history + (pick,)
     return ProtocolTranscript(word, outcomes, prob, states, decode_outcomes(code, outcomes))
 
 
-def ehs_states(code: FeedbackCode, up_to: int | None = None) -> list[CqState]:
-    """EHS states for t = 0..up_to (default n-1) from one shared walk.
+def _average_state(code: FeedbackCode, frontier) -> DensityMatrix:
+    acc = None
+    for _history, p_path, states in frontier:
+        acc = p_path * states[-1].mat if acc is None else acc + p_path * states[-1].mat
+    return DensityMatrix(acc / np.trace(acc).real, code.dims)
 
-    Classical registers: A_1..A_n holding the codeword letters and
-    X_1..X_{n-1} holding recorded outcomes (0 = not yet recorded, outcome k
-    of M_j stored as its index + 1).  The quantum part of state t is
-    omega^t, in which registers 0..t have passed through the channel.
-    """
+
+def average_final_state(code: FeedbackCode, word) -> DensityMatrix:
+    """Receiver's pre-decoding state for one codeword, averaged over outcomes."""
+    return _average_state(code, _walk(code, word)[-1])
+
+
+def _ehs_states(code: FeedbackCode, walks: dict, up_to: int) -> list[CqState]:
+    """EHS states for t = 0..up_to from the ``_walk`` frontiers of each word."""
     n = code.n
-    up_to = n - 1 if up_to is None else up_to
-    if not 0 <= up_to <= n - 1:
-        raise ValidationError(f"EHS time {up_to} out of range 0..{n - 1}")
     x_sizes = [len(code.outcome_labels(j)) + 1 for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
         (f"X{j + 1}", x_sizes[j]) for j in range(n - 1)
@@ -414,28 +435,30 @@ def ehs_states(code: FeedbackCode, up_to: int | None = None) -> list[CqState]:
         p_word = code.probs[idx]
         if p_word < PROB_FLOOR:
             continue
-        frontier = [((), 1.0, round_zero(code, word))]
-        for history, p_path, state in frontier:
-            per_time[0].append((labelled(word, history), p_word * p_path, state))
-        for t in range(1, up_to + 1):
-            m = t + 1  # update m performs measurement M_{t}
-            new = []
-            for history, p_path, state in frontier:
-                povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
-                sigma = apply_channel_at(code.channel, state, m - 1)
-                for outcome, (p, post) in measure(povm, sigma).items():
-                    if p_path * p < PROB_FLOOR:
-                        continue
-                    kraus = code.feedback_kraus(m, outcome)
-                    if kraus is not None and m < n:
-                        post = apply_kraus(kraus, post, registers=range(m, n))
-                    new.append((history + (outcome,), p_path * p, post))
-                if len(new) > ENUM_CAP:
-                    raise CapExceededError(f"EHS enumeration exceeded {ENUM_CAP} branches")
-            frontier = new
-            for history, p_path, state in frontier:
-                per_time[t].append((labelled(word, history), p_word * p_path, state))
+        for t in range(up_to + 1):
+            for history, p_path, states in walks[word][t]:
+                per_time[t].append((labelled(word, history), p_word * p_path, states[-1]))
     return [CqState(regs, code.dims, prune_branches(b)) for b in per_time]
+
+
+def ehs_states(code: FeedbackCode, up_to: int | None = None) -> list[CqState]:
+    """EHS states for t = 0..up_to (default n-1) from one walk per codeword.
+
+    Classical registers: A_1..A_n holding the codeword letters and
+    X_1..X_{n-1} holding recorded outcomes (0 = not yet recorded, outcome k
+    of M_j stored as its index + 1).  The quantum part of state t is
+    omega^t, in which registers 0..t have passed through the channel.
+    """
+    n = code.n
+    up_to = n - 1 if up_to is None else up_to
+    if not 0 <= up_to <= n - 1:
+        raise ValidationError(f"EHS time {up_to} out of range 0..{n - 1}")
+    walks = {
+        word: _walk(code, word)
+        for idx, word in enumerate(code.codebook.words)
+        if code.probs[idx] >= PROB_FLOOR
+    }
+    return _ehs_states(code, walks, up_to)
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:
@@ -455,51 +478,29 @@ def outcome_chain(code: FeedbackCode, cap: int = ENUM_CAP) -> dict:
     return chain
 
 
-def error_probability(code: FeedbackCode, cap: int = ENUM_CAP) -> tuple[float, float]:
-    """(average error, maximal error) over codewords under the stored decode rule."""
+def _p_correct(transcripts, word) -> float:
+    p_correct = 0.0
+    for tr in transcripts:
+        if tr.decoded == word:
+            p_correct += tr.probability
+    return p_correct
+
+
+def _error_figures(code: FeedbackCode, p_correct) -> tuple[float, float]:
+    """(average, maximal) error from each codeword's probability of correct decoding."""
     worst = 0.0
     avg = 0.0
-    for idx, word in enumerate(code.codebook.words):
-        p_correct = 0.0
-        for tr in enumerate_transcripts(code, word, cap):
-            if tr.decoded == word:
-                p_correct += tr.probability
-        err = 1.0 - p_correct
+    for prob, p in zip(code.probs, p_correct):
+        err = 1.0 - p
         worst = max(worst, err)
-        avg += code.probs[idx] * err
+        avg += prob * err
     return avg, worst
 
 
-def markov_check(code: FeedbackCode, message_map: dict | None = None, cap: int = ENUM_CAP) -> float:
-    """Largest violation of P(K_n | K_1^{n-1}, word, message) = P(K_n | K_1^{n-1}, word).
-
-    message_map sends message labels to codewords (default: one message per
-    codeword); messages mapping to the same word must induce identical
-    conditional outcome laws.
-    """
-    if message_map is None:
-        message_map = {i: w for i, w in enumerate(code.codebook.words)}
-    words = {tuple(w) for w in message_map.values()}
-    per_word: dict[tuple, dict] = {}
-    for word in words:
-        cond: dict = {}
-        for tr in enumerate_transcripts(code, word, cap):
-            cond[tr.outcomes] = cond.get(tr.outcomes, 0.0) + tr.probability
-        per_word[word] = cond
-    # With the word fixed, the law cannot depend on the message by construction;
-    # measure it honestly by comparing the per-message conditionals anyway.
-    worst = 0.0
-    for word in words:
-        msgs = [m for m, w in message_map.items() if tuple(w) == word]
-        laws = []
-        for _ in msgs:
-            laws.append(per_word[word])
-        base = laws[0]
-        for law in laws[1:]:
-            keys = set(base) | set(law)
-            for k in keys:
-                worst = max(worst, abs(base.get(k, 0.0) - law.get(k, 0.0)))
-    return worst
+def error_probability(code: FeedbackCode, cap: int = ENUM_CAP) -> tuple[float, float]:
+    """(average error, maximal error) over codewords under the stored decode rule."""
+    words = code.codebook.words
+    return _error_figures(code, (_p_correct(enumerate_transcripts(code, w, cap), w) for w in words))
 
 
 # ----------------------------------------------------------------------------
@@ -509,21 +510,11 @@ def markov_check(code: FeedbackCode, message_map: dict | None = None, cap: int =
 def pgm_decoder(states: list[DensityMatrix], weights, labels) -> Povm:
     """Pretty-good-measurement decoder as a complete Povm.
 
-    Elements are sqrt(R_w) for R_w = T^(-1/2) p_w rho_w T^(-1/2); the defect
-    from completeness on the full space is routed to the 'er' outcome.
+    The square-root measurement of the weighted states p_w rho_w, in label
+    order, with the defect from completeness routed to the 'er' outcome.
     """
-    dim = states[0].dim
-    t = sum(p * rho.mat for p, rho in zip(weights, states))
-    t_inv = pinv_sqrt(t)
-    els = []
-    acc = np.zeros((dim, dim), dtype=complex)
-    for lab, p, rho in zip(labels, weights, states):
-        r = t_inv @ (p * rho.mat) @ t_inv
-        acc += r
-        els.append((lab, psd_sqrt(r)))
-    rem = identity(dim) - acc
-    els.append((ER, psd_sqrt(0.5 * (rem + rem.conj().T))))
-    return Povm(tuple(els))
+    gammas = {lab: p * rho.mat for lab, p, rho in zip(labels, weights, states)}
+    return square_root_measurement(gammas).as_complete_povm()
 
 
 def random_feedback_code(
@@ -603,12 +594,7 @@ def random_feedback_code(
 
     # Final decoder: PGM over the average pre-decode outputs per word.
     partial = FeedbackCode(book, channel, probs, tuple(states), tuple(measurements) + (None,), fb)
-    finals = []
-    for w in words:
-        acc = None
-        for history, p_path, sts in _walk(partial, w):
-            acc = p_path * sts[-1].mat if acc is None else acc + p_path * sts[-1].mat
-        finals.append(DensityMatrix(acc / np.trace(acc).real, (d,) * n))
+    finals = [average_final_state(partial, w) for w in words]
     m_n = pgm_decoder(finals, probs, list(words))
     measurements.append(m_n)
 

@@ -1,13 +1,14 @@
 """Quantum objects and entropic functionals.
 
-Density matrices, Kraus channels, POVMs, ensembles, von Neumann entropy,
-Holevo quantity and measurement back-action.  Entropies are in bits
-throughout so information quantities compare directly to rates.
+Density matrices, Kraus channels, POVMs and sub-POVMs, square-root
+measurements, ensembles, von Neumann entropy, Holevo quantity and
+measurement back-action.  Entropies are in bits throughout so information
+quantities compare directly to rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
@@ -23,6 +24,8 @@ from .linalg import (
     herm_eigvals,
     identity,
     partial_trace,
+    pinv_sqrt,
+    psd_sqrt,
 )
 
 PROB_FLOOR = 1e-14
@@ -234,9 +237,9 @@ class Ensemble:
         items = tuple((float(p), rho) for p, rho in self.items)
         if not items:
             raise ValidationError("empty ensemble")
-        if any(p < -1e-12 for p, _ in items):
+        if not all(p >= -1e-12 for p, _ in items):
             raise ValidationError("negative ensemble probability")
-        if abs(sum(p for p, _ in items) - 1.0) > 1e-12:
+        if not abs(sum(p for p, _ in items) - 1.0) <= 1e-12:
             raise ValidationError("ensemble probabilities do not sum to 1")
         dims = items[0][1].dims
         if any(rho.dims != dims for _, rho in items):
@@ -256,19 +259,13 @@ def holevo_chi(e: Ensemble) -> float:
 
 @dataclass(frozen=True)
 class Povm:
-    """Outcome-labeled measurement.
+    """Outcome-labeled measurement in measurement-operator form.
 
-    mode "complete": elements are measurement operators F_k with outcome
-    probability tr(F rho F^dagger) and post-state F rho F^dagger / p;
-    completeness sum F^dagger F = I.
-
-    mode "sub": elements are PSD effects R_k with sum R_k <= I, probability
-    tr(rho R), back-action sqrt(R) rho sqrt(R); the remainder I - sum R_k is
-    the distinguished "er" outcome.
+    Elements are operators F_k with outcome probability tr(F rho F^dagger)
+    and post-state F rho F^dagger / p; completeness sum F^dagger F = I.
     """
 
     elements: tuple[tuple[Hashable, np.ndarray], ...]
-    mode: str = "complete"
 
     def __post_init__(self):
         els = tuple((label, as_matrix(m)) for label, m in self.elements)
@@ -280,22 +277,9 @@ class Povm:
         dim = els[0][1].shape[0]
         if any(m.shape != (dim, dim) for _, m in els):
             raise ValidationError("POVM elements have mixed shapes")
-        if self.mode == "complete":
-            total = sum(m.conj().T @ m for _, m in els)
-            if not np.max(np.abs(total - identity(dim))) <= COMPLETENESS_TOL:
-                raise ValidationError("POVM is not complete")
-        elif self.mode == "sub":
-            total = sum(m for _, m in els)
-            if not linalg.hermitian_defect(total) <= HERM_TOL:
-                raise ValidationError("sub-POVM effects must be Hermitian")
-            w = herm_eigvals(0.5 * (total + total.conj().T))
-            if w[0] > 1.0 + COMPLETENESS_TOL or w[-1] < -COMPLETENESS_TOL:
-                raise ValidationError("sub-POVM effects violate 0 <= sum R <= I")
-            if ER in labels:
-                raise ValidationError("'er' is reserved for the sub-POVM remainder")
-        else:
-            raise ValidationError(f"unknown POVM mode {self.mode!r}")
         object.__setattr__(self, "elements", els)
+        if not self.completeness_defect() <= COMPLETENESS_TOL:
+            raise ValidationError("POVM is not complete")
 
     @property
     def dim(self) -> int:
@@ -303,16 +287,65 @@ class Povm:
 
     @property
     def labels(self) -> tuple[Hashable, ...]:
-        labs = tuple(label for label, _ in self.elements)
-        return labs + (ER,) if self.mode == "sub" else labs
+        return tuple(label for label, _ in self.elements)
 
     def completeness_defect(self) -> float:
-        if self.mode == "complete":
-            total = sum(m.conj().T @ m for _, m in self.elements)
-            return float(np.max(np.abs(total - identity(self.dim))))
-        total = sum(m for _, m in self.elements)
+        total = sum(m.conj().T @ m for _, m in self.elements)
+        return float(np.max(np.abs(total - identity(self.dim))))
+
+
+@dataclass(frozen=True)
+class SubPovm:
+    """PSD effects summing to at most the identity, with an explicit remainder."""
+
+    elements: tuple
+    remainder: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        els = tuple((lab, np.asarray(m, dtype=complex)) for lab, m in self.elements)
+        if not els:
+            raise ValidationError("sub-POVM needs at least one element")
+        dim = els[0][1].shape[0]
+        total = np.zeros((dim, dim), dtype=complex)
+        for _, m in els:
+            total += m
         w = herm_eigvals(0.5 * (total + total.conj().T))
-        return float(max(w[0] - 1.0, -w[-1], 0.0))
+        if w[0] > 1.0 + COMPLETENESS_TOL or w[-1] < -COMPLETENESS_TOL:
+            raise ValidationError("effects violate 0 <= sum R <= I")
+        rem = identity(dim) - total
+        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "remainder", 0.5 * (rem + rem.conj().T))
+
+    @property
+    def dim(self) -> int:
+        return self.elements[0][1].shape[0]
+
+    def as_complete_povm(self, er_label=ER) -> Povm:
+        """Measurement-operator form: sqrt(R_r) elements plus sqrt(remainder)."""
+        els = [(lab, psd_sqrt(m)) for lab, m in self.elements]
+        els.append((er_label, psd_sqrt(self.remainder)))
+        return Povm(tuple(els))
+
+
+def square_root_measurement(gammas: dict) -> SubPovm:
+    """Pretty-good measurement: R_r = T^(-1/2) Gamma_r T^(-1/2), T = sum Gamma.
+
+    Elements keep the label order of ``gammas``.  The inverse square root
+    lives on the support of T, so the elements sum to the support projector
+    (never above the identity).
+    """
+    if not gammas:
+        raise ValidationError("no Gamma operators supplied")
+    total = None
+    for g in gammas.values():
+        g = np.asarray(g, dtype=complex)
+        total = g.copy() if total is None else total + g
+    w = pinv_sqrt(total)
+    els = []
+    for lab, g in gammas.items():
+        r = w @ np.asarray(g, dtype=complex) @ w
+        els.append((lab, 0.5 * (r + r.conj().T)))
+    return SubPovm(tuple(els))
 
 
 def basis_povm(dim: int) -> Povm:
@@ -337,29 +370,12 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
     if povm.dim != rho.dim:
         raise ValidationError("POVM dimension does not match the state")
     out = {}
-    if povm.mode == "complete":
-        for label, f in povm.elements:
-            post = f @ rho.mat @ f.conj().T
-            p = float(np.trace(post).real)
-            if p < PROB_FLOOR:
-                continue
-            out[label] = (p, DensityMatrix(post / p, rho.dims))
-    else:
-        total = np.zeros_like(rho.mat)
-        for label, r in povm.elements:
-            total = total + r
-            root = linalg.psd_sqrt(r)
-            post = root @ rho.mat @ root
-            p = float(np.trace(post).real)
-            if p < PROB_FLOOR:
-                continue
-            out[label] = (p, DensityMatrix(post / p, rho.dims))
-        rem = identity(rho.dim) - total
-        root = linalg.psd_sqrt(0.5 * (rem + rem.conj().T))
-        post = root @ rho.mat @ root
+    for label, f in povm.elements:
+        post = f @ rho.mat @ f.conj().T
         p = float(np.trace(post).real)
-        if p >= PROB_FLOOR:
-            out[ER] = (p, DensityMatrix(post / p, rho.dims))
+        if p < PROB_FLOOR:
+            continue
+        out[label] = (p, DensityMatrix(post / p, rho.dims))
     if not out:
         raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
     return out
@@ -368,20 +384,10 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
 def measure_probabilities(povm: Povm, rho: DensityMatrix) -> dict:
     """Outcome probabilities only (no post-states), same floor convention."""
     probs = {}
-    if povm.mode == "complete":
-        for label, f in povm.elements:
-            p = float(np.trace(rho.mat @ f.conj().T @ f).real)
-            if p >= PROB_FLOOR:
-                probs[label] = p
-    else:
-        acc = 0.0
-        for label, r in povm.elements:
-            p = float(np.trace(rho.mat @ r).real)
-            acc += p
-            if p >= PROB_FLOOR:
-                probs[label] = p
-        if 1.0 - acc >= PROB_FLOOR:
-            probs[ER] = 1.0 - acc
+    for label, f in povm.elements:
+        p = float(np.trace(rho.mat @ f.conj().T @ f).real)
+        if p >= PROB_FLOOR:
+            probs[label] = p
     return probs
 
 

@@ -16,6 +16,7 @@ from qfeedback.config import (
     parse_config,
 )
 from qfeedback.protocol import validate_code
+from qfeedback.quantum import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY = ROOT / "configs" / "identity.json"
@@ -54,6 +55,13 @@ def test_validate_bad_kraus_exits_one(tmp_path):
     path.write_text(json.dumps(bad))
     code, _ = run_cli(["validate", path])
     assert code == 1
+
+
+def test_nan_probability_config_rejected():
+    data = json.loads(IDENTITY.read_text())
+    data["protocol"]["probs"] = [float("nan"), 0.5]
+    with pytest.raises(ValidationError, match="not a probability distribution"):
+        parse_config(data)
 
 
 def test_unknown_field_exits_two(tmp_path):

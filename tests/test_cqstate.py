@@ -25,6 +25,12 @@ from qfeedback.quantum import (
 )
 
 
+def test_cq_state_rejects_nan_weight():
+    branches = (((0,), float("nan"), basis_state(2, 0)), ((1,), 0.5, basis_state(2, 1)))
+    with pytest.raises(ValidationError, match="negative branch weight"):
+        CqState((("A", 2),), (2,), branches)
+
+
 def random_cq(rng, names=("A",), sizes=(2,), qdims=(2,), sparse=1.0):
     """Random CqState with every label combination (or a subset) populated."""
     import itertools

@@ -16,12 +16,14 @@ from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
     ehs_state,
+    error_probability,
     random_feedback_code,
 )
 from qfeedback.quantum import (
     DensityMatrix,
     Ensemble,
     Povm,
+    ValidationError,
     basis_state,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -202,6 +204,56 @@ def test_rate_report_consistency():
     assert rep.h_message_rate <= rep.fano_bound + 1e-9
     assert 0.0 <= rep.avg_error <= 1.0
     assert rep.avg_error <= rep.max_error + 1e-12
+
+
+def test_message_information_rejects_nan_message_probability():
+    code = basis_code(identity_channel(2), n=1)
+    with pytest.raises(ValidationError, match="do not sum to 1"):
+        message_information(code, message_probs={0: float("nan"), 1: 0.5})
+
+
+def test_rate_report_walks_each_codeword_once(monkeypatch):
+    from qfeedback import directed, protocol
+
+    rng = np.random.default_rng(12)
+    code = random_feedback_code(rng, depolarizing_channel(0.2), 3, num_words=3)
+    walked = []
+    walk = protocol._walk
+
+    def counted(code, word, *args, **kwargs):
+        walked.append(tuple(word))
+        return walk(code, word, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rate_report rebuilt the EHS states")
+
+    for mod in (protocol, directed):
+        monkeypatch.setattr(mod, "_walk", counted, raising=False)
+        monkeypatch.setattr(mod, "ehs_states", forbidden)
+        monkeypatch.setattr(mod, "ehs_state", forbidden)
+    rate_report(code)
+    assert sorted(walked) == sorted(code.codebook.words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rate_report_equals_public_functions(n):
+    # Seeded codes with feedback (n=3 has post-processing maps); every
+    # field must equal the public function's value exactly.
+    for seed in range(2):
+        rng = np.random.default_rng(100 * n + seed)
+        code = random_feedback_code(rng, depolarizing_channel(0.15), n, num_words=min(3, 2**n))
+        num = code.codebook.size
+        message_map = dict(enumerate(code.codebook.words))
+        for uniform in (True, False):
+            probs = {i: 1.0 / num for i in range(num)} if uniform else None
+            rep = rate_report(code, uniform_messages=uniform)
+            assert rep.per_round == tuple(directed_terms(code))
+            assert rep.directed_total == directed_information_total(code)
+            assert rep.directed_final == directed_information_final(code)
+            assert (rep.i_message_quantum, rep.i_message_classical) == message_information(
+                code, message_map, probs
+            )
+            assert (rep.avg_error, rep.max_error) == error_probability(code)
 
 
 def test_no_feedback_reduction_to_mutual_information():

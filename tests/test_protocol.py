@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qfeedback.protocol import (
     ehs_state,
     enumerate_transcripts,
     error_probability,
-    markov_check,
     outcome_chain,
     random_feedback_code,
     round_update,
@@ -307,21 +308,20 @@ def test_error_probability_matches_enumeration_oracle():
     assert 0.0 <= avg <= 1.0 and 0.0 <= worst <= 1.0
 
 
-def test_markov_check_zero():
-    rng = np.random.default_rng(9)
-    code = random_feedback_code(rng, depolarizing_channel(0.2), 2, num_words=2)
-    assert markov_check(code) <= 1e-10
-    # duplicated codeword for two messages
-    w = code.codebook.words[0]
-    assert markov_check(code, {0: w, 1: w, 2: code.codebook.words[1]}) <= 1e-10
-
-
 def test_validate_code_random_codes_pass():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         code = random_feedback_code(rng, depolarizing_channel(0.1), n, num_words=2)
         rep = validate_code(code)
         assert rep.ok, rep.violations
+
+
+def test_validate_code_flags_nan_probability():
+    code = two_word_basis_code(identity_channel(2))
+    rep = validate_code(dataclasses.replace(code, probs=(float("nan"), 0.5)))
+    names = [name for name, _ in rep.violations]
+    assert "ensemble: probabilities do not sum to 1" in names
+    assert "ensemble: negative probability" in names
 
 
 def test_validate_code_flags_bad_povm():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qfeedback import quantum as q
 from qfeedback.linalg import identity, kron
 from qfeedback.quantum import (
     DensityMatrix,
@@ -55,8 +54,6 @@ def test_nan_fails_every_validation():
         apply_kraus([nan], basis_state(2, 0))
     with pytest.raises(ValidationError):
         Povm(((0, nan),))
-    with pytest.raises(ValidationError):
-        Povm(((0, nan),), mode="sub")
 
 
 def test_eig_basis_canonical_inside_degenerate_eigenspace():
@@ -169,18 +166,14 @@ def test_measure_matches_trace_oracle():
         assert abs(total - 1.0) < 1e-10
         for p, post in branches.values():
             assert abs(np.trace(post.mat) - 1.0) < 1e-10
+        probs = measure_probabilities(povm, rho)
+        assert set(probs) == set(branches)
+        assert all(abs(probs[k] - branches[k][0]) < 1e-12 for k in probs)
 
 
-def test_measure_sub_mode_remainder():
-    # Single effect 0.5*I: remainder 0.5*I becomes the "er" outcome.
-    povm = Povm(((0, 0.5 * identity(2)),), mode="sub")
-    rho = density(identity(2) / 2)
-    branches = measure(povm, rho)
-    assert set(branches) == {0, q.ER}
-    assert abs(branches[0][0] - 0.5) < 1e-12
-    assert abs(branches[q.ER][0] - 0.5) < 1e-12
-    probs = measure_probabilities(povm, rho)
-    assert abs(probs[q.ER] - 0.5) < 1e-12
+def test_ensemble_rejects_nan_probability():
+    with pytest.raises(ValidationError, match="negative ensemble probability"):
+        Ensemble(((float("nan"), basis_state(2, 0)), (0.5, basis_state(2, 1))))
 
 
 def test_holevo_chi_orthogonal_pair():
