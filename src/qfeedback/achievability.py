@@ -32,7 +32,12 @@ from .protocol import (
     CapExceededError,
     Codebook,
     FeedbackCode,
+    product_states,
     round_zero,
+    _final_branches,
+    _padded_povm,
+    _post_process,
+    _update,
     _walk,
 )
 from .quantum import (
@@ -43,8 +48,8 @@ from .quantum import (
     SubPovm,  # noqa: F401  (re-exported: the effect form lives next to Povm)
     ValidationError,
     apply_channel_at,
-    apply_kraus,
     entropy,
+    measure,
     square_root_measurement,
 )
 
@@ -136,14 +141,12 @@ def typical_projector_data(rho: DensityMatrix, n: int, delta: float) -> TypicalP
     return TypicalProjectorData(w, v, n, frozenset(typical_set(w, n, delta)))
 
 
-def typical_projector(rho: DensityMatrix, n: int, delta: float, lazy: bool = False):
-    """Projector onto the delta-typical eigenstrings of rho^(x)n.
+def typical_projector(rho: DensityMatrix, n: int, delta: float) -> np.ndarray:
+    """Projector onto the delta-typical eigenstrings of rho^(x)n, as a dense matrix.
 
-    Returns the dense matrix, or the lazy index/eigenbasis form when asked
-    (mandatory above PROJECTOR_CAP).
+    Above PROJECTOR_CAP use the lazy form, ``typical_projector_data``.
     """
-    data = typical_projector_data(rho, n, delta)
-    return data if lazy else data.matrix()
+    return typical_projector_data(rho, n, delta).matrix()
 
 
 def cond_typical_projector(states: dict, word, delta: float) -> np.ndarray:
@@ -332,6 +335,18 @@ def _slot_components(q: int, n: int, l: int):
     return base_comp, glob
 
 
+def _base_slot_povm(base: FeedbackCode, q: int, l: int) -> Povm | None:
+    """Copy j's base measurement M_k on the first q flat registers, if slot q has one."""
+    base_comp, _ = _slot_components(q, base.n, l)
+    if base_comp is None:
+        return None
+    j, k = base_comp
+    dims = (base.channel.in_dim,) * q
+    targets = [s * l + (j - 1) for s in range(k)]
+    # base schedules are fixed Povms
+    return Povm(tuple((lab, embed_operator(f, dims, targets)) for lab, f in base.measurement(k).elements))
+
+
 class _GlobalRoundBuilder:
     """Builds the Gamma operators and PGM for one global round and history."""
 
@@ -465,13 +480,10 @@ def build_double_blocked_code(
     flat_words = tuple(_interleave(g, n, l) for g in groups)
     book = Codebook(base.codebook.alphabet, nl, flat_words)
     perm = _copy_to_flat_perm(n, l)
-    flat_states = []
-    for g in groups:
-        mat = None
-        for w in g:
-            s = base.states[base.word_index(w)].mat
-            mat = s.copy() if mat is None else kron(mat, s)
-        flat_states.append(DensityMatrix(permute_registers(mat, (d,) * nl, perm), (d,) * nl))
+    flat_states = tuple(
+        DensityMatrix(permute_registers(s.mat, s.dims, perm), s.dims)
+        for s in product_states(dict(zip(base.codebook.words, base.states)), groups)
+    )
 
     tables = base_prefix_tables(base)
     builder = _GlobalRoundBuilder(base, groups, gprobs, tables, l, delta)
@@ -496,23 +508,15 @@ def build_double_blocked_code(
                 k_hists[base_comp[0] - 1] += (outcome,)
         return r_blocks, k_hists
 
-    fixed_cache: dict[int, Povm] = {}
+    base_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
 
     def slot_povm(q: int, history):
-        base_comp, glob = _slot_components(q, n, l)
+        _, glob = _slot_components(q, n, l)
         d_pref = d**q
-        if glob is None and q in fixed_cache:
-            return fixed_cache[q]
-        els_base = None
-        if base_comp is not None:
-            j, k = base_comp
-            povm = base.measurement(k)  # base schedules are fixed Povms
-            targets = [s * l + (j - 1) for s in range(k)]
-            els_base = [(lab, embed_operator(f, (d,) * q, targets)) for lab, f in povm.elements]
+        base_povm = base_povms[q]
         if glob is None:
-            out = Povm(tuple(els_base)) if els_base else Povm(((0, identity(d_pref)),))
-            fixed_cache[q] = out
-            return out
+            # Slots before copy l's first letter measure nothing; each has one history.
+            return base_povm or Povm(((0, identity(d_pref)),))
         t = glob
         r_blocks, k_hists = history_data(history)
         gammas = {} if ER in r_blocks else builder.gammas(t, r_blocks, k_hists)
@@ -527,13 +531,11 @@ def build_double_blocked_code(
                 (word_from_blocks(tuple(r_blocks) + (lab,)) if lab != ER else ER, m)
                 for lab, m in roots
             ]
-        if els_base is None:
+        if base_povm is None:
             return Povm(tuple(roots))
-        els = []
-        for r_lab, root in roots:
-            for b_lab, f in els_base:
-                els.append(((r_lab, b_lab), f @ root))
-        return Povm(tuple(els))
+        return Povm(
+            tuple(((r_lab, b_lab), f @ root) for r_lab, root in roots for b_lab, f in base_povm.elements)
+        )
 
     tables_by_slot: list[dict] = [dict() for _ in range(nl)]
     feedback: dict = {}
@@ -639,7 +641,10 @@ def cumulative_disturbance_report(
     flat = build_double_blocked_code(base, l, delta=delta, groups=groups)
     n, d = base.n, base.channel.in_dim
     nl = n * l
-    dims = (d,) * nl
+    ref_povms = {}
+    for q in range(1, nl + 1):
+        povm = _base_slot_povm(base, q, l)
+        ref_povms[q] = None if povm is None else _padded_povm(povm, flat.dims, q)
     records: list[DisturbanceRecord] = []
 
     for word in flat.codebook.words:
@@ -648,61 +653,41 @@ def cumulative_disturbance_report(
         branches = [((), 1.0, start, start, ())]
         for q in range(1, nl + 1):
             base_comp, glob = _slot_components(q, n, l)
+            if glob is not None:
+                correct_r = word if glob == n else tuple(group[j][glob - 1] for j in range(l))
             new = []
             for history, p_path, rho_flat, rho_ref, eps in branches:
-                if q <= nl - 1:
-                    sigma_flat = apply_channel_at(flat.channel, rho_flat, q)
+                # Slot q is update q+1 of the flat code; the last slot is its final measurement.
+                if q < nl:
+                    flat_branches = _update(flat, rho_flat, q + 1, history)
                     sigma_ref = apply_channel_at(flat.channel, rho_ref, q)
                 else:
-                    sigma_flat, sigma_ref = rho_flat, rho_ref
-                povm = flat.measurement(q, history)
-                eps_here = eps
-                correct_r = None
+                    flat_branches = _final_branches(flat, rho_flat, history)
+                    sigma_ref = rho_ref
                 if glob is not None:
-                    t = glob
-                    correct_r = word if t == n else tuple(group[j][t - 1] for j in range(l))
                     effect = None
-                    for lab, el in povm.elements:
-                        r_lab = lab[0] if base_comp is not None else lab
-                        if r_lab != correct_r:
-                            continue
-                        e = el.conj().T @ el
-                        effect = e if effect is None else effect + e
+                    for lab, el in flat.measurement(q, history).elements:
+                        if (lab[0] if base_comp else lab) == correct_r:
+                            e = el.conj().T @ el
+                            effect = e if effect is None else effect + e
                     if effect is None:
                         continue  # correct outcome unreachable on this branch
                     big = kron(effect, identity(d ** (nl - q))) if q < nl else effect
                     overlap = float(np.trace(sigma_ref.mat @ big).real)
-                    eps_here = eps + (max((1.0 - overlap) / 3.0, 0.0),)
-                for lab, el in povm.elements:
-                    if glob is not None:
-                        r_lab = lab[0] if base_comp is not None else lab
-                        if r_lab != correct_r:
-                            continue
-                    big = kron(el, identity(d ** (nl - q))) if q < nl else el
-                    post_flat = big @ sigma_flat.mat @ big.conj().T
-                    p_flat = float(np.trace(post_flat).real)
-                    if p_flat < PROB_FLOOR:
+                    eps = eps + (max((1.0 - overlap) / 3.0, 0.0),)
+                ref_branches = measure(ref_povms[q], sigma_ref) if base_comp else None
+                for lab, (p_flat, rho_f) in flat_branches.items():
+                    if glob is not None and (lab[0] if base_comp else lab) != correct_r:
                         continue
+                    rho_r = sigma_ref
                     if base_comp is not None:
-                        j, k = base_comp
-                        b_lab = lab[1] if glob is not None else lab
-                        f = dict(base.measurement(k).elements)[b_lab]
-                        f_emb = embed_operator(f, (d,) * q, [s * l + (j - 1) for s in range(k)])
-                        f_big = kron(f_emb, identity(d ** (nl - q))) if q < nl else f_emb
-                        post_ref = f_big @ sigma_ref.mat @ f_big.conj().T
-                        p_ref = float(np.trace(post_ref).real)
-                        if p_ref < PROB_FLOOR:
+                        ref = ref_branches.get(lab[1] if glob is not None else lab)
+                        if ref is None:
                             continue
-                    else:
-                        post_ref, p_ref = sigma_ref.mat, 1.0
-                    rho_f = DensityMatrix(post_flat / p_flat, dims)
-                    rho_r = DensityMatrix(post_ref / p_ref, dims)
-                    m_flat = q + 1
-                    kraus = flat.feedback_kraus(m_flat, lab)
-                    if kraus is not None and m_flat < nl:
-                        rho_f = apply_kraus(kraus, rho_f, registers=range(m_flat, nl))
-                        rho_r = apply_kraus(kraus, rho_r, registers=range(m_flat, nl))
-                    nb = (history + (lab,), p_path * p_flat, rho_f, rho_r, eps_here)
+                        rho_r = ref[1]
+                    rho_f = _post_process(flat, q + 1, lab, rho_f)
+                    rho_r = _post_process(flat, q + 1, lab, rho_r)
+                    nb = (history + (lab,), p_path * p_flat, rho_f, rho_r, eps)
                     if glob is not None:
                         records.append(
                             DisturbanceRecord(
@@ -711,8 +696,8 @@ def cumulative_disturbance_report(
                                 glob,
                                 nb[1],
                                 float(trace_norm(rho_f.mat - rho_r.mat)),
-                                cumulative_disturbance_bound(eps_here),
-                                eps_here,
+                                cumulative_disturbance_bound(eps),
+                                eps,
                             )
                         )
                     new.append(nb)

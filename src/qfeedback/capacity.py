@@ -15,7 +15,7 @@ import numpy as np
 
 from .directed import directed_information_total
 from .linalg import identity, kron
-from .protocol import Codebook, FeedbackCode, average_final_state, pgm_decoder
+from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
     Ensemble,
@@ -24,8 +24,10 @@ from .quantum import (
     ValidationError,
     apply_channel,
     bloch_state,
+    euler_unitary,
     holevo_chi,
     pure_state,
+    rotated_qubit_povm,
 )
 
 
@@ -250,12 +252,6 @@ def grid_search_chi(
 # Feedback-code optimization: directed information over a parametrized family.
 
 
-def _euler(a: float, b: float, c: float) -> np.ndarray:
-    rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]], dtype=complex)
-    return rz(a) @ ry @ rz(c)
-
-
 def default_words(n: int) -> tuple[tuple[int, ...], ...]:
     """Binary codebook: all words for n <= 2, the even-parity half for n = 3."""
     words = []
@@ -315,28 +311,17 @@ class FeedbackCodeFamily:
         probs = simplex_projection(x[self.prob_block])
         base = self.num_words
         letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(self.alphabet)]
-        states = []
-        for w in self.words:
-            mat = letters[w[0]].mat
-            for a in w[1:]:
-                mat = kron(mat, letters[a].mat)
-            states.append(DensityMatrix(mat, (d,) * n))
+        states = product_states(letters, self.words)
         mbase = base + 2 * self.alphabet
-        measurements = []
-        for t in range(1, n):
-            theta, phi = x[mbase + 2 * (t - 1)], x[mbase + 2 * (t - 1) + 1]
-            c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-            u = np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
-            pad = identity(d ** (t - 1))
-            els = tuple(
-                (k, kron(pad, np.outer(u[:, k], u[:, k].conj()))) for k in range(2)
-            )
-            measurements.append(Povm(els))
+        measurements = [
+            on_freshest(rotated_qubit_povm(x[mbase + 2 * (t - 1)], x[mbase + 2 * (t - 1) + 1]), t)
+            for t in range(1, n)
+        ]
         fbase = mbase + 2 * self.meas_rounds
         fb: dict = {}
         for idx, (m, k, r) in enumerate(self.fb_slots):
             a, b, c = x[fbase + 3 * idx : fbase + 3 * idx + 3]
-            fb.setdefault(m, {}).setdefault(k, {})[r] = _euler(a, b, c)
+            fb.setdefault(m, {}).setdefault(k, {})[r] = euler_unitary(a, b, c)
         feedback = {}
         for m, per in fb.items():
             feedback[m] = {}
@@ -351,15 +336,11 @@ class FeedbackCodeFamily:
         probs_t = tuple(float(p) for p in probs)
         if not with_decoder:
             dummy = Povm(((self.words[0], identity(d**n)),))
-            return FeedbackCode(book, self.channel, probs_t, tuple(states), tuple(measurements) + (dummy,), feedback)
-        partial = FeedbackCode(
-            book, self.channel, probs_t, tuple(states), tuple(measurements) + (None,), feedback
-        )
-        finals = [average_final_state(partial, w) for w in self.words]
+            return FeedbackCode(book, self.channel, probs_t, states, tuple(measurements) + (dummy,), feedback)
+        partial = FeedbackCode(book, self.channel, probs_t, states, tuple(measurements) + (None,), feedback)
         weights = [max(p, 1e-12) for p in probs_t]
         total = sum(weights)
-        decoder = pgm_decoder(finals, [w / total for w in weights], list(self.words))
-        return FeedbackCode(book, self.channel, probs_t, tuple(states), tuple(measurements) + (decoder,), feedback)
+        return with_pgm_decoder(partial, [w / total for w in weights])
 
 
 @dataclass

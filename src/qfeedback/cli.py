@@ -9,6 +9,8 @@ failure, 2 parse failure, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 import time
 
@@ -30,21 +32,28 @@ from .config import (
 )
 from .cqstate import CqState, mutual_information
 from .directed import rate_report, verify_ddpi
-from .linalg import LinalgError, herm_eigvals, identity
+from .linalg import LinalgError, herm_eigvals, identity, pinv_sqrt
 from .protocol import (
     CapExceededError,
+    Codebook,
+    FeedbackCode,
+    _error_figures,
+    _p_correct,
     enumerate_transcripts,
-    error_probability,
     random_feedback_code,
     sample_transcript,
     validate_code,
 )
 from .quantum import (
     Ensemble,
+    Povm,
     ValidationError,
+    basis_state,
+    density,
     depolarizing_channel,
     holevo_chi,
     random_density_matrix,
+    random_pure_state,
 )
 
 EXIT_OK = 0
@@ -57,23 +66,26 @@ def _outcome_key(outcomes) -> str:
     return "|".join(str(o) for o in outcomes)
 
 
+def _leaves(value, path: str = ""):
+    """(path, value) for every leaf: ``a.b`` for dict keys, ``a[i]`` for list items."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _leaves(value[k], f"{path}.{k}" if path else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
 def _emit(report: dict, args) -> None:
     if getattr(args, "timing", False):
         report["wall_clock_s"] = round(time.perf_counter() - args._t0, 3)
     report["artifact_version"] = __version__
     if getattr(args, "format", "json") == "csv":
-        lines = []
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, (list, tuple)):
-                for i, v in enumerate(value):
-                    lines.append(f"{key}[{i}],{v}")
-            elif isinstance(value, dict):
-                for k in sorted(value):
-                    lines.append(f"{key}.{k},{value[k]}")
-            else:
-                lines.append(f"{key},{value}")
-        text = "\n".join(lines)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_leaves(report))
+        text = buf.getvalue().rstrip("\n")
     else:
         text = dump_report(report)
     print(text)
@@ -100,14 +112,15 @@ def cmd_simulate(args) -> int:
     report: dict = {"command": "simulate", "seed": args.seed, "n": code.n}
     try:
         exact: dict[str, float] = {}
+        p_correct = []
         for idx, word in enumerate(code.codebook.words):
-            for tr in enumerate_transcripts(code, word):
+            transcripts = enumerate_transcripts(code, word)
+            for tr in transcripts:
                 key = _outcome_key(tr.outcomes)
                 exact[key] = exact.get(key, 0.0) + code.probs[idx] * tr.probability
+            p_correct.append(_p_correct(transcripts, word))
         report["exact_outcome_distribution"] = {k: exact[k] for k in sorted(exact)}
-        avg, worst = error_probability(code)
-        report["average_error"] = avg
-        report["max_error"] = worst
+        report["average_error"], report["max_error"] = _error_figures(code, p_correct)
     except CapExceededError:
         if not args.samples:
             raise
@@ -259,8 +272,6 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
         s = s / (herm_eigvals(s)[0] * float(rng.uniform(1.0, 3.0)))
         h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = (h @ h.conj().T) / dim * float(rng.uniform(0.1, 2.0)) + 0.05 * identity(dim)
-        from .linalg import pinv_sqrt
-
         w = pinv_sqrt(s + t)
         lhs = identity(dim) - w @ s @ w
         rhs = hn_factor * (identity(dim) - s) + 4.0 * t
@@ -280,8 +291,6 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
     gentle_trials = max(trials * 5, 100)
     for _ in range(gentle_trials):
         rho = random_density_matrix(rng, 3)
-        from .quantum import random_pure_state
-
         pert = random_pure_state(rng, 3).mat
         denom = float(np.trace(rho.mat @ pert).real)
         scale = min(1.0, 3.0 * eps * float(rng.uniform(0, 1)) / max(denom, 1e-12))
@@ -295,8 +304,6 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
     }
 
     # Typicality bounds with the provable per-state exponent constant.
-    from .quantum import density
-
     rho = density(np.diag([0.75, 0.25]))
     w = rho.eigvals()
     c_star = float(np.sum(np.abs(np.log2(w[w > 1e-12]))))
@@ -311,9 +318,6 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
     }
 
     # Cumulative disturbance end-to-end on a small double-blocked instance.
-    from .protocol import Codebook, FeedbackCode
-    from .quantum import Povm, basis_state
-
     book = Codebook(2, 1, ((0,), (1,)))
     els = (
         ((0,), np.diag([1.0, 0.0]).astype(complex)),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacity import OptimizerConfig
 from .linalg import identity, kron
-from .protocol import Codebook, FeedbackCode, average_final_state, pgm_decoder
+from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -24,7 +24,9 @@ from .quantum import (
     bloch_state,
     dephasing_channel,
     depolarizing_channel,
+    euler_unitary,
     identity_channel,
+    rotated_qubit_povm,
 )
 
 
@@ -141,18 +143,13 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
 
     if ("letter_states" in spec) == ("states" in spec):
         raise ConfigError("protocol: give exactly one of letter_states or states")
-    states = []
     if "letter_states" in spec:
         angles = spec["letter_states"]
         if len(angles) != alphabet:
             raise ConfigError("protocol.letter_states: one [theta, phi] per letter")
-        letters = [bloch_state(float(t), float(f)) for t, f in angles]
-        for w in words:
-            mat = letters[w[0]].mat
-            for a in w[1:]:
-                mat = kron(mat, letters[a].mat)
-            states.append(DensityMatrix(mat, (d,) * n))
+        states = product_states([bloch_state(float(t), float(f)) for t, f in angles], words)
     else:
+        states = []
         for i, rows in enumerate(spec["states"]):
             mat = matrix_from_json(rows, f"protocol.states[{i}]")
             try:
@@ -183,11 +180,7 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         if len(angle_rows) != n - 1:
             raise ConfigError("protocol.measurements: one [theta, phi] per round 1..n-1")
         for j, (theta, phi) in enumerate(angle_rows, start=1):
-            c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-            u = np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
-            pad = identity(d ** (j - 1))
-            els = tuple((k, kron(pad, np.outer(u[:, k], u[:, k].conj()))) for k in range(2))
-            measurements.append(Povm(els))
+            measurements.append(on_freshest(rotated_qubit_povm(theta, phi), j))
 
     feedback: dict = {}
     fb_spec = spec.get("feedback", {})
@@ -200,15 +193,8 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
             for outcome_str, entry in per.items():
                 outcome = int(outcome_str)
                 if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
-                    a, b, c = (float(x) for x in entry)
-                    rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-                    ry = np.array(
-                        [[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]],
-                        dtype=complex,
-                    )
-                    u = rz(a) @ ry @ rz(c)
-                    u = kron(u, identity(d ** (n - m - 1)))
-                    feedback[m][outcome] = (u,)
+                    u = euler_unitary(*(float(x) for x in entry))
+                    feedback[m][outcome] = (kron(u, identity(d ** (n - m - 1))),)
                 else:
                     feedback[m][outcome] = tuple(
                         matrix_from_json(rows, f"protocol.feedback[{m}][{outcome}]")
@@ -219,14 +205,9 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         final = spec.get("final_measurement", "pgm")
         if final != "pgm":
             raise ConfigError("protocol.final_measurement: only 'pgm' or explicit POVMs")
-        partial = FeedbackCode(
-            book, channel, probs, tuple(states), tuple(measurements) + (None,), feedback
-        )
-        finals = [average_final_state(partial, w) for w in words]
-        measurements.append(pgm_decoder(finals, probs, list(words)))
-
-    code = FeedbackCode(book, channel, probs, tuple(states), tuple(measurements), feedback)
-    return code
+        partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), feedback)
+        return with_pgm_decoder(partial, probs)
+    return FeedbackCode(book, channel, probs, states, tuple(measurements), feedback)
 
 
 @dataclass

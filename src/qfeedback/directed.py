@@ -23,7 +23,6 @@ from .protocol import (
     _p_correct,
     _transcripts,
     _walk,
-    average_final_state,  # noqa: F401  (public name, kept importable here)
     ehs_state,
     ehs_states,
 )

@@ -44,10 +44,6 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return hermitian_defect(m) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product, register order left to right.
 

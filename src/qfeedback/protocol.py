@@ -12,12 +12,16 @@ the domain of the post-processing maps.
 One update is ``_update`` (channel, then measurement) followed by
 ``_post_process`` (the feedback map); ``_walk`` expands it over all outcomes
 of one codeword, and transcripts, EHS states, averaged final states, prefix
-tables and error probabilities are all read off that walk.
+tables and error probabilities are all read off that walk.  Codes are
+assembled here too: letter-product codeword states (``product_states``),
+measurements on the freshest register (``on_freshest``) and the PGM final
+measurement (``with_pgm_decoder``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable
 
 import numpy as np
@@ -504,7 +508,24 @@ def error_probability(code: FeedbackCode, cap: int = ENUM_CAP) -> tuple[float, f
 
 
 # ----------------------------------------------------------------------------
-# Random code generation (tests, lemma suites, optimizer seeds).
+# Code assembly: how codeword states, measurements and decoders are put together.
+
+
+def product_states(letters, words) -> tuple[DensityMatrix, ...]:
+    """Codeword states: the tensor product of ``letters[a]`` along each word."""
+    out = []
+    for w in words:
+        mat = letters[w[0]].mat
+        for a in w[1:]:
+            mat = kron(mat, letters[a].mat)
+        out.append(DensityMatrix(mat, sum((letters[a].dims for a in w), ())))
+    return tuple(out)
+
+
+def on_freshest(single: Povm, j: int) -> Povm:
+    """M_j measuring ``single`` on register j-1, identity on the j-1 registers before it."""
+    pad = identity(single.dim ** (j - 1))
+    return Povm(tuple((lab, kron(pad, f)) for lab, f in single.elements))
 
 
 def pgm_decoder(states: list[DensityMatrix], weights, labels) -> Povm:
@@ -515,6 +536,18 @@ def pgm_decoder(states: list[DensityMatrix], weights, labels) -> Povm:
     """
     gammas = {lab: p * rho.mat for lab, p, rho in zip(labels, weights, states)}
     return square_root_measurement(gammas).as_complete_povm()
+
+
+def with_pgm_decoder(code: FeedbackCode, weights) -> FeedbackCode:
+    """``code`` with M_n replaced by the PGM over its averaged final states.
+
+    ``code``'s own M_n is never read (callers leave it None); ``weights``
+    weigh the codewords as in ``pgm_decoder``.
+    """
+    words = code.codebook.words
+    finals = [average_final_state(code, w) for w in words]
+    decoder = pgm_decoder(finals, weights, list(words))
+    return replace(code, measurements=code.measurements[:-1] + (decoder,))
 
 
 def random_feedback_code(
@@ -540,16 +573,7 @@ def random_feedback_code(
     the classical record that the disturbed state no longer carries.
     """
     d = channel.in_dim
-    all_words = []
-
-    def grow(prefix):
-        if len(prefix) == n:
-            all_words.append(tuple(prefix))
-            return
-        for a in range(alphabet):
-            grow(prefix + [a])
-
-    grow([])
+    all_words = list(itertools.product(range(alphabet), repeat=n))
     if num_words > len(all_words):
         raise ValidationError("more codewords than strings")
     order = rng.permutation(len(all_words))
@@ -563,12 +587,7 @@ def random_feedback_code(
         random_pure_state(rng, d) if pure_letters else random_density_matrix(rng, d)
         for _ in range(alphabet)
     ]
-    states = []
-    for w in words:
-        mat = letter_states[w[0]].mat
-        for a in w[1:]:
-            mat = kron(mat, letter_states[a].mat)
-        states.append(DensityMatrix(mat, (d,) * n))
+    states = product_states(letter_states, words)
 
     measurements = []
     for j in range(1, n):
@@ -577,9 +596,7 @@ def random_feedback_code(
             single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
         else:
             single = random_povm(rng, d, outcomes)
-        pad = identity(d ** (j - 1))
-        els = tuple((lab, kron(pad, f)) for lab, f in single.elements)
-        measurements.append(Povm(els))
+        measurements.append(on_freshest(single, j))
 
     fb: dict = {}
     if feedback:
@@ -593,9 +610,5 @@ def random_feedback_code(
             fb[m] = per
 
     # Final decoder: PGM over the average pre-decode outputs per word.
-    partial = FeedbackCode(book, channel, probs, tuple(states), tuple(measurements) + (None,), fb)
-    finals = [average_final_state(partial, w) for w in words]
-    m_n = pgm_decoder(finals, probs, list(words))
-    measurements.append(m_n)
-
-    return FeedbackCode(book, channel, probs, tuple(states), tuple(measurements), fb)
+    partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)
+    return with_pgm_decoder(partial, probs)

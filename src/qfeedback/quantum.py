@@ -361,6 +361,13 @@ def rotated_qubit_povm(theta: float, phi: float) -> Povm:
     return Povm(els)
 
 
+def euler_unitary(a: float, b: float, c: float) -> np.ndarray:
+    """Qubit rotation Rz(a) Ry(b) Rz(c)."""
+    rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]], dtype=complex)
+    return rz(a) @ ry @ rz(c)
+
+
 def measure(povm: Povm, rho: DensityMatrix) -> dict:
     """All measurement branches: outcome -> (probability, post-state).
 

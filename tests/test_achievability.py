@@ -566,3 +566,45 @@ def test_double_blocked_first_global_round_matches_scratch_oracle():
     assert set(effects) == set(oracle)
     for r in oracle:
         assert np.max(np.abs(effects[r] - oracle[r])) < 1e-8, r
+
+
+def _pinned_disturbance_cases():
+    from qfeedback.protocol import random_feedback_code
+    from qfeedback.quantum import amplitude_damping_channel
+
+    cases = {
+        "basis-l2": (one_block_code(depolarizing_channel(0.1)), 2),
+        "basis-l3": (one_block_code(depolarizing_channel(0.1)), 3),
+    }
+    channels = {
+        "depolarizing": (depolarizing_channel(0.3), 77),
+        "amplitude_damping": (amplitude_damping_channel(0.4), 78),
+    }
+    for name, (chan, seed) in channels.items():
+        for projective in (True, False):
+            rng = np.random.default_rng(seed)
+            base = random_feedback_code(rng, chan, 2, num_words=2, projective=projective)
+            cases[f"{name}-seed{seed}-{'projective' if projective else 'general'}"] = (base, 2)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_pinned_disturbance_cases()))
+def test_cumulative_disturbance_records_pinned(case):
+    # Every record field against values from an independent implementation
+    # of the paired walk that embedded and applied each operator by hand.
+    import json
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "data" / "disturbance_records.json").read_text())
+    base, l = _pinned_disturbance_cases()[case]
+    records = cumulative_disturbance_report(base, l, delta=0.3)
+    want = pins[case]
+    assert len(records) == len(want)
+    for rec, pin in zip(records, want):
+        assert repr(rec.group) == pin["group"]
+        assert repr(rec.outcomes) == pin["outcomes"]
+        assert rec.round == pin["round"]
+        assert len(rec.epsilons) == len(pin["epsilons"])
+        got = [rec.probability, rec.distance, rec.bound, *rec.epsilons]
+        expected = [pin["probability"], pin["distance"], pin["bound"], *pin["epsilons"]]
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12), (rec, pin)

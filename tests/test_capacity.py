@@ -11,6 +11,7 @@ from qfeedback.capacity import (
     holevo_capacity,
     simplex_projection,
 )
+from qfeedback.config import code_from_spec
 from qfeedback.directed import directed_information_total
 from qfeedback.protocol import validate_code
 from qfeedback.quantum import (
@@ -177,3 +178,37 @@ def test_holevo_amplitude_damping_two_sided_grid_agreement():
                 if chi > best:
                     best = chi
     assert abs(res.value - best) <= 1e-3, (res.value, best)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_code_from_spec_matches_family_build(n):
+    # The same angles through the config schema and through the optimizer's
+    # parametrization assemble the same code.
+    channel = depolarizing_channel(0.2)
+    fam = FeedbackCodeFamily(channel, default_words(n))
+    x = fam.initial(np.random.default_rng(n))
+    built = fam.build(x)
+    angles = [float(v) for v in x[fam.num_words :]]
+    fbase = 2 * fam.alphabet + 2 * fam.meas_rounds
+    feedback: dict = {}
+    for idx, (m, k, _r) in enumerate(fam.fb_slots):  # one register per (m, k) at n <= 3
+        feedback.setdefault(str(m), {})[str(k)] = angles[fbase + 3 * idx : fbase + 3 * idx + 3]
+    spec = {
+        "n": n,
+        "words": [list(w) for w in fam.words],
+        "probs": list(built.probs),
+        "letter_states": [angles[0:2], angles[2:4]],
+        "measurements": [angles[4 + 2 * t : 6 + 2 * t] for t in range(n - 1)],
+        "feedback": feedback,
+    }
+    parsed = code_from_spec(spec, channel)
+    for a, b in zip(built.states, parsed.states, strict=True):
+        assert a.dims == b.dims and np.array_equal(a.mat, b.mat)
+    for j in range(1, n):
+        got, want = parsed.measurement(j).elements, built.measurement(j).elements
+        assert [lab for lab, _ in got] == [lab for lab, _ in want]
+        assert all(np.array_equal(f, g) for (_, f), (_, g) in zip(got, want))
+    assert parsed.feedback.keys() == built.feedback.keys()
+    for m, per in built.feedback.items():
+        for k, kraus in per.items():
+            assert all(np.array_equal(u, v) for u, v in zip(kraus, parsed.feedback[m][k], strict=True))

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -207,6 +209,44 @@ def test_csv_format():
     assert code == 0
     assert "directed_information," in out
     assert "{" not in out
+
+
+def _json_leaves(value, path=""):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _json_leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _json_leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", DEPOLARIZING, "--samples", 20],
+        ["verify-lemmas", "--trials", 1, "--seed", 2],
+        ["validate", IDENTITY],
+        ["validate", "NON_CODEWORD_DECODER"],
+    ],
+)
+def test_csv_rows_parse_to_the_json_leaves(args, tmp_path):
+    if "NON_CODEWORD_DECODER" in args:
+        # M_n outcome 7 is no codeword: the report lists a violation.
+        data = json.loads(IDENTITY.read_text())
+        m_1 = [[7, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]]
+        data["protocol"]["measurements_explicit"] = [m_1]
+        path = tmp_path / "decoder.json"
+        path.write_text(json.dumps(data))
+        args = ["validate", path]
+    _, text = run_cli(args)
+    _, table = run_cli(args + ["--format", "csv"])
+    rows = list(csv.reader(io.StringIO(table)))
+    assert rows and all(len(row) == 2 for row in rows)
+    leaves = {path: str(value) for path, value in _json_leaves(json.loads(text))}
+    assert len(rows) == len(leaves)
+    assert dict(rows) == leaves
 
 
 def test_report_roundtrip_byte_identical():

@@ -18,6 +18,7 @@ from qfeedback.quantum import (
     density,
     depolarizing_channel,
     entropy,
+    euler_unitary,
     fully_depolarizing_channel,
     holevo_chi,
     identity_channel,
@@ -28,6 +29,7 @@ from qfeedback.quantum import (
     random_density_matrix,
     random_povm,
     random_pure_state,
+    rotated_qubit_povm,
     random_unitary,
 )
 
@@ -255,3 +257,24 @@ def test_random_generators_deterministic():
     pa = random_povm(np.random.default_rng(43), 2, 2)
     pb = random_povm(np.random.default_rng(43), 2, 2)
     assert all(np.array_equal(x[1], y[1]) for x, y in zip(pa.elements, pb.elements))
+
+
+@pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.7, 2.3), (np.pi, 1.1), (2.9, -0.4)])
+def test_rotated_qubit_povm_first_element_is_bloch_state(theta, phi):
+    povm = rotated_qubit_povm(theta, phi)
+    assert povm.labels == (0, 1)
+    assert np.allclose(povm.elements[0][1], bloch_state(theta, phi).mat, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("a,b,c", [(0.0, 0.0, 0.0), (0.3, 1.2, -2.0), (3.0, 2.5, 0.9)])
+def test_euler_unitary_is_unitary_closed_form(a, b, c):
+    u = euler_unitary(a, b, c)
+    assert np.allclose(u.conj().T @ u, identity(2), rtol=0.0, atol=1e-15)
+    cb, sb = np.cos(b / 2), np.sin(b / 2)
+    closed = np.array(
+        [
+            [np.exp(-0.5j * (a + c)) * cb, -np.exp(-0.5j * (a - c)) * sb],
+            [np.exp(0.5j * (a - c)) * sb, np.exp(0.5j * (a + c)) * cb],
+        ]
+    )
+    assert np.allclose(u, closed, rtol=0.0, atol=1e-15)
