@@ -67,7 +67,8 @@ class TypicalityParams:
     l: int = 1
 
     def __post_init__(self):
-        if self.delta <= 0 or self.c <= 0 or self.l < 1:
+        # Written "not (... > 0)" so that a NaN parameter is rejected too.
+        if not (self.delta > 0 and self.c > 0 and self.l >= 1):
             raise ValidationError("typicality parameters must be positive")
 
     def epsilon(self, t: int) -> float:
@@ -81,8 +82,12 @@ def typical_set(p, n: int, delta: float) -> set[tuple[int, ...]]:
     """Strings whose letter counts all satisfy |N(x) - n p(x)| <= n delta.
 
     Letters of probability zero are excluded outright (the standard strong
-    typicality convention), whatever the width.
+    typicality convention), whatever the width.  The width must be positive
+    (NaN included in the rejection): a width <= 0 keeps at most the
+    exact-count strings, and every decoder built on such a set is useless.
     """
+    if not delta > 0:
+        raise ValidationError(f"typicality width delta must be positive, got {delta}")
     p = np.asarray(list(p), dtype=float)
     k = len(p)
     if k**n > STRING_CAP:
@@ -309,11 +314,7 @@ def _interleave(group, n: int, l: int) -> tuple[int, ...]:
 
 def _copy_to_flat_perm(n: int, l: int) -> list[int]:
     """permutation with new (flat, letter-major) register i = old (copy-major) register perm[i]."""
-    perm = []
-    for f in range(n * l):
-        k, j = f // l, f % l
-        perm.append(j * n + k)
-    return perm
+    return [(f % l) * n + f // l for f in range(n * l)]
 
 
 def base_prefix_tables(code: FeedbackCode) -> list[dict]:
@@ -347,105 +348,93 @@ def _base_slot_povm(base: FeedbackCode, q: int, l: int) -> Povm | None:
     return Povm(tuple((lab, embed_operator(f, dims, targets)) for lab, f in base.measurement(k).elements))
 
 
-class _GlobalRoundBuilder:
-    """Builds the Gamma operators and PGM for one global round and history."""
+def _label_parts(q: int, n: int, l: int, lab):
+    """(global outcome or None, base outcome or None) of slot q's label.
 
-    def __init__(self, base: FeedbackCode, groups, gprobs, tables, l: int, delta: float):
-        self.base = base
-        self.groups = groups
-        self.gprobs = gprobs
-        self.tables = tables
-        self.l = l
-        self.delta = delta
-        self.n = base.n
-        self.d = base.channel.in_dim
+    A slot with both a global round and a base measurement is labelled
+    (global, base); any other slot carries a bare label.
+    """
+    base_comp, glob = _slot_components(q, n, l)
+    if base_comp and glob is not None:
+        return lab[0], lab[1]
+    return (lab if glob is not None else None), (lab if base_comp else None)
 
-    def posterior(self, t: int, r_blocks, k_hists):
-        """Joint posterior over groups given prior global outcomes and base outcomes."""
-        post = {}
-        for g, pg in zip(self.groups, self.gprobs):
-            ok = True
-            for s, block in enumerate(r_blocks):
-                if tuple(w[s] for w in g) != block:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            like = pg
-            for j in range(self.l):
-                entry = self.tables[t - 1].get((g[j], k_hists[j]))
-                if entry is None:
-                    like = 0.0
-                    break
-                like *= entry[0]
-            if like > 0.0:
-                post[g] = like
-        total = sum(post.values())
-        if total <= 0.0:
-            return {}
-        return {g: p / total for g, p in post.items()}
 
-    def receiver_state(self, t: int, word, k_hist) -> np.ndarray:
-        _, omega = self.tables[t - 1][(word, k_hist)]
-        return partial_trace(omega.mat, omega.dims, keep=range(t))
+def _history_parts(history, n: int, l: int):
+    """Prior global blocks and per-copy base outcome tuples from a flat history."""
+    r_blocks = []
+    k_hists = [() for _ in range(l)]
+    for q, lab in enumerate(history, start=1):
+        r, kb = _label_parts(q, n, l, lab)
+        if r is not None:
+            r_blocks.append(r)
+        if kb is not None:
+            k_hists[q % l] += (kb,)
+    return r_blocks, k_hists
 
-    def gammas(self, t: int, r_blocks, k_hists):
-        """Gamma operators on the flat received prefix (dim d^(t l)), by candidate block."""
-        post = self.posterior(t, r_blocks, k_hists)
-        if not post:
-            return {}
-        d, l = self.d, self.l
-        marg = [{} for _ in range(l)]
-        for g, p in post.items():
-            for j in range(l):
-                marg[j][g[j]] = marg[j].get(g[j], 0.0) + p
 
-        def avg_state(j, restrict=None):
-            acc, tot = None, 0.0
-            for w, p in marg[j].items():
-                if restrict is not None and w[t - 1] != restrict:
-                    continue
-                sigma = self.receiver_state(t, w, k_hists[j])
-                acc = p * sigma if acc is None else acc + p * sigma
-                tot += p
-            if acc is None or tot <= 0.0:
-                return None
-            return DensityMatrix(acc / tot, (d,) * t)
+def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
+    """Joint posterior over groups given prior global outcomes and base outcomes.
 
-        labels = []
-        avg_states = {}
+    ``table`` is the base prefix table of the current round; a prior 'er'
+    block matches no group, so the posterior is then empty.
+    """
+    post = {}
+    for g, pg in zip(groups, gprobs):
+        if any(tuple(w[s] for w in g) != block for s, block in enumerate(r_blocks)):
+            continue
+        like = pg
+        for w, k_hist in zip(g, k_hists):
+            like *= table.get((w, k_hist), (0.0,))[0]
+        if like > 0.0:
+            post[g] = like
+    total = sum(post.values())
+    return {g: p / total for g, p in post.items()}
+
+
+def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float) -> dict:
+    """Gamma operators of global round t on the flat received prefix, by candidate block."""
+    l = len(k_hists)
+    marg = [{} for _ in range(l)]
+    for g, p in post.items():
         for j in range(l):
-            lab = (tuple(b[j] for b in r_blocks), k_hists[j])
-            labels.append(lab)
-            if lab not in avg_states:
-                avg_states[lab] = avg_state(j)
-        pi_avg = cond_typical_projector(avg_states, labels, self.delta)
+            marg[j][g[j]] = marg[j].get(g[j], 0.0) + p
 
-        candidates = sorted({tuple(g[j][t - 1] for j in range(l)) for g in post})
-        perm = _copy_to_flat_perm(t, l)
-        pi_avg = permute_registers(pi_avg, (d,) * (t * l), perm)
-        out = {}
-        for r in candidates:
-            cond_states = {}
-            cond_labels = []
-            usable = True
-            for j in range(l):
-                lab = (labels[j], r[j])
-                cond_labels.append(lab)
-                if lab not in cond_states:
-                    state = avg_state(j, restrict=r[j])
-                    if state is None:
-                        usable = False
-                        break
-                    cond_states[lab] = state
-            if not usable:
+    def avg_state(j, restrict=None):
+        # Every candidate letter comes from a group of positive posterior weight,
+        # so each average has at least one term.
+        acc, tot = None, 0.0
+        for w, p in marg[j].items():
+            if restrict is not None and w[t - 1] != restrict:
                 continue
-            pi_r = cond_typical_projector(cond_states, cond_labels, self.delta)
-            pi_r = permute_registers(pi_r, (d,) * (t * l), perm)
-            out[r] = gamma_operator(pi_avg, pi_r)
-        return out
+            _, omega = table[(w, k_hists[j])]
+            sigma = partial_trace(omega.mat, omega.dims, keep=range(t))
+            acc = p * sigma if acc is None else acc + p * sigma
+            tot += p
+        return DensityMatrix(acc / tot, omega.dims[:t])
 
-
+    labels = []
+    avg_states = {}
+    for j in range(l):
+        lab = (tuple(b[j] for b in r_blocks), k_hists[j])
+        labels.append(lab)
+        if lab not in avg_states:
+            avg_states[lab] = avg_state(j)
+    dims = avg_states[labels[0]].dims * l
+    perm = _copy_to_flat_perm(t, l)
+    pi_avg = permute_registers(cond_typical_projector(avg_states, labels, delta), dims, perm)
+    out = {}
+    for r in sorted({tuple(g[j][t - 1] for j in range(l)) for g in post}):
+        cond_states = {}
+        cond_labels = []
+        for j in range(l):
+            lab = (labels[j], r[j])
+            cond_labels.append(lab)
+            if lab not in cond_states:
+                cond_states[lab] = avg_state(j, restrict=r[j])
+        pi_r = cond_typical_projector(cond_states, cond_labels, delta)
+        out[r] = gamma_operator(pi_avg, permute_registers(pi_r, dims, perm))
+    return out
 
 
 def build_double_blocked_code(
@@ -486,79 +475,49 @@ def build_double_blocked_code(
     )
 
     tables = base_prefix_tables(base)
-    builder = _GlobalRoundBuilder(base, groups, gprobs, tables, l, delta)
-
-    def word_from_blocks(blocks):
-        return tuple(blocks[q // l][q % l] for q in range(nl))
-
-    def history_data(history):
-        """Prior global blocks and per-copy base outcome tuples from a flat history."""
-        r_blocks = []
-        k_hists = [() for _ in range(l)]
-        for q0, outcome in enumerate(history):
-            q = q0 + 1
-            base_comp, glob = _slot_components(q, n, l)
-            if base_comp and glob is not None:
-                r, kb = outcome
-                r_blocks.append(r)
-                k_hists[base_comp[0] - 1] += (kb,)
-            elif glob is not None:
-                r_blocks.append(outcome)
-            elif base_comp:
-                k_hists[base_comp[0] - 1] += (outcome,)
-        return r_blocks, k_hists
-
     base_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
 
     def slot_povm(q: int, history):
-        _, glob = _slot_components(q, n, l)
-        d_pref = d**q
+        _, t = _slot_components(q, n, l)
         base_povm = base_povms[q]
-        if glob is None:
+        if t is None:
             # Slots before copy l's first letter measure nothing; each has one history.
-            return base_povm or Povm(((0, identity(d_pref)),))
-        t = glob
-        r_blocks, k_hists = history_data(history)
-        gammas = {} if ER in r_blocks else builder.gammas(t, r_blocks, k_hists)
-        if gammas:
-            sub = square_root_measurement(gammas)
-            roots = [(lab, psd_sqrt(m)) for lab, m in sub.elements]
-            roots.append((ER, psd_sqrt(sub.remainder)))
-        else:
-            roots = [(ER, identity(d_pref))]
+            return base_povm or Povm(((0, identity(d**q)),))
+        r_blocks, k_hists = _history_parts(history, n, l)
+        post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
+        roots = ((ER, identity(d**q)),)
+        if post:
+            gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta)
+            roots = square_root_measurement(gammas).roots()
         if t == n:
+            # The last global outcome names the flat codeword: all blocks in order.
+            roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
+        if base_povm is not None:
             roots = [
-                (word_from_blocks(tuple(r_blocks) + (lab,)) if lab != ER else ER, m)
-                for lab, m in roots
+                ((r_lab, b_lab), f @ root) for r_lab, root in roots for b_lab, f in base_povm.elements
             ]
-        if base_povm is None:
-            return Povm(tuple(roots))
-        return Povm(
-            tuple(((r_lab, b_lab), f @ root) for r_lab, root in roots for b_lab, f in base_povm.elements)
-        )
+        return Povm(tuple(roots))
 
     tables_by_slot: list[dict] = [dict() for _ in range(nl)]
     feedback: dict = {}
 
     def record_feedback(q: int, povm: Povm):
-        base_comp, glob = _slot_components(q, n, l)
+        base_comp, _ = _slot_components(q, n, l)
         if base_comp is None:
             return
         j, k = base_comp
         m_flat = q + 1
-        suffix_dims = (d,) * (nl - m_flat)
-        if not suffix_dims:
+        targets = [s * l + (j - 1) - m_flat for s in range(k + 1, n)]
+        if not targets:
             return
+        suffix_dims = (d,) * (nl - m_flat)
         per = feedback.setdefault(m_flat, {})
         for lab in povm.labels:
             if lab in per:
                 continue
-            b_lab = lab[1] if glob is not None else lab
+            _, b_lab = _label_parts(q, n, l, lab)
             base_kraus = base.feedback_kraus(k + 1, b_lab)
             if base_kraus is None:
-                continue
-            targets = [s * l + (j - 1) - m_flat for s in range(k + 1, n)]
-            if not targets:
                 continue
             per[lab] = tuple(
                 embed_operator(np.asarray(mk, dtype=complex), suffix_dims, targets)
@@ -578,17 +537,13 @@ def build_double_blocked_code(
 
     visit(1, ())
 
-    measurements: list = []
-    for q in range(1, nl + 1):
-        table = tables_by_slot[q - 1]
-        unique = {id(p) for p in table.values()}
-        if len(unique) == 1:
-            measurements.append(next(iter(table.values())))
-        else:
-            measurements.append(AdaptiveMeasurement(table))
-
-    probs_t = tuple(float(p) for p in gprobs)
-    return FeedbackCode(book, base.channel, probs_t, tuple(flat_states), tuple(measurements), feedback)
+    # A slot whose every history shares one Povm object is a fixed measurement.
+    measurements = tuple(
+        next(iter(tab.values())) if len({id(p) for p in tab.values()}) == 1 else AdaptiveMeasurement(tab)
+        for tab in tables_by_slot
+    )
+    probs = tuple(float(p) for p in gprobs)
+    return FeedbackCode(book, base.channel, probs, flat_states, measurements, feedback)
 
 
 def rate_split(code: FeedbackCode, l: int) -> tuple[float, ...]:
@@ -648,13 +603,13 @@ def cumulative_disturbance_report(
     records: list[DisturbanceRecord] = []
 
     for word in flat.codebook.words:
-        group = tuple(tuple(word[k * l + j] for k in range(n)) for j in range(l))
+        group = tuple(word[j::l] for j in range(l))
         start = round_zero(flat, word)
         branches = [((), 1.0, start, start, ())]
         for q in range(1, nl + 1):
             base_comp, glob = _slot_components(q, n, l)
             if glob is not None:
-                correct_r = word if glob == n else tuple(group[j][glob - 1] for j in range(l))
+                correct_r = word if glob == n else word[(glob - 1) * l : glob * l]
             new = []
             for history, p_path, rho_flat, rho_ref, eps in branches:
                 # Slot q is update q+1 of the flat code; the last slot is its final measurement.
@@ -667,7 +622,7 @@ def cumulative_disturbance_report(
                 if glob is not None:
                     effect = None
                     for lab, el in flat.measurement(q, history).elements:
-                        if (lab[0] if base_comp else lab) == correct_r:
+                        if _label_parts(q, n, l, lab)[0] == correct_r:
                             e = el.conj().T @ el
                             effect = e if effect is None else effect + e
                     if effect is None:
@@ -677,11 +632,12 @@ def cumulative_disturbance_report(
                     eps = eps + (max((1.0 - overlap) / 3.0, 0.0),)
                 ref_branches = measure(ref_povms[q], sigma_ref) if base_comp else None
                 for lab, (p_flat, rho_f) in flat_branches.items():
-                    if glob is not None and (lab[0] if base_comp else lab) != correct_r:
+                    r_lab, b_lab = _label_parts(q, n, l, lab)
+                    if glob is not None and r_lab != correct_r:
                         continue
                     rho_r = sigma_ref
                     if base_comp is not None:
-                        ref = ref_branches.get(lab[1] if glob is not None else lab)
+                        ref = ref_branches.get(b_lab)
                         if ref is None:
                             continue
                         rho_r = ref[1]

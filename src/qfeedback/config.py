@@ -8,11 +8,10 @@ keep configs honest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import OptimizerConfig
 from .linalg import identity, kron
 from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
@@ -116,14 +115,21 @@ _PROTOCOL_KEYS = {
 }
 
 
+def _require_qubit(channel: QuantumChannel, where: str):
+    if channel.in_dim != 2:
+        raise ConfigError(f"{where}: qubit-only field, channel input dimension is {channel.in_dim}")
+
+
 def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     """Build a FeedbackCode from the protocol section.
 
     States come either from per-letter Bloch angles ("letter_states") or
     explicit matrices ("states").  Intermediate measurements are rotated
-    projective angles ("measurements", one [theta, phi] per round) or
-    explicit operator lists; the final measurement defaults to the
-    pretty-good measurement over the averaged pre-decode outputs.
+    projective angles ("measurements", one [theta, phi] per round, default
+    [0, 0]) or explicit operator lists; the final measurement defaults to
+    the pretty-good measurement over the averaged pre-decode outputs.  Bloch
+    angles, measurement angles and Euler-angle feedback describe qubits
+    only, so they need a channel of input dimension 2.
     """
     _require_keys(spec, _PROTOCOL_KEYS, {"n", "words", "probs"}, "protocol")
     n = int(spec["n"])
@@ -144,6 +150,7 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     if ("letter_states" in spec) == ("states" in spec):
         raise ConfigError("protocol: give exactly one of letter_states or states")
     if "letter_states" in spec:
+        _require_qubit(channel, "protocol.letter_states")
         angles = spec["letter_states"]
         if len(angles) != alphabet:
             raise ConfigError("protocol.letter_states: one [theta, phi] per letter")
@@ -179,6 +186,8 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         angle_rows = spec.get("measurements", [[0.0, 0.0]] * (n - 1))
         if len(angle_rows) != n - 1:
             raise ConfigError("protocol.measurements: one [theta, phi] per round 1..n-1")
+        if angle_rows:
+            _require_qubit(channel, "protocol.measurements")
         for j, (theta, phi) in enumerate(angle_rows, start=1):
             measurements.append(on_freshest(rotated_qubit_povm(theta, phi), j))
 
@@ -193,6 +202,7 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
             for outcome_str, entry in per.items():
                 outcome = int(outcome_str)
                 if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
+                    _require_qubit(channel, f"protocol.feedback[{m}][{outcome}]")
                     u = euler_unitary(*(float(x) for x in entry))
                     feedback[m][outcome] = (kron(u, identity(d ** (n - m - 1))),)
                 else:
@@ -214,26 +224,12 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
 class ExperimentConfig:
     channel: QuantumChannel
     code: FeedbackCode
-    typicality: dict = field(default_factory=dict)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    raw: dict = field(default_factory=dict)
-
-
-_TOP_KEYS = {"channel", "protocol", "typicality", "optimizer"}
-_TYP_KEYS = {"delta", "c", "l"}
-_OPT_KEYS = {"starts", "seed", "max_sweeps", "tol", "fd_step", "feedback"}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    _require_keys(data, _TOP_KEYS, {"channel", "protocol"}, "config")
+    _require_keys(data, {"channel", "protocol"}, {"channel", "protocol"}, "config")
     channel = channel_from_spec(data["channel"])
-    code = code_from_spec(data["protocol"], channel)
-    typ = dict(data.get("typicality", {}))
-    _require_keys(typ, _TYP_KEYS, set(), "typicality")
-    opt_raw = dict(data.get("optimizer", {}))
-    _require_keys(opt_raw, _OPT_KEYS, set(), "optimizer")
-    optimizer = OptimizerConfig(**{k: v for k, v in opt_raw.items()})
-    return ExperimentConfig(channel, code, typ, optimizer, data)
+    return ExperimentConfig(channel, code_from_spec(data["protocol"], channel))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -320,11 +320,21 @@ class SubPovm:
     def dim(self) -> int:
         return self.elements[0][1].shape[0]
 
-    def as_complete_povm(self, er_label=ER) -> Povm:
-        """Measurement-operator form: sqrt(R_r) elements plus sqrt(remainder)."""
-        els = [(lab, psd_sqrt(m)) for lab, m in self.elements]
-        els.append((er_label, psd_sqrt(self.remainder)))
-        return Povm(tuple(els))
+    def roots(self) -> tuple:
+        """Measurement operators: (label, sqrt R) per effect, then (ER, sqrt remainder).
+
+        Remainder eigenvalues at or below COMPLETENESS_TOL count as zero: for
+        a square-root measurement the remainder is I minus a support
+        projector, so they are rounding noise, and their roots (~1e-8) would
+        make the 'er' operator depend on the last bits of the effects.
+        """
+        w, v = herm_eig(self.remainder)
+        w = np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))
+        return tuple((lab, psd_sqrt(m)) for lab, m in self.elements) + ((ER, (v * w) @ v.conj().T),)
+
+    def as_complete_povm(self) -> Povm:
+        """The complete measurement of ``roots()``; the remainder routes to 'er'."""
+        return Povm(self.roots())
 
 
 def square_root_measurement(gammas: dict) -> SubPovm:

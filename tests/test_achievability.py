@@ -608,3 +608,51 @@ def test_cumulative_disturbance_records_pinned(case):
         got = [rec.probability, rec.distance, rec.bound, *rec.epsilons]
         expected = [pin["probability"], pin["distance"], pin["bound"], *pin["epsilons"]]
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12), (rec, pin)
+
+
+@pytest.mark.parametrize("case", list(_pinned_disturbance_cases()))
+def test_blocked_code_errors_and_labels_pinned(case):
+    # The l=2 blocked code of each pinned base: both error figures and the
+    # outcome labels of every slot, pinned in tests/data/blocked_codes.json.
+    import json
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "data" / "blocked_codes.json").read_text())[case]
+    base, _ = _pinned_disturbance_cases()[case]
+    flat = build_double_blocked_code(base, 2, delta=0.3)
+    assert np.allclose(error_probability(flat), pins["error"], rtol=0.0, atol=1e-12)
+    labels = [sorted(repr(lab) for lab in m.labels) for m in flat.measurements]
+    assert labels == pins["labels"]
+
+
+@pytest.mark.parametrize(
+    "order,want",
+    [
+        (None, (0.8261757527135054, 0.8635006579787098)),
+        (4, (0.8261757526939406, 0.8635006579787099)),
+    ],
+)
+def test_blocked_l3_errors_pinned(order, want):
+    # n=2 base at l=3 (d=64): the benchmark's blocked-l3 code, with the
+    # codebook in product order and in a seeded permutation.  The two orders
+    # differ by 2e-11 in the average error, so each has its own pin.
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    groups = list(itertools.product(base.codebook.words, repeat=3))
+    if order is not None:
+        groups = [groups[i] for i in np.random.default_rng(order).permutation(len(groups))]
+    flat = build_double_blocked_code(base, 3, delta=0.3, groups=groups)
+    assert np.allclose(error_probability(flat), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.3])
+def test_non_positive_or_nan_delta_rejected(delta):
+    with pytest.raises(ValidationError, match="positive"):
+        typical_set([0.75, 0.25], 4, delta)
+    with pytest.raises(ValidationError, match="positive"):
+        TypicalityParams(delta=delta)
+    with pytest.raises(ValidationError, match="positive"):
+        typicality_bounds_check(density([[0.75, 0.0], [0.0, 0.25]]), 4, delta)
+    with pytest.raises(ValidationError, match="positive"):
+        build_double_blocked_code(one_block_code(depolarizing_channel(0.1)), 2, delta=delta)

@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,79 @@ def test_unknown_field_exits_two(tmp_path):
     path.write_text(json.dumps(data))
     code, _ = run_cli(["validate", path])
     assert code == 2
+
+
+def test_dead_config_sections_rejected(tmp_path):
+    # A config has no typicality or optimizer section: nothing would read one.
+    data = json.loads(IDENTITY.read_text())
+    data["typicality"] = {"delta": "banana"}
+    data["optimizer"] = {"starts": 99}
+    with pytest.raises(ConfigError, match="unknown fields"):
+        parse_config(data)
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(data))
+    code, _ = run_cli(["validate", path])
+    assert code == 2
+
+
+def _qutrit_config(n):
+    """Identity channel on a qutrit, basis-state letters given as explicit matrices."""
+    basis = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+    states = []
+    for word in ("0" * n, "1" * n):
+        mat = np.array([[1.0 + 0j]])
+        for a in word:
+            mat = np.kron(mat, basis[int(a)])
+        states.append(mat)
+    return {
+        "channel": {"name": "identity", "dim": 3},
+        "protocol": {
+            "n": n,
+            "alphabet": 3,
+            "words": ["0" * n, "1" * n],
+            "probs": [0.5, 0.5],
+            "states": [[[[z.real, z.imag] for z in row] for row in m] for m in states],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "case,field",
+    [
+        ("letter_states", "protocol.letter_states"),
+        ("measurements_default", "protocol.measurements"),
+        ("measurements", "protocol.measurements"),
+        ("euler_feedback", "protocol.feedback[2][0]"),
+    ],
+)
+def test_qubit_only_fields_on_qutrit_channel_exit_two(case, field, tmp_path):
+    data = _qutrit_config(3 if case == "euler_feedback" else 2)
+    proto = data["protocol"]
+    if case == "letter_states":
+        del proto["states"]
+        proto["alphabet"] = 2
+        proto["words"] = ["00", "11"]
+        proto["letter_states"] = [[0.0, 0.0], [3.141592653589793, 0.0]]
+    elif case == "measurements":
+        proto["measurements"] = [[0.6, 0.3]]
+    elif case == "euler_feedback":
+        # Trivial one-outcome measurements, so the Euler entry is the only qubit field.
+        eye = [[[[float(i == j), 0.0] for j in range(3**q)] for i in range(3**q)] for q in (1, 2, 3)]
+        proto["measurements_explicit"] = [[[0, eye[0]]], [[0, eye[1]]], [["000", eye[2]]]]
+        proto["feedback"] = {"2": {"0": [0.1, 0.2, 0.3]}}
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: qubit-only")):
+        parse_config(data)
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(data))
+    code, _ = run_cli(["validate", path])
+    assert code == 2
+
+
+def test_qutrit_explicit_config_builds():
+    # The same qutrit config without qubit-only fields is a valid code.
+    data = _qutrit_config(1)
+    cfg = parse_config(data)
+    assert validate_code(cfg.code).ok
 
 
 def test_unreadable_config_exits_two(tmp_path):

@@ -1,13 +1,15 @@
 """Source hygiene checks written with the standard library's ``ast``.
 
-No linter is a dependency, so the two checks that matter here are made by
-hand: every import in the library is used, and every function the benchmark's
-span tracer wraps still exists under its name.
+No linter is a dependency, so the checks that matter here are made by hand:
+every import in the library is used, every module-private definition is named
+somewhere else, and every function the benchmark's span tracer wraps still
+exists under its name.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,52 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"qfeedback.{mod}"), attr, None))
     ]
     assert missing == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private functions, classes and constants: name -> line."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, ast.Assign):
+            targets = [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [(node.target.id, node.lineno)]
+        else:
+            continue
+        for name, line in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = line
+    return out
+
+
+def unnamed_privates(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Private definitions in ``sources`` that no other line of ``sources`` or ``readers`` names."""
+    lines = [
+        (path, number, text)
+        for path, source in {**sources, **readers}.items()
+        for number, text in enumerate(source.splitlines(), start=1)
+    ]
+    unused = []
+    for path, source in sources.items():
+        for name, line in private_definitions(source).items():
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for p, number, text in lines if (p, number) != (path, line)):
+                unused.append(f"{path}:{line} {name}")
+    return unused
+
+
+def test_unnamed_private_detector():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n_LEFT = 1\n\nclass _Gone:\n    pass\n",
+        "b.py": "from a import _used\n_TRACED_ONLY = 2\n",
+    }
+    readers = {"spans.py": 'TRACED = (("b", "_TRACED_ONLY"),)\n'}
+    assert unnamed_privates(sources, readers) == ["a.py:4 _LEFT", "a.py:6 _Gone"]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {"spans.py": (ROOT / "bench" / "spans.py").read_text()}
+    assert unnamed_privates(sources, readers) == []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qfeedback.linalg import identity, kron
+from qfeedback.linalg import herm_eigvals, identity, kron
 from qfeedback.quantum import (
+    ER,
     DensityMatrix,
     Ensemble,
     Povm,
@@ -31,6 +32,7 @@ from qfeedback.quantum import (
     random_pure_state,
     rotated_qubit_povm,
     random_unitary,
+    square_root_measurement,
 )
 
 
@@ -278,3 +280,31 @@ def test_euler_unitary_is_unitary_closed_form(a, b, c):
         ]
     )
     assert np.allclose(u, closed, rtol=0.0, atol=1e-15)
+
+
+def _er_operator(gammas: dict) -> np.ndarray:
+    return dict(square_root_measurement(gammas).as_complete_povm().elements)[ER]
+
+
+def test_pgm_er_operator_is_exactly_zero_on_full_rank_ensembles():
+    # The weighted states span the space, so the completeness remainder is
+    # zero up to rounding; its root must not turn that noise into ~1e-8
+    # entries that change with the label order.
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        weights = rng.dirichlet(np.ones(3))
+        gammas = {k: p * random_density_matrix(rng, 4).mat for k, p in enumerate(weights)}
+        forward = _er_operator(gammas)
+        backward = _er_operator(dict(reversed(list(gammas.items()))))
+        assert np.max(np.abs(forward - backward)) <= 1e-14
+        assert not np.any(forward) and not np.any(backward)
+
+
+def test_pgm_er_operator_is_kernel_projector_for_two_pure_states():
+    rng = np.random.default_rng(22)
+    a, b = random_pure_state(rng, 4), random_pure_state(rng, 4)
+    er = _er_operator({0: 0.5 * a.mat, 1: 0.5 * b.mat})
+    assert np.allclose(herm_eigvals(er), [1.0, 1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(er @ er - er)) <= 1e-12
+    for psi in (a, b):
+        assert np.max(np.abs(er @ psi.mat)) <= 1e-12
