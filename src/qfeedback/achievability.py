@@ -377,10 +377,11 @@ def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
     """Joint posterior over groups given prior global outcomes and base outcomes.
 
     ``table`` is the base prefix table of the current round; a prior 'er'
-    block matches no group, so the posterior is then empty.
+    block matches no group, so the posterior is then empty.  Groups are
+    summed in sorted order, so the order of the blocked codebook is moot.
     """
     post = {}
-    for g, pg in zip(groups, gprobs):
+    for g, pg in sorted(zip(groups, gprobs)):
         if any(tuple(w[s] for w in g) != block for s, block in enumerate(r_blocks)):
             continue
         like = pg
@@ -402,9 +403,9 @@ def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float) -> dict
 
     def avg_state(j, restrict=None):
         # Every candidate letter comes from a group of positive posterior weight,
-        # so each average has at least one term.
+        # so each average has at least one term; sorted, so the sum is order-free.
         acc, tot = None, 0.0
-        for w, p in marg[j].items():
+        for w, p in sorted(marg[j].items()):
             if restrict is not None and w[t - 1] != restrict:
                 continue
             _, omega = table[(w, k_hists[j])]

@@ -151,6 +151,22 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return permute_registers(big, [dims[p] for p in order], inverse)
 
 
+def left_product(op, x, d_pre: int = 1) -> np.ndarray:
+    """(I_pre (x) op (x) I_post) @ x for a square ``op`` on a contiguous register block.
+
+    The block follows leading registers of total dimension ``d_pre``; the
+    trailing dimension is what remains of x's rows.  One reshape and one
+    ``@`` batched over the d_pre leading blocks; no padded operator is built.
+    A conjugation B X B^dagger is two of these: (B (B X)^dagger)^dagger.
+    """
+    op, x = as_matrix(op), as_matrix(x)
+    d = op.shape[1]
+    rows, cols = x.shape
+    if op.shape[0] != d or rows % (d_pre * d):
+        raise LinalgError(f"operator {op.shape} does not fit {rows} rows after d_pre={d_pre}")
+    return (op @ x.reshape(d_pre, d, -1)).reshape(rows, cols)
+
+
 def herm_eig(m: np.ndarray, vectors: bool = True, tol: float = HERM_TOL):
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy's ``eigh``).
 

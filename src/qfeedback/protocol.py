@@ -38,6 +38,7 @@ from .quantum import (
     apply_channel_at,
     apply_kraus,
     measure,
+    measure_probabilities,
     random_density_matrix,
     random_povm,
     random_pure_state,
@@ -161,9 +162,13 @@ class FeedbackCode:
         except ValueError:
             raise ValidationError(f"unknown codeword {word}") from None
 
-    def measurement(self, j: int, history: tuple = ()):
+    def measurement(self, j: int, history: tuple = ()) -> Povm:
+        """M_j (resolved on ``history``), checked to act on the first j registers."""
         m = self.measurements[j - 1]
-        return m.at(history) if isinstance(m, AdaptiveMeasurement) else m
+        povm = m.at(history) if isinstance(m, AdaptiveMeasurement) else m
+        if povm.dim != self.channel.in_dim**j:
+            raise ValidationError(f"measurement dim {povm.dim} != prefix dim {self.channel.in_dim ** j}")
+        return povm
 
     def outcome_labels(self, j: int) -> tuple[Hashable, ...]:
         m = self.measurements[j - 1]
@@ -290,14 +295,13 @@ def round_zero(code: FeedbackCode, word) -> DensityMatrix:
 
 
 def _update(code: FeedbackCode, state: DensityMatrix, m: int, history: tuple) -> dict:
-    """Update m up to the measurement: channel on register m-1, then padded M_{m-1}.
+    """Update m up to the measurement: channel on register m-1, then M_{m-1} on the prefix.
 
     ``state`` is omega^{m-2}; returns outcome -> (probability, post-state)
     before post-processing.
     """
     sigma = apply_channel_at(code.channel, state, m - 1)
-    povm = _padded_povm(code.measurement(m - 1, history), code.dims, m - 1)
-    return measure(povm, sigma)
+    return measure(code.measurement(m - 1, history), sigma)
 
 
 def _post_process(code: FeedbackCode, m: int, outcome, post: DensityMatrix) -> DensityMatrix:
@@ -309,8 +313,7 @@ def _post_process(code: FeedbackCode, m: int, outcome, post: DensityMatrix) -> D
 
 
 def _final_branches(code: FeedbackCode, state: DensityMatrix, history: tuple) -> dict:
-    povm = _padded_povm(code.measurement(code.n, history), code.dims, code.n)
-    return measure(povm, state)
+    return measure(code.measurement(code.n, history), state)
 
 
 def round_update(
@@ -362,7 +365,8 @@ def _transcripts(code: FeedbackCode, word, frontiers, cap: int = ENUM_CAP) -> li
     """Final measurement on the last frontier of ``_walk``."""
     out = []
     for history, p_path, states in frontiers[-1]:
-        for k_n, (p, _post) in _final_branches(code, states[-1], history).items():
+        final = code.measurement(code.n, history)
+        for k_n, p in measure_probabilities(final, states[-1]).items():
             prob = p_path * p
             if prob < PROB_FLOOR:
                 continue
@@ -381,9 +385,9 @@ def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list
     return _transcripts(code, word, _walk(code, word, cap), cap)
 
 
-def _draw(branches: dict, rng):
-    labels = list(branches)
-    weights = np.array([branches[k][0] for k in labels])
+def _draw(probs: dict, rng):
+    labels = list(probs)
+    weights = np.array([probs[k] for k in labels])
     return labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
 
 
@@ -397,14 +401,14 @@ def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
     prob = 1.0
     for m in range(2, code.n + 1):
         branches = _update(code, states[-1], m, history)
-        pick = _draw(branches, rng)
+        pick = _draw({k: b[0] for k, b in branches.items()}, rng)
         p, post = branches[pick]
         history += (pick,)
         states += (_post_process(code, m, pick, post),)
         prob *= p
-    finals = _final_branches(code, states[-1], history)
+    finals = measure_probabilities(code.measurement(code.n, history), states[-1])
     pick = _draw(finals, rng)
-    prob *= finals[pick][0]
+    prob *= finals[pick]
     outcomes = history + (pick,)
     return ProtocolTranscript(word, outcomes, prob, states, decode_outcomes(code, outcomes))
 

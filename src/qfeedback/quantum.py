@@ -19,10 +19,10 @@ from .linalg import (
     PSD_TOL,
     as_matrix,
     check_register_shape,
-    embed_operator,
     herm_eig,
     herm_eigvals,
     identity,
+    left_product,
     partial_trace,
     pinv_sqrt,
     psd_sqrt,
@@ -178,6 +178,11 @@ def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, dims)
 
 
+def _sandwich(k: np.ndarray, x: np.ndarray, d_pre: int) -> np.ndarray:
+    """K X K^dagger for K on the register block after d_pre, as two left products."""
+    return left_product(k, left_product(k, x, d_pre).conj().T, d_pre).conj().T
+
+
 def apply_channel_at(phi: QuantumChannel, rho: DensityMatrix, register: int) -> DensityMatrix:
     """Apply the channel on one tensor factor, identity elsewhere."""
     n = len(rho.dims)
@@ -187,24 +192,24 @@ def apply_channel_at(phi: QuantumChannel, rho: DensityMatrix, register: int) -> 
         raise ValidationError("channel input dim does not match the register")
     if phi.in_dim != phi.out_dim:
         raise ValidationError("per-register application needs a square channel")
-    out = np.zeros_like(rho.mat)
-    for k in phi.kraus:
-        big = embed_operator(k, rho.dims, [register])
-        out += big @ rho.mat @ big.conj().T
-    return DensityMatrix(out, rho.dims)
+    d_pre = int(np.prod(rho.dims[:register]))
+    return DensityMatrix(sum(_sandwich(k, rho.mat, d_pre) for k in phi.kraus), rho.dims)
 
 
 def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
-    """Apply a trace-preserving Kraus family, optionally on a register subset."""
+    """Apply a trace-preserving Kraus family, optionally on a contiguous ascending register block."""
     mats = [as_matrix(m) for m in maps]
     dim = mats[0].shape[0]
     total = sum(m.conj().T @ m for m in mats)
     if not np.max(np.abs(total - identity(dim))) <= COMPLETENESS_TOL:
         raise ValidationError("Kraus family is not complete")
-    if registers is not None:
-        mats = [embed_operator(m, rho.dims, registers) for m in mats]
-    out = sum(m @ rho.mat @ m.conj().T for m in mats)
-    return DensityMatrix(out, rho.dims)
+    regs = list(range(len(rho.dims)) if registers is None else registers)
+    if not regs or regs != list(range(regs[0], regs[-1] + 1)) or (
+        dim != np.prod(rho.dims[regs[0] : regs[-1] + 1])
+    ):
+        raise ValidationError(f"Kraus family of dimension {dim} does not fit registers {regs}")
+    d_pre = int(np.prod(rho.dims[: regs[0]]))
+    return DensityMatrix(sum(_sandwich(m, rho.mat, d_pre) for m in mats), rho.dims)
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -381,14 +386,16 @@ def euler_unitary(a: float, b: float, c: float) -> np.ndarray:
 def measure(povm: Povm, rho: DensityMatrix) -> dict:
     """All measurement branches: outcome -> (probability, post-state).
 
-    Outcomes with probability below PROB_FLOOR are omitted; raises if every
-    outcome falls below the floor.
+    The POVM acts on the leading registers of ``rho`` whose dimensions
+    multiply to ``povm.dim``, identity on the rest.  Outcomes with
+    probability below PROB_FLOOR are omitted; raises if every outcome falls
+    below the floor.
     """
-    if povm.dim != rho.dim:
+    if povm.dim not in np.cumprod(rho.dims):
         raise ValidationError("POVM dimension does not match the state")
     out = {}
     for label, f in povm.elements:
-        post = f @ rho.mat @ f.conj().T
+        post = _sandwich(f, rho.mat, 1)
         p = float(np.trace(post).real)
         if p < PROB_FLOOR:
             continue
@@ -399,12 +406,23 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
 
 
 def measure_probabilities(povm: Povm, rho: DensityMatrix) -> dict:
-    """Outcome probabilities only (no post-states), same floor convention."""
+    """Outcome probabilities of ``measure`` without its post-states; a NaN one raises.
+
+    p_F = Re sum (F rho_A) o conj(F), rho_A the state of the measured leading registers.
+    """
+    d = povm.dim
+    if d not in np.cumprod(rho.dims):
+        raise ValidationError("POVM dimension does not match the state")
+    rho_a = rho.mat.reshape(d, rho.dim // d, d, -1).trace(axis1=1, axis2=3)
     probs = {}
     for label, f in povm.elements:
-        p = float(np.trace(rho.mat @ f.conj().T @ f).real)
+        p = float(np.sum((f @ rho_a) * f.conj()).real)
         if p >= PROB_FLOOR:
             probs[label] = p
+        elif not p < PROB_FLOOR:
+            raise ValidationError(f"outcome {label!r} has probability {p}")
+    if not probs:
+        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
     return probs
 
 

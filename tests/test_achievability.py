@@ -625,17 +625,12 @@ def test_blocked_code_errors_and_labels_pinned(case):
     assert labels == pins["labels"]
 
 
-@pytest.mark.parametrize(
-    "order,want",
-    [
-        (None, (0.8261757527135054, 0.8635006579787098)),
-        (4, (0.8261757526939406, 0.8635006579787099)),
-    ],
-)
-def test_blocked_l3_errors_pinned(order, want):
+@pytest.mark.parametrize("order", [None, 0, 1, 2, 3, 4])
+def test_blocked_l3_errors_pinned(order):
     # n=2 base at l=3 (d=64): the benchmark's blocked-l3 code, with the
-    # codebook in product order and in a seeded permutation.  The two orders
-    # differ by 2e-11 in the average error, so each has its own pin.
+    # codebook in product order and in seeded permutations.  The global
+    # rounds sum over groups and letters in sorted order, so every order
+    # meets the same pin.
     from qfeedback.protocol import random_feedback_code
 
     base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
@@ -643,6 +638,7 @@ def test_blocked_l3_errors_pinned(order, want):
     if order is not None:
         groups = [groups[i] for i in np.random.default_rng(order).permutation(len(groups))]
     flat = build_double_blocked_code(base, 3, delta=0.3, groups=groups)
+    want = (0.8261757527135054, 0.8635006579787098)
     assert np.allclose(error_probability(flat), want, rtol=0.0, atol=1e-12)
 
 

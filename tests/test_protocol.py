@@ -120,6 +120,21 @@ def test_round_update_single_outcome_measurement():
     assert np.allclose(post.mat, rho.mat)
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+def test_padded_povm_keeps_the_completeness_defect(dims):
+    # The round engine measures the unpadded M_j on the leading registers and
+    # relies on its validated defect: padding with an identity leaves it alone.
+    from qfeedback.protocol import _padded_povm
+    from qfeedback.quantum import random_povm
+
+    rng = np.random.default_rng(len(dims))
+    for j in range(1, len(dims) + 1):
+        povm = random_povm(rng, int(np.prod(dims[:j])), outcomes=3)
+        padded = _padded_povm(povm, dims, j)
+        assert padded.dim == int(np.prod(dims))
+        assert abs(padded.completeness_defect() - povm.completeness_defect()) <= 1e-15
+
+
 def test_round_update_matches_composition_oracle():
     # Rebuild one update from scratch with kron/measure/apply_kraus.
     rng = np.random.default_rng(1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfeedback.linalg import herm_eigvals, identity, kron
+from qfeedback.linalg import embed_operator, herm_eigvals, identity, kron
 from qfeedback.quantum import (
     ER,
     DensityMatrix,
@@ -173,6 +173,77 @@ def test_measure_matches_trace_oracle():
         probs = measure_probabilities(povm, rho)
         assert set(probs) == set(branches)
         assert all(abs(probs[k] - branches[k][0]) < 1e-12 for k in probs)
+
+
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+def test_register_kernels_match_dense_oracle(dims):
+    # Channel on every register, measurement on every prefix and a Kraus
+    # family on every trailing block, against the padded dense products.
+    rng = np.random.default_rng(len(dims))
+    n, dim = len(dims), int(np.prod(dims))
+    rho = DensityMatrix(random_density_matrix(rng, dim).mat, dims)
+
+    def dense(ops, targets):
+        bigs = [embed_operator(k, dims, targets) for k in ops]
+        return sum(b @ rho.mat @ b.conj().T for b in bigs)
+
+    for r in range(n):
+        phi = random_channel(rng, dims[r], 3)
+        assert _max_diff(apply_channel_at(phi, rho, r).mat, dense(phi.kraus, [r])) <= 1e-13
+    for j in range(1, n + 1):
+        povm = random_povm(rng, int(np.prod(dims[:j])), outcomes=3)
+        branches = measure(povm, rho)
+        probs = measure_probabilities(povm, rho)
+        assert set(branches) == set(probs) == set(povm.labels)
+        for label, f in povm.elements:
+            want = dense([f], range(j))
+            p_want = np.trace(want).real
+            assert abs(branches[label][0] - p_want) <= 1e-13
+            assert _max_diff(branches[label][1].mat, want / p_want) <= 1e-13
+            assert abs(probs[label] - branches[label][0]) <= 1e-14
+    for m in range(n):
+        kraus = random_channel(rng, int(np.prod(dims[m:])), 2).kraus
+        got = apply_kraus(kraus, rho, registers=range(m, n))
+        assert _max_diff(got.mat, dense(kraus, range(m, n))) <= 1e-13
+
+
+def test_measure_rejects_a_povm_off_the_register_prefixes():
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(6), 12).mat, (2, 3, 2))
+    for bad in (random_povm(np.random.default_rng(7), 3), random_povm(np.random.default_rng(8), 4)):
+        with pytest.raises(ValidationError, match="does not match"):
+            measure(bad, rho)
+        with pytest.raises(ValidationError, match="does not match"):
+            measure_probabilities(bad, rho)
+
+
+def test_apply_kraus_rejects_a_non_contiguous_block():
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(9), 8).mat, (2, 2, 2))
+    with pytest.raises(ValidationError, match="does not fit"):
+        apply_kraus([identity(4)], rho, registers=[0, 2])
+    with pytest.raises(ValidationError, match="does not fit"):
+        apply_kraus([identity(2)], rho, registers=[0, 1])
+
+
+def test_measure_probabilities_rejects_nan_and_all_below_floor():
+    # A NaN probability raises in measure_probabilities as it does in measure,
+    # and so does a state whose every outcome falls below the floor.
+    povm = basis_povm(2)
+    nan_state = basis_state(2, 1)
+    nan_state.mat[0, 0] = np.nan  # bypasses validation: the kernel must still refuse it
+    with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
+        measure(povm, nan_state)
+    with pytest.raises(ValidationError, match="probability nan"):
+        measure_probabilities(povm, nan_state)
+    zero_state = basis_state(2, 0)
+    zero_state.mat[:] = 0.0
+    with pytest.raises(ValidationError, match="PROB_FLOOR"):
+        measure(povm, zero_state)
+    with pytest.raises(ValidationError, match="PROB_FLOOR"):
+        measure_probabilities(povm, zero_state)
 
 
 def test_ensemble_rejects_nan_probability():
