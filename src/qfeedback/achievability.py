@@ -35,7 +35,6 @@ from .protocol import (
     product_states,
     round_zero,
     _final_branches,
-    _padded_povm,
     _post_process,
     _update,
     _walk,
@@ -597,10 +596,7 @@ def cumulative_disturbance_report(
     flat = build_double_blocked_code(base, l, delta=delta, groups=groups)
     n, d = base.n, base.channel.in_dim
     nl = n * l
-    ref_povms = {}
-    for q in range(1, nl + 1):
-        povm = _base_slot_povm(base, q, l)
-        ref_povms[q] = None if povm is None else _padded_povm(povm, flat.dims, q)
+    ref_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
     records: list[DisturbanceRecord] = []
 
     for word in flat.codebook.words:

@@ -151,7 +151,7 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return permute_registers(big, [dims[p] for p in order], inverse)
 
 
-def left_product(op, x, d_pre: int = 1) -> np.ndarray:
+def left_product(op, x, d_pre: int) -> np.ndarray:
     """(I_pre (x) op (x) I_post) @ x for a square ``op`` on a contiguous register block.
 
     The block follows leading registers of total dimension ``d_pre``; the

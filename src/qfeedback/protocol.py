@@ -37,6 +37,7 @@ from .quantum import (
     ValidationError,
     apply_channel_at,
     apply_kraus,
+    leading_block_rest,
     measure,
     measure_probabilities,
     random_density_matrix,
@@ -51,13 +52,6 @@ ENUM_CAP = 10**6
 
 class CapExceededError(Exception):
     """An exact enumeration would exceed the configured branch budget."""
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,8 +160,7 @@ class FeedbackCode:
         """M_j (resolved on ``history``), checked to act on the first j registers."""
         m = self.measurements[j - 1]
         povm = m.at(history) if isinstance(m, AdaptiveMeasurement) else m
-        if povm.dim != self.channel.in_dim**j:
-            raise ValidationError(f"measurement dim {povm.dim} != prefix dim {self.channel.in_dim ** j}")
+        leading_block_rest(povm.dim, self.dims, j)
         return povm
 
     def outcome_labels(self, j: int) -> tuple[Hashable, ...]:
@@ -264,7 +257,7 @@ def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
         if not suffix:
             rep.add(f"feedback round {m}: acts on an empty register set", 0.0)
             continue
-        d_suf = _prod(suffix)
+        d_suf = d ** (n - m)
         for outcome, kraus in per_outcome.items():
             mats = [np.asarray(k, dtype=complex) for k in kraus]
             if any(k.shape != (d_suf, d_suf) for k in mats):
@@ -279,12 +272,9 @@ def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
 
 def _padded_povm(povm: Povm, dims, j: int) -> Povm:
     """Pad a measurement on the first j registers with identity on the rest."""
-    d_pref = _prod(dims[:j])
-    if povm.dim != d_pref:
-        raise ValidationError(f"measurement dim {povm.dim} != prefix dim {d_pref}")
+    pad = identity(leading_block_rest(povm.dim, dims, j))
     if j == len(dims):
         return povm
-    pad = identity(_prod(dims[j:]))
     return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements))
 
 

@@ -383,6 +383,18 @@ def euler_unitary(a: float, b: float, c: float) -> np.ndarray:
     return rz(a) @ ry @ rz(c)
 
 
+def leading_block_rest(dim: int, dims, registers: int | None = None) -> int:
+    """Dimension of the registers after a leading block of dimension ``dim``.
+
+    Raises unless ``dim`` is the product of the leading registers of ``dims``
+    (of exactly ``registers`` of them, if given).
+    """
+    prefix = np.cumprod(dims)
+    if dim not in (prefix if registers is None else prefix[registers - 1 : registers]):
+        raise ValidationError(f"dimension {dim} does not match the leading registers of {tuple(dims)}")
+    return int(prefix[-1]) // dim
+
+
 def measure(povm: Povm, rho: DensityMatrix) -> dict:
     """All measurement branches: outcome -> (probability, post-state).
 
@@ -391,8 +403,7 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
     probability below PROB_FLOOR are omitted; raises if every outcome falls
     below the floor.
     """
-    if povm.dim not in np.cumprod(rho.dims):
-        raise ValidationError("POVM dimension does not match the state")
+    leading_block_rest(povm.dim, rho.dims)
     out = {}
     for label, f in povm.elements:
         post = _sandwich(f, rho.mat, 1)
@@ -410,17 +421,16 @@ def measure_probabilities(povm: Povm, rho: DensityMatrix) -> dict:
 
     p_F = Re sum (F rho_A) o conj(F), rho_A the state of the measured leading registers.
     """
-    d = povm.dim
-    if d not in np.cumprod(rho.dims):
-        raise ValidationError("POVM dimension does not match the state")
-    rho_a = rho.mat.reshape(d, rho.dim // d, d, -1).trace(axis1=1, axis2=3)
+    d, rest = povm.dim, leading_block_rest(povm.dim, rho.dims)
+    rho_a = rho.mat.reshape(d, rest, d, rest).trace(axis1=1, axis2=3)
     probs = {}
     for label, f in povm.elements:
         p = float(np.sum((f @ rho_a) * f.conj()).real)
-        if p >= PROB_FLOOR:
-            probs[label] = p
-        elif not p < PROB_FLOOR:
+        if not p >= PROB_FLOOR:
+            if p < PROB_FLOOR:
+                continue
             raise ValidationError(f"outcome {label!r} has probability {p}")
+        probs[label] = p
     if not probs:
         raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
     return probs

@@ -135,6 +135,16 @@ def test_padded_povm_keeps_the_completeness_defect(dims):
         assert abs(padded.completeness_defect() - povm.completeness_defect()) <= 1e-15
 
 
+def test_measurement_rejects_a_povm_on_another_prefix():
+    # measure accepts any leading block, so M_1 spanning both registers must be caught here.
+    code = two_word_basis_code(identity_channel(2), n=2)
+    bad = dataclasses.replace(code, measurements=(code.measurements[1],) * 2)
+    with pytest.raises(ValidationError, match="does not match"):
+        bad.measurement(1)
+    with pytest.raises(ValidationError, match="does not match"):
+        enumerate_transcripts(bad, (0, 0))
+
+
 def test_round_update_matches_composition_oracle():
     # Rebuild one update from scratch with kron/measure/apply_kraus.
     rng = np.random.default_rng(1)
