@@ -20,7 +20,7 @@ from .linalg import (
     embed_operator,
     herm_eigvals,
     identity,
-    kron,
+    kron_all,
     partial_trace,
     permute_registers,
     pinv_sqrt,
@@ -28,15 +28,12 @@ from .linalg import (
     trace_norm,
 )
 from .protocol import (
-    AdaptiveMeasurement,
     CapExceededError,
     Codebook,
     FeedbackCode,
     product_states,
     round_zero,
-    _final_branches,
     _post_process,
-    _update,
     _walk,
 )
 from .quantum import (
@@ -49,6 +46,7 @@ from .quantum import (
     apply_channel_at,
     entropy,
     measure,
+    measure_probabilities,
     square_root_measurement,
 )
 
@@ -134,9 +132,7 @@ class TypicalProjectorData:
             for x in s:
                 idx = idx * d + x
             diag[idx] = 1.0
-        v = np.array([[1.0 + 0j]])
-        for _ in range(self.n):
-            v = kron(v, self.eigvecs)
+        v = kron_all([self.eigvecs] * self.n)
         return (v * diag) @ v.conj().T
 
 
@@ -219,12 +215,12 @@ def gentle_measurement_check(rho: DensityMatrix, effect: np.ndarray, eps: float)
     )
 
 
-def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray, tol: float = 1e-9):
+def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
     """Operator inequality I - (S+T)^(-1/2) S (S+T)^(-1/2) <= 2(I-S) + 4T.
 
     Requires 0 <= S <= I and T >= 0.  Returns (violation, passed) where the
     violation is the largest eigenvalue of LHS - RHS (negative when the
-    inequality holds strictly).
+    inequality holds strictly); it passes up to 1e-9.
     """
     s = 0.5 * (s + s.conj().T)
     t = 0.5 * (t + t.conj().T)
@@ -237,7 +233,7 @@ def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray, tol: float = 1e-9):
     rhs = 2.0 * (identity(s.shape[0]) - s) + 4.0 * t
     diff = rhs - lhs
     violation = -float(herm_eigvals(0.5 * (diff + diff.conj().T))[-1])
-    return violation, violation <= tol
+    return violation, violation <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -442,7 +438,6 @@ def build_double_blocked_code(
     l: int,
     delta: float = 0.3,
     groups=None,
-    dim_budget: int = DIM_BUDGET,
 ) -> FeedbackCode:
     """Interleave l copies of ``base`` with square-root global-round decoding.
 
@@ -450,13 +445,13 @@ def build_double_blocked_code(
     codebook (default: all combinations, with product probabilities); the
     implied per-round rate split is reported by ``rate_split``.  The result
     is an ordinary FeedbackCode: global-round measurements are tabulated per
-    outcome history, and the final measurement emits flat codewords (or
-    'er'), so the default decode rule applies.
+    outcome history (``{history: Povm}``), and the final measurement emits
+    flat codewords (or 'er').
     """
     n, d = base.n, base.channel.in_dim
     nl = n * l
-    if d**nl > dim_budget:
-        raise CapExceededError(f"dimension {d ** nl} exceeds the budget {dim_budget}")
+    if d**nl > DIM_BUDGET:
+        raise CapExceededError(f"dimension {d ** nl} exceeds the budget {DIM_BUDGET}")
     if groups is None:
         groups = list(itertools.product(base.codebook.words, repeat=l))
     else:
@@ -539,7 +534,7 @@ def build_double_blocked_code(
 
     # A slot whose every history shares one Povm object is a fixed measurement.
     measurements = tuple(
-        next(iter(tab.values())) if len({id(p) for p in tab.values()}) == 1 else AdaptiveMeasurement(tab)
+        next(iter(tab.values())) if len({id(p) for p in tab.values()}) == 1 else tab
         for tab in tables_by_slot
     )
     probs = tuple(float(p) for p in gprobs)
@@ -594,7 +589,7 @@ def cumulative_disturbance_report(
     every global round.
     """
     flat = build_double_blocked_code(base, l, delta=delta, groups=groups)
-    n, d = base.n, base.channel.in_dim
+    n = base.n
     nl = n * l
     ref_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
     records: list[DisturbanceRecord] = []
@@ -609,30 +604,25 @@ def cumulative_disturbance_report(
                 correct_r = word if glob == n else word[(glob - 1) * l : glob * l]
             new = []
             for history, p_path, rho_flat, rho_ref, eps in branches:
-                # Slot q is update q+1 of the flat code; the last slot is its final measurement.
+                # Slot q is update q+1 of the flat code (channel on register q, then
+                # M_q); the last slot is its final measurement, with no channel use.
                 if q < nl:
-                    flat_branches = _update(flat, rho_flat, q + 1, history)
-                    sigma_ref = apply_channel_at(flat.channel, rho_ref, q)
-                else:
-                    flat_branches = _final_branches(flat, rho_flat, history)
-                    sigma_ref = rho_ref
+                    rho_flat = apply_channel_at(flat.channel, rho_flat, q)
+                    rho_ref = apply_channel_at(flat.channel, rho_ref, q)
+                povm = flat.measurement(q, history)
                 if glob is not None:
-                    effect = None
-                    for lab, el in flat.measurement(q, history).elements:
-                        if _label_parts(q, n, l, lab)[0] == correct_r:
-                            e = el.conj().T @ el
-                            effect = e if effect is None else effect + e
-                    if effect is None:
+                    correct = [lab for lab in povm.labels if _label_parts(q, n, l, lab)[0] == correct_r]
+                    if not correct:
                         continue  # correct outcome unreachable on this branch
-                    big = kron(effect, identity(d ** (nl - q))) if q < nl else effect
-                    overlap = float(np.trace(sigma_ref.mat @ big).real)
+                    probs = measure_probabilities(povm, rho_ref)
+                    overlap = sum(probs.get(lab, 0.0) for lab in correct)
                     eps = eps + (max((1.0 - overlap) / 3.0, 0.0),)
-                ref_branches = measure(ref_povms[q], sigma_ref) if base_comp else None
-                for lab, (p_flat, rho_f) in flat_branches.items():
+                ref_branches = measure(ref_povms[q], rho_ref) if base_comp else None
+                for lab, (p_flat, rho_f) in measure(povm, rho_flat).items():
                     r_lab, b_lab = _label_parts(q, n, l, lab)
                     if glob is not None and r_lab != correct_r:
                         continue
-                    rho_r = sigma_ref
+                    rho_r = rho_ref
                     if base_comp is not None:
                         ref = ref_branches.get(b_lab)
                         if ref is None:

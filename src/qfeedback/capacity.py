@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directed import directed_information_total
-from .linalg import identity, kron
+from .linalg import identity, kron_all
 from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
@@ -31,12 +31,15 @@ from .quantum import (
 )
 
 
+FD_STEP = 1e-4  # central-difference probe width
+ASCENT_TOL = 1e-8  # a sweep gaining less than this has converged
+STEP0 = 0.3  # first trial move along a coordinate, halved until it pays
+
+
 @dataclass
 class OptimizerConfig:
     starts: int = 8
     seed: int = 0
-    fd_step: float = 1e-4
-    tol: float = 1e-8
     max_sweeps: int = 200
     feedback: bool = True
 
@@ -66,7 +69,6 @@ def coordinate_ascent(
     prob_block: slice | None,
     cfg: OptimizerConfig,
     frozen: set[int] | None = None,
-    step0: float = 0.3,
 ) -> AscentResult:
     """Cyclic coordinate ascent with central finite-difference gradients.
 
@@ -89,7 +91,7 @@ def coordinate_ascent(
 
     x = clean(np.asarray(x0, dtype=float))
     best = objective(x)
-    h = cfg.fd_step
+    h = FD_STEP
     sweeps_used = 0
     for sweep in range(cfg.max_sweeps):
         sweeps_used = sweep + 1
@@ -103,7 +105,7 @@ def coordinate_ascent(
             if up == down:
                 continue
             direction = 1.0 if up > down else -1.0
-            step = step0
+            step = STEP0
             while step > 1e-10:
                 cand = bump(x, i, direction * step)
                 val = objective(cand)
@@ -119,7 +121,7 @@ def coordinate_ascent(
                             break
                     break
                 step *= 0.5
-        if best - before < cfg.tol:
+        if best - before < ASCENT_TOL:
             return AscentResult(x, best, True, sweeps_used)
     return AscentResult(x, best, False, sweeps_used)
 
@@ -139,22 +141,20 @@ def _vec_to_state(vec: np.ndarray, dim: int) -> DensityMatrix:
     return pure_state(v)
 
 
-def _holevo_objective(channel: QuantumChannel, num_states: int):
+def _output_ensemble(channel: QuantumChannel, num_states: int, x: np.ndarray) -> Ensemble:
+    """Channel outputs of the input ensemble encoded in ``x``: weights, then state vectors.
+
+    Weights below 1e-12 are dropped and the rest renormalized.
+    """
     d = channel.in_dim
-
-    def objective(x):
-        probs = x[:num_states]
-        items = []
-        for k in range(num_states):
-            if probs[k] < 1e-12:
-                continue
-            vec = x[num_states + 2 * d * k : num_states + 2 * d * (k + 1)]
-            items.append((float(probs[k]), apply_channel(channel, _vec_to_state(vec, d))))
-        total = sum(p for p, _ in items)
-        items = tuple((p / total, rho) for p, rho in items)
-        return holevo_chi(Ensemble(items))
-
-    return objective
+    items = []
+    for k in range(num_states):
+        if x[k] < 1e-12:
+            continue
+        vec = x[num_states + 2 * d * k : num_states + 2 * d * (k + 1)]
+        items.append((float(x[k]), apply_channel(channel, _vec_to_state(vec, d))))
+    total = sum(p for p, _ in items)
+    return Ensemble(tuple((p / total, rho) for p, rho in items))
 
 
 @dataclass
@@ -172,8 +172,10 @@ def holevo_capacity(channel: QuantumChannel, config: OptimizerConfig | None = No
     if d > 4:
         raise ValidationError("holevo_capacity supports input dimension <= 4")
     num = d * d
-    objective = _holevo_objective(channel, num)
     prob_block = slice(0, num)
+
+    def objective(x):
+        return holevo_chi(_output_ensemble(channel, num, x))
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
     best: AscentResult | None = None
@@ -201,17 +203,7 @@ def holevo_capacity(channel: QuantumChannel, config: OptimizerConfig | None = No
         if best is None or res.value > best.value:
             best = res
 
-    x = best.x
-    items = []
-    for k in range(num):
-        p = float(x[k])
-        if p < 1e-9:
-            continue
-        vec = x[num + 2 * d * k : num + 2 * d * (k + 1)]
-        items.append((p, apply_channel(channel, _vec_to_state(vec, d))))
-    total = sum(p for p, _ in items)
-    ensemble = Ensemble(tuple((p / total, rho) for p, rho in items))
-    return HolevoResult(best.value, ensemble, best.converged, tuple(values))
+    return HolevoResult(best.value, _output_ensemble(channel, num, best.x), best.converged, tuple(values))
 
 
 def grid_search_chi(
@@ -322,15 +314,10 @@ class FeedbackCodeFamily:
         for idx, (m, k, r) in enumerate(self.fb_slots):
             a, b, c = x[fbase + 3 * idx : fbase + 3 * idx + 3]
             fb.setdefault(m, {}).setdefault(k, {})[r] = euler_unitary(a, b, c)
-        feedback = {}
-        for m, per in fb.items():
-            feedback[m] = {}
-            for k, regs in per.items():
-                u = None
-                for r in range(m, n):
-                    u_r = regs.get(r, identity(2))
-                    u = u_r if u is None else kron(u, u_r)
-                feedback[m][k] = (u,)
+        feedback = {
+            m: {k: (kron_all(regs[r] for r in range(m, n)),) for k, regs in per.items()}
+            for m, per in fb.items()
+        }
 
         book = Codebook(self.alphabet, n, self.words)
         probs_t = tuple(float(p) for p in probs)
@@ -356,9 +343,8 @@ def estimate_feedback_capacity(
     channel: QuantumChannel,
     n: int,
     config: OptimizerConfig | None = None,
-    words: tuple | None = None,
 ) -> FeedbackCapacityResult:
-    """Best found (1/n) * directed information over the parametrized family.
+    """Best found (1/n) * directed information over the parametrized family on ``default_words(n)``.
 
     A lower bound on the fixed-n optimum.  Each start first climbs with the
     feedback parameters frozen, then (if feedback is enabled) continues from
@@ -370,7 +356,7 @@ def estimate_feedback_capacity(
         raise ValidationError("feedback capacity estimation is parametrized for qubits")
     if channel.in_dim**n > 8:
         raise ValidationError("dimension budget allows n <= 3 for qubit channels")
-    family = FeedbackCodeFamily(channel, tuple(words) if words else default_words(n))
+    family = FeedbackCodeFamily(channel, default_words(n))
 
     def objective(x):
         return directed_information_total(family.build(x)) / family.n

@@ -355,6 +355,18 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+def _count(least: int):
+    """argparse type for a count of at least ``least``; a smaller one is a parse error."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfeedback",
@@ -376,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run the protocol")
     p.add_argument("config")
     p.add_argument("--exact", action="store_true", help="exact enumeration only (default)")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=_count(0), default=0, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -388,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--max-sweeps", type=int, default=60)
+    p.add_argument("--n", type=_count(1), default=1)
+    p.add_argument("--starts", type=_count(1), default=8)
+    p.add_argument("--max-sweeps", type=_count(0), default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-feedback", action="store_true")
     p.add_argument("--grid-check", action="store_true", help="also run the grid oracle")
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify-lemmas", parents=[common], help="randomized inequality battery")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_count(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--self-test",

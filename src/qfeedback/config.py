@@ -243,11 +243,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 def encode_code(code: FeedbackCode) -> dict:
     """Serialize a code with explicit matrices (no adaptive schedules)."""
-    from .protocol import AdaptiveMeasurement
-
     meas = []
-    for j, m in enumerate(code.measurements, start=1):
-        if isinstance(m, AdaptiveMeasurement):
+    for m in code.measurements:
+        if isinstance(m, dict):
             raise ConfigError("adaptive measurement schedules are not serializable")
         meas.append(
             [

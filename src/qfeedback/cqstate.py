@@ -67,10 +67,6 @@ class CqState:
         object.__setattr__(self, "branches", branches)
 
     @property
-    def classical_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.classical_registers)
-
-    @property
     def quantum_dim(self) -> int:
         d = 1
         for x in self.quantum_dims:
@@ -84,9 +80,9 @@ class CqState:
         raise ValidationError(f"unknown classical register {name!r}")
 
 
-def prune_branches(branches, floor: float = PROB_FLOOR):
-    """Drop branches below the weight floor and renormalize."""
-    kept = [(lab, w, rho) for lab, w, rho in branches if w >= floor]
+def prune_branches(branches):
+    """Drop branches below PROB_FLOOR and renormalize."""
+    kept = [(lab, w, rho) for lab, w, rho in branches if w >= PROB_FLOOR]
     if not kept:
         raise ValidationError("all branches fell below the weight floor")
     total = sum(w for _, w, _ in kept)

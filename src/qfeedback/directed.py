@@ -15,7 +15,6 @@ import numpy as np
 
 from .cqstate import conditional_mutual_information
 from .protocol import (
-    ENUM_CAP,
     FeedbackCode,
     _average_state,
     _ehs_states,
@@ -47,8 +46,8 @@ class RateReport:
     fano_bound: float  # epsilon_n + I(M:K_1^n)/n
     h_message_rate: float  # H(M) / n
 
-    def check(self, tol: float = 1e-9) -> None:
-        if any(x < -tol for x in self.per_round):
+    def check(self) -> None:
+        if any(x < -1e-9 for x in self.per_round):
             raise ValidationError("negative per-round information term")
         if abs(self.directed_total - sum(self.per_round)) > 1e-12:
             raise ValidationError("directed total does not match its terms")
@@ -69,14 +68,6 @@ def _terms(states) -> list[float]:
     ]
 
 
-def _final_total(state, n: int) -> float:
-    """Sum of all n terms on one (the final pre-decoding) EHS state."""
-    total = 0.0
-    for t in range(1, n + 1):
-        total += conditional_mutual_information(state, *_directed_parts(t))
-    return float(total)
-
-
 def directed_terms(code: FeedbackCode) -> list[float]:
     """Per-round terms, each on its own protocol-time state."""
     return _terms(ehs_states(code))
@@ -88,7 +79,7 @@ def directed_information_total(code: FeedbackCode) -> float:
 
 def directed_information_final(code: FeedbackCode) -> float:
     """All terms evaluated on the final pre-decoding state."""
-    return _final_total(ehs_state(code, code.n - 1), code.n)
+    return float(sum(_terms([ehs_state(code, code.n - 1)] * code.n)))
 
 
 def _message_table(code: FeedbackCode, message_map, message_probs):
@@ -103,16 +94,22 @@ def _message_table(code: FeedbackCode, message_map, message_probs):
         total = sum(probs.values())
         probs = {m: p / total for m, p in probs.items()}
     else:
-        probs = {m: float(message_probs[m]) for m in msgs}
+        try:
+            probs = {m: float(message_probs[m]) for m in msgs}
+        except (KeyError, IndexError) as exc:
+            raise ValidationError(f"no probability given for message {exc}") from None
+        # "not <=" / "not >=" so that a NaN probability fails too.
         if not abs(sum(probs.values()) - 1.0) <= 1e-9:
             raise ValidationError("message probabilities do not sum to 1")
+        if not all(p >= 0.0 for p in probs.values()):
+            raise ValidationError("message probabilities must be non-negative")
     return message_map, msgs, probs
 
 
-def _word_views(code: FeedbackCode, walks: dict, cap: int = ENUM_CAP):
+def _word_views(code: FeedbackCode, walks: dict):
     """Averaged final state and transcripts of each walked codeword."""
     averages = {w: _average_state(code, frontiers[-1]) for w, frontiers in walks.items()}
-    transcripts = {w: _transcripts(code, w, frontiers, cap) for w, frontiers in walks.items()}
+    transcripts = {w: _transcripts(code, w, frontiers) for w, frontiers in walks.items()}
     return averages, transcripts
 
 
@@ -143,7 +140,6 @@ def message_information(
     code: FeedbackCode,
     message_map: dict | None = None,
     message_probs=None,
-    cap: int = ENUM_CAP,
 ) -> tuple[float, float]:
     """(I(M : Z_1^n), I(M : K_1^n)) for a message-to-codeword assignment.
 
@@ -152,8 +148,8 @@ def message_information(
     message-outcome joint law.
     """
     message_map, msgs, probs = _message_table(code, message_map, message_probs)
-    walks = {w: _walk(code, w, cap) for w in {message_map[m] for m in msgs}}
-    return _message_informations(message_map, msgs, probs, *_word_views(code, walks, cap))
+    walks = {w: _walk(code, w) for w in {message_map[m] for m in msgs}}
+    return _message_informations(message_map, msgs, probs, *_word_views(code, walks))
 
 
 def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_probs=None):
@@ -168,16 +164,10 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
     return lhs, rhs, rhs - lhs
 
 
-def fano_bound(
-    code: FeedbackCode,
-    rate: float | None = None,
-    message_map: dict | None = None,
-    message_probs=None,
-) -> float:
-    """(1 + P_e n R + I(M:K_1^n)) / n in bits, the converse's outer bound."""
+def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_probs=None) -> float:
+    """(1 + P_e n R + I(M:K_1^n)) / n in bits, the converse's outer bound, R = log2(#messages) / n."""
     message_map, msgs, probs = _message_table(code, message_map, message_probs)
-    if rate is None:
-        rate = np.log2(len(msgs)) / code.n if len(msgs) > 1 else 0.0
+    rate = np.log2(len(msgs)) / code.n if len(msgs) > 1 else 0.0
     walks = {w: _walk(code, w) for w in set(message_map.values())}
     averages, transcripts = _word_views(code, walks)
     _, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
@@ -208,7 +198,7 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     walks = {w: _walk(code, w) for w in words}
     states = _ehs_states(code, walks, n - 1)
     terms = _terms(states)
-    final = _final_total(states[-1], n)
+    final = float(sum(_terms([states[-1]] * n)))
     averages, transcripts = _word_views(code, walks)
     i_mz, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
     p_err = _message_error(message_map, probs, transcripts)

@@ -7,6 +7,8 @@ per-register dimensions whose product equals the matrix dimension.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Tolerances used across the package.
@@ -57,10 +59,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, as_matrix(m))
-    return out
+    return functools.reduce(kron, mats, np.array([[1.0 + 0j]]))
 
 
 def identity(dim: int) -> np.ndarray:
@@ -167,7 +166,7 @@ def left_product(op, x, d_pre: int) -> np.ndarray:
     return (op @ x.reshape(d_pre, d, -1)).reshape(rows, cols)
 
 
-def herm_eig(m: np.ndarray, vectors: bool = True, tol: float = HERM_TOL):
+def herm_eig(m: np.ndarray, vectors: bool = True):
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy's ``eigh``).
 
     Returns eigenvalues in descending order (ties keep the solver's order, so
@@ -183,8 +182,8 @@ def herm_eig(m: np.ndarray, vectors: bool = True, tol: float = HERM_TOL):
         raise LinalgError("herm_eig requires a square matrix")
     scale = float(np.max(np.abs(m))) if n else 0.0
     # Written as "not <=" so that a NaN defect is rejected too.
-    if not hermitian_defect(m) <= tol * max(1.0, scale):
-        raise LinalgError(f"matrix is not Hermitian within {tol}")
+    if not hermitian_defect(m) <= HERM_TOL * max(1.0, scale):
+        raise LinalgError(f"matrix is not Hermitian within {HERM_TOL}")
     a = 0.5 * (m + m.conj().T)
     if not vectors:
         w = np.linalg.eigvalsh(a)
@@ -194,9 +193,9 @@ def herm_eig(m: np.ndarray, vectors: bool = True, tol: float = HERM_TOL):
     return w[order], v[:, order]
 
 
-def herm_eigvals(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def herm_eigvals(m: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    return herm_eig(m, vectors=False, tol=tol)
+    return herm_eig(m, vectors=False)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

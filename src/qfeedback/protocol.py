@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
 from .cqstate import CqState, prune_branches
-from .linalg import identity, kron
+from .linalg import identity, kron, kron_all
 from .quantum import (
+    COMPLETENESS_TOL,
     ER,
     PROB_FLOOR,
     DensityMatrix,
@@ -37,12 +38,12 @@ from .quantum import (
     ValidationError,
     apply_channel_at,
     apply_kraus,
+    completeness_defect,
     leading_block_rest,
     measure,
     measure_probabilities,
     random_density_matrix,
     random_povm,
-    random_pure_state,
     random_unitary,
     square_root_measurement,
 )
@@ -78,53 +79,15 @@ class Codebook:
         return len(self.words)
 
 
-class AdaptiveMeasurement:
-    """Measurement whose POVM is tabulated by the outcome history so far.
-
-    The table maps the tuple of earlier-round outcomes to a Povm; it is built
-    in a deterministic order so repeated constructions are identical.
-    """
-
-    def __init__(self, table: dict):
-        if not table:
-            raise ValidationError("adaptive measurement needs at least one entry")
-        self.table = dict(table)
-        labels: list[Hashable] = []
-        seen = set()
-        for povm in self.table.values():
-            for lab in povm.labels:
-                if lab not in seen:
-                    seen.add(lab)
-                    labels.append(lab)
-        self._labels = tuple(labels)
-        dims = {povm.dim for povm in self.table.values()}
-        if len(dims) != 1:
-            raise ValidationError("adaptive measurement entries have mixed dimensions")
-        self.dim = dims.pop()
-
-    @property
-    def labels(self) -> tuple[Hashable, ...]:
-        return self._labels
-
-    def at(self, history: tuple) -> Povm:
-        try:
-            return self.table[tuple(history)]
-        except KeyError:
-            raise ValidationError(f"no measurement tabulated for history {history!r}") from None
-
-    def entries(self):
-        return self.table.items()
-
-
 @dataclass(frozen=True)
 class FeedbackCode:
     """The code quadruple plus the channel it is built for.
 
-    measurements[j-1] is M_j, acting on the first j registers (a Povm, or an
-    AdaptiveMeasurement resolved on the outcome history).  feedback[m] maps
-    the outcome of M_{m-1} to a Kraus family on registers m..n-1 (0-indexed);
-    missing entries mean "do nothing".  decode maps the full outcome tuple to
-    a codeword (default: the outcome of M_n already is one).
+    measurements[j-1] is M_j, acting on the first j registers: a Povm, or an
+    adaptive ``{history: Povm}`` dict keyed by the tuple of earlier outcomes.
+    feedback[m] maps the outcome of M_{m-1} to a Kraus family on registers
+    m..n-1 (0-indexed); missing entries mean "do nothing".  The decoded
+    message is the outcome of M_n.
     """
 
     codebook: Codebook
@@ -133,7 +96,6 @@ class FeedbackCode:
     states: tuple[DensityMatrix, ...]
     measurements: tuple
     feedback: dict = field(default_factory=dict)
-    decode: Callable | dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
@@ -158,14 +120,20 @@ class FeedbackCode:
 
     def measurement(self, j: int, history: tuple = ()) -> Povm:
         """M_j (resolved on ``history``), checked to act on the first j registers."""
-        m = self.measurements[j - 1]
-        povm = m.at(history) if isinstance(m, AdaptiveMeasurement) else m
+        povm = self.measurements[j - 1]
+        if isinstance(povm, dict):
+            try:
+                povm = povm[tuple(history)]
+            except KeyError:
+                raise ValidationError(f"no measurement tabulated for history {history!r}") from None
         leading_block_rest(povm.dim, self.dims, j)
         return povm
 
     def outcome_labels(self, j: int) -> tuple[Hashable, ...]:
+        """Labels of M_j, over every history of an adaptive M_j in first-seen order."""
         m = self.measurements[j - 1]
-        return m.labels
+        povms = m.values() if isinstance(m, dict) else (m,)
+        return tuple(dict.fromkeys(lab for povm in povms for lab in povm.labels))
 
     def feedback_kraus(self, m: int, outcome):
         per_round = self.feedback.get(m)
@@ -174,21 +142,17 @@ class FeedbackCode:
         return per_round.get(outcome)
 
 
-def decode_outcomes(code: FeedbackCode, outcomes: tuple) -> Hashable:
-    if code.decode is None:
-        return outcomes[-1]
-    if callable(code.decode):
-        return code.decode(outcomes)
-    return code.decode.get(tuple(outcomes), ER)
-
-
 @dataclass(frozen=True)
 class ProtocolTranscript:
     word: tuple[int, ...]
     outcomes: tuple
     probability: float
     states: tuple[DensityMatrix, ...]  # omega^0 .. omega^{n-1}
-    decoded: Hashable
+
+    @property
+    def decoded(self) -> Hashable:
+        """The decoded message: the outcome of the final measurement."""
+        return self.outcomes[-1]
 
 
 @dataclass
@@ -203,7 +167,7 @@ class CodeReport:
         return not self.violations
 
 
-def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
+def validate_code(code: FeedbackCode) -> CodeReport:
     """Check every structural invariant; returns a report, never raises."""
     rep = CodeReport()
     book = code.codebook
@@ -236,17 +200,17 @@ def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
         return rep
     for j in range(1, n + 1):
         meas = code.measurements[j - 1]
-        entries = meas.entries() if isinstance(meas, AdaptiveMeasurement) else [((), meas)]
+        entries = meas.items() if isinstance(meas, dict) else [((), meas)]
         for hist, povm in entries:
             if povm.dim != d**j:
                 rep.add(f"M_{j}: dimension {povm.dim} != {d ** j}", 0.0)
                 continue
             defect = povm.completeness_defect()
-            if defect > tol:
+            if defect > COMPLETENESS_TOL:
                 rep.add(f"M_{j}: completeness defect (history={hist!r})", defect)
     final_labels = set(code.outcome_labels(n))
     allowed = set(book.words) | {ER}
-    if code.decode is None and not final_labels <= allowed:
+    if not final_labels <= allowed:
         rep.add("M_n: outcomes are not codewords plus 'er'", float(len(final_labels - allowed)))
 
     for m, per_outcome in sorted(code.feedback.items()):
@@ -263,9 +227,8 @@ def validate_code(code: FeedbackCode, tol: float = 1e-9) -> CodeReport:
             if any(k.shape != (d_suf, d_suf) for k in mats):
                 rep.add(f"feedback round {m} outcome {outcome!r}: wrong shape", 0.0)
                 continue
-            total = sum(k.conj().T @ k for k in mats)
-            defect = float(np.max(np.abs(total - identity(d_suf))))
-            if defect > tol:
+            defect = completeness_defect(mats)
+            if defect > COMPLETENESS_TOL:
                 rep.add(f"feedback round {m} outcome {outcome!r}: completeness", defect)
     return rep
 
@@ -300,10 +263,6 @@ def _post_process(code: FeedbackCode, m: int, outcome, post: DensityMatrix) -> D
     if kraus is not None and m < code.n:
         post = apply_kraus(kraus, post, registers=range(m, code.n))
     return post
-
-
-def _final_branches(code: FeedbackCode, state: DensityMatrix, history: tuple) -> dict:
-    return measure(code.measurement(code.n, history), state)
 
 
 def round_update(
@@ -360,10 +319,7 @@ def _transcripts(code: FeedbackCode, word, frontiers, cap: int = ENUM_CAP) -> li
             prob = p_path * p
             if prob < PROB_FLOOR:
                 continue
-            outcomes = history + (k_n,)
-            out.append(
-                ProtocolTranscript(word, outcomes, prob, states, decode_outcomes(code, outcomes))
-            )
+            out.append(ProtocolTranscript(word, history + (k_n,), prob, states))
             if len(out) > cap:
                 raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
     return out
@@ -399,8 +355,7 @@ def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
     finals = measure_probabilities(code.measurement(code.n, history), states[-1])
     pick = _draw(finals, rng)
     prob *= finals[pick]
-    outcomes = history + (pick,)
-    return ProtocolTranscript(word, outcomes, prob, states, decode_outcomes(code, outcomes))
+    return ProtocolTranscript(word, history + (pick,), prob, states)
 
 
 def _average_state(code: FeedbackCode, frontier) -> DensityMatrix:
@@ -418,13 +373,13 @@ def average_final_state(code: FeedbackCode, word) -> DensityMatrix:
 def _ehs_states(code: FeedbackCode, walks: dict, up_to: int) -> list[CqState]:
     """EHS states for t = 0..up_to from the ``_walk`` frontiers of each word."""
     n = code.n
-    x_sizes = [len(code.outcome_labels(j)) + 1 for j in range(1, n)]
+    labels = [code.outcome_labels(j) for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
-        (f"X{j + 1}", x_sizes[j]) for j in range(n - 1)
+        (f"X{j + 1}", len(labels[j]) + 1) for j in range(n - 1)
     )
 
     def labelled(word, history):
-        xs = [code.outcome_labels(j + 1).index(k) + 1 for j, k in enumerate(history)]
+        xs = [labels[j].index(k) + 1 for j, k in enumerate(history)]
         xs += [0] * (n - 1 - len(xs))
         return word + tuple(xs)
 
@@ -464,14 +419,14 @@ def ehs_state(code: FeedbackCode, t: int) -> CqState:
     return ehs_states(code, up_to=t)[t]
 
 
-def outcome_chain(code: FeedbackCode, cap: int = ENUM_CAP) -> dict:
+def outcome_chain(code: FeedbackCode) -> dict:
     """Joint distribution over (codeword, full outcome tuple)."""
     chain: dict = {}
     for idx, word in enumerate(code.codebook.words):
         p_word = code.probs[idx]
         if p_word < PROB_FLOOR:
             continue
-        for tr in enumerate_transcripts(code, word, cap):
+        for tr in enumerate_transcripts(code, word):
             chain[(word, tr.outcomes)] = chain.get((word, tr.outcomes), 0.0) + p_word * tr.probability
     return chain
 
@@ -495,10 +450,10 @@ def _error_figures(code: FeedbackCode, p_correct) -> tuple[float, float]:
     return avg, worst
 
 
-def error_probability(code: FeedbackCode, cap: int = ENUM_CAP) -> tuple[float, float]:
-    """(average error, maximal error) over codewords under the stored decode rule."""
+def error_probability(code: FeedbackCode) -> tuple[float, float]:
+    """(average error, maximal error) over codewords, decoding by the final outcome."""
     words = code.codebook.words
-    return _error_figures(code, (_p_correct(enumerate_transcripts(code, w, cap), w) for w in words))
+    return _error_figures(code, (_p_correct(enumerate_transcripts(code, w), w) for w in words))
 
 
 # ----------------------------------------------------------------------------
@@ -507,13 +462,10 @@ def error_probability(code: FeedbackCode, cap: int = ENUM_CAP) -> tuple[float, f
 
 def product_states(letters, words) -> tuple[DensityMatrix, ...]:
     """Codeword states: the tensor product of ``letters[a]`` along each word."""
-    out = []
-    for w in words:
-        mat = letters[w[0]].mat
-        for a in w[1:]:
-            mat = kron(mat, letters[a].mat)
-        out.append(DensityMatrix(mat, sum((letters[a].dims for a in w), ())))
-    return tuple(out)
+    return tuple(
+        DensityMatrix(kron_all(letters[a].mat for a in w), sum((letters[a].dims for a in w), ()))
+        for w in words
+    )
 
 
 def on_freshest(single: Povm, j: int) -> Povm:
@@ -549,17 +501,16 @@ def random_feedback_code(
     channel: QuantumChannel,
     n: int,
     num_words: int = 2,
-    alphabet: int = 2,
-    outcomes: int = 2,
     feedback: bool = True,
-    pure_letters: bool = False,
     projective: bool = True,
 ) -> FeedbackCode:
-    """Random n-block feedback code over letter-keyed product codeword states.
+    """Random n-block feedback code over a binary alphabet of mixed letter states.
 
-    Intermediate measurements act on the freshest channel output only and
-    post-processing maps are products of outcome-conditioned unitaries, so
-    the directed data-processing inequality holds for every draw.  With
+    Codeword states are letter products.  Intermediate measurements act on
+    the freshest channel output only (two-outcome when not ``projective``),
+    and post-processing maps are products of unitaries drawn for every
+    outcome of the preceding measurement, so the directed data-processing
+    inequality holds for every draw.  With
     ``projective`` the intermediate measurements are rank-1 rotated basis
     projectors; their outcome stays recoverable from the post-measurement
     state, which additionally makes I(M:K_1^n) <= I(M:Z_1^n) hold on every
@@ -567,21 +518,17 @@ def random_feedback_code(
     the classical record that the disturbed state no longer carries.
     """
     d = channel.in_dim
-    all_words = list(itertools.product(range(alphabet), repeat=n))
+    all_words = list(itertools.product(range(2), repeat=n))
     if num_words > len(all_words):
         raise ValidationError("more codewords than strings")
     order = rng.permutation(len(all_words))
     words = tuple(all_words[i] for i in order[:num_words])
-    book = Codebook(alphabet, n, words)
+    book = Codebook(2, n, words)
 
     probs = rng.dirichlet(np.ones(num_words)) * 0.8 + 0.2 / num_words
     probs = tuple(float(p) for p in probs / probs.sum())
 
-    letter_states = [
-        random_pure_state(rng, d) if pure_letters else random_density_matrix(rng, d)
-        for _ in range(alphabet)
-    ]
-    states = product_states(letter_states, words)
+    states = product_states([random_density_matrix(rng, d) for _ in range(2)], words)
 
     measurements = []
     for j in range(1, n):
@@ -589,19 +536,14 @@ def random_feedback_code(
             u = random_unitary(rng, d)
             single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
         else:
-            single = random_povm(rng, d, outcomes)
+            single = random_povm(rng, d)
         measurements.append(on_freshest(single, j))
 
     fb: dict = {}
     if feedback:
         for m in range(2, n):
-            per = {}
-            for k in range(outcomes):
-                u = random_unitary(rng, d)
-                for _ in range(m + 1, n):
-                    u = kron(u, random_unitary(rng, d))
-                per[k] = (u,)
-            fb[m] = per
+            labels = measurements[m - 2].labels
+            fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
 
     # Final decoder: PGM over the average pre-decode outputs per word.
     partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)

@@ -123,10 +123,10 @@ def density(mat, dims=None) -> DensityMatrix:
     return DensityMatrix(m, tuple(dims))
 
 
-def pure_state(vec, dims=None) -> DensityMatrix:
+def pure_state(vec) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
-    return density(np.outer(v, v.conj()), dims)
+    return density(np.outer(v, v.conj()))
 
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
@@ -155,8 +155,7 @@ class QuantumChannel:
         rows, cols = ks[0].shape
         if any(k.shape != (rows, cols) for k in ks):
             raise ValidationError("Kraus operators have mixed shapes")
-        total = sum(k.conj().T @ k for k in ks)
-        if not np.max(np.abs(total - identity(cols))) <= COMPLETENESS_TOL:
+        if not completeness_defect(ks) <= COMPLETENESS_TOL:
             raise ValidationError(f"channel '{self.label}' is not trace preserving")
         object.__setattr__(self, "kraus", ks)
 
@@ -167,6 +166,12 @@ class QuantumChannel:
     @property
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
+
+
+def completeness_defect(mats) -> float:
+    """max |sum M^dagger M - I|, elementwise, for a family of operators of one shape."""
+    total = sum(m.conj().T @ m for m in mats)
+    return float(np.max(np.abs(total - identity(total.shape[0]))))
 
 
 def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -200,8 +205,7 @@ def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
     """Apply a trace-preserving Kraus family, optionally on a contiguous ascending register block."""
     mats = [as_matrix(m) for m in maps]
     dim = mats[0].shape[0]
-    total = sum(m.conj().T @ m for m in mats)
-    if not np.max(np.abs(total - identity(dim))) <= COMPLETENESS_TOL:
+    if not completeness_defect(mats) <= COMPLETENESS_TOL:
         raise ValidationError("Kraus family is not complete")
     regs = list(range(len(rho.dims)) if registers is None else registers)
     if not regs or regs != list(range(regs[0], regs[-1] + 1)) or (
@@ -212,24 +216,21 @@ def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
     return DensityMatrix(sum(_sandwich(m, rho.mat, d_pre) for m in mats), rho.dims)
 
 
+def shannon(probs) -> float:
+    """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
+    p = np.asarray(list(probs), dtype=float)
+    p = p[p > 1e-15]
+    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+
+
 def entropy(rho: DensityMatrix) -> float:
-    """von Neumann entropy in bits, with the 0 log 0 = 0 convention."""
-    w = rho.eigvals()
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+    """von Neumann entropy in bits: the Shannon entropy of the spectrum."""
+    return shannon(rho.eigvals())
 
 
 def entropy_of(mat: np.ndarray) -> float:
     """Entropy of a raw PSD matrix of unit trace."""
-    w = herm_eigvals(mat)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
-
-
-def shannon(probs) -> float:
-    p = np.asarray(list(probs), dtype=float)
-    p = p[p > 1e-15]
-    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+    return shannon(herm_eigvals(mat))
 
 
 @dataclass(frozen=True)
@@ -295,8 +296,7 @@ class Povm:
         return tuple(label for label, _ in self.elements)
 
     def completeness_defect(self) -> float:
-        total = sum(m.conj().T @ m for _, m in self.elements)
-        return float(np.max(np.abs(total - identity(self.dim))))
+        return completeness_defect(m for _, m in self.elements)
 
 
 @dataclass(frozen=True)
@@ -495,9 +495,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return density(rho / np.trace(rho).real)
 

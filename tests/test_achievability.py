@@ -621,7 +621,7 @@ def test_blocked_code_errors_and_labels_pinned(case):
     base, _ = _pinned_disturbance_cases()[case]
     flat = build_double_blocked_code(base, 2, delta=0.3)
     assert np.allclose(error_probability(flat), pins["error"], rtol=0.0, atol=1e-12)
-    labels = [sorted(repr(lab) for lab in m.labels) for m in flat.measurements]
+    labels = [sorted(repr(lab) for lab in flat.outcome_labels(j)) for j in range(1, flat.n + 1)]
     assert labels == pins["labels"]
 
 

@@ -18,12 +18,13 @@ from qfeedback.quantum import (
     amplitude_damping_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
+    holevo_chi,
     identity_channel,
 )
 
 
 def small_cfg(**kw):
-    base = dict(starts=4, seed=0, max_sweeps=40, tol=1e-8)
+    base = dict(starts=4, seed=0, max_sweeps=40)
     base.update(kw)
     return OptimizerConfig(**base)
 
@@ -88,6 +89,11 @@ def test_holevo_deterministic_under_seed():
     b = holevo_capacity(depolarizing_channel(0.2), small_cfg(starts=2, max_sweeps=10))
     assert a.value == b.value
     assert a.start_values == b.start_values
+
+
+def test_holevo_ensemble_is_the_one_the_value_was_computed_on():
+    res = holevo_capacity(amplitude_damping_channel(0.3), small_cfg(starts=2, max_sweeps=3))
+    assert holevo_chi(res.ensemble) == res.value
 
 
 def test_default_words():

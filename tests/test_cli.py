@@ -142,6 +142,24 @@ def test_qubit_only_fields_on_qutrit_channel_exit_two(case, field, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--channel", "identity", "--starts", "0"],
+        ["optimize", "--channel", "identity", "--n", "0"],
+        ["optimize", "--channel", "identity", "--max-sweeps", "-1"],
+        ["simulate", IDENTITY, "--samples", "-5"],
+        ["verify-lemmas", "--trials", "0"],
+    ],
+    ids=["starts", "n", "max-sweeps", "samples", "trials"],
+)
+def test_out_of_range_counts_are_parse_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_qutrit_explicit_config_builds():
     # The same qutrit config without qubit-only fields is a valid code.
     data = _qutrit_config(1)

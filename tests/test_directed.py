@@ -212,6 +212,20 @@ def test_message_information_rejects_nan_message_probability():
         message_information(code, message_probs={0: float("nan"), 1: 0.5})
 
 
+@pytest.mark.parametrize(
+    "message_probs, match",
+    [({0: 1.5, 1: -0.5}, "non-negative"), ({0: 1.0}, "no probability given for message 1")],
+    ids=["negative", "missing"],
+)
+def test_message_information_rejects_bad_message_law(message_probs, match):
+    # The first law sums to 1 but has a negative entry: I(M:Z) came out as -1.454.
+    code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.2), 2, num_words=2)
+    with pytest.raises(ValidationError, match=match):
+        message_information(code, message_probs=message_probs)
+    with pytest.raises(ValidationError, match=match):
+        fano_bound(code, message_probs=message_probs)
+
+
 def test_rate_report_walks_each_codeword_once(monkeypatch):
     from qfeedback import directed, protocol
 

@@ -3,7 +3,8 @@
 No linter is a dependency, so the checks that matter here are made by hand:
 every import in the library is used, every module-private definition is named
 somewhere else, and every function the benchmark's span tracer wraps still
-exists under its name.
+exists under its name.  Tolerances and floors are module constants: no
+function takes one as a parameter, so no caller can loosen a check per call.
 """
 
 import ast
@@ -50,6 +51,28 @@ def test_unused_import_detector():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loosening_parameters(source: str) -> list[str]:
+    """Parameters named ``tol`` or ``floor`` of every function, nested ones and methods included."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg in ("tol", "floor"):
+                    out.append(f"{getattr(node, 'name', 'lambda')}({arg.arg}) line {arg.lineno}")
+    return out
+
+
+def test_loosening_parameter_detector():
+    source = "def f(x, tol=1e-9):\n    def g(*, floor):\n        pass\n\nclass C:\n    def h(self, tolerance):\n        pass\n"
+    assert loosening_parameters(source) == ["f(tol) line 1", "g(floor) line 2"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_tolerance_or_floor_parameters(path):
+    assert loosening_parameters(path.read_text()) == []
 
 
 def test_traced_names_resolve():

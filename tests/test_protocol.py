@@ -9,7 +9,6 @@ from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
     ProtocolTranscript,
-    decode_outcomes,
     ehs_state,
     enumerate_transcripts,
     error_probability,
@@ -327,7 +326,7 @@ def test_error_probability_matches_enumeration_oracle():
     chain = outcome_chain(code)
     err = 0.0
     for (word, outcomes), p in chain.items():
-        if decode_outcomes(code, outcomes) != word:
+        if outcomes[-1] != word:
             err += p
     assert abs(avg - err) < 1e-10
     assert 0.0 <= avg <= 1.0 and 0.0 <= worst <= 1.0
@@ -339,6 +338,16 @@ def test_validate_code_random_codes_pass():
         code = random_feedback_code(rng, depolarizing_channel(0.1), n, num_words=2)
         rep = validate_code(code)
         assert rep.ok, rep.violations
+
+
+def test_random_feedback_code_draws_feedback_for_every_outcome():
+    # A projective qutrit M_1 has three outcomes; each needs its own feedback map.
+    from qfeedback.quantum import random_channel
+
+    code = random_feedback_code(np.random.default_rng(0), random_channel(np.random.default_rng(0), 3), 3)
+    assert code.outcome_labels(1) == (0, 1, 2)
+    assert sorted(code.feedback[2]) == [0, 1, 2]
+    assert validate_code(code).ok
 
 
 def test_validate_code_flags_nan_probability():
