@@ -257,10 +257,10 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
     too-small c yields an honest failing report.
     """
     data = typical_projector_data(rho, n, delta)
-    overlap = data.overlap()
+    comp = data.compressed_eigenvalues()
+    overlap = float(sum(comp))
     d = rho.dim
     overlap_bound = 1.0 - 2.0 * d * float(np.exp(-2.0 * n * delta * delta))
-    comp = data.compressed_eigenvalues()
     max_comp = float(comp.max()) if comp.size else 0.0
     cap = float(2.0 ** (-n * (entropy(rho) - c * delta)))
     return TypicalityReport(

@@ -90,12 +90,14 @@ def prune_branches(branches):
 
 
 def _split_keys(state: CqState, keys):
-    """Separate a register-key collection into classical names and quantum indices."""
+    """Classical register indices (in key order) and sorted quantum indices of a key collection.
+
+    Keys are classical register names (str) or quantum register indices (int).
+    """
     classical, quantum = [], []
     for k in keys:
         if isinstance(k, str):
-            state.register_index(k)
-            classical.append(k)
+            classical.append(state.register_index(k))
         else:
             k = int(k)
             if not 0 <= k < len(state.quantum_dims):
@@ -103,7 +105,28 @@ def _split_keys(state: CqState, keys):
             quantum.append(k)
     if len(set(classical)) != len(classical) or len(set(quantum)) != len(quantum):
         raise ValidationError("repeated register keys")
-    return tuple(classical), tuple(sorted(quantum))
+    return classical, sorted(quantum)
+
+
+def _grouped_marginals(state: CqState, cls, qnt) -> list:
+    """(label, weight, unnormalized quantum marginal) per group of branches sharing classical registers ``cls``.
+
+    Groups keep first-seen order; the marginal on quantum registers ``qnt``
+    is None when ``qnt`` is empty or the group weighs less than PROB_FLOOR.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for lab, w, rho in state.branches:
+        groups.setdefault(tuple(lab[i] for i in cls), []).append((w, rho))
+    out = []
+    for key, g in groups.items():
+        w_g = sum(w for w, _ in g)
+        acc = None
+        if qnt and w_g >= PROB_FLOOR:
+            for w, rho in g:
+                red = partial_trace(rho.mat, rho.dims, qnt)
+                acc = w * red if acc is None else acc + w * red
+        out.append((key, w_g, acc))
+    return out
 
 
 def cq_entropy(state: CqState, classical=(), quantum=()) -> float:
@@ -111,105 +134,58 @@ def cq_entropy(state: CqState, classical=(), quantum=()) -> float:
 
     Uses S = H(label marginal) + sum_a p_a S(rho_a) on the block decomposition.
     """
-    cls = [state.register_index(n) for n in (classical if not isinstance(classical, str) else [classical])]
-    qnt = sorted(int(i) for i in quantum)
-    if len(set(cls)) != len(cls) or len(set(qnt)) != len(qnt):
-        raise ValidationError("repeated registers in subset")
-    for i in qnt:
-        if not 0 <= i < len(state.quantum_dims):
-            raise ValidationError(f"quantum register {i} out of range")
-
-    groups: dict[tuple[int, ...], list] = {}
-    for lab, w, rho in state.branches:
-        key = tuple(lab[i] for i in cls)
-        groups.setdefault(key, []).append((w, rho))
-
+    if isinstance(classical, str):
+        classical = (classical,)
+    cls, qnt = _split_keys(state, (*classical, *quantum))
+    groups = _grouped_marginals(state, cls, qnt)
+    h = shannon([w_g for _, w_g, _ in groups])
     if not qnt:
-        return shannon(sum(w for w, _ in g) for g in groups.values())
-
+        return h
     total_entropy = 0.0
-    weights = []
-    for g in groups.values():
-        w_g = sum(w for w, _ in g)
-        weights.append(w_g)
-        if w_g < PROB_FLOOR:
-            continue
-        acc = None
-        for w, rho in g:
-            red = partial_trace(rho.mat, rho.dims, qnt)
-            acc = w * red if acc is None else acc + w * red
-        total_entropy += w_g * entropy_of(acc / w_g)
-    return shannon(weights) + total_entropy
+    for _, w_g, acc in groups:
+        if acc is not None:
+            total_entropy += w_g * entropy_of(acc / w_g)
+    return h + total_entropy
 
 
 def mutual_information(state: CqState, part_a, part_b) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) over register-key collections.
-
-    Keys are classical register names (str) or quantum register indices (int).
-    Registers not mentioned in either part are traced out implicitly.
-    """
-    ca, qa = _split_keys(state, part_a)
-    cb, qb = _split_keys(state, part_b)
-    if set(ca) & set(cb) or set(qa) & set(qb):
-        raise ValidationError("parts overlap")
-    s_a = cq_entropy(state, ca, qa)
-    s_b = cq_entropy(state, cb, qb)
-    s_ab = cq_entropy(state, ca + cb, qa + qb)
-    return s_a + s_b - s_ab
+    """I(A:B) = S(A) + S(B) - S(AB): ``conditional_mutual_information`` with nothing conditioned on."""
+    return conditional_mutual_information(state, part_a, part_b, ())
 
 
 def conditional_mutual_information(state: CqState, part_a, part_b, part_c) -> float:
-    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C)."""
-    ca, qa = _split_keys(state, part_a)
-    cb, qb = _split_keys(state, part_b)
-    cc, qc = _split_keys(state, part_c)
-    groups = [(set(ca), set(qa)), (set(cb), set(qb)), (set(cc), set(qc))]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if groups[i][0] & groups[j][0] or groups[i][1] & groups[j][1]:
-                raise ValidationError("parts overlap")
-    if not (cc or qc):
-        return mutual_information(state, part_a, part_b)
-    s_ac = cq_entropy(state, ca + cc, qa + qc)
-    s_bc = cq_entropy(state, cb + cc, qb + qc)
-    s_abc = cq_entropy(state, ca + cb + cc, qa + qb + qc)
-    s_c = cq_entropy(state, cc, qc)
-    return s_ac + s_bc - s_abc - s_c
+    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) over register-key collections.
+
+    Keys are classical register names (str) or quantum register indices (int);
+    registers in no part are traced out.  Overlapping parts repeat a key in
+    ABC and raise.
+    """
+    a, b, c = tuple(part_a), tuple(part_b), tuple(part_c)
+    s_abc = cq_entropy(state, a + b + c)
+    s_ac = cq_entropy(state, a + c)
+    s_bc = cq_entropy(state, b + c)
+    if not c:
+        return s_ac + s_bc - s_abc
+    return s_ac + s_bc - s_abc - cq_entropy(state, c)
 
 
 def marginalize(state: CqState, drop_classical=(), drop_quantum=()) -> CqState:
     """Drop classical registers (merging branches) and/or trace out quantum ones."""
-    drop_c = {state.register_index(n) for n in drop_classical}
-    drop_q = {int(i) for i in drop_quantum}
-    for i in drop_q:
-        if not 0 <= i < len(state.quantum_dims):
-            raise ValidationError(f"quantum register {i} out of range")
+    drop_c, drop_q = _split_keys(state, (*drop_classical, *drop_quantum))
     keep_c = [i for i in range(len(state.classical_registers)) if i not in drop_c]
     keep_q = [i for i in range(len(state.quantum_dims)) if i not in drop_q]
-
-    merged: dict[tuple[int, ...], list] = {}
-    for lab, w, rho in state.branches:
-        key = tuple(lab[i] for i in keep_c)
-        merged.setdefault(key, []).append((w, rho))
-
     new_qdims = tuple(state.quantum_dims[i] for i in keep_q)
     out = []
-    for key, group in merged.items():
-        w_g = sum(w for w, _ in group)
+    for key, w_g, acc in _grouped_marginals(state, keep_c, keep_q):
         if w_g < PROB_FLOOR:
             continue
-        acc = None
-        for w, rho in group:
-            red = partial_trace(rho.mat, rho.dims, keep_q)
-            acc = w * red if acc is None else acc + w * red
         if new_qdims:
             out.append((key, w_g, DensityMatrix(acc / w_g, new_qdims)))
         else:
             out.append((key, w_g, DensityMatrix(np.array([[1.0 + 0j]]), (1,))))
-    qdims = new_qdims if new_qdims else (1,)
     return CqState(
         tuple(state.classical_registers[i] for i in keep_c),
-        qdims,
+        new_qdims or (1,),
         prune_branches(out),
     )
 

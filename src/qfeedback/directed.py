@@ -106,11 +106,13 @@ def _message_table(code: FeedbackCode, message_map, message_probs):
     return message_map, msgs, probs
 
 
-def _word_views(code: FeedbackCode, walks: dict):
-    """Averaged final state and transcripts of each walked codeword."""
+def _walked(code: FeedbackCode, message_map, message_probs):
+    """The message table, then one ``_walk`` per codeword with its averaged final state and transcripts."""
+    table = _message_table(code, message_map, message_probs)
+    walks = {w: _walk(code, w) for w in code.codebook.words}
     averages = {w: _average_state(code, frontiers[-1]) for w, frontiers in walks.items()}
     transcripts = {w: _transcripts(code, w, frontiers) for w, frontiers in walks.items()}
-    return averages, transcripts
+    return table, walks, averages, transcripts
 
 
 def _message_informations(message_map, msgs, probs, averages, transcripts) -> tuple[float, float]:
@@ -147,9 +149,8 @@ def message_information(
     final states; the classical term is Shannon mutual information of the
     message-outcome joint law.
     """
-    message_map, msgs, probs = _message_table(code, message_map, message_probs)
-    walks = {w: _walk(code, w) for w in {message_map[m] for m in msgs}}
-    return _message_informations(message_map, msgs, probs, *_word_views(code, walks))
+    table, _, averages, transcripts = _walked(code, message_map, message_probs)
+    return _message_informations(*table, averages, transcripts)
 
 
 def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_probs=None):
@@ -157,20 +158,21 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
 
     Returns (lhs, rhs, slack); the inequality holds when slack >= 0 up to
     numerical tolerance.  Defaults to one message per codeword, weighted by
-    the input ensemble so both sides describe the same joint state.
+    the input ensemble so both sides describe the same joint state.  Both
+    sides are read off one walk per codeword.
     """
-    lhs, _ = message_information(code, message_map, message_probs)
-    rhs = directed_information_total(code)
+    table, walks, averages, transcripts = _walked(code, message_map, message_probs)
+    lhs, _ = _message_informations(*table, averages, transcripts)
+    rhs = float(sum(_terms(_ehs_states(code, walks))))
     return lhs, rhs, rhs - lhs
 
 
 def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_probs=None) -> float:
     """(1 + P_e n R + I(M:K_1^n)) / n in bits, the converse's outer bound, R = log2(#messages) / n."""
-    message_map, msgs, probs = _message_table(code, message_map, message_probs)
+    table, _, averages, transcripts = _walked(code, message_map, message_probs)
+    message_map, msgs, probs = table
     rate = np.log2(len(msgs)) / code.n if len(msgs) > 1 else 0.0
-    walks = {w: _walk(code, w) for w in set(message_map.values())}
-    averages, transcripts = _word_views(code, walks)
-    _, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
+    _, i_mk = _message_informations(*table, averages, transcripts)
     p_err = _message_error(message_map, probs, transcripts)
     return float((1.0 + p_err * code.n * rate + i_mk) / code.n)
 
@@ -193,14 +195,12 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     words = code.codebook.words
     num = len(words)
     probs = {i: 1.0 / num for i in range(num)} if uniform_messages else None
-    message_map, msgs, probs = _message_table(code, dict(enumerate(words)), probs)
-
-    walks = {w: _walk(code, w) for w in words}
-    states = _ehs_states(code, walks, n - 1)
+    table, walks, averages, transcripts = _walked(code, None, probs)
+    message_map, _, probs = table
+    states = _ehs_states(code, walks)
     terms = _terms(states)
     final = float(sum(_terms([states[-1]] * n)))
-    averages, transcripts = _word_views(code, walks)
-    i_mz, i_mk = _message_informations(message_map, msgs, probs, averages, transcripts)
+    i_mz, i_mk = _message_informations(*table, averages, transcripts)
     p_err = _message_error(message_map, probs, transcripts)
     avg_err, max_err = _error_figures(code, (_p_correct(transcripts[w], w) for w in words))
     rate = float(np.log2(num) / n) if num > 1 else 0.0

@@ -27,7 +27,7 @@ from typing import Hashable
 import numpy as np
 
 from .cqstate import CqState, prune_branches
-from .linalg import identity, kron, kron_all
+from .linalg import herm_eigvals, identity, kron, kron_all
 from .quantum import (
     COMPLETENESS_TOL,
     ER,
@@ -191,8 +191,6 @@ def validate_code(code: FeedbackCode) -> CodeReport:
         try:
             rho.validate()
         except ValidationError:
-            from .linalg import herm_eigvals
-
             rep.add(f"ensemble: state {i} is not PSD", float(herm_eigvals(rho.mat)[-1]))
 
     if len(code.measurements) != n:
@@ -206,7 +204,7 @@ def validate_code(code: FeedbackCode) -> CodeReport:
                 rep.add(f"M_{j}: dimension {povm.dim} != {d ** j}", 0.0)
                 continue
             defect = povm.completeness_defect()
-            if defect > COMPLETENESS_TOL:
+            if not defect <= COMPLETENESS_TOL:
                 rep.add(f"M_{j}: completeness defect (history={hist!r})", defect)
     final_labels = set(code.outcome_labels(n))
     allowed = set(book.words) | {ER}
@@ -228,7 +226,7 @@ def validate_code(code: FeedbackCode) -> CodeReport:
                 rep.add(f"feedback round {m} outcome {outcome!r}: wrong shape", 0.0)
                 continue
             defect = completeness_defect(mats)
-            if defect > COMPLETENESS_TOL:
+            if not defect <= COMPLETENESS_TOL:
                 rep.add(f"feedback round {m} outcome {outcome!r}: completeness", defect)
     return rep
 
@@ -365,13 +363,8 @@ def _average_state(code: FeedbackCode, frontier) -> DensityMatrix:
     return DensityMatrix(acc / np.trace(acc).real, code.dims)
 
 
-def average_final_state(code: FeedbackCode, word) -> DensityMatrix:
-    """Receiver's pre-decoding state for one codeword, averaged over outcomes."""
-    return _average_state(code, _walk(code, word)[-1])
-
-
-def _ehs_states(code: FeedbackCode, walks: dict, up_to: int) -> list[CqState]:
-    """EHS states for t = 0..up_to from the ``_walk`` frontiers of each word."""
+def _ehs_states(code: FeedbackCode, walks: dict) -> list[CqState]:
+    """EHS states for t = 0..n-1 from the ``_walk`` frontiers of each word."""
     n = code.n
     labels = [code.outcome_labels(j) for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
@@ -383,40 +376,38 @@ def _ehs_states(code: FeedbackCode, walks: dict, up_to: int) -> list[CqState]:
         xs += [0] * (n - 1 - len(xs))
         return word + tuple(xs)
 
-    per_time: list[list] = [[] for _ in range(up_to + 1)]
+    per_time: list[list] = [[] for _ in range(n)]
     for idx, word in enumerate(code.codebook.words):
         p_word = code.probs[idx]
         if p_word < PROB_FLOOR:
             continue
-        for t in range(up_to + 1):
+        for t in range(n):
             for history, p_path, states in walks[word][t]:
                 per_time[t].append((labelled(word, history), p_word * p_path, states[-1]))
     return [CqState(regs, code.dims, prune_branches(b)) for b in per_time]
 
 
-def ehs_states(code: FeedbackCode, up_to: int | None = None) -> list[CqState]:
-    """EHS states for t = 0..up_to (default n-1) from one walk per codeword.
+def ehs_states(code: FeedbackCode) -> list[CqState]:
+    """EHS states for t = 0..n-1 from one walk per codeword.
 
     Classical registers: A_1..A_n holding the codeword letters and
     X_1..X_{n-1} holding recorded outcomes (0 = not yet recorded, outcome k
     of M_j stored as its index + 1).  The quantum part of state t is
     omega^t, in which registers 0..t have passed through the channel.
     """
-    n = code.n
-    up_to = n - 1 if up_to is None else up_to
-    if not 0 <= up_to <= n - 1:
-        raise ValidationError(f"EHS time {up_to} out of range 0..{n - 1}")
     walks = {
         word: _walk(code, word)
         for idx, word in enumerate(code.codebook.words)
         if code.probs[idx] >= PROB_FLOOR
     }
-    return _ehs_states(code, walks, up_to)
+    return _ehs_states(code, walks)
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:
     """Joint classical-quantum state after t measured rounds (see ehs_states)."""
-    return ehs_states(code, up_to=t)[t]
+    if not 0 <= t <= code.n - 1:
+        raise ValidationError(f"EHS time {t} out of range 0..{code.n - 1}")
+    return ehs_states(code)[t]
 
 
 def outcome_chain(code: FeedbackCode) -> dict:
@@ -491,7 +482,7 @@ def with_pgm_decoder(code: FeedbackCode, weights) -> FeedbackCode:
     weigh the codewords as in ``pgm_decoder``.
     """
     words = code.codebook.words
-    finals = [average_final_state(code, w) for w in words]
+    finals = [_average_state(code, _walk(code, w)[-1]) for w in words]
     decoder = pgm_decoder(finals, weights, list(words))
     return replace(code, measurements=code.measurements[:-1] + (decoder,))
 

@@ -25,7 +25,6 @@ from .linalg import (
     left_product,
     partial_trace,
     pinv_sqrt,
-    psd_sqrt,
 )
 
 PROB_FLOOR = 1e-14
@@ -328,14 +327,21 @@ class SubPovm:
     def roots(self) -> tuple:
         """Measurement operators: (label, sqrt R) per effect, then (ER, sqrt remainder).
 
-        Remainder eigenvalues at or below COMPLETENESS_TOL count as zero: for
-        a square-root measurement the remainder is I minus a support
-        projector, so they are rounding noise, and their roots (~1e-8) would
-        make the 'er' operator depend on the last bits of the effects.
+        Eigenvalues of an effect or of the remainder at or below
+        COMPLETENESS_TOL count as zero, and one below -PSD_TOL raises.  They
+        lie inside the tolerance the measurement is checked to; for a
+        square-root measurement they are rounding noise, and their roots
+        (~1e-8) would make the operators depend on the last bits of the
+        effects.
         """
-        w, v = herm_eig(self.remainder)
-        w = np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))
-        return tuple((lab, psd_sqrt(m)) for lab, m in self.elements) + ((ER, (v * w) @ v.conj().T),)
+        out = []
+        for lab, m in self.elements + ((ER, self.remainder),):
+            w, v = herm_eig(m)
+            if w[-1] < -PSD_TOL:
+                raise linalg.LinalgError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
+            w = np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))
+            out.append((lab, (v * w) @ v.conj().T))
+        return tuple(out)
 
     def as_complete_povm(self) -> Povm:
         """The complete measurement of ``roots()``; the remainder routes to 'er'."""

@@ -638,7 +638,27 @@ def test_blocked_l3_errors_pinned(order):
     if order is not None:
         groups = [groups[i] for i in np.random.default_rng(order).permutation(len(groups))]
     flat = build_double_blocked_code(base, 3, delta=0.3, groups=groups)
-    want = (0.8261757527135054, 0.8635006579787098)
+    want = (0.8261757527082543, 0.8635006579787097)
+    assert np.allclose(error_probability(flat), want, rtol=0.0, atol=1e-12)
+
+
+def test_blocked_l3_error_ignores_projector_rounding(monkeypatch):
+    # Symmetrizing each conditional typical projector moves its entries by
+    # less than 1e-17.  Square roots of the PGM effects' rounding-noise
+    # eigenvalues would turn that into an error change far above the pin.
+    from qfeedback import achievability
+    from qfeedback.protocol import random_feedback_code
+
+    projector = achievability.cond_typical_projector
+
+    def symmetrized(*args, **kwargs):
+        p = projector(*args, **kwargs)
+        return 0.5 * (p + p.conj().T)
+
+    monkeypatch.setattr(achievability, "cond_typical_projector", symmetrized)
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    flat = build_double_blocked_code(base, 3, delta=0.3)
+    want = (0.8261757527082543, 0.8635006579787097)
     assert np.allclose(error_probability(flat), want, rtol=0.0, atol=1e-12)
 
 

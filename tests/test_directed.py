@@ -249,6 +249,31 @@ def test_rate_report_walks_each_codeword_once(monkeypatch):
     assert sorted(walked) == sorted(code.codebook.words)
 
 
+def test_verify_ddpi_walks_each_codeword_once(monkeypatch):
+    from qfeedback import directed, protocol
+
+    rng = np.random.default_rng(12)
+    code = random_feedback_code(rng, depolarizing_channel(0.2), 3, num_words=3)
+    want = verify_ddpi(code)
+    walked = []
+    walk = protocol._walk
+
+    def counted(code, word, *args, **kwargs):
+        walked.append(tuple(word))
+        return walk(code, word, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_ddpi walked the codewords again")
+
+    for mod in (protocol, directed):
+        monkeypatch.setattr(mod, "_walk", counted, raising=False)
+        monkeypatch.setattr(mod, "ehs_states", forbidden)
+        monkeypatch.setattr(mod, "ehs_state", forbidden)
+    monkeypatch.setattr(directed, "message_information", forbidden)
+    assert verify_ddpi(code) == want
+    assert sorted(walked) == sorted(code.codebook.words)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rate_report_equals_public_functions(n):
     # Seeded codes with feedback (n=3 has post-processing maps); every

@@ -1,10 +1,11 @@
 """Source hygiene checks written with the standard library's ``ast``.
 
 No linter is a dependency, so the checks that matter here are made by hand:
-every import in the library is used, every module-private definition is named
-somewhere else, and every function the benchmark's span tracer wraps still
-exists under its name.  Tolerances and floors are module constants: no
-function takes one as a parameter, so no caller can loosen a check per call.
+every import in the library is used and sits in its module's import block,
+every module-private definition is named somewhere else, and every function
+the benchmark's span tracer wraps still exists under its name.  Tolerances
+and floors are module constants: no function takes one as a parameter, so no
+caller can loosen a check per call.
 """
 
 import ast
@@ -51,6 +52,27 @@ def test_unused_import_detector():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function or method body, nested functions included."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    out.add(inner.lineno)
+    return [f"line {line}" for line in sorted(out)]
+
+
+def test_function_import_detector():
+    source = "import os\n\ndef f():\n    def g():\n        import re\n\nclass C:\n    def h(self):\n        from a import b\n"
+    assert function_imports(source) == ["line 5", "line 9"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
 
 
 def loosening_parameters(source: str) -> list[str]:

@@ -372,6 +372,23 @@ def test_validate_code_flags_bad_povm():
     assert any("M_1" in name for name, _ in rep.violations)
 
 
+def test_validate_code_flags_nan_completeness_defects():
+    # A NaN defect fails "defect > tol"; both completeness checks must flag it.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    outcome = next(iter(code.feedback[2]))
+    feedback = {**code.feedback, 2: {**code.feedback[2], outcome: (nan,)}}
+    rep = validate_code(dataclasses.replace(code, feedback=feedback))
+    assert [name for name, _ in rep.violations] == [f"feedback round 2 outcome {outcome!r}: completeness"]
+
+    bad_povm = Povm.__new__(Povm)
+    object.__setattr__(bad_povm, "elements", ((0, nan), (1, nan)))
+    object.__setattr__(bad_povm, "mode", "complete")
+    measurements = (bad_povm,) + code.measurements[1:]
+    rep = validate_code(dataclasses.replace(code, measurements=measurements))
+    assert [name for name, _ in rep.violations] == ["M_1: completeness defect (history=())"]
+
+
 def test_validate_trivial_one_round_code():
     code = two_word_basis_code(identity_channel(2), n=1)
     assert validate_code(code).ok
