@@ -355,19 +355,6 @@ def _label_parts(q: int, n: int, l: int, lab):
     return (lab if glob is not None else None), (lab if base_comp else None)
 
 
-def _history_parts(history, n: int, l: int):
-    """Prior global blocks and per-copy base outcome tuples from a flat history."""
-    r_blocks = []
-    k_hists = [() for _ in range(l)]
-    for q, lab in enumerate(history, start=1):
-        r, kb = _label_parts(q, n, l, lab)
-        if r is not None:
-            r_blocks.append(r)
-        if kb is not None:
-            k_hists[q % l] += (kb,)
-    return r_blocks, k_hists
-
-
 def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
     """Joint posterior over groups given prior global outcomes and base outcomes.
 
@@ -470,72 +457,59 @@ def build_double_blocked_code(
     )
 
     tables = base_prefix_tables(base)
-    base_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
-
-    def slot_povm(q: int, history):
-        _, t = _slot_components(q, n, l)
-        base_povm = base_povms[q]
-        if t is None:
-            # Slots before copy l's first letter measure nothing; each has one history.
-            return base_povm or Povm(((0, identity(d**q)),))
-        r_blocks, k_hists = _history_parts(history, n, l)
-        post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
-        roots = ((ER, identity(d**q)),)
-        if post:
-            gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta)
-            roots = square_root_measurement(gammas).roots()
-        if t == n:
-            # The last global outcome names the flat codeword: all blocks in order.
-            roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
-        if base_povm is not None:
-            roots = [
-                ((r_lab, b_lab), f @ root) for r_lab, root in roots for b_lab, f in base_povm.elements
-            ]
-        return Povm(tuple(roots))
-
-    tables_by_slot: list[dict] = [dict() for _ in range(nl)]
+    slots: list[dict] = []
     feedback: dict = {}
-
-    def record_feedback(q: int, povm: Povm):
-        base_comp, _ = _slot_components(q, n, l)
+    # Each open history carries its prior global blocks and per-copy base outcomes.
+    histories = {(): ((), ((),) * l)}
+    for q in range(1, nl + 1):
+        base_comp, t = _slot_components(q, n, l)
+        base_povm = _base_slot_povm(base, q, l)
+        c = q % l  # copy j - 1, whose base outcomes slot q extends
+        slot, following, base_outcome = {}, {}, {}
+        for history, (r_blocks, k_hists) in histories.items():
+            if t is None:
+                # Slots before copy l's first letter measure nothing; each has one history.
+                povm = base_povm or Povm(((0, identity(d**q)),))
+            else:
+                post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
+                roots = ((ER, identity(d**q)),)
+                if post:
+                    gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta)
+                    roots = square_root_measurement(gammas).roots()
+                if t == n:
+                    # The last global outcome names the flat codeword: all blocks in order.
+                    roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
+                if base_povm is not None:
+                    roots = [((r, b), f @ m) for r, m in roots for b, f in base_povm.elements]
+                povm = Povm(tuple(roots))
+            slot[history] = povm
+            for lab in povm.labels:
+                r, kb = _label_parts(q, n, l, lab)
+                base_outcome[lab] = kb
+                ks = k_hists if kb is None else k_hists[:c] + (k_hists[c] + (kb,),) + k_hists[c + 1 :]
+                following[history + (lab,)] = (r_blocks if r is None else r_blocks + (r,), ks)
+        slots.append(slot)
+        histories = following
         if base_comp is None:
-            return
+            continue
+        # Copy j's round-(k+1) feedback on its registers k+1..n-1, placed once
+        # per base outcome and keyed by every flat label carrying that outcome.
         j, k = base_comp
-        m_flat = q + 1
-        targets = [s * l + (j - 1) - m_flat for s in range(k + 1, n)]
-        if not targets:
-            return
-        suffix_dims = (d,) * (nl - m_flat)
-        per = feedback.setdefault(m_flat, {})
-        for lab in povm.labels:
-            if lab in per:
-                continue
-            _, b_lab = _label_parts(q, n, l, lab)
-            base_kraus = base.feedback_kraus(k + 1, b_lab)
-            if base_kraus is None:
-                continue
-            per[lab] = tuple(
-                embed_operator(np.asarray(mk, dtype=complex), suffix_dims, targets)
-                for mk in base_kraus
-            )
-        if not per:
-            feedback.pop(m_flat, None)
-
-    def visit(q: int, history):
-        if q > nl:
-            return
-        povm = slot_povm(q, history)
-        tables_by_slot[q - 1][history] = povm
-        record_feedback(q, povm)
-        for lab in povm.labels:
-            visit(q + 1, history + (lab,))
-
-    visit(1, ())
+        targets = [s * l + (j - 1) - (q + 1) for s in range(k + 1, n)]
+        kraus = {b: base.feedback_kraus(k + 1, b) for b in base_povm.labels} if targets else {}
+        placed = {
+            b: tuple(embed_operator(mk, (d,) * (nl - q - 1), targets) for mk in ops)
+            for b, ops in kraus.items()
+            if ops is not None
+        }
+        per = {lab: placed[b] for lab, b in base_outcome.items() if b in placed}
+        if per:
+            feedback[q + 1] = per
 
     # A slot whose every history shares one Povm object is a fixed measurement.
     measurements = tuple(
         next(iter(tab.values())) if len({id(p) for p in tab.values()}) == 1 else tab
-        for tab in tables_by_slot
+        for tab in slots
     )
     probs = tuple(float(p) for p in gprobs)
     return FeedbackCode(book, base.channel, probs, flat_states, measurements, feedback)

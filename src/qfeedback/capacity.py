@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directed import directed_information_total
-from .linalg import identity, kron_all
+from .linalg import kron_all
 from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
     Ensemble,
-    Povm,
     QuantumChannel,
     ValidationError,
     apply_channel,
@@ -299,7 +298,8 @@ class FeedbackCodeFamily:
         return x
 
     def build(self, x: np.ndarray, with_decoder: bool = False) -> FeedbackCode:
-        n, d = self.n, 2
+        """The code at ``x``. M_n is None unless ``with_decoder``: the objective never reads it."""
+        n = self.n
         probs = simplex_projection(x[self.prob_block])
         base = self.num_words
         letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(self.alphabet)]
@@ -321,10 +321,9 @@ class FeedbackCodeFamily:
 
         book = Codebook(self.alphabet, n, self.words)
         probs_t = tuple(float(p) for p in probs)
-        if not with_decoder:
-            dummy = Povm(((self.words[0], identity(d**n)),))
-            return FeedbackCode(book, self.channel, probs_t, states, tuple(measurements) + (dummy,), feedback)
         partial = FeedbackCode(book, self.channel, probs_t, states, tuple(measurements) + (None,), feedback)
+        if not with_decoder:
+            return partial
         weights = [max(p, 1e-12) for p in probs_t]
         total = sum(weights)
         return with_pgm_decoder(partial, [w / total for w in weights])

@@ -168,20 +168,22 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
 
 
 def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_probs=None) -> float:
-    """(1 + P_e n R + I(M:K_1^n)) / n in bits, the converse's outer bound, R = log2(#messages) / n."""
+    """epsilon_n + I(M:K_1^n)/n in bits, the converse's outer bound.
+
+    epsilon_n = (1 + P_e n R)/n with R = log2(#messages)/n, as in ``rate_report``.
+    """
     table, _, averages, transcripts = _walked(code, message_map, message_probs)
-    message_map, msgs, probs = table
-    rate = np.log2(len(msgs)) / code.n if len(msgs) > 1 else 0.0
     _, i_mk = _message_informations(*table, averages, transcripts)
-    p_err = _message_error(message_map, probs, transcripts)
-    return float((1.0 + p_err * code.n * rate + i_mk) / code.n)
+    return float(_fano(code.n, table, transcripts, i_mk)[2])
 
 
-def _message_error(message_map, probs, transcripts) -> float:
-    err = 0.0
-    for m, w in message_map.items():
-        err += probs[m] * (1.0 - _p_correct(transcripts[w], w))
-    return err
+def _fano(n: int, table, transcripts, i_mk: float) -> tuple[float, float, float]:
+    """(R, epsilon_n, Fano bound) of a message table, for ``fano_bound`` and ``rate_report``."""
+    message_map, msgs, probs = table
+    rate = float(np.log2(len(msgs)) / n) if len(msgs) > 1 else 0.0
+    p_err = sum(probs[m] * (1.0 - _p_correct(transcripts[w], w)) for m, w in message_map.items())
+    eps = (1.0 + p_err * n * rate) / n
+    return rate, eps, eps + i_mk / n
 
 
 def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport:
@@ -196,16 +198,13 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     num = len(words)
     probs = {i: 1.0 / num for i in range(num)} if uniform_messages else None
     table, walks, averages, transcripts = _walked(code, None, probs)
-    message_map, _, probs = table
+    _, _, probs = table
     states = _ehs_states(code, walks)
     terms = _terms(states)
     final = float(sum(_terms([states[-1]] * n)))
     i_mz, i_mk = _message_informations(*table, averages, transcripts)
-    p_err = _message_error(message_map, probs, transcripts)
     avg_err, max_err = _error_figures(code, (_p_correct(transcripts[w], w) for w in words))
-    rate = float(np.log2(num) / n) if num > 1 else 0.0
-    eps = (1.0 + p_err * n * rate) / n
-    fano = eps + i_mk / n
+    rate, eps, fano = _fano(n, table, transcripts, i_mk)
     h_m = shannon(probs.values()) / n
     report = RateReport(
         n=n,

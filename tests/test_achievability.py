@@ -672,3 +672,61 @@ def test_non_positive_or_nan_delta_rejected(delta):
         typicality_bounds_check(density([[0.75, 0.0], [0.0, 0.25]]), 4, delta)
     with pytest.raises(ValidationError, match="positive"):
         build_double_blocked_code(one_block_code(depolarizing_channel(0.1)), 2, delta=delta)
+
+
+def _independent_copies_miss(flat, base, l):
+    # Largest distance, over every branch on the last frontier of the flat walk,
+    # between the flat state and the interleaved product of l independent base
+    # walks, each copy conditioned on its own base outcomes in the flat history.
+    from qfeedback.achievability import _copy_to_flat_perm, _label_parts
+    from qfeedback.linalg import kron_all, permute_registers
+    from qfeedback.protocol import _walk
+
+    n, nl = base.n, flat.n
+    worst, branches = 0.0, 0
+    for word in flat.codebook.words:
+        copies = [{h: states[-1] for h, _, states in _walk(base, word[j::l])[-1]} for j in range(l)]
+        for history, _, states in _walk(flat, word)[-1]:
+            outcomes = [() for _ in range(l)]
+            for q, lab in enumerate(history, start=1):
+                b = _label_parts(q, n, l, lab)[1]
+                if b is not None:
+                    outcomes[q % l] += (b,)
+            omegas = [copies[j][outcomes[j]].mat for j in range(l)]
+            want = permute_registers(kron_all(omegas), flat.dims, _copy_to_flat_perm(n, l))
+            worst = max(worst, float(np.max(np.abs(states[-1].mat - want))))
+            branches += 1
+    return worst, branches
+
+
+def test_double_blocked_feedback_matches_independent_copies():
+    # At delta=5 every eigenstring is typical, so every Gamma_r is the identity
+    # and each global round is sqrt(1/N) I: the flat state after the last
+    # update is then the interleaved product of the copies' own states.  The
+    # n=3 base has round-2 feedback for both outcomes, which the flat code
+    # must place on each copy's last register.
+    import dataclasses
+
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=2)
+    flat = build_double_blocked_code(base, 2, delta=5.0)
+    assert flat.feedback
+    worst, branches = _independent_copies_miss(flat, base, 2)
+    assert branches == 64
+    assert worst < 1e-12
+    # Without its feedback the flat code misses the oracle by far.
+    assert _independent_copies_miss(dataclasses.replace(flat, feedback={}), base, 2)[0] > 0.1
+
+
+def test_cumulative_disturbance_through_feedback():
+    # An n=3 base with round-2 feedback: each branch's global rounds 2 and 3
+    # follow feedback placed on the flat registers still to be sent.
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=2)
+    records = cumulative_disturbance_report(base, 2, delta=0.5)
+    assert len(records) == 104
+    assert {r.round for r in records} == {1, 2, 3}
+    for rec in records:
+        assert rec.distance <= rec.bound + 1e-9, rec

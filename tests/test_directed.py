@@ -194,6 +194,17 @@ def test_fano_bound_dominates_message_entropy():
         assert h_rate <= b + 1e-9
 
 
+def test_fano_bound_equals_rate_report_field():
+    # One formula, eps_n + I(M:K)/n, under both message laws: the bound written
+    # as (1 + P_e n R + I(M:K))/n differed in the last bit on 7 of these codes
+    # under the uniform law (seed 2 first) and on 9 under the ensemble law.
+    uniform = {i: 1.0 / 3 for i in range(3)}
+    for seed in range(30):
+        code = random_feedback_code(np.random.default_rng(seed), depolarizing_channel(0.2), 3, num_words=3)
+        assert fano_bound(code, message_probs=uniform) == rate_report(code).fano_bound, seed
+        assert fano_bound(code) == rate_report(code, uniform_messages=False).fano_bound, seed
+
+
 def test_rate_report_consistency():
     rng = np.random.default_rng(8)
     code = random_feedback_code(rng, depolarizing_channel(0.2), 2, num_words=2)

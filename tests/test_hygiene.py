@@ -2,15 +2,17 @@
 
 No linter is a dependency, so the checks that matter here are made by hand:
 every import in the library is used and sits in its module's import block,
-every module-private definition is named somewhere else, and every function
-the benchmark's span tracer wraps still exists under its name.  Tolerances
-and floors are module constants: no function takes one as a parameter, so no
-caller can loosen a check per call.
+every module-private definition is named somewhere else, every function the
+benchmark's span tracer wraps still exists under its name, and the README's
+example runs as written.  Tolerances and floors are module constants: no
+function takes one as a parameter, so no caller can loosen a check per call.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
 from pathlib import Path
 
@@ -156,3 +158,14 @@ def test_every_private_definition_is_named_elsewhere():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = {"spans.py": (ROOT / "bench" / "spans.py").read_text()}
     assert unnamed_privates(sources, readers) == []
+
+
+def test_readme_example_runs():
+    # The README's one Python block, run as written: its last print is the
+    # n=1 optimizer rate, documented there as ~0.7136 bits per use.
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert abs(float(out.getvalue().splitlines()[-1]) - 0.7136) <= 1e-3
