@@ -31,7 +31,6 @@ from .cqstate import (  # noqa: F401
     conditional_mutual_information,
     cq_entropy,
     marginalize,
-    materialize,
     mutual_information,
 )
 from .protocol import (  # noqa: F401
@@ -43,9 +42,7 @@ from .protocol import (  # noqa: F401
     ehs_states,
     enumerate_transcripts,
     error_probability,
-    outcome_chain,
     random_feedback_code,
-    round_update,
     round_zero,
     sample_transcript,
     validate_code,

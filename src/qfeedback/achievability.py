@@ -11,7 +11,7 @@ the posterior ensembles via the square-root recipe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .protocol import (
     Codebook,
     FeedbackCode,
     product_states,
-    round_zero,
-    _post_process,
+    _branch,
+    _start,
+    _updated,
     _walk,
 )
 from .quantum import (
@@ -43,10 +44,7 @@ from .quantum import (
     Povm,
     SubPovm,  # noqa: F401  (re-exported: the effect form lives next to Povm)
     ValidationError,
-    apply_channel_at,
     entropy,
-    measure,
-    measure_probabilities,
     square_root_measurement,
 )
 
@@ -315,10 +313,9 @@ def _copy_to_flat_perm(n: int, l: int) -> list[int]:
 def base_prefix_tables(code: FeedbackCode) -> list[dict]:
     """For t = 0..n-1: (word, k_1^t) -> (P(k_1^t | word), omega^t)."""
     tables: list[dict] = [dict() for _ in range(code.n)]
-    for word in code.codebook.words:
-        for table, frontier in zip(tables, _walk(code, word)):
-            for history, p_path, states in frontier:
-                table[(word, history)] = (p_path, states[-1])
+    for t, front in _walk(code, code.codebook.words):
+        for w, history, p_path, omega in zip(front.word, front.history, front.prob, front.states):
+            tables[t][(code.codebook.words[w], history)] = (float(p_path), DensityMatrix(omega, code.dims))
     return tables
 
 
@@ -546,6 +543,24 @@ class DisturbanceRecord:
         return self.distance <= self.bound + 1e-9
 
 
+def _reference_code(base: FeedbackCode, flat: FeedbackCode, l: int) -> FeedbackCode:
+    """``flat`` as independent copies, without its global rounds.
+
+    Slot q measures copy j's base M_k alone (``_base_slot_povm``) or
+    nothing, and the feedback is ``flat``'s, keyed by the base outcome of
+    each flat label.
+    """
+    n, d = base.n, base.channel.in_dim
+    measurements = tuple(
+        _base_slot_povm(base, q, l) or Povm(((None, identity(d**q)),)) for q in range(1, n * l + 1)
+    )
+    feedback = {
+        m: {_label_parts(m - 1, n, l, lab)[1]: ops for lab, ops in per.items()}
+        for m, per in flat.feedback.items()
+    }
+    return replace(flat, measurements=measurements, feedback=feedback)
+
+
 def cumulative_disturbance_report(
     base: FeedbackCode,
     l: int,
@@ -563,60 +578,43 @@ def cumulative_disturbance_report(
     every global round.
     """
     flat = build_double_blocked_code(base, l, delta=delta, groups=groups)
+    ref = _reference_code(base, flat, l)
     n = base.n
-    nl = n * l
-    ref_povms = {q: _base_slot_povm(base, q, l) for q in range(1, nl + 1)}
     records: list[DisturbanceRecord] = []
 
     for word in flat.codebook.words:
         group = tuple(word[j::l] for j in range(l))
-        start = round_zero(flat, word)
-        branches = [((), 1.0, start, start, ())]
-        for q in range(1, nl + 1):
-            base_comp, glob = _slot_components(q, n, l)
+        start = _start(flat, [word])
+        branches = [(1.0, start, start, ())]
+        for q in range(1, n * l + 1):
+            glob = _slot_components(q, n, l)[1]
             if glob is not None:
                 correct_r = word if glob == n else word[(glob - 1) * l : glob * l]
             new = []
-            for history, p_path, rho_flat, rho_ref, eps in branches:
-                # Slot q is update q+1 of the flat code (channel on register q, then
-                # M_q); the last slot is its final measurement, with no channel use.
-                if q < nl:
-                    rho_flat = apply_channel_at(flat.channel, rho_flat, q)
-                    rho_ref = apply_channel_at(flat.channel, rho_ref, q)
-                povm = flat.measurement(q, history)
+            for p_path, front_f, front_r, eps in branches:
+                # Slot q is update q+1 of both codes (channel on register q, M_q,
+                # feedback); the last slot is the final measurement alone.
+                povm = flat.measurement(q, front_f.history[0])
                 if glob is not None:
                     correct = [lab for lab in povm.labels if _label_parts(q, n, l, lab)[0] == correct_r]
                     if not correct:
                         continue  # correct outcome unreachable on this branch
-                    probs = measure_probabilities(povm, rho_ref)
-                    overlap = sum(probs.get(lab, 0.0) for lab in correct)
+                    seen = _updated(flat, q + 1, povm, front_r)
+                    overlap = sum(p for h, p in zip(seen.history, seen.prob.tolist()) if h[-1] in correct)
                     eps = eps + (max((1.0 - overlap) / 3.0, 0.0),)
-                ref_branches = measure(ref_povms[q], rho_ref) if base_comp else None
-                for lab, (p_flat, rho_f) in measure(povm, rho_flat).items():
-                    r_lab, b_lab = _label_parts(q, n, l, lab)
-                    if glob is not None and r_lab != correct_r:
+                kids_r = _updated(ref, q + 1, ref.measurement(q), front_r)
+                refs = {h[-1]: b for b, h in enumerate(kids_r.history)}
+                kids_f = _updated(flat, q + 1, povm, front_f)
+                for b, (outcomes, p_flat) in enumerate(zip(kids_f.history, kids_f.prob.tolist())):
+                    r_lab, b_lab = _label_parts(q, n, l, outcomes[-1])
+                    if (glob is not None and r_lab != correct_r) or b_lab not in refs:
                         continue
-                    rho_r = rho_ref
-                    if base_comp is not None:
-                        ref = ref_branches.get(b_lab)
-                        if ref is None:
-                            continue
-                        rho_r = ref[1]
-                    rho_f = _post_process(flat, q + 1, lab, rho_f)
-                    rho_r = _post_process(flat, q + 1, lab, rho_r)
-                    nb = (history + (lab,), p_path * p_flat, rho_f, rho_r, eps)
+                    rho_f, rho_r = kids_f.states[b], kids_r.states[refs[b_lab]]
                     if glob is not None:
-                        records.append(
-                            DisturbanceRecord(
-                                group,
-                                nb[0],
-                                glob,
-                                nb[1],
-                                float(trace_norm(rho_f.mat - rho_r.mat)),
-                                cumulative_disturbance_bound(eps),
-                                eps,
-                            )
-                        )
-                    new.append(nb)
+                        distance = float(trace_norm(rho_f - rho_r))
+                        bound = cumulative_disturbance_bound(eps)
+                        prob = p_path * p_flat
+                        records.append(DisturbanceRecord(group, outcomes, glob, prob, distance, bound, eps))
+                    new.append((p_path * p_flat, _branch(kids_f, b), _branch(kids_r, refs[b_lab]), eps))
             branches = new
     return records

@@ -25,6 +25,7 @@ from .quantum import (
     bloch_state,
     euler_unitary,
     holevo_chi,
+    holevo_chis,
     pure_state,
     rotated_qubit_povm,
 )
@@ -213,30 +214,22 @@ def grid_search_chi(
 ) -> float:
     """Dense-grid oracle: best chi over two-state Bloch-sphere ensembles.
 
-    Covers roughly n_theta^2 * n_phi^2 * n_prob points (about 10^4 at the
-    defaults) including the exact poles and the balanced mixture.
+    Covers every unordered pair of the n_theta * n_phi grid outputs at each
+    interior weight of the n_prob grid (4,410 mixtures at the defaults),
+    including the exact poles and the balanced mixture, as one ``holevo_chis``.
     """
     if channel.in_dim != 2:
         raise ValidationError("grid oracle is for qubit channels")
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     probs = np.linspace(0.0, 1.0, n_prob)
-    outputs = {}
-    for t in thetas:
-        for f in phis:
-            outputs[(t, f)] = apply_channel(channel, bloch_state(t, f))
-    best = 0.0
-    keys = list(outputs)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            r1, r2 = outputs[k1], outputs[k2]
-            for p in probs:
-                if p < 1e-12 or p > 1 - 1e-12:
-                    continue
-                chi = holevo_chi(Ensemble(((float(p), r1), (float(1 - p), r2))))
-                if chi > best:
-                    best = chi
-    return best
+    probs = probs[(probs >= 1e-12) & (probs <= 1 - 1e-12)]
+    outputs = np.array([apply_channel(channel, bloch_state(t, f)).mat for t in thetas for f in phis])
+    i, j = np.triu_indices(len(outputs))
+    pairs = np.repeat(np.stack([i, j], axis=1), len(probs), axis=0)
+    p = np.tile(probs, len(i))
+    chis = holevo_chis(np.stack([p, 1.0 - p], axis=1), pairs, outputs)
+    return float(max(0.0, chis.max(initial=0.0)))
 
 
 # ----------------------------------------------------------------------------

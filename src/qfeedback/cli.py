@@ -39,7 +39,8 @@ from .protocol import (
     FeedbackCode,
     _error_figures,
     _p_correct,
-    enumerate_transcripts,
+    _transcripts,
+    _walk,
     random_feedback_code,
     sample_transcript,
     validate_code,
@@ -112,14 +113,13 @@ def cmd_simulate(args) -> int:
     report: dict = {"command": "simulate", "seed": args.seed, "n": code.n}
     try:
         exact: dict[str, float] = {}
-        p_correct = []
-        for idx, word in enumerate(code.codebook.words):
-            transcripts = enumerate_transcripts(code, word)
-            for tr in transcripts:
-                key = _outcome_key(tr.outcomes)
-                exact[key] = exact.get(key, 0.0) + code.probs[idx] * tr.probability
-            p_correct.append(_p_correct(transcripts, word))
+        words = code.codebook.words
+        laws = _transcripts(code, _walk(code, words))
+        for prob, word in zip(code.probs, words):
+            for outcomes, p in laws[word]:
+                exact[_outcome_key(outcomes)] = exact.get(_outcome_key(outcomes), 0.0) + prob * p
         report["exact_outcome_distribution"] = {k: exact[k] for k in sorted(exact)}
+        p_correct = [_p_correct(laws[w], w) for w in words]
         report["average_error"], report["max_error"] = _error_figures(code, p_correct)
     except CapExceededError:
         if not args.samples:

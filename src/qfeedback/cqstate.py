@@ -1,10 +1,12 @@
 """Classical-quantum states over labeled classical and quantum registers.
 
 A CqState is a weighted list of branches, each pairing a tuple of classical
-labels with a quantum state.  The full block-diagonal matrix is never built
-except on demand as a cross-check oracle (``materialize``); entropies and
-mutual informations run on the branch decomposition, which is what keeps
-protocol states with many classical registers tractable.
+labels with a quantum state, stored as stacks: a (B, C) label array, a (B,)
+weight array and a (B, D, D) state array.  The full block-diagonal matrix is
+never built; entropies and mutual informations run on the branch
+decomposition, one batched partial trace and one stacked eigvalsh per
+entropy, which is what keeps protocol states with many classical registers
+tractable.
 """
 
 from __future__ import annotations
@@ -18,60 +20,85 @@ from .quantum import (
     PROB_FLOOR,
     DensityMatrix,
     ValidationError,
-    entropy,
-    entropy_of,
+    check_states,
+    entropies,
     shannon,
 )
 
-MATERIALIZE_CAP = 4096
 WEIGHT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CqState:
-    """Block-diagonal state: sum_a w_a |a><a| (x) rho_a with tuple labels a."""
+    """Block-diagonal state: sum_a w_a |a><a| (x) rho_a with tuple labels a.
+
+    Built from (label tuple, weight, DensityMatrix) branches, or by
+    ``stacked`` from (B, C) labels, (B,) weights and (B, D, D) states that
+    have passed ``check_states``.
+    """
 
     classical_registers: tuple[tuple[str, int], ...]
     quantum_dims: tuple[int, ...]
-    branches: tuple[tuple[tuple[int, ...], float, DensityMatrix], ...]
+    labels: np.ndarray
+    weights: np.ndarray
+    states: np.ndarray
 
-    def __post_init__(self):
-        regs = tuple((str(n), int(s)) for n, s in self.classical_registers)
-        names = [n for n, _ in regs]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate classical register names")
-        qdims = tuple(int(d) for d in self.quantum_dims)
-        branches = tuple((tuple(int(x) for x in lab), float(w), rho) for lab, w, rho in self.branches)
-        if not branches:
-            raise ValidationError("CqState needs at least one branch")
-        seen = set()
-        total = 0.0
-        for lab, w, rho in branches:
+    def __init__(self, classical_registers, quantum_dims, branches):
+        regs, branches = tuple(classical_registers), tuple(branches)
+        qdims = tuple(int(d) for d in quantum_dims)
+        for lab, _, rho in branches:
             if len(lab) != len(regs):
                 raise ValidationError("label tuple length does not match registers")
-            for x, (_, size) in zip(lab, regs):
-                if not 0 <= x < size:
-                    raise ValidationError(f"label {lab} outside register alphabets")
-            if lab in seen:
-                raise ValidationError(f"duplicate branch label {lab}")
-            seen.add(lab)
-            if not w >= -1e-12:  # "not >=" so that a NaN weight fails
-                raise ValidationError("negative branch weight")
             if rho.dims != qdims:
                 raise ValidationError("branch state shape mismatch")
-            total += w
+        labels = np.array([[int(x) for x in lab] for lab, _, _ in branches], dtype=int)
+        weights = np.array([float(w) for _, w, _ in branches])
+        states = np.array([rho.mat for _, _, rho in branches])
+        self._fill(regs, qdims, labels.reshape(len(branches), len(regs)), weights, states)
+
+    @classmethod
+    def stacked(cls, classical_registers, quantum_dims, labels, weights, states) -> "CqState":
+        self = object.__new__(cls)
+        self._fill(tuple(classical_registers), tuple(quantum_dims), labels, weights, states)
+        return self
+
+    def _fill(self, regs, qdims, labels, weights, states):
+        regs = tuple((str(n), int(s)) for n, s in regs)
+        if len({n for n, _ in regs}) != len(regs):
+            raise ValidationError("duplicate classical register names")
+        if not len(weights):
+            raise ValidationError("CqState needs at least one branch")
+        if labels.shape != (len(weights), len(regs)):
+            raise ValidationError("label tuple length does not match registers")
+        if states.shape[1:] != (int(np.prod(qdims)),) * 2:
+            raise ValidationError("branch state shape mismatch")
+        sizes = [s for _, s in regs]
+        outside = ((labels < 0) | (labels >= np.array(sizes, dtype=int))).any(axis=1)
+        if outside.any():
+            raise ValidationError(f"label {_label(labels[outside][0])} outside register alphabets")
+        group, first = _first_seen(labels)
+        if len(first) != len(group):
+            dup = np.flatnonzero(np.bincount(group) > 1)[0]
+            raise ValidationError(f"duplicate branch label {_label(labels[first[dup]])}")
+        if not np.all(weights >= -1e-12):  # "not >=" so that a NaN weight fails
+            raise ValidationError("negative branch weight")
+        total = float(np.cumsum(weights)[-1])
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"branch weights sum to {total:.12g}")
-        object.__setattr__(self, "classical_registers", regs)
-        object.__setattr__(self, "quantum_dims", qdims)
-        object.__setattr__(self, "branches", branches)
+        fields = dict(classical_registers=regs, quantum_dims=qdims, labels=labels, weights=weights, states=states)
+        vars(self).update(fields)  # the dataclass is frozen: its fields are set once, here
+
+    @property
+    def branches(self) -> tuple:
+        """(label tuple, weight, DensityMatrix) per branch."""
+        return tuple(
+            (_label(lab), float(w), DensityMatrix(rho, self.quantum_dims))
+            for lab, w, rho in zip(self.labels, self.weights, self.states)
+        )
 
     @property
     def quantum_dim(self) -> int:
-        d = 1
-        for x in self.quantum_dims:
-            d *= x
-        return d
+        return int(np.prod(self.quantum_dims))
 
     def register_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.classical_registers):
@@ -80,13 +107,29 @@ class CqState:
         raise ValidationError(f"unknown classical register {name!r}")
 
 
-def prune_branches(branches):
-    """Drop branches below PROB_FLOOR and renormalize."""
-    kept = [(lab, w, rho) for lab, w, rho in branches if w >= PROB_FLOOR]
-    if not kept:
+def _label(row) -> tuple[int, ...]:
+    return tuple(int(x) for x in row)
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index of each row of ``keys`` (groups in first-seen order) and each group's first row."""
+    ids: dict = {}
+    group, first = [], []
+    for b, row in enumerate(map(tuple, keys.tolist())):
+        if row not in ids:
+            ids[row] = len(first)
+            first.append(b)
+        group.append(ids[row])
+    return np.array(group, dtype=int), np.array(first, dtype=int)
+
+
+def pruned(labels, weights, states):
+    """Drop branches below PROB_FLOOR and renormalize, summing the weights in branch order."""
+    keep = weights >= PROB_FLOOR
+    if not keep.any():
         raise ValidationError("all branches fell below the weight floor")
-    total = sum(w for _, w, _ in kept)
-    return tuple((lab, w / total, rho) for lab, w, rho in kept)
+    kept = weights[keep]
+    return labels[keep], kept / np.cumsum(kept)[-1], states[keep]
 
 
 def _split_keys(state: CqState, keys):
@@ -108,44 +151,40 @@ def _split_keys(state: CqState, keys):
     return classical, sorted(quantum)
 
 
-def _grouped_marginals(state: CqState, cls, qnt) -> list:
-    """(label, weight, unnormalized quantum marginal) per group of branches sharing classical registers ``cls``.
+def _grouped_marginals(state: CqState, cls, qnt):
+    """Branches grouped by their labels on classical registers ``cls``, in first-seen order.
 
-    Groups keep first-seen order; the marginal on quantum registers ``qnt``
-    is None when ``qnt`` is empty or the group weighs less than PROB_FLOOR.
+    Returns each group's label on ``cls``, its weight and, when ``qnt`` is
+    not empty, the unnormalized marginal on quantum registers ``qnt`` (else
+    None).  Weights and marginals are summed in branch order.
     """
-    groups: dict[tuple[int, ...], list] = {}
-    for lab, w, rho in state.branches:
-        groups.setdefault(tuple(lab[i] for i in cls), []).append((w, rho))
-    out = []
-    for key, g in groups.items():
-        w_g = sum(w for w, _ in g)
-        acc = None
-        if qnt and w_g >= PROB_FLOOR:
-            for w, rho in g:
-                red = partial_trace(rho.mat, rho.dims, qnt)
-                acc = w * red if acc is None else acc + w * red
-        out.append((key, w_g, acc))
-    return out
+    keys = state.labels[:, cls]
+    group, first = _first_seen(keys)
+    weights = np.bincount(group, state.weights, minlength=len(first))
+    marginals = None
+    if qnt:
+        reduced = partial_trace(state.states, state.quantum_dims, qnt)
+        marginals = np.zeros((len(first),) + reduced.shape[1:], dtype=complex)
+        np.add.at(marginals, group, state.weights[:, None, None] * reduced)
+    return keys[first], weights, marginals
 
 
 def cq_entropy(state: CqState, classical=(), quantum=()) -> float:
     """Entropy (bits) of the marginal on the named classical and quantum registers.
 
-    Uses S = H(label marginal) + sum_a p_a S(rho_a) on the block decomposition.
+    Uses S = H(label marginal) + sum_a p_a S(rho_a) on the block decomposition:
+    one batched partial trace, one grouped weighted sum, one stacked eigvalsh.
     """
     if isinstance(classical, str):
         classical = (classical,)
     cls, qnt = _split_keys(state, (*classical, *quantum))
-    groups = _grouped_marginals(state, cls, qnt)
-    h = shannon([w_g for _, w_g, _ in groups])
+    _, w_g, marginals = _grouped_marginals(state, cls, qnt)
+    h = shannon(w_g)
     if not qnt:
         return h
-    total_entropy = 0.0
-    for _, w_g, acc in groups:
-        if acc is not None:
-            total_entropy += w_g * entropy_of(acc / w_g)
-    return h + total_entropy
+    keep = w_g >= PROB_FLOOR
+    terms = w_g[keep] * entropies(marginals[keep] / w_g[keep, None, None])
+    return h + float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
 def mutual_information(state: CqState, part_a, part_b) -> float:
@@ -175,49 +214,15 @@ def marginalize(state: CqState, drop_classical=(), drop_quantum=()) -> CqState:
     keep_c = [i for i in range(len(state.classical_registers)) if i not in drop_c]
     keep_q = [i for i in range(len(state.quantum_dims)) if i not in drop_q]
     new_qdims = tuple(state.quantum_dims[i] for i in keep_q)
-    out = []
-    for key, w_g, acc in _grouped_marginals(state, keep_c, keep_q):
-        if w_g < PROB_FLOOR:
-            continue
-        if new_qdims:
-            out.append((key, w_g, DensityMatrix(acc / w_g, new_qdims)))
-        else:
-            out.append((key, w_g, DensityMatrix(np.array([[1.0 + 0j]]), (1,))))
-    return CqState(
+    labels, w_g, marginals = _grouped_marginals(state, keep_c, keep_q)
+    keep = w_g >= PROB_FLOOR
+    if new_qdims:
+        states = marginals[keep] / w_g[keep, None, None]
+        check_states(states)
+    else:
+        states = np.ones((int(keep.sum()), 1, 1), dtype=complex)
+    return CqState.stacked(
         tuple(state.classical_registers[i] for i in keep_c),
         new_qdims or (1,),
-        prune_branches(out),
+        *pruned(labels[keep], w_g[keep], states),
     )
-
-
-def materialize(state: CqState) -> DensityMatrix:
-    """Block-diagonal embedding with classical labels as orthonormal basis states.
-
-    Intended as a small-dimension test oracle; guarded by MATERIALIZE_CAP.
-    """
-    sizes = [s for _, s in state.classical_registers]
-    c_dim = 1
-    for s in sizes:
-        c_dim *= s
-    total = c_dim * state.quantum_dim
-    if total > MATERIALIZE_CAP:
-        raise ValidationError(f"materialized dimension {total} exceeds cap {MATERIALIZE_CAP}")
-    q_dim = state.quantum_dim
-    mat = np.zeros((total, total), dtype=complex)
-    for lab, w, rho in state.branches:
-        offset = 0
-        for x, s in zip(lab, sizes):
-            offset = offset * s + x
-        start = offset * q_dim
-        mat[start : start + q_dim, start : start + q_dim] += w * rho.mat
-    dims = tuple(sizes) + state.quantum_dims
-    return DensityMatrix(mat, dims)
-
-
-def materialized_entropy(state: CqState, classical=(), quantum=()) -> float:
-    """Oracle: entropy via the materialized block-diagonal marginal."""
-    cls = [state.register_index(n) for n in classical]
-    full = materialize(state)
-    n_c = len(state.classical_registers)
-    keep = sorted(cls) + [n_c + int(i) for i in quantum]
-    return entropy(full.ptrace(keep)) if keep else 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from .cqstate import conditional_mutual_information
 from .protocol import (
     FeedbackCode,
-    _average_state,
+    _average_states,
     _ehs_states,
     _error_figures,
     _p_correct,
@@ -25,7 +25,7 @@ from .protocol import (
     ehs_state,
     ehs_states,
 )
-from .quantum import PROB_FLOOR, ValidationError, entropy_of, shannon
+from .quantum import PROB_FLOOR, ValidationError, entropies, shannon
 
 
 @dataclass(frozen=True)
@@ -107,35 +107,36 @@ def _message_table(code: FeedbackCode, message_map, message_probs):
 
 
 def _walked(code: FeedbackCode, message_map, message_probs):
-    """The message table, then one ``_walk`` per codeword with its averaged final state and transcripts."""
-    table = _message_table(code, message_map, message_probs)
-    walks = {w: _walk(code, w) for w in code.codebook.words}
-    averages = {w: _average_state(code, frontiers[-1]) for w, frontiers in walks.items()}
-    transcripts = {w: _transcripts(code, w, frontiers) for w, frontiers in walks.items()}
-    return table, walks, averages, transcripts
+    """The message table, then the pieces of one walk of the codewords (``protocol._walk``)."""
+    return _message_table(code, message_map, message_probs), list(_walk(code, code.codebook.words))
 
 
-def _message_informations(message_map, msgs, probs, averages, transcripts) -> tuple[float, float]:
-    """(I(M : Z_1^n), I(M : K_1^n)) from per-word averaged states and transcripts."""
-    rho_m = {m: averages[message_map[m]] for m in msgs}
-    avg = sum(probs[m] * rho_m[m].mat for m in msgs)
-    i_mz = entropy_of(avg) - sum(
-        probs[m] * entropy_of(rho_m[m].mat) for m in msgs if probs[m] > PROB_FLOOR
-    )
+def _holevo_term(code: FeedbackCode, table, pieces) -> float:
+    """I(M : Z_1^n): the Holevo quantity of the messages' averaged final states, from one eigvalsh."""
+    message_map, msgs, probs = table
+    averages = _average_states(code, pieces)
+    rho_m = [averages[message_map[m]] for m in msgs]
+    avg = sum(probs[m] * rho for m, rho in zip(msgs, rho_m))
+    s_avg, *s_m = entropies(np.array([avg, *rho_m]))
+    i_mz = s_avg - sum(probs[m] * s for m, s in zip(msgs, s_m) if probs[m] > PROB_FLOOR)
+    return float(max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz)
 
+
+def _classical_term(table, laws) -> float:
+    """I(M : K_1^n): Shannon mutual information of the message-outcome joint law."""
+    message_map, msgs, probs = table
     cond = {}
-    for w, trs in transcripts.items():
+    for w, pairs in laws.items():
         law: dict = {}
-        for tr in trs:
-            law[tr.outcomes] = law.get(tr.outcomes, 0.0) + tr.probability
+        for outcomes, prob in pairs:
+            law[outcomes] = law.get(outcomes, 0.0) + prob
         cond[w] = law
     h_k_given_m = sum(probs[m] * shannon(cond[message_map[m]].values()) for m in msgs)
     marginal: dict = {}
     for m in msgs:
         for k, p in cond[message_map[m]].items():
             marginal[k] = marginal.get(k, 0.0) + probs[m] * p
-    i_mk = shannon(marginal.values()) - h_k_given_m
-    return float(max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz), float(i_mk)
+    return float(shannon(marginal.values()) - h_k_given_m)
 
 
 def message_information(
@@ -149,8 +150,8 @@ def message_information(
     final states; the classical term is Shannon mutual information of the
     message-outcome joint law.
     """
-    table, _, averages, transcripts = _walked(code, message_map, message_probs)
-    return _message_informations(*table, averages, transcripts)
+    table, pieces = _walked(code, message_map, message_probs)
+    return _holevo_term(code, table, pieces), _classical_term(table, _transcripts(code, pieces))
 
 
 def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_probs=None):
@@ -159,11 +160,11 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
     Returns (lhs, rhs, slack); the inequality holds when slack >= 0 up to
     numerical tolerance.  Defaults to one message per codeword, weighted by
     the input ensemble so both sides describe the same joint state.  Both
-    sides are read off one walk per codeword.
+    sides are read off one walk of the codewords; no transcript is built.
     """
-    table, walks, averages, transcripts = _walked(code, message_map, message_probs)
-    lhs, _ = _message_informations(*table, averages, transcripts)
-    rhs = float(sum(_terms(_ehs_states(code, walks))))
+    table, pieces = _walked(code, message_map, message_probs)
+    lhs = _holevo_term(code, table, pieces)
+    rhs = float(sum(_terms(_ehs_states(code, pieces))))
     return lhs, rhs, rhs - lhs
 
 
@@ -172,22 +173,22 @@ def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_prob
 
     epsilon_n = (1 + P_e n R)/n with R = log2(#messages)/n, as in ``rate_report``.
     """
-    table, _, averages, transcripts = _walked(code, message_map, message_probs)
-    _, i_mk = _message_informations(*table, averages, transcripts)
-    return float(_fano(code.n, table, transcripts, i_mk)[2])
+    table, pieces = _walked(code, message_map, message_probs)
+    laws = _transcripts(code, pieces)
+    return float(_fano(code.n, table, laws, _classical_term(table, laws))[2])
 
 
-def _fano(n: int, table, transcripts, i_mk: float) -> tuple[float, float, float]:
+def _fano(n: int, table, laws, i_mk: float) -> tuple[float, float, float]:
     """(R, epsilon_n, Fano bound) of a message table, for ``fano_bound`` and ``rate_report``."""
     message_map, msgs, probs = table
     rate = float(np.log2(len(msgs)) / n) if len(msgs) > 1 else 0.0
-    p_err = sum(probs[m] * (1.0 - _p_correct(transcripts[w], w)) for m, w in message_map.items())
+    p_err = sum(probs[m] * (1.0 - _p_correct(laws[w], w)) for m, w in message_map.items())
     eps = (1.0 + p_err * n * rate) / n
     return rate, eps, eps + i_mk / n
 
 
 def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport:
-    """Full converse-chain report for one code, from one walk per codeword.
+    """Full converse-chain report for one code, from one walk of the codewords.
 
     Messages default to one per codeword with a uniform law (the source model
     used for the error exponent); set ``uniform_messages=False`` to weight
@@ -197,14 +198,16 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     words = code.codebook.words
     num = len(words)
     probs = {i: 1.0 / num for i in range(num)} if uniform_messages else None
-    table, walks, averages, transcripts = _walked(code, None, probs)
+    table, pieces = _walked(code, None, probs)
     _, _, probs = table
-    states = _ehs_states(code, walks)
+    laws = _transcripts(code, pieces)
+    states = _ehs_states(code, pieces)
     terms = _terms(states)
     final = float(sum(_terms([states[-1]] * n)))
-    i_mz, i_mk = _message_informations(*table, averages, transcripts)
-    avg_err, max_err = _error_figures(code, (_p_correct(transcripts[w], w) for w in words))
-    rate, eps, fano = _fano(n, table, transcripts, i_mk)
+    i_mz = _holevo_term(code, table, pieces)
+    i_mk = _classical_term(table, laws)
+    avg_err, max_err = _error_figures(code, (_p_correct(laws[w], w) for w in words))
+    rate, eps, fano = _fano(n, table, laws, i_mk)
     h_m = shannon(probs.values()) / n
     report = RateReport(
         n=n,

@@ -41,9 +41,9 @@ def check_register_shape(dims, dim: int) -> tuple[int, ...]:
     return dims
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger|, elementwise."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a (..., D, D) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -69,14 +69,15 @@ def identity(dim: int) -> np.ndarray:
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every register not listed in ``keep``.
 
+    ``m`` is a matrix or a (B, D, D) stack, reduced matrix by matrix.
     ``keep`` is a set of register indices; kept registers stay in their
     original order.  Keeping every register returns the matrix unchanged,
     keeping none returns a 1x1 matrix holding the trace.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise LinalgError("partial_trace requires a square matrix")
-    dims = check_register_shape(dims, m.shape[0])
+    dims = check_register_shape(dims, m.shape[-1])
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -84,15 +85,16 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     if len(keep) == n:
         return m.copy()
 
-    t = m.reshape(*dims, *dims)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, *dims, *dims)
     # Contract bra/ket axes of traced registers pairwise.
     for j in range(n - 1, -1, -1):
         if j not in keep:
-            t = np.trace(t, axis1=j, axis2=j + (t.ndim // 2))
+            t = np.trace(t, axis1=len(lead) + j, axis2=len(lead) + j + (t.ndim - len(lead)) // 2)
     d_keep = 1
     for k in keep:
         d_keep *= dims[k]
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(*lead, d_keep, d_keep)
 
 
 def permute_registers(m: np.ndarray, dims, perm) -> np.ndarray:
@@ -154,16 +156,20 @@ def left_product(op, x, d_pre: int) -> np.ndarray:
     """(I_pre (x) op (x) I_post) @ x for a square ``op`` on a contiguous register block.
 
     The block follows leading registers of total dimension ``d_pre``; the
-    trailing dimension is what remains of x's rows.  One reshape and one
-    ``@`` batched over the d_pre leading blocks; no padded operator is built.
-    A conjugation B X B^dagger is two of these: (B (B X)^dagger)^dagger.
+    trailing dimension is what remains of x's rows.  ``x`` may be a
+    (..., rows, cols) stack and ``op`` a (..., d, d) family, their leading
+    axes broadcast as numpy broadcasts them.  One reshape and one ``@``
+    batched over those axes and the d_pre leading blocks; no padded operator
+    is built.  A conjugation B X B^dagger is two of these:
+    (B (B X)^dagger)^dagger.
     """
-    op, x = as_matrix(op), as_matrix(x)
-    d = op.shape[1]
-    rows, cols = x.shape
-    if op.shape[0] != d or rows % (d_pre * d):
+    op, x = np.asarray(op, dtype=complex), np.asarray(x, dtype=complex)
+    d = op.shape[-1]
+    rows, cols = x.shape[-2:]
+    if op.shape[-2] != d or rows % (d_pre * d):
         raise LinalgError(f"operator {op.shape} does not fit {rows} rows after d_pre={d_pre}")
-    return (op @ x.reshape(d_pre, d, -1)).reshape(rows, cols)
+    prod = op[..., None, :, :] @ x.reshape(*x.shape[:-2], d_pre, d, rows // (d_pre * d) * cols)
+    return prod.reshape(*prod.shape[:-3], rows, cols)
 
 
 def herm_eig(m: np.ndarray, vectors: bool = True):
@@ -173,28 +179,30 @@ def herm_eig(m: np.ndarray, vectors: bool = True):
     the result is reproducible) and, if ``vectors``, a unitary whose columns
     are the matching eigenvectors.  Inside a degenerate eigenspace the basis
     is whatever the solver returns; ``DensityMatrix.eig`` makes it canonical.
+    ``m`` may also be a (B, D, D) stack, each matrix checked against its own
+    scale: one LAPACK call then returns (B, D) spectra (and (B, D, D) vectors).
 
     Raises LinalgError on non-square or non-Hermitian input, NaN included.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if n != m.shape[1]:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise LinalgError("herm_eig requires a square matrix")
-    scale = float(np.max(np.abs(m))) if n else 0.0
+    stack = m.reshape(-1, *m.shape[-2:])
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
     # Written as "not <=" so that a NaN defect is rejected too.
-    if not hermitian_defect(m) <= HERM_TOL * max(1.0, scale):
+    defects = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
+    if not np.all(defects <= HERM_TOL * np.maximum(1.0, scale)):
         raise LinalgError(f"matrix is not Hermitian within {HERM_TOL}")
-    a = 0.5 * (m + m.conj().T)
+    a = 0.5 * (m + dagger(m))
     if not vectors:
-        w = np.linalg.eigvalsh(a)
-        return w[np.argsort(-w, kind="stable")]
+        return np.linalg.eigvalsh(a)[..., ::-1]
     w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 def herm_eigvals(m: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix (no eigenvectors)."""
+    """Descending eigenvalues of a Hermitian matrix or (B, D, D) stack (no eigenvectors)."""
     return herm_eig(m, vectors=False)
 
 
@@ -221,15 +229,6 @@ def pinv_sqrt(m: np.ndarray) -> np.ndarray:
     cutoff = RANK_TOL * w[0]
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
-
-
-def support_projector(m: np.ndarray) -> np.ndarray:
-    """Projector onto the eigenspace of eigenvalues above the rank cutoff."""
-    w, v = herm_eig(m)
-    if w.size == 0 or w[0] <= 0.0:
-        return np.zeros_like(as_matrix(m))
-    mask = (w > RANK_TOL * w[0]).astype(float)
-    return (v * mask) @ v.conj().T
 
 
 def trace_norm(m: np.ndarray) -> float:

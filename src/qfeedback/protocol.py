@@ -9,11 +9,13 @@ Every register therefore passes through the channel exactly once, and the
 outcome of M_{m-1} can only influence registers m+1..n (1-indexed), matching
 the domain of the post-processing maps.
 
-One update is ``_update`` (channel, then measurement) followed by
-``_post_process`` (the feedback map); ``_walk`` expands it over all outcomes
-of one codeword, and transcripts, EHS states, averaged final states, prefix
-tables and error probabilities are all read off that walk.  Codes are
-assembled here too: letter-product codeword states (``product_states``),
+``_walk`` expands the updates over all outcomes of a batch of codewords at
+once: its pieces (``Frontier``) are (B, D, D) stacks of branch states with
+the word index, outcome history and path probability of each branch, and
+``_updated`` is the one update step.  Transcripts, EHS states, averaged
+final states, prefix tables and error probabilities are all read off that
+walk; ``sample_transcript`` steps one drawn branch through ``_updated``.
+Codes are assembled here too: letter-product codeword states (``product_states``),
 measurements on the freshest register (``on_freshest``) and the PGM final
 measurement (``with_pgm_decoder``).
 """
@@ -26,25 +28,28 @@ from typing import Hashable
 
 import numpy as np
 
-from .cqstate import CqState, prune_branches
+from .cqstate import CqState, pruned
 from .linalg import herm_eigvals, identity, kron, kron_all
 from .quantum import (
     COMPLETENESS_TOL,
     ER,
     PROB_FLOOR,
+    STACK_BYTES,
     DensityMatrix,
     Povm,
     QuantumChannel,
     ValidationError,
     apply_channel_at,
-    apply_kraus,
+    channel_at,
+    check_states,
     completeness_defect,
+    kraus_at,
     leading_block_rest,
-    measure,
-    measure_probabilities,
+    outcome_probabilities,
     random_density_matrix,
     random_povm,
     random_unitary,
+    sandwich,
     square_root_measurement,
 )
 
@@ -245,162 +250,226 @@ def round_zero(code: FeedbackCode, word) -> DensityMatrix:
     return apply_channel_at(code.channel, code.states[idx], 0)
 
 
-def _update(code: FeedbackCode, state: DensityMatrix, m: int, history: tuple) -> dict:
-    """Update m up to the measurement: channel on register m-1, then M_{m-1} on the prefix.
+@dataclass(frozen=True)
+class Frontier:
+    """Consecutive branches of a walk after t measured rounds, as arrays.
 
-    ``state`` is omega^{m-2}; returns outcome -> (probability, post-state)
-    before post-processing.
+    Branch b is codeword ``code.codebook.words[word[b]]`` with outcomes
+    ``history[b]`` of M_1..M_t, probability ``prob[b]`` given the word and
+    omega^t in ``states[b]``.
     """
-    sigma = apply_channel_at(code.channel, state, m - 1)
-    return measure(code.measurement(m - 1, history), sigma)
+
+    word: np.ndarray
+    history: tuple
+    prob: np.ndarray
+    states: np.ndarray
 
 
-def _post_process(code: FeedbackCode, m: int, outcome, post: DensityMatrix) -> DensityMatrix:
-    """Apply the outcome's feedback Kraus family on the registers still to be sent."""
-    kraus = code.feedback_kraus(m, outcome)
-    if kraus is not None and m < code.n:
-        post = apply_kraus(kraus, post, registers=range(m, code.n))
-    return post
+def _start(code: FeedbackCode, words) -> Frontier:
+    """Piece 0 of ``words``: each codeword state with the channel on register 0, checked."""
+    word = np.array([code.word_index(w) for w in words], dtype=int)
+    stack = channel_at(code.channel, np.array([code.states[i].mat for i in word]), code.dims, 0)
+    check_states(stack)
+    return Frontier(word, ((),) * len(word), np.ones(len(word)), stack)
 
 
-def round_update(
-    code: FeedbackCode,
-    state: DensityMatrix,
-    m: int,
-    outcome,
-    history: tuple = (),
-) -> tuple[float, DensityMatrix]:
-    """One protocol update: channel on register m-1, measure M_{m-1}, post-process.
+def _branch(front: Frontier, b: int) -> Frontier:
+    """Branch b of ``front`` alone with probability 1, so an update floors only its own outcomes."""
+    return Frontier(front.word[b : b + 1], front.history[b : b + 1], np.ones(1), front.states[b : b + 1])
 
-    ``state`` is omega^{m-2}; returns the conditional probability of
-    ``outcome`` and omega^{m-1}.  ``history`` carries earlier outcomes for
-    adaptive measurement schedules.
+
+def _runs(code: FeedbackCode, j: int, front: Frontier) -> list:
+    """(M_j, slice) per run of consecutive branches that share M_j, each of at most STACK_BYTES of states."""
+    if not len(front.word):
+        return []  # every child of the run that made this piece fell below PROB_FLOOR
+    step = max(1, STACK_BYTES // front.states[0].nbytes)
+    if isinstance(code.measurements[j - 1], dict):
+        povms = [code.measurement(j, h) for h in front.history]
+    else:
+        povms = [code.measurement(j)] * len(front.word)
+    runs, start = [], 0
+    for b in range(1, len(povms) + 1):
+        if b == len(povms) or povms[b] is not povms[start] or b - start == step:
+            runs.append((povms[start], slice(start, b)))
+            start = b
+    return runs
+
+
+def _kept(p: np.ndarray, prob: np.ndarray, labels) -> tuple:
+    """(row, element) of every outcome whose probability ``p`` and path probability ``prob`` pass PROB_FLOOR.
+
+    ``p`` is (branches, elements); a branch whose outcomes all fall below
+    the floor raises, as ``measure`` does.
     """
-    n = code.n
-    if not 2 <= m <= n:
-        raise ValidationError(f"round {m} out of range 2..{n}")
-    branches = _update(code, state, m, history)
-    if outcome not in branches:
-        raise ValidationError(f"outcome {outcome!r} has probability below the floor")
-    p, post = branches[outcome]
-    return p, _post_process(code, m, outcome, post)
+    low = p < PROB_FLOOR
+    if low.all(axis=1).any():
+        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
+    r, e = np.nonzero(~(low | (prob < PROB_FLOOR)))
+    return r, e, [labels[k] for k in e]
 
 
-def _walk(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[list]:
-    """Branch frontiers of one codeword for t = 0..n-1.
+def _updated(code: FeedbackCode, m: int, povm: Povm, front: Frontier) -> Frontier:
+    """Update m on branches whose M_{m-1} is ``povm``: their kept children, by branch, then element.
 
-    Frontier t lists (outcomes of M_1..M_t, their probability given the
-    word, omega^0..omega^t).  Branches whose path probability falls below
-    PROB_FLOOR are dropped; a frontier larger than ``cap`` raises.
+    The channel on register m-1 (update n+1 is M_n alone), the measurement
+    batched over its elements, then each outcome's feedback family on its
+    branches; the children's states get one ``check_states``.
     """
-    frontiers = [[((), 1.0, (round_zero(code, word),))]]
-    for m in range(2, code.n + 1):
-        new = []
-        for history, p_path, states in frontiers[-1]:
-            for outcome, (p, post) in _update(code, states[-1], m, history).items():
-                if p_path * p < PROB_FLOOR:
-                    continue
-                post = _post_process(code, m, outcome, post)
-                new.append((history + (outcome,), p_path * p, states + (post,)))
-            if len(new) > cap:
-                raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
-        frontiers.append(new)
-    return frontiers
+    states = channel_at(code.channel, front.states, code.dims, m - 1) if m <= code.n else front.states
+    posts = sandwich([f for _, f in povm.elements], states, 1)
+    p = np.trace(posts, axis1=2, axis2=3).real.T
+    prob = front.prob[:, None] * p
+    r, e, labels = _kept(p, prob, povm.labels)
+    states = posts[e, r] / p[r, e, None, None]
+    for lab in dict.fromkeys(labels) if m < code.n else ():
+        kraus = code.feedback_kraus(m, lab)
+        if kraus is not None:
+            rows = [i for i, x in enumerate(labels) if x == lab]
+            states[rows] = kraus_at(kraus, states[rows], code.dims, range(m, code.n))
+    check_states(states)
+    history = tuple(front.history[b] + (lab,) for b, lab in zip(r, labels))
+    return Frontier(front.word[r], history, prob[r, e], states)
 
 
-def _transcripts(code: FeedbackCode, word, frontiers, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
-    """Final measurement on the last frontier of ``_walk``."""
-    out = []
-    for history, p_path, states in frontiers[-1]:
-        final = code.measurement(code.n, history)
-        for k_n, p in measure_probabilities(final, states[-1]).items():
-            prob = p_path * p
-            if prob < PROB_FLOOR:
-                continue
-            out.append(ProtocolTranscript(word, history + (k_n,), prob, states))
-            if len(out) > cap:
-                raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
+def _walk(code: FeedbackCode, words, cap: int = ENUM_CAP):
+    """Yield (t, piece) for the branches of ``words`` after t = 0..n-1 measured rounds.
+
+    Words are walked in batches whose codeword states fit STACK_BYTES
+    together, each from its piece 0 (``_start``).  Each run of a piece
+    (``_runs``) makes one piece at t + 1, which is walked to the end before
+    the next run, so the pieces of each t come in branch order and a walk
+    holds one piece per round.  Branches whose path probability falls below
+    PROB_FLOOR are dropped and a codeword with more than ``cap`` branches
+    after t rounds raises.
+    """
+    size = max(1, STACK_BYTES // code.states[0].mat.nbytes)
+    for i in range(0, len(words), size):
+        counts = np.zeros((code.n, code.codebook.size), dtype=int)
+        yield from _expanded(code, 0, _start(code, words[i : i + size]), counts, cap)
+
+
+def _expanded(code: FeedbackCode, t: int, front: Frontier, counts: np.ndarray, cap: int):
+    """Yield a piece after t rounds, then each piece its runs make, depth first."""
+    yield t, front
+    for povm, part in _runs(code, t + 1, front) if t + 1 < code.n else ():
+        run = Frontier(front.word[part], front.history[part], front.prob[part], front.states[part])
+        piece = _updated(code, t + 2, povm, run)
+        counts[t + 1] += np.bincount(piece.word, minlength=counts.shape[1])
+        _capped(counts[t + 1].max(), cap)
+        yield from _expanded(code, t + 1, piece, counts, cap)
+
+
+def _capped(count: int, cap: int) -> None:
+    if count > cap:
+        raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
+
+
+def _transcripts(code: FeedbackCode, pieces, cap: int = ENUM_CAP) -> dict:
+    """Each walked codeword's transcripts as (outcomes, probability) pairs, from the final measurement.
+
+    Outcome probabilities come from ``outcome_probabilities``, batched over
+    elements and the branches of each run; transcripts below PROB_FLOOR are
+    dropped, in branch, then element order.
+    """
+    out: dict = {}
+    for last in (piece for t, piece in pieces if t == code.n - 1):
+        for w in last.word:
+            out.setdefault(code.codebook.words[w], [])
+        for povm, part in _runs(code, code.n, last):
+            p = outcome_probabilities(povm, last.states[part], code.dims)
+            prob = last.prob[part, None] * p
+            r, e, labels = _kept(p, prob, povm.labels)
+            for b, k_n, p_tr in zip(r + part.start, labels, prob[r, e].tolist()):
+                trs = out[code.codebook.words[last.word[b]]]
+                trs.append((last.history[b] + (k_n,), p_tr))
+                _capped(len(trs), cap)
     return out
 
 
 def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
     """Exact expansion of the round recursion over all outcome sequences."""
     word = tuple(int(x) for x in word)
-    return _transcripts(code, word, _walk(code, word, cap), cap)
+    pieces = list(_walk(code, [word], cap))
+    states = {h: DensityMatrix(s, code.dims) for _, f in pieces for h, s in zip(f.history, f.states)}
+    return [
+        ProtocolTranscript(word, outcomes, prob, tuple(states[outcomes[:t]] for t in range(code.n)))
+        for outcomes, prob in _transcripts(code, pieces, cap)[word]
+    ]
 
 
-def _draw(probs: dict, rng):
-    labels = list(probs)
-    weights = np.array([probs[k] for k in labels])
-    return labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+def _draw(weights: np.ndarray, rng) -> int:
+    return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
 def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
-    """Draw one transcript; reproducible for a seeded generator."""
+    """Draw one transcript, stepping one branch through ``_updated``; reproducible for a seeded generator.
+
+    Each round draws among its outcomes above PROB_FLOOR, weighted by their
+    probabilities given the branch; M_n draws from ``outcome_probabilities``
+    as ``_transcripts`` reads them.
+    """
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
     word = tuple(int(x) for x in word)
-    history: tuple = ()
-    states = (round_zero(code, word),)
-    prob = 1.0
+    states, prob = (round_zero(code, word),), 1.0
+    front = Frontier(np.zeros(1, dtype=int), ((),), np.ones(1), states[0].mat[None])
     for m in range(2, code.n + 1):
-        branches = _update(code, states[-1], m, history)
-        pick = _draw({k: b[0] for k, b in branches.items()}, rng)
-        p, post = branches[pick]
-        history += (pick,)
-        states += (_post_process(code, m, pick, post),)
-        prob *= p
-    finals = measure_probabilities(code.measurement(code.n, history), states[-1])
-    pick = _draw(finals, rng)
-    prob *= finals[pick]
-    return ProtocolTranscript(word, history + (pick,), prob, states)
+        kids = _updated(code, m, code.measurement(m - 1, front.history[0]), front)
+        b = _draw(kids.prob, rng)
+        prob *= float(kids.prob[b])
+        front = _branch(kids, b)
+        states += (DensityMatrix(front.states[0], code.dims),)
+    final = code.measurement(code.n, front.history[0])
+    p = outcome_probabilities(final, front.states, code.dims)
+    _, e, labels = _kept(p, p, final.labels)
+    b = _draw(p[0, e], rng)
+    return ProtocolTranscript(word, front.history[0] + (labels[b],), prob * float(p[0, e[b]]), states)
 
 
-def _average_state(code: FeedbackCode, frontier) -> DensityMatrix:
-    acc = None
-    for _history, p_path, states in frontier:
-        acc = p_path * states[-1].mat if acc is None else acc + p_path * states[-1].mat
-    return DensityMatrix(acc / np.trace(acc).real, code.dims)
+def _average_states(code: FeedbackCode, pieces) -> dict:
+    """Each walked codeword's final state, averaged over its branches in branch order."""
+    acc: dict = {}
+    for t, last in pieces:
+        for w, p, state in zip(last.word, last.prob, last.states) if t == code.n - 1 else ():
+            acc[w] = acc.get(w, 0) + p * state
+    stack = np.array(list(acc.values()))
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    check_states(stack)
+    return {code.codebook.words[w]: a for w, a in zip(acc, stack)}
 
 
-def _ehs_states(code: FeedbackCode, walks: dict) -> list[CqState]:
-    """EHS states for t = 0..n-1 from the ``_walk`` frontiers of each word."""
+def _ehs_states(code: FeedbackCode, pieces) -> list[CqState]:
+    """EHS states for t = 0..n-1 from the pieces of ``_walk``."""
     n = code.n
-    labels = [code.outcome_labels(j) for j in range(1, n)]
+    marks = [{lab: i + 1 for i, lab in enumerate(code.outcome_labels(j))} for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
-        (f"X{j + 1}", len(labels[j]) + 1) for j in range(n - 1)
+        (f"X{j + 1}", len(marks[j]) + 1) for j in range(n - 1)
     )
-
-    def labelled(word, history):
-        xs = [labels[j].index(k) + 1 for j, k in enumerate(history)]
-        xs += [0] * (n - 1 - len(xs))
-        return word + tuple(xs)
-
-    per_time: list[list] = [[] for _ in range(n)]
-    for idx, word in enumerate(code.codebook.words):
-        p_word = code.probs[idx]
-        if p_word < PROB_FLOOR:
-            continue
-        for t in range(n):
-            for history, p_path, states in walks[word][t]:
-                per_time[t].append((labelled(word, history), p_word * p_path, states[-1]))
-    return [CqState(regs, code.dims, prune_branches(b)) for b in per_time]
+    letters = np.array(code.codebook.words, dtype=int).reshape(code.codebook.size, n)
+    p_word = np.array(code.probs)
+    out = []
+    for t in range(n):
+        fronts = [f for t_f, f in pieces if t_f == t]
+        word = np.concatenate([f.word for f in fronts])
+        xs = [[marks[j][k] for j, k in enumerate(h)] + [0] * (n - 1 - t) for f in fronts for h in f.history]
+        labels = np.concatenate([letters[word], np.array(xs, dtype=int).reshape(len(word), n - 1)], axis=1)
+        live = p_word[word] >= PROB_FLOOR
+        weights = p_word[word] * np.concatenate([f.prob for f in fronts])
+        states = np.concatenate([f.states for f in fronts])
+        out.append(CqState.stacked(regs, code.dims, *pruned(labels[live], weights[live], states[live])))
+    return out
 
 
 def ehs_states(code: FeedbackCode) -> list[CqState]:
-    """EHS states for t = 0..n-1 from one walk per codeword.
+    """EHS states for t = 0..n-1 from one walk of the codewords.
 
     Classical registers: A_1..A_n holding the codeword letters and
     X_1..X_{n-1} holding recorded outcomes (0 = not yet recorded, outcome k
     of M_j stored as its index + 1).  The quantum part of state t is
     omega^t, in which registers 0..t have passed through the channel.
     """
-    walks = {
-        word: _walk(code, word)
-        for idx, word in enumerate(code.codebook.words)
-        if code.probs[idx] >= PROB_FLOOR
-    }
-    return _ehs_states(code, walks)
+    words = [w for idx, w in enumerate(code.codebook.words) if code.probs[idx] >= PROB_FLOOR]
+    return _ehs_states(code, list(_walk(code, words)))
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:
@@ -410,41 +479,22 @@ def ehs_state(code: FeedbackCode, t: int) -> CqState:
     return ehs_states(code)[t]
 
 
-def outcome_chain(code: FeedbackCode) -> dict:
-    """Joint distribution over (codeword, full outcome tuple)."""
-    chain: dict = {}
-    for idx, word in enumerate(code.codebook.words):
-        p_word = code.probs[idx]
-        if p_word < PROB_FLOOR:
-            continue
-        for tr in enumerate_transcripts(code, word):
-            chain[(word, tr.outcomes)] = chain.get((word, tr.outcomes), 0.0) + p_word * tr.probability
-    return chain
-
-
 def _p_correct(transcripts, word) -> float:
-    p_correct = 0.0
-    for tr in transcripts:
-        if tr.decoded == word:
-            p_correct += tr.probability
-    return p_correct
+    """Probability that ``word`` decodes to itself, from its (outcomes, probability) pairs."""
+    return sum((prob for outcomes, prob in transcripts if outcomes[-1] == word), 0.0)
 
 
 def _error_figures(code: FeedbackCode, p_correct) -> tuple[float, float]:
     """(average, maximal) error from each codeword's probability of correct decoding."""
-    worst = 0.0
-    avg = 0.0
-    for prob, p in zip(code.probs, p_correct):
-        err = 1.0 - p
-        worst = max(worst, err)
-        avg += prob * err
-    return avg, worst
+    errors = [1.0 - p for p in p_correct]
+    return sum((prob * err for prob, err in zip(code.probs, errors)), 0.0), max([0.0, *errors])
 
 
 def error_probability(code: FeedbackCode) -> tuple[float, float]:
     """(average error, maximal error) over codewords, decoding by the final outcome."""
     words = code.codebook.words
-    return _error_figures(code, (_p_correct(enumerate_transcripts(code, w), w) for w in words))
+    laws = _transcripts(code, _walk(code, words))
+    return _error_figures(code, (_p_correct(laws[w], w) for w in words))
 
 
 # ----------------------------------------------------------------------------
@@ -465,13 +515,13 @@ def on_freshest(single: Povm, j: int) -> Povm:
     return Povm(tuple((lab, kron(pad, f)) for lab, f in single.elements))
 
 
-def pgm_decoder(states: list[DensityMatrix], weights, labels) -> Povm:
+def pgm_decoder(states, weights, labels) -> Povm:
     """Pretty-good-measurement decoder as a complete Povm.
 
-    The square-root measurement of the weighted states p_w rho_w, in label
-    order, with the defect from completeness routed to the 'er' outcome.
+    The square-root measurement of the weighted state matrices p_w rho_w, in
+    label order, with the defect from completeness routed to the 'er' outcome.
     """
-    gammas = {lab: p * rho.mat for lab, p, rho in zip(labels, weights, states)}
+    gammas = {lab: p * rho for lab, p, rho in zip(labels, weights, states)}
     return square_root_measurement(gammas).as_complete_povm()
 
 
@@ -482,8 +532,8 @@ def with_pgm_decoder(code: FeedbackCode, weights) -> FeedbackCode:
     weigh the codewords as in ``pgm_decoder``.
     """
     words = code.codebook.words
-    finals = [_average_state(code, _walk(code, w)[-1]) for w in words]
-    decoder = pgm_decoder(finals, weights, list(words))
+    finals = _average_states(code, _walk(code, words))
+    decoder = pgm_decoder([finals[w] for w in words], weights, list(words))
     return replace(code, measurements=code.measurements[:-1] + (decoder,))
 
 

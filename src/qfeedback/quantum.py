@@ -19,6 +19,7 @@ from .linalg import (
     PSD_TOL,
     as_matrix,
     check_register_shape,
+    dagger,
     herm_eig,
     herm_eigvals,
     identity,
@@ -30,6 +31,9 @@ from .linalg import (
 PROB_FLOOR = 1e-14
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+# Bytes of states one stacked step acts on at once.  A D x D state takes
+# 16 D^2 bytes: at D = 64 a step takes one state, at D = 8 up to 64.
+STACK_BYTES = 2**16
 
 ER = "er"  # distinguished error outcome label
 
@@ -49,11 +53,7 @@ class DensityMatrix:
         m = as_matrix(self.mat)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", check_register_shape(self.dims, m.shape[0]))
-        # Each check is written "not <=" so that NaN entries fail it.
-        if not linalg.hermitian_defect(m) <= HERM_TOL:
-            raise ValidationError("density matrix is not Hermitian")
-        if not (abs(np.trace(m).real - 1.0) <= TRACE_TOL and abs(np.trace(m).imag) <= TRACE_TOL):
-            raise ValidationError(f"density matrix trace {np.trace(m):.12g} != 1")
+        check_states(m[None])
         object.__setattr__(self, "_eig", None)
 
     @property
@@ -90,6 +90,21 @@ class DensityMatrix:
         keep = sorted(set(keep))
         out = partial_trace(self.mat, self.dims, keep)
         return DensityMatrix(out, tuple(self.dims[k] for k in keep))
+
+
+def check_states(stack: np.ndarray) -> None:
+    """The density-matrix checks on every matrix of a (B, D, D) stack at once.
+
+    Hermitian defect at most HERM_TOL, and the real and imaginary parts of
+    the trace within TRACE_TOL of 1 and 0.  Each check is written so that
+    NaN entries fail it.
+    """
+    if not np.abs(stack - dagger(stack)).max(initial=0.0) <= HERM_TOL:
+        raise ValidationError("density matrix is not Hermitian")
+    tr = stack.trace(axis1=1, axis2=2)
+    dev = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
+    if not dev.max(initial=0.0) <= TRACE_TOL:
+        raise ValidationError(f"density matrix trace {tr[~(dev <= TRACE_TOL)][0]:.12g} != 1")
 
 
 def _canonical_basis(v: np.ndarray) -> np.ndarray:
@@ -182,37 +197,70 @@ def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, dims)
 
 
-def _sandwich(k: np.ndarray, x: np.ndarray, d_pre: int) -> np.ndarray:
-    """K X K^dagger for K on the register block after d_pre, as two left products."""
-    return left_product(k, left_product(k, x, d_pre).conj().T, d_pre).conj().T
+def sandwich(ops, x: np.ndarray, d_pre: int) -> np.ndarray:
+    """K X K^dagger for each K of a (K, d, d) family, on the register block after d_pre.
+
+    ``x`` is a matrix or a (B, D, D) stack and the result is (K, *x.shape):
+    each product is two left products, (K (K X)^dagger)^dagger, batched
+    over the family and the stack.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    ops = ops.reshape(len(ops), *(1,) * (np.ndim(x) - 2), *ops.shape[1:])
+    return dagger(left_product(ops, dagger(left_product(ops, x, d_pre)), d_pre))
+
+
+def channel_at(phi: QuantumChannel, stack: np.ndarray, dims, register: int) -> np.ndarray:
+    """The channel on one register of a matrix or (B, D, D) stack over ``dims``, identity elsewhere."""
+    n = len(dims)
+    if not 0 <= register < n:
+        raise ValidationError(f"register {register} out of range for {n} registers")
+    if dims[register] != phi.in_dim:
+        raise ValidationError("channel input dim does not match the register")
+    if phi.in_dim != phi.out_dim:
+        raise ValidationError("per-register application needs a square channel")
+    d_pre = int(np.prod(dims[:register]))
+    return sum(sandwich(phi.kraus, stack, d_pre))
 
 
 def apply_channel_at(phi: QuantumChannel, rho: DensityMatrix, register: int) -> DensityMatrix:
     """Apply the channel on one tensor factor, identity elsewhere."""
-    n = len(rho.dims)
-    if not 0 <= register < n:
-        raise ValidationError(f"register {register} out of range for {n} registers")
-    if rho.dims[register] != phi.in_dim:
-        raise ValidationError("channel input dim does not match the register")
-    if phi.in_dim != phi.out_dim:
-        raise ValidationError("per-register application needs a square channel")
-    d_pre = int(np.prod(rho.dims[:register]))
-    return DensityMatrix(sum(_sandwich(k, rho.mat, d_pre) for k in phi.kraus), rho.dims)
+    return DensityMatrix(channel_at(phi, rho.mat, rho.dims, register), rho.dims)
 
 
-def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
-    """Apply a trace-preserving Kraus family, optionally on a contiguous ascending register block."""
+def kraus_at(maps, stack: np.ndarray, dims, registers) -> np.ndarray:
+    """A complete Kraus family on a contiguous ascending register block of a matrix or (B, D, D) stack over ``dims``."""
     mats = [as_matrix(m) for m in maps]
     dim = mats[0].shape[0]
     if not completeness_defect(mats) <= COMPLETENESS_TOL:
         raise ValidationError("Kraus family is not complete")
-    regs = list(range(len(rho.dims)) if registers is None else registers)
+    regs = list(range(len(dims)) if registers is None else registers)
     if not regs or regs != list(range(regs[0], regs[-1] + 1)) or (
-        dim != np.prod(rho.dims[regs[0] : regs[-1] + 1])
+        dim != np.prod(dims[regs[0] : regs[-1] + 1])
     ):
         raise ValidationError(f"Kraus family of dimension {dim} does not fit registers {regs}")
-    d_pre = int(np.prod(rho.dims[: regs[0]]))
-    return DensityMatrix(sum(_sandwich(m, rho.mat, d_pre) for m in mats), rho.dims)
+    return sum(sandwich(mats, stack, int(np.prod(dims[: regs[0]]))))
+
+
+def apply_kraus(maps, rho: DensityMatrix, registers=None) -> DensityMatrix:
+    """Apply a trace-preserving Kraus family, optionally on a contiguous ascending register block."""
+    return DensityMatrix(kraus_at(maps, rho.mat, rho.dims, registers), rho.dims)
+
+
+def _spectral_entropies(w: np.ndarray) -> np.ndarray:
+    """``shannon`` of each row of a (B, D) array of descending spectra.
+
+    The entries above 1e-15 are a prefix of each row, and a row with k of
+    them is summed as ``np.sum`` sums the 1-D array of those k entries, so
+    each entropy equals ``shannon`` of its row to the last bit.
+    """
+    kept = w > 1e-15
+    counts = kept.sum(axis=1)
+    terms = w * np.log2(np.where(kept, w, 1.0))
+    out = np.zeros(len(w))
+    for k in set(counts.tolist()) - {0}:
+        rows = counts == k
+        out[rows] = -terms[rows, :k].sum(axis=1)
+    return out
 
 
 def shannon(probs) -> float:
@@ -225,6 +273,11 @@ def shannon(probs) -> float:
 def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy in bits: the Shannon entropy of the spectrum."""
     return shannon(rho.eigvals())
+
+
+def entropies(stack: np.ndarray) -> np.ndarray:
+    """Entropies of a non-empty (B, D, D) stack of PSD unit-trace matrices, from one eigvalsh."""
+    return _spectral_entropies(herm_eigvals(stack))
 
 
 def entropy_of(mat: np.ndarray) -> float:
@@ -258,8 +311,33 @@ class Ensemble:
 
 def holevo_chi(e: Ensemble) -> float:
     """S(sum p_i rho_i) - sum p_i S(rho_i), in bits."""
-    avg = entropy(e.average())
-    return avg - sum(p * entropy(rho) for p, rho in e.items if p > 0.0)
+    weights = np.array([[p for p, _ in e.items]])
+    states = np.array([rho.mat for _, rho in e.items])
+    return float(holevo_chis(weights, np.arange(len(states))[None], states)[0])
+
+
+def holevo_chis(weights: np.ndarray, index: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """chi of K ensembles at once: ensemble k weighs ``states[index[k, i]]`` by ``weights[k, i]``.
+
+    ``weights`` and ``index`` are (K, L) and ``states`` is (M, D, D).  The K
+    averages and the M states get the density-matrix checks and one
+    eigvalsh together; an eigenvalue below -PSD_TOL raises.  Zero weights
+    add nothing.
+    """
+    avgs = 0
+    for i in range(weights.shape[1]):
+        avgs = avgs + weights[:, i, None, None] * states[index[:, i]]
+    stack = np.concatenate([avgs, states])
+    check_states(stack)
+    spectra = herm_eigvals(stack)
+    low = spectra[:, -1].min()
+    if low < -PSD_TOL:
+        raise ValidationError(f"density matrix has eigenvalue {low:.3e}")
+    ent = _spectral_entropies(spectra)
+    own = 0
+    for i in range(weights.shape[1]):
+        own = own + np.where(weights[:, i] > 0.0, weights[:, i] * ent[len(avgs) + index[:, i]], 0.0)
+    return ent[: len(avgs)] - own
 
 
 @dataclass(frozen=True)
@@ -411,8 +489,8 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
     """
     leading_block_rest(povm.dim, rho.dims)
     out = {}
-    for label, f in povm.elements:
-        post = _sandwich(f, rho.mat, 1)
+    posts = sandwich([f for _, f in povm.elements], rho.mat, 1)
+    for label, post in zip(povm.labels, posts):
         p = float(np.trace(post).real)
         if p < PROB_FLOOR:
             continue
@@ -422,24 +500,20 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
     return out
 
 
-def measure_probabilities(povm: Povm, rho: DensityMatrix) -> dict:
-    """Outcome probabilities of ``measure`` without its post-states; a NaN one raises.
+def outcome_probabilities(povm: Povm, stack: np.ndarray, dims) -> np.ndarray:
+    """(B, K) outcome probabilities of ``povm`` on each state of a (B, D, D) stack over ``dims``.
 
-    p_F = Re sum (F rho_A) o conj(F), rho_A the state of the measured leading registers.
+    p_F = Re sum (F rho_A) o conj(F), rho_A the state of the measured leading
+    registers, batched over elements and states; a NaN probability raises.
     """
-    d, rest = povm.dim, leading_block_rest(povm.dim, rho.dims)
-    rho_a = rho.mat.reshape(d, rest, d, rest).trace(axis1=1, axis2=3)
-    probs = {}
-    for label, f in povm.elements:
-        p = float(np.sum((f @ rho_a) * f.conj()).real)
-        if not p >= PROB_FLOOR:
-            if p < PROB_FLOOR:
-                continue
-            raise ValidationError(f"outcome {label!r} has probability {p}")
-        probs[label] = p
-    if not probs:
-        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
-    return probs
+    d, rest = povm.dim, leading_block_rest(povm.dim, dims)
+    rho_a = stack.reshape(-1, d, rest, d, rest).trace(axis1=2, axis2=4)
+    f = np.array([f for _, f in povm.elements])
+    p = np.sum((f[:, None] @ rho_a) * f.conj()[:, None], axis=(2, 3)).real.T
+    if np.isnan(p).any():
+        b, k = np.argwhere(np.isnan(p))[0]
+        raise ValidationError(f"outcome {povm.labels[k]!r} has probability {p[b, k]}")
+    return p
 
 
 # ----------------------------------------------------------------------------

@@ -438,7 +438,8 @@ def test_double_blocked_l1_reduces_to_pgm_decoder():
 
 def test_square_root_measurement_subnormalized_randomized():
     rng = np.random.default_rng(11)
-    from qfeedback.linalg import pinv_sqrt, support_projector
+    from oracles import support_projector
+    from qfeedback.linalg import pinv_sqrt
 
     for _ in range(25):
         dim = int(rng.integers(2, 6))
@@ -678,15 +679,18 @@ def _independent_copies_miss(flat, base, l):
     # Largest distance, over every branch on the last frontier of the flat walk,
     # between the flat state and the interleaved product of l independent base
     # walks, each copy conditioned on its own base outcomes in the flat history.
+    # The flat side comes from the library walk, the copies from the oracle.
     from qfeedback.achievability import _copy_to_flat_perm, _label_parts
     from qfeedback.linalg import kron_all, permute_registers
     from qfeedback.protocol import _walk
+    from oracles import oracle_walk
 
-    n, nl = base.n, flat.n
+    n = base.n
     worst, branches = 0.0, 0
     for word in flat.codebook.words:
-        copies = [{h: states[-1] for h, _, states in _walk(base, word[j::l])[-1]} for j in range(l)]
-        for history, _, states in _walk(flat, word)[-1]:
+        copies = [{h: states[-1] for h, _, states in oracle_walk(base, word[j::l])[-1]} for j in range(l)]
+        last = [piece for t, piece in _walk(flat, [word]) if t == flat.n - 1]
+        for history, state in ((h, s) for piece in last for h, s in zip(piece.history, piece.states)):
             outcomes = [() for _ in range(l)]
             for q, lab in enumerate(history, start=1):
                 b = _label_parts(q, n, l, lab)[1]
@@ -694,7 +698,7 @@ def _independent_copies_miss(flat, base, l):
                     outcomes[q % l] += (b,)
             omegas = [copies[j][outcomes[j]].mat for j in range(l)]
             want = permute_registers(kron_all(omegas), flat.dims, _copy_to_flat_perm(n, l))
-            worst = max(worst, float(np.max(np.abs(states[-1].mat - want))))
+            worst = max(worst, float(np.max(np.abs(state - want))))
             branches += 1
     return worst, branches
 

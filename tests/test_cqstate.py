@@ -6,10 +6,9 @@ from qfeedback.cqstate import (
     conditional_mutual_information,
     cq_entropy,
     marginalize,
-    materialize,
-    materialized_entropy,
     mutual_information,
 )
+from oracles import materialize, materialized_entropy
 from qfeedback.linalg import kron
 from qfeedback.quantum import (
     DensityMatrix,

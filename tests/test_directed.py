@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qfeedback.cqstate import conditional_mutual_information, materialize, materialized_entropy
+from oracles import materialize, materialized_entropy
+from qfeedback.cqstate import conditional_mutual_information
 from qfeedback.directed import (
     directed_information_final,
     directed_information_total,
@@ -245,9 +246,9 @@ def test_rate_report_walks_each_codeword_once(monkeypatch):
     walked = []
     walk = protocol._walk
 
-    def counted(code, word, *args, **kwargs):
-        walked.append(tuple(word))
-        return walk(code, word, *args, **kwargs)
+    def counted(code, words, *args, **kwargs):
+        walked.extend(tuple(w) for w in words)
+        return walk(code, words, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rate_report rebuilt the EHS states")
@@ -269,9 +270,9 @@ def test_verify_ddpi_walks_each_codeword_once(monkeypatch):
     walked = []
     walk = protocol._walk
 
-    def counted(code, word, *args, **kwargs):
-        walked.append(tuple(word))
-        return walk(code, word, *args, **kwargs)
+    def counted(code, words, *args, **kwargs):
+        walked.extend(tuple(w) for w in words)
+        return walk(code, words, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("verify_ddpi walked the codewords again")

@@ -2,9 +2,10 @@
 
 No linter is a dependency, so the checks that matter here are made by hand:
 every import in the library is used and sits in its module's import block,
-every module-private definition is named somewhere else, every function the
-benchmark's span tracer wraps still exists under its name, and the README's
-example runs as written.  Tolerances and floors are module constants: no
+every module-private definition is named somewhere else, every name the
+package exports is used in the library or named in the README, every
+function the benchmark's span tracer wraps still exists under its name, and
+the README's example runs as written.  Tolerances and floors are module constants: no
 function takes one as a parameter, so no caller can loosen a check per call.
 """
 
@@ -158,6 +159,36 @@ def test_every_private_definition_is_named_elsewhere():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = {"spans.py": (ROOT / "bench" / "spans.py").read_text()}
     assert unnamed_privates(sources, readers) == []
+
+
+def uncalled_exports(init: str, sources: list[str], readme: str) -> list[str]:
+    """Names ``init`` imports from its submodules that no source reads and the README does not name."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in exported if name not in read and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_uncalled_export_detector():
+    init = "from .a import f, g, h  # noqa: F401\nfrom os import path\n"
+    sources = ["def f():\n    pass\n\ndef g():\n    return f()\n\ndef h():\n    pass\n"]
+    assert uncalled_exports(init, sources, "Call `g` for the answer.") == ["h"]
+
+
+def test_every_export_is_used_or_documented():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    init = (SRC / "__init__.py").read_text()
+    assert uncalled_exports(init, sources, (ROOT / "README.md").read_text()) == []
 
 
 def test_readme_example_runs():

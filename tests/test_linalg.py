@@ -14,9 +14,9 @@ from qfeedback.linalg import (
     permute_registers,
     pinv_sqrt,
     psd_sqrt,
-    support_projector,
     trace_norm,
 )
+from oracles import support_projector
 
 
 def rand_complex(rng, n, m=None):

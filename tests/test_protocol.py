@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import outcome_chain, round_update
 
 from qfeedback.cqstate import cq_entropy
 from qfeedback.linalg import identity, kron
@@ -12,9 +13,7 @@ from qfeedback.protocol import (
     ehs_state,
     enumerate_transcripts,
     error_probability,
-    outcome_chain,
     random_feedback_code,
-    round_update,
     round_zero,
     sample_transcript,
     validate_code,

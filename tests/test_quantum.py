@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import measure_probabilities
 
 from qfeedback.linalg import embed_operator, herm_eigvals, identity, kron
 from qfeedback.quantum import (
@@ -24,7 +25,6 @@ from qfeedback.quantum import (
     holevo_chi,
     identity_channel,
     measure,
-    measure_probabilities,
     pure_state,
     random_channel,
     random_density_matrix,
