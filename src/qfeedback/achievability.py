@@ -202,7 +202,7 @@ def gentle_measurement_check(rho: DensityMatrix, effect: np.ndarray, eps: float)
     root = psd_sqrt(effect)
     post = root @ rho.mat @ root
     distance = trace_norm(rho.mat - post / overlap) if overlap > PROB_FLOOR else 2.0
-    bound = float(np.sqrt(24.0 * eps) + 6.0 * eps)
+    bound = cumulative_disturbance_bound([eps])
     return GentleReport(
         overlap=overlap,
         epsilon=eps,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import sys
-import time
 
 import numpy as np
 
@@ -80,17 +79,15 @@ def _leaves(value, path: str = ""):
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "timing", False):
-        report["wall_clock_s"] = round(time.perf_counter() - args._t0, 3)
     report["artifact_version"] = __version__
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_leaves(report))
         text = buf.getvalue().rstrip("\n")
     else:
         text = dump_report(report)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out", help="also write the report to this file")
-    common.add_argument("--timing", action="store_true", help="include wall-clock time")
 
     p = sub.add_parser("validate", parents=[common], help="validate a config file")
     p.add_argument("config")
@@ -423,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.perf_counter()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -201,6 +201,8 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
             feedback[m] = {}
             for outcome_str, entry in per.items():
                 outcome = int(outcome_str)
+                if outcome not in measurements[m - 2].labels:
+                    raise ConfigError(f"protocol.feedback[{m}][{outcome}]: not an outcome of M_{m - 1}")
                 if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
                     _require_qubit(channel, f"protocol.feedback[{m}][{outcome}]")
                     u = euler_unitary(*(float(x) for x in entry))

@@ -25,7 +25,7 @@ from .protocol import (
     ehs_state,
     ehs_states,
 )
-from .quantum import PROB_FLOOR, ValidationError, entropies, shannon
+from .quantum import TRACE_TOL, ValidationError, holevo_chis, shannon
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def _message_table(code: FeedbackCode, message_map, message_probs):
             probs = {m: float(message_probs[m]) for m in msgs}
         except (KeyError, IndexError) as exc:
             raise ValidationError(f"no probability given for message {exc}") from None
-        # "not <=" / "not >=" so that a NaN probability fails too.
-        if not abs(sum(probs.values()) - 1.0) <= 1e-9:
+        # "not <=" / "not >=" so that a NaN fails too; TRACE_TOL, as the average state gets the trace check.
+        if not abs(sum(probs.values()) - 1.0) <= TRACE_TOL:
             raise ValidationError("message probabilities do not sum to 1")
         if not all(p >= 0.0 for p in probs.values()):
             raise ValidationError("message probabilities must be non-negative")
@@ -112,14 +112,13 @@ def _walked(code: FeedbackCode, message_map, message_probs):
 
 
 def _holevo_term(code: FeedbackCode, table, pieces) -> float:
-    """I(M : Z_1^n): the Holevo quantity of the messages' averaged final states, from one eigvalsh."""
+    """I(M : Z_1^n): the Holevo quantity of the messages' averaged final states (``holevo_chis``)."""
     message_map, msgs, probs = table
     averages = _average_states(code, pieces)
-    rho_m = [averages[message_map[m]] for m in msgs]
-    avg = sum(probs[m] * rho for m, rho in zip(msgs, rho_m))
-    s_avg, *s_m = entropies(np.array([avg, *rho_m]))
-    i_mz = s_avg - sum(probs[m] * s for m, s in zip(msgs, s_m) if probs[m] > PROB_FLOOR)
-    return float(max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz)
+    states = np.array([averages[message_map[m]] for m in msgs])
+    weights = np.array([[probs[m] for m in msgs]])
+    i_mz = float(holevo_chis(weights, np.arange(len(msgs))[None], states)[0])
+    return max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz
 
 
 def _classical_term(table, laws) -> float:

@@ -129,21 +129,10 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     if op.shape != (d_t, d_t):
         raise LinalgError(f"operator shape {op.shape} does not match targets {targets}")
     rest = [i for i in range(len(dims)) if i not in targets]
-    # Contiguous ascending target block: plain I (x) op (x) I, no permutation.
-    if targets == sorted(targets) and (
-        not targets or targets == list(range(targets[0], targets[-1] + 1))
-    ):
-        d_pre = 1
-        for i in range(targets[0] if targets else 0):
-            d_pre *= dims[i]
-        d_post = 1
-        for i in range((targets[-1] + 1) if targets else 0, len(dims)):
-            d_post *= dims[i]
-        return kron(kron(identity(d_pre), op), identity(d_post))
     d_rest = 1
     for r in rest:
         d_rest *= dims[r]
-    big = np.kron(op, identity(d_rest))
+    big = kron(op, identity(d_rest))
     # big acts on registers ordered (targets..., rest...); undo that ordering.
     order = targets + rest
     inverse = [0] * len(dims)

@@ -39,7 +39,7 @@ from .quantum import (
     Povm,
     QuantumChannel,
     ValidationError,
-    apply_channel_at,
+    _kept,
     channel_at,
     check_states,
     completeness_defect,
@@ -164,7 +164,7 @@ class ProtocolTranscript:
 class CodeReport:
     violations: list[tuple[str, float]] = field(default_factory=list)
 
-    def add(self, name: str, magnitude: float = float("nan")):
+    def add(self, name: str, magnitude: float):
         self.violations.append((name, magnitude))
 
     @property
@@ -225,7 +225,11 @@ def validate_code(code: FeedbackCode) -> CodeReport:
             rep.add(f"feedback round {m}: acts on an empty register set", 0.0)
             continue
         d_suf = d ** (n - m)
+        labels = code.outcome_labels(m - 1)
         for outcome, kraus in per_outcome.items():
+            if outcome not in labels:
+                rep.add(f"feedback round {m} outcome {outcome!r}: not an outcome of M_{m - 1}", 0.0)
+                continue
             mats = [np.asarray(k, dtype=complex) for k in kraus]
             if any(k.shape != (d_suf, d_suf) for k in mats):
                 rep.add(f"feedback round {m} outcome {outcome!r}: wrong shape", 0.0)
@@ -242,12 +246,6 @@ def _padded_povm(povm: Povm, dims, j: int) -> Povm:
     if j == len(dims):
         return povm
     return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements))
-
-
-def round_zero(code: FeedbackCode, word) -> DensityMatrix:
-    """omega^0: the codeword state with the channel applied on register 0."""
-    idx = code.word_index(word)
-    return apply_channel_at(code.channel, code.states[idx], 0)
 
 
 @dataclass(frozen=True)
@@ -273,6 +271,11 @@ def _start(code: FeedbackCode, words) -> Frontier:
     return Frontier(word, ((),) * len(word), np.ones(len(word)), stack)
 
 
+def round_zero(code: FeedbackCode, word) -> DensityMatrix:
+    """omega^0: the codeword state with the channel applied on register 0."""
+    return DensityMatrix(_start(code, [word]).states[0], code.dims)
+
+
 def _branch(front: Frontier, b: int) -> Frontier:
     """Branch b of ``front`` alone with probability 1, so an update floors only its own outcomes."""
     return Frontier(front.word[b : b + 1], front.history[b : b + 1], np.ones(1), front.states[b : b + 1])
@@ -293,19 +296,6 @@ def _runs(code: FeedbackCode, j: int, front: Frontier) -> list:
             runs.append((povms[start], slice(start, b)))
             start = b
     return runs
-
-
-def _kept(p: np.ndarray, prob: np.ndarray, labels) -> tuple:
-    """(row, element) of every outcome whose probability ``p`` and path probability ``prob`` pass PROB_FLOOR.
-
-    ``p`` is (branches, elements); a branch whose outcomes all fall below
-    the floor raises, as ``measure`` does.
-    """
-    low = p < PROB_FLOOR
-    if low.all(axis=1).any():
-        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
-    r, e = np.nonzero(~(low | (prob < PROB_FLOOR)))
-    return r, e, [labels[k] for k in e]
 
 
 def _updated(code: FeedbackCode, m: int, povm: Povm, front: Frontier) -> Frontier:
@@ -331,7 +321,7 @@ def _updated(code: FeedbackCode, m: int, povm: Povm, front: Frontier) -> Frontie
     return Frontier(front.word[r], history, prob[r, e], states)
 
 
-def _walk(code: FeedbackCode, words, cap: int = ENUM_CAP):
+def _walk(code: FeedbackCode, words):
     """Yield (t, piece) for the branches of ``words`` after t = 0..n-1 measured rounds.
 
     Words are walked in batches whose codeword states fit STACK_BYTES
@@ -339,32 +329,32 @@ def _walk(code: FeedbackCode, words, cap: int = ENUM_CAP):
     (``_runs``) makes one piece at t + 1, which is walked to the end before
     the next run, so the pieces of each t come in branch order and a walk
     holds one piece per round.  Branches whose path probability falls below
-    PROB_FLOOR are dropped and a codeword with more than ``cap`` branches
+    PROB_FLOOR are dropped and a codeword with more than ENUM_CAP branches
     after t rounds raises.
     """
     size = max(1, STACK_BYTES // code.states[0].mat.nbytes)
     for i in range(0, len(words), size):
         counts = np.zeros((code.n, code.codebook.size), dtype=int)
-        yield from _expanded(code, 0, _start(code, words[i : i + size]), counts, cap)
+        yield from _expanded(code, 0, _start(code, words[i : i + size]), counts)
 
 
-def _expanded(code: FeedbackCode, t: int, front: Frontier, counts: np.ndarray, cap: int):
+def _expanded(code: FeedbackCode, t: int, front: Frontier, counts: np.ndarray):
     """Yield a piece after t rounds, then each piece its runs make, depth first."""
     yield t, front
     for povm, part in _runs(code, t + 1, front) if t + 1 < code.n else ():
         run = Frontier(front.word[part], front.history[part], front.prob[part], front.states[part])
         piece = _updated(code, t + 2, povm, run)
         counts[t + 1] += np.bincount(piece.word, minlength=counts.shape[1])
-        _capped(counts[t + 1].max(), cap)
-        yield from _expanded(code, t + 1, piece, counts, cap)
+        _capped(counts[t + 1].max())
+        yield from _expanded(code, t + 1, piece, counts)
 
 
-def _capped(count: int, cap: int) -> None:
-    if count > cap:
-        raise CapExceededError(f"transcript enumeration exceeded {cap} branches")
+def _capped(count: int) -> None:
+    if count > ENUM_CAP:
+        raise CapExceededError(f"transcript enumeration exceeded {ENUM_CAP} branches")
 
 
-def _transcripts(code: FeedbackCode, pieces, cap: int = ENUM_CAP) -> dict:
+def _transcripts(code: FeedbackCode, pieces) -> dict:
     """Each walked codeword's transcripts as (outcomes, probability) pairs, from the final measurement.
 
     Outcome probabilities come from ``outcome_probabilities``, batched over
@@ -382,18 +372,18 @@ def _transcripts(code: FeedbackCode, pieces, cap: int = ENUM_CAP) -> dict:
             for b, k_n, p_tr in zip(r + part.start, labels, prob[r, e].tolist()):
                 trs = out[code.codebook.words[last.word[b]]]
                 trs.append((last.history[b] + (k_n,), p_tr))
-                _capped(len(trs), cap)
+                _capped(len(trs))
     return out
 
 
-def enumerate_transcripts(code: FeedbackCode, word, cap: int = ENUM_CAP) -> list[ProtocolTranscript]:
+def enumerate_transcripts(code: FeedbackCode, word) -> list[ProtocolTranscript]:
     """Exact expansion of the round recursion over all outcome sequences."""
     word = tuple(int(x) for x in word)
-    pieces = list(_walk(code, [word], cap))
+    pieces = list(_walk(code, [word]))
     states = {h: DensityMatrix(s, code.dims) for _, f in pieces for h, s in zip(f.history, f.states)}
     return [
         ProtocolTranscript(word, outcomes, prob, tuple(states[outcomes[:t]] for t in range(code.n)))
-        for outcomes, prob in _transcripts(code, pieces, cap)[word]
+        for outcomes, prob in _transcripts(code, pieces)[word]
     ]
 
 
@@ -411,8 +401,8 @@ def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
     word = tuple(int(x) for x in word)
-    states, prob = (round_zero(code, word),), 1.0
-    front = Frontier(np.zeros(1, dtype=int), ((),), np.ones(1), states[0].mat[None])
+    front, prob = _start(code, [word]), 1.0
+    states = (DensityMatrix(front.states[0], code.dims),)
     for m in range(2, code.n + 1):
         kids = _updated(code, m, code.measurement(m - 1, front.history[0]), front)
         b = _draw(kids.prob, rng)

@@ -479,25 +479,32 @@ def leading_block_rest(dim: int, dims, registers: int | None = None) -> int:
     return int(prefix[-1]) // dim
 
 
+def _kept(p: np.ndarray, prob: np.ndarray, labels) -> tuple:
+    """(row, element, label) of every outcome whose probability ``p`` and path probability ``prob`` pass PROB_FLOOR.
+
+    ``p`` is (branches, elements); a branch whose outcomes all fall below
+    the floor raises.  A NaN probability is kept, so the post-state check
+    rejects it.
+    """
+    low = p < PROB_FLOOR
+    if low.all(axis=1).any():
+        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
+    r, e = np.nonzero(~(low | (prob < PROB_FLOOR)))
+    return r, e, [labels[k] for k in e]
+
+
 def measure(povm: Povm, rho: DensityMatrix) -> dict:
     """All measurement branches: outcome -> (probability, post-state).
 
     The POVM acts on the leading registers of ``rho`` whose dimensions
-    multiply to ``povm.dim``, identity on the rest.  Outcomes with
-    probability below PROB_FLOOR are omitted; raises if every outcome falls
-    below the floor.
+    multiply to ``povm.dim``, identity on the rest.  Outcomes are kept by
+    ``_kept``, the walk's floor rule.
     """
     leading_block_rest(povm.dim, rho.dims)
-    out = {}
     posts = sandwich([f for _, f in povm.elements], rho.mat, 1)
-    for label, post in zip(povm.labels, posts):
-        p = float(np.trace(post).real)
-        if p < PROB_FLOOR:
-            continue
-        out[label] = (p, DensityMatrix(post / p, rho.dims))
-    if not out:
-        raise ValidationError("all measurement outcomes fell below PROB_FLOOR")
-    return out
+    p = np.trace(posts, axis1=1, axis2=2).real
+    _, e, labels = _kept(p[None], p[None], povm.labels)
+    return {lab: (float(p[k]), DensityMatrix(posts[k] / p[k], rho.dims)) for k, lab in zip(e, labels)}
 
 
 def outcome_probabilities(povm: Povm, stack: np.ndarray, dims) -> np.ndarray:
@@ -594,7 +601,7 @@ def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return q * (d / np.abs(d))
 
 
-def random_channel(rng: np.random.Generator, dim: int, num_kraus: int = 2) -> QuantumChannel:
+def random_channel(rng: np.random.Generator, dim: int, num_kraus: int) -> QuantumChannel:
     """Haar-like random channel: isometry split into Kraus blocks."""
     v = _random_isometry(rng, dim * num_kraus, dim)
     ks = tuple(v[j * dim : (j + 1) * dim, :] for j in range(num_kraus))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qfeedback import cli, protocol
 from qfeedback.cli import main
 from qfeedback.config import (
     ConfigError,
@@ -18,8 +19,9 @@ from qfeedback.config import (
     load_config,
     parse_config,
 )
-from qfeedback.protocol import validate_code
-from qfeedback.quantum import ValidationError
+from qfeedback.directed import directed_information_total
+from qfeedback.protocol import random_feedback_code, validate_code
+from qfeedback.quantum import ValidationError, depolarizing_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY = ROOT / "configs" / "identity.json"
@@ -87,6 +89,23 @@ def test_dead_config_sections_rejected(tmp_path):
     path.write_text(json.dumps(data))
     code, _ = run_cli(["validate", path])
     assert code == 2
+
+
+def test_feedback_for_a_missing_outcome_exits_two(tmp_path):
+    # M_1 is a two-outcome qubit measurement: a map keyed by outcome 7 would never run.
+    data = json.loads(IDENTITY.read_text())
+    data["protocol"].update(
+        n=3, words=["000", "111"], measurements=[[0, 0], [0, 0]], feedback={"2": {"7": [3.14159, 0, 0]}}
+    )
+    with pytest.raises(ConfigError, match=re.escape("protocol.feedback[2][7]: not an outcome of M_1")):
+        parse_config(data)
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "info", "simulate"):
+        assert run_cli([command, path])[0] == 2
+    data["protocol"]["feedback"] = {"2": {"1": [3.14159, 0, 0]}}
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", path])[0] == 0
 
 
 def _qutrit_config(n):
@@ -191,6 +210,30 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_simulate_over_the_cap(monkeypatch, capsys):
+    # Loading builds the PGM decoder through the walk, so the cap drops only after it.
+    cap, load = protocol.ENUM_CAP, cli.load_config
+
+    def load_then_cap(path):
+        monkeypatch.setattr(protocol, "ENUM_CAP", cap)
+        cfg = load(path)
+        monkeypatch.setattr(protocol, "ENUM_CAP", 1)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", load_then_cap)
+    code, out = run_cli(["simulate", DEPOLARIZING])
+    assert (code, out) == (3, "")
+    assert "resource cap: transcript enumeration exceeded 1 branches" in capsys.readouterr().err
+    code, out = run_cli(["simulate", DEPOLARIZING, "--samples", 200, "--seed", 1])
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["exact_skipped"] == "enumeration exceeded the branch cap"
+    assert "exact_outcome_distribution" not in rep and "average_error" not in rep
+    assert rep["samples"] == 200
+    assert abs(sum(rep["sampled_frequencies"].values()) - 1.0) <= 1e-12
+    assert 0.0 <= rep["sampled_error"] <= 1.0
+
+
 def test_simulate_sampled_matches_exact():
     code, out = run_cli(["simulate", DEPOLARIZING, "--samples", 10000, "--seed", 3])
     assert code == 0
@@ -247,10 +290,12 @@ def test_optimize_identity(tmp_path):
 
 def test_optimize_fully_depolarizing():
     code, out = run_cli(
-        ["optimize", "--channel", "fully_depolarizing", "--n", 1, "--starts", 1, "--max-sweeps", 3]
+        ["optimize", "--channel", "fully_depolarizing", "--n", 1, "--starts", 1, "--max-sweeps", 3,
+         "--grid-check"]
     )
     rep = json.loads(out)
     assert rep["rate"] <= 1e-6
+    assert abs(rep["grid_oracle"]) <= 1e-6
 
 
 def test_optimize_feedback_flag_equivalence_n1():
@@ -268,11 +313,13 @@ def test_optimize_feedback_flag_equivalence_n1():
 
 
 def test_optimize_deterministic():
-    args = ["optimize", "--channel", "depolarizing", "--p", 0.1, "--n", 1,
-            "--starts", 2, "--max-sweeps", 10, "--seed", 11]
-    code1, a = run_cli(args)
-    code2, b = run_cli(args)
-    assert a == b
+    common = ["--n", 1, "--starts", 2, "--max-sweeps", 10, "--seed", 11]
+    for channel in (["--channel", "depolarizing", "--p", 0.1], ["--channel", "amplitude_damping", "--gamma", 0.3]):
+        code1, a = run_cli(["optimize", *channel, *common])
+        code2, b = run_cli(["optimize", *channel, *common])
+        assert code1 == code2 == 0
+        assert a == b
+    assert json.loads(a)["channel"] == "amplitude_damping(0.3)"
 
 
 def test_verify_lemmas_passes():
@@ -348,17 +395,24 @@ def test_report_roundtrip_byte_identical():
 
 
 def test_code_roundtrip(tmp_path):
-    cfg = load_config(str(DEPOLARIZING))
-    payload = encode_code(cfg.code)
-    path = tmp_path / "code.json"
-    path.write_text(json.dumps(payload))
-    loaded = load_config(str(path))
-    assert validate_code(loaded.code).ok
-    from qfeedback.directed import directed_information_total
-
-    assert abs(
-        directed_information_total(loaded.code) - directed_information_total(cfg.code)
-    ) < 1e-12
+    feedback_code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=3)
+    assert feedback_code.feedback
+    for i, code in enumerate([load_config(str(DEPOLARIZING)).code, feedback_code]):
+        path = tmp_path / f"code{i}.json"
+        path.write_text(json.dumps(encode_code(code)))
+        loaded = load_config(str(path)).code
+        assert validate_code(loaded).ok
+        assert abs(directed_information_total(loaded) - directed_information_total(code)) < 1e-12
+        for a, b in zip(loaded.states, code.states, strict=True):
+            assert np.array_equal(a.mat, b.mat)
+        for a, b in zip(loaded.measurements, code.measurements, strict=True):
+            assert a.labels == b.labels
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a.elements, b.elements, strict=True))
+        assert loaded.feedback.keys() == code.feedback.keys()
+        for m, per in code.feedback.items():
+            assert loaded.feedback[m].keys() == per.keys()
+            for k, kraus in per.items():
+                assert all(np.array_equal(x, y) for x, y in zip(loaded.feedback[m][k], kraus, strict=True))
 
 
 def _mutate(data, rng):

@@ -226,11 +226,16 @@ def test_message_information_rejects_nan_message_probability():
 
 @pytest.mark.parametrize(
     "message_probs, match",
-    [({0: 1.5, 1: -0.5}, "non-negative"), ({0: 1.0}, "no probability given for message 1")],
-    ids=["negative", "missing"],
+    [
+        ({0: 1.5, 1: -0.5}, "non-negative"),
+        ({0: 1.0}, "no probability given for message 1"),
+        ({0: 0.5 + 4e-10, 1: 0.5}, "do not sum to 1"),
+    ],
+    ids=["negative", "missing", "off_by_4e-10"],
 )
 def test_message_information_rejects_bad_message_law(message_probs, match):
     # The first law sums to 1 but has a negative entry: I(M:Z) came out as -1.454.
+    # The last sums to 1 + 4e-10, beyond the trace tolerance of its average state.
     code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.2), 2, num_words=2)
     with pytest.raises(ValidationError, match=match):
         message_information(code, message_probs=message_probs)

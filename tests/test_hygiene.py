@@ -6,7 +6,8 @@ every module-private definition is named somewhere else, every name the
 package exports is used in the library or named in the README, every
 function the benchmark's span tracer wraps still exists under its name, and
 the README's example runs as written.  Tolerances and floors are module constants: no
-function takes one as a parameter, so no caller can loosen a check per call.
+function takes one as a parameter, so no caller can loosen a check per call.  The count
+of settable values may only fall, so a new knob shows up in the diff.
 """
 
 import ast
@@ -98,6 +99,30 @@ def test_loosening_parameter_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_tolerance_or_floor_parameters(path):
     assert loosening_parameters(path.read_text()) == []
+
+
+def settable_values(source: str) -> int:
+    """Every parameter default of every ``def``, plus every class field given a value."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_value_counter():
+    source = "def f(a, b=1, *, c=2, d):\n    def g(x=0):\n        pass\n\nclass C:\n    x: int = 1\n    y: int\n    z = 3\n"
+    assert settable_values(source) == 4
+
+
+# The library's settable values; lower it when a change removes one.
+SETTABLE_VALUES = 48
+
+
+def test_settable_values_do_not_grow():
+    assert sum(settable_values(p.read_text()) for p in SRC.glob("*.py")) <= SETTABLE_VALUES
 
 
 def test_traced_names_resolve():

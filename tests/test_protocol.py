@@ -343,7 +343,7 @@ def test_random_feedback_code_draws_feedback_for_every_outcome():
     # A projective qutrit M_1 has three outcomes; each needs its own feedback map.
     from qfeedback.quantum import random_channel
 
-    code = random_feedback_code(np.random.default_rng(0), random_channel(np.random.default_rng(0), 3), 3)
+    code = random_feedback_code(np.random.default_rng(0), random_channel(np.random.default_rng(0), 3, 2), 3)
     assert code.outcome_labels(1) == (0, 1, 2)
     assert sorted(code.feedback[2]) == [0, 1, 2]
     assert validate_code(code).ok
@@ -386,6 +386,14 @@ def test_validate_code_flags_nan_completeness_defects():
     measurements = (bad_povm,) + code.measurements[1:]
     rep = validate_code(dataclasses.replace(code, measurements=measurements))
     assert [name for name, _ in rep.violations] == ["M_1: completeness defect (history=())"]
+
+
+def test_validate_code_flags_feedback_for_a_missing_outcome():
+    # M_1 has outcomes {0, 1}, so a map keyed by 7 would never run.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    feedback = {**code.feedback, 2: {**code.feedback[2], 7: code.feedback[2][0]}}
+    rep = validate_code(dataclasses.replace(code, feedback=feedback))
+    assert [name for name, _ in rep.violations] == ["feedback round 2 outcome 7: not an outcome of M_1"]
 
 
 def test_validate_trivial_one_round_code():
@@ -460,13 +468,15 @@ def test_sampling_chi_square_goodness_of_fit():
     assert _chi2_sf(stat, dof) > 0.001
 
 
-def test_enumeration_cap_raises():
+def test_enumeration_cap_raises(monkeypatch):
+    from qfeedback import protocol
     from qfeedback.protocol import CapExceededError
 
     rng = np.random.default_rng(31)
     code = random_feedback_code(rng, depolarizing_channel(0.3), 3, num_words=2)
+    monkeypatch.setattr(protocol, "ENUM_CAP", 2)
     with pytest.raises(CapExceededError):
-        enumerate_transcripts(code, code.codebook.words[0], cap=2)
+        enumerate_transcripts(code, code.codebook.words[0])
 
 
 def test_ehs_receiver_state_cross_check():

@@ -197,6 +197,14 @@ def test_walk_raises_as_the_oracle_on_a_corrupted_povm_element():
     assert message(lambda: enumerate_transcripts(code, word)) == want
     assert message(lambda: directed_information_total(code)) == want
 
+    # Every element scaled to zero: each outcome falls below PROB_FLOOR.
+    zeros = tuple((lab, 0.0 * f) for lab, f in CODES["n3"].measurements[0].elements)
+    object.__setattr__(povm, "elements", zeros)
+    want = message(lambda: measure(povm, sigma))
+    assert want == (ValidationError, "all measurement outcomes fell below PROB_FLOOR")
+    assert message(lambda: enumerate_transcripts(code, word)) == want
+    assert message(lambda: directed_information_total(code)) == want
+
     # A NaN element of the final measurement, as measure_probabilities reports it.
     code = dataclasses.replace(CODES["n2"])
     final = Povm(code.measurements[-1].elements)
