@@ -418,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "exact", False) and args.samples:
+        parser.error("simulate: --exact (exact enumeration only) does not take --samples")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -199,10 +199,11 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
             if not 2 <= m <= n - 1:
                 raise ConfigError(f"protocol.feedback: round {m} has no registers to act on")
             feedback[m] = {}
+            labels = {str(lab): lab for lab in measurements[m - 2].labels}  # keys as encode_code writes them
             for outcome_str, entry in per.items():
-                outcome = int(outcome_str)
-                if outcome not in measurements[m - 2].labels:
-                    raise ConfigError(f"protocol.feedback[{m}][{outcome}]: not an outcome of M_{m - 1}")
+                if outcome_str not in labels:
+                    raise ConfigError(f"protocol.feedback[{m}][{outcome_str}]: not an outcome of M_{m - 1}")
+                outcome = labels[outcome_str]
                 if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
                     _require_qubit(channel, f"protocol.feedback[{m}][{outcome}]")
                     u = euler_unitary(*(float(x) for x in entry))

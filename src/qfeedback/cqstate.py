@@ -4,9 +4,10 @@ A CqState is a weighted list of branches, each pairing a tuple of classical
 labels with a quantum state, stored as stacks: a (B, C) label array, a (B,)
 weight array and a (B, D, D) state array.  The full block-diagonal matrix is
 never built; entropies and mutual informations run on the branch
-decomposition, one batched partial trace and one stacked eigvalsh per
-entropy, which is what keeps protocol states with many classical registers
-tractable.
+decomposition in one pass per call: the requests of a call share each
+classical grouping and partial trace of a state, and every block marginal of
+one size goes through one stacked eigvalsh.  That is what keeps protocol
+states with many classical registers tractable.
 """
 
 from __future__ import annotations
@@ -151,40 +152,58 @@ def _split_keys(state: CqState, keys):
     return classical, sorted(quantum)
 
 
-def _grouped_marginals(state: CqState, cls, qnt):
-    """Branches grouped by their labels on classical registers ``cls``, in first-seen order.
+def _grouping(state: CqState, cls):
+    """Each branch's group by its labels on ``cls`` (first-seen order), each group's first branch and weight."""
+    group, first = _first_seen(state.labels[:, cls])
+    return group, first, np.bincount(group, state.weights, minlength=len(first))
 
-    Returns each group's label on ``cls``, its weight and, when ``qnt`` is
-    not empty, the unnormalized marginal on quantum registers ``qnt`` (else
-    None).  Weights and marginals are summed in branch order.
+
+def _block_sums(state: CqState, group, size: int, reduced) -> np.ndarray:
+    """Unnormalized marginal of each of ``size`` groups: the weighted ``reduced`` states summed in branch order."""
+    marginals = np.zeros((size,) + reduced.shape[1:], dtype=complex)
+    np.add.at(marginals, group, state.weights[:, None, None] * reduced)
+    return marginals
+
+
+def cq_entropies(requests) -> list[float]:
+    """Entropies (bits) of the marginals named by ``(state, register keys)`` requests.
+
+    Each is S = H(label marginal) + sum_a p_a S(rho_a) on the block
+    decomposition.  Requests on one state share each classical grouping and
+    each partial trace, a repeated request is evaluated once, and the
+    normalized block marginals of one size, over all requests, go through
+    one stacked eigvalsh.
     """
-    keys = state.labels[:, cls]
-    group, first = _first_seen(keys)
-    weights = np.bincount(group, state.weights, minlength=len(first))
-    marginals = None
-    if qnt:
-        reduced = partial_trace(state.states, state.quantum_dims, qnt)
-        marginals = np.zeros((len(first),) + reduced.shape[1:], dtype=complex)
-        np.add.at(marginals, group, state.weights[:, None, None] * reduced)
-    return keys[first], weights, marginals
+    split = [(state, *_split_keys(state, keys)) for state, keys in requests]
+    ids = [(state, frozenset(cls), tuple(qnt)) for state, cls, qnt in split]  # groups ignore the key order
+    groupings, traces, values, by_size = {}, {}, {}, {}
+    for key, (state, cls, qnt) in dict(zip(ids, split)).items():
+        if key[:2] not in groupings:
+            group, first, w_g = _grouping(state, cls)
+            groupings[key[:2]] = group, first, w_g, shannon(w_g), w_g >= PROB_FLOOR
+        group, first, w_g, h, keep = groupings[key[:2]]
+        if not qnt:
+            values[key] = h
+            continue
+        if (state, key[2]) not in traces:
+            traces[state, key[2]] = partial_trace(state.states, state.quantum_dims, qnt)
+        stack = _block_sums(state, group, len(first), traces[state, key[2]])[keep] / w_g[keep, None, None]
+        by_size.setdefault(stack.shape[-1], []).append((key, h, w_g[keep], stack))
+    for same in by_size.values():
+        ents = entropies(np.concatenate([stack for *_, stack in same]))
+        start = 0
+        for key, h, kept, stack in same:
+            terms = kept * ents[start : start + len(stack)]
+            start += len(stack)
+            values[key] = h + float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+    return [values[key] for key in ids]
 
 
 def cq_entropy(state: CqState, classical=(), quantum=()) -> float:
-    """Entropy (bits) of the marginal on the named classical and quantum registers.
-
-    Uses S = H(label marginal) + sum_a p_a S(rho_a) on the block decomposition:
-    one batched partial trace, one grouped weighted sum, one stacked eigvalsh.
-    """
+    """Entropy (bits) of the marginal on the named classical and quantum registers: one ``cq_entropies`` request."""
     if isinstance(classical, str):
         classical = (classical,)
-    cls, qnt = _split_keys(state, (*classical, *quantum))
-    _, w_g, marginals = _grouped_marginals(state, cls, qnt)
-    h = shannon(w_g)
-    if not qnt:
-        return h
-    keep = w_g >= PROB_FLOOR
-    terms = w_g[keep] * entropies(marginals[keep] / w_g[keep, None, None])
-    return h + float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+    return cq_entropies([(state, (*classical, *quantum))])[0]
 
 
 def mutual_information(state: CqState, part_a, part_b) -> float:
@@ -193,19 +212,25 @@ def mutual_information(state: CqState, part_a, part_b) -> float:
 
 
 def conditional_mutual_information(state: CqState, part_a, part_b, part_c) -> float:
-    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) over register-key collections.
+    """I(A:B|C) of one state: one ``conditional_mutual_informations`` request."""
+    return conditional_mutual_informations([(state, part_a, part_b, part_c)])[0]
 
-    Keys are classical register names (str) or quantum register indices (int);
-    registers in no part are traced out.  Overlapping parts repeat a key in
-    ABC and raise.
+
+def conditional_mutual_informations(requests) -> list[float]:
+    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) per ``(state, A, B, C)`` request, in one ``cq_entropies`` pass.
+
+    A, B and C are register-key collections: classical register names (str)
+    or quantum register indices (int); registers in no part are traced out.
+    Overlapping parts repeat a key in ABC and raise.
     """
-    a, b, c = tuple(part_a), tuple(part_b), tuple(part_c)
-    s_abc = cq_entropy(state, a + b + c)
-    s_ac = cq_entropy(state, a + c)
-    s_bc = cq_entropy(state, b + c)
-    if not c:
-        return s_ac + s_bc - s_abc
-    return s_ac + s_bc - s_abc - cq_entropy(state, c)
+    parts = [(state, tuple(a), tuple(b), tuple(c)) for state, a, b, c in requests]
+    wanted = [(state, keys) for state, a, b, c in parts for keys in (a + b + c, a + c, b + c, c)[: 4 if c else 3]]
+    values = iter(cq_entropies(wanted))
+    out = []
+    for *_, c in parts:
+        s_abc, s_ac, s_bc = next(values), next(values), next(values)
+        out.append(s_ac + s_bc - s_abc - next(values) if c else s_ac + s_bc - s_abc)
+    return out
 
 
 def marginalize(state: CqState, drop_classical=(), drop_quantum=()) -> CqState:
@@ -214,15 +239,16 @@ def marginalize(state: CqState, drop_classical=(), drop_quantum=()) -> CqState:
     keep_c = [i for i in range(len(state.classical_registers)) if i not in drop_c]
     keep_q = [i for i in range(len(state.quantum_dims)) if i not in drop_q]
     new_qdims = tuple(state.quantum_dims[i] for i in keep_q)
-    labels, w_g, marginals = _grouped_marginals(state, keep_c, keep_q)
+    group, first, w_g = _grouping(state, keep_c)
     keep = w_g >= PROB_FLOOR
     if new_qdims:
-        states = marginals[keep] / w_g[keep, None, None]
+        reduced = partial_trace(state.states, state.quantum_dims, keep_q)
+        states = _block_sums(state, group, len(first), reduced)[keep] / w_g[keep, None, None]
         check_states(states)
     else:
         states = np.ones((int(keep.sum()), 1, 1), dtype=complex)
     return CqState.stacked(
         tuple(state.classical_registers[i] for i in keep_c),
         new_qdims or (1,),
-        *pruned(labels[keep], w_g[keep], states),
+        *pruned(state.labels[first][:, keep_c][keep], w_g[keep], states),
     )

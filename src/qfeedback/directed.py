@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cqstate import conditional_mutual_information
+from .cqstate import conditional_mutual_informations
 from .protocol import (
     FeedbackCode,
     _average_states,
@@ -60,17 +60,16 @@ def _directed_parts(t: int):
     return part_a, part_b, part_c
 
 
-def _terms(states) -> list[float]:
-    """Term t on the EHS state at time t-1."""
-    return [
-        conditional_mutual_information(state, *_directed_parts(t))
-        for t, state in enumerate(states, start=1)
-    ]
+def _terms(runs) -> list[list[float]]:
+    """Per run of states, term t on its t-th state; the terms of every run come from one entropy pass."""
+    requests = [(state, *_directed_parts(t)) for run in runs for t, state in enumerate(run, start=1)]
+    values = iter(conditional_mutual_informations(requests))
+    return [[next(values) for _ in run] for run in runs]
 
 
 def directed_terms(code: FeedbackCode) -> list[float]:
-    """Per-round terms, each on its own protocol-time state."""
-    return _terms(ehs_states(code))
+    """Per-round terms, each on its own protocol-time state (the EHS state at time t-1)."""
+    return _terms([ehs_states(code)])[0]
 
 
 def directed_information_total(code: FeedbackCode) -> float:
@@ -79,7 +78,7 @@ def directed_information_total(code: FeedbackCode) -> float:
 
 def directed_information_final(code: FeedbackCode) -> float:
     """All terms evaluated on the final pre-decoding state."""
-    return float(sum(_terms([ehs_state(code, code.n - 1)] * code.n)))
+    return float(sum(_terms([[ehs_state(code, code.n - 1)] * code.n])[0]))
 
 
 def _message_table(code: FeedbackCode, message_map, message_probs):
@@ -163,7 +162,7 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
     """
     table, pieces = _walked(code, message_map, message_probs)
     lhs = _holevo_term(code, table, pieces)
-    rhs = float(sum(_terms(_ehs_states(code, pieces))))
+    rhs = float(sum(_terms([_ehs_states(code, pieces)])[0]))
     return lhs, rhs, rhs - lhs
 
 
@@ -201,8 +200,8 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     _, _, probs = table
     laws = _transcripts(code, pieces)
     states = _ehs_states(code, pieces)
-    terms = _terms(states)
-    final = float(sum(_terms([states[-1]] * n)))
+    terms, final_terms = _terms([states, [states[-1]] * n])
+    final = float(sum(final_terms))
     i_mz = _holevo_term(code, table, pieces)
     i_mk = _classical_term(table, laws)
     avg_err, max_err = _error_figures(code, (_p_correct(laws[w], w) for w in words))

@@ -5,15 +5,16 @@ protocol one branch and one ``DensityMatrix`` at a time, through the public
 per-object kernels of ``qfeedback.quantum`` (``apply_channel_at``,
 ``measure``, ``apply_kraus``) and ``measure_probabilities`` below, and evaluate
 entropies on the materialized block-diagonal matrix.  They are slow and
-small by design.
+small by design.  ``per_entropy`` is the exception: it is the one-entropy
+body that the batched ``cq_entropies`` pass must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qfeedback.cqstate import CqState
-from qfeedback.linalg import RANK_TOL, as_matrix, herm_eig
+from qfeedback.cqstate import CqState, _first_seen, _split_keys
+from qfeedback.linalg import RANK_TOL, as_matrix, herm_eig, partial_trace
 from qfeedback.protocol import FeedbackCode, round_zero
 from qfeedback.quantum import (
     PROB_FLOOR,
@@ -21,6 +22,7 @@ from qfeedback.quantum import (
     ValidationError,
     apply_channel_at,
     apply_kraus,
+    entropies,
     entropy,
     measure,
     outcome_probabilities,
@@ -150,6 +152,44 @@ def materialized_entropy(state: CqState, classical=(), quantum=()) -> float:
     n_c = len(state.classical_registers)
     keep = sorted(cls) + [n_c + int(i) for i in quantum]
     return entropy(full.ptrace(keep)) if keep else 0.0
+
+
+def per_entropy(state: CqState, classical=(), quantum=()) -> float:
+    """One entropy on its own: its own key parse, grouping, partial trace and stacked eigvalsh.
+
+    S = H(label marginal) + sum_a p_a S(rho_a), the block weights summed by
+    ``bincount`` and the block marginals by ``np.add.at`` in branch order, the
+    kept terms added by one ``cumsum``.
+    """
+    if isinstance(classical, str):
+        classical = (classical,)
+    cls, qnt = _split_keys(state, (*classical, *quantum))
+    group, first = _first_seen(state.labels[:, cls])
+    w_g = np.bincount(group, state.weights, minlength=len(first))
+    h = shannon(w_g)
+    if not qnt:
+        return h
+    reduced = partial_trace(state.states, state.quantum_dims, qnt)
+    marginals = np.zeros((len(first),) + reduced.shape[1:], dtype=complex)
+    np.add.at(marginals, group, state.weights[:, None, None] * reduced)
+    keep = w_g >= PROB_FLOOR
+    terms = w_g[keep] * entropies(marginals[keep] / w_g[keep, None, None])
+    return h + float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+
+
+def per_entropy_cmi(state: CqState, part_a, part_b, part_c) -> float:
+    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C), each entropy by ``per_entropy``."""
+    a, b, c = tuple(part_a), tuple(part_b), tuple(part_c)
+    s_abc, s_ac, s_bc = per_entropy(state, a + b + c), per_entropy(state, a + c), per_entropy(state, b + c)
+    return s_ac + s_bc - s_abc - per_entropy(state, c) if c else s_ac + s_bc - s_abc
+
+
+def per_entropy_terms(states) -> list[float]:
+    """Directed-information term t on the t-th state, I(A_1^t : Z_t | Z_1^{t-1}), by ``per_entropy_cmi``."""
+    return [
+        per_entropy_cmi(state, tuple(f"A{i}" for i in range(1, t + 1)), (t - 1,), tuple(range(t - 1)))
+        for t, state in enumerate(states, start=1)
+    ]
 
 
 def oracle_rate_report(code: FeedbackCode, uniform_messages: bool = True) -> dict:

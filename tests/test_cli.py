@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -19,9 +20,9 @@ from qfeedback.config import (
     load_config,
     parse_config,
 )
-from qfeedback.directed import directed_information_total
+from qfeedback.directed import directed_information_total, rate_report
 from qfeedback.protocol import random_feedback_code, validate_code
-from qfeedback.quantum import ValidationError, depolarizing_channel
+from qfeedback.quantum import Povm, ValidationError, depolarizing_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY = ROOT / "configs" / "identity.json"
@@ -198,6 +199,13 @@ def test_simulate_identity_exact_zero_error():
     assert code == 0
     rep = json.loads(out)
     assert rep["average_error"] < 1e-12
+
+
+def test_simulate_exact_with_samples_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", IDENTITY, "--exact", "--samples", 5])
+    assert exc.value.code == 2
+    assert "--exact (exact enumeration only) does not take --samples" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -413,6 +421,27 @@ def test_code_roundtrip(tmp_path):
             assert loaded.feedback[m].keys() == per.keys()
             for k, kraus in per.items():
                 assert all(np.array_equal(x, y) for x, y in zip(loaded.feedback[m][k], kraus, strict=True))
+
+
+def test_code_roundtrip_with_string_labels(tmp_path):
+    # M_1 relabelled 'a'/'b': encode_code writes its feedback keys as str(label), and loading resolves them back.
+    code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=3)
+    names = {0: "a", 1: "b"}
+    m1 = Povm(tuple((names[lab], f) for lab, f in code.measurements[0].elements))
+    feedback = {2: {names[k]: kraus for k, kraus in code.feedback[2].items()}}
+    relabelled = dataclasses.replace(code, measurements=(m1,) + code.measurements[1:], feedback=feedback)
+    assert validate_code(relabelled).ok
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(encode_code(relabelled)))
+    loaded = load_config(str(path)).code
+    assert loaded.measurements[0].labels == ("a", "b")
+    assert loaded.feedback[2].keys() == {"a", "b"}
+    assert rate_report(loaded) == rate_report(relabelled) == rate_report(code)
+    assert run_cli(["info", path])[0] == 0
+    data = json.loads(path.read_text())
+    data["protocol"]["feedback"]["2"]["0"] = data["protocol"]["feedback"]["2"].pop("a")
+    with pytest.raises(ConfigError, match=re.escape("protocol.feedback[2][0]: not an outcome of M_1")):
+        parse_config(data)
 
 
 def _mutate(data, rng):

@@ -1,6 +1,7 @@
 """The stacked walk, entropies and Holevo body against the per-object oracles of ``oracles.py``."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,31 @@ from oracles import (
     oracle_error_probability,
     oracle_rate_report,
     oracle_transcripts,
+    per_entropy,
+    per_entropy_terms,
     round_update,
 )
 
 from qfeedback import cqstate, protocol, quantum
 from qfeedback.achievability import build_double_blocked_code
 from qfeedback.capacity import grid_search_chi
-from qfeedback.cqstate import CqState, cq_entropy
-from qfeedback.directed import directed_information_total, rate_report
+from qfeedback.cqstate import (
+    CqState,
+    _first_seen,
+    conditional_mutual_information,
+    conditional_mutual_informations,
+    cq_entropies,
+    cq_entropy,
+)
+from qfeedback.directed import (
+    _directed_parts,
+    directed_information_final,
+    directed_information_total,
+    directed_terms,
+    message_information,
+    rate_report,
+    verify_ddpi,
+)
 from qfeedback.linalg import LinalgError
 from qfeedback.protocol import (
     _walk,
@@ -254,18 +272,13 @@ def test_grid_is_one_stacked_chi(monkeypatch):
     assert calls == [4410]
 
 
-def test_one_stacked_eigen_call_per_entropy_and_no_branch_objects(monkeypatch):
+def test_one_stacked_eigen_call_per_marginal_size_and_no_branch_objects(monkeypatch):
     code = random_feedback_code(np.random.default_rng(12), depolarizing_channel(0.2), 3, num_words=3)
-    entropies, eigen, built, checks = [], [], [], []
-    real_entropy, real_eig, real_check = cqstate.cq_entropy, quantum.herm_eigvals, protocol.check_states
-
-    def entropy(state, classical=(), quantum=()):
-        keys = (classical,) if isinstance(classical, str) else (*classical, *quantum)
-        entropies.append(any(not isinstance(k, str) for k in keys))
-        return real_entropy(state, classical, quantum)
+    eigen, built, checks = [], [], []
+    real_eig, real_check = quantum.herm_eigvals, protocol.check_states
 
     def eig(m):
-        eigen.append(np.ndim(m))
+        eigen.append(np.shape(m))
         return real_eig(m)
 
     def check(stack):
@@ -275,16 +288,84 @@ def test_one_stacked_eigen_call_per_entropy_and_no_branch_objects(monkeypatch):
     def init(self):
         built.append(self)
 
-    want = directed_information_total(code)
-    monkeypatch.setattr(cqstate, "cq_entropy", entropy)
+    states = ehs_states(code)
+    want = float(sum(conditional_mutual_information(state, *_directed_parts(t)) for t, state in enumerate(states, 1)))
     monkeypatch.setattr(quantum, "herm_eigvals", eig)
     monkeypatch.setattr(protocol, "check_states", check)
     monkeypatch.setattr(DensityMatrix, "__post_init__", init)
     assert directed_information_total(code) == want
     assert built == []
-    assert len(eigen) == sum(entropies) and set(eigen) == {3}
+    # The marginals have sizes d = 2, 4 and 8: one stacked eigvalsh each.
+    assert sorted(shape[1:] for shape in eigen) == [(2, 2), (4, 4), (8, 8)]
     assert len(checks) == code.n  # one stacked check per frontier
 
     checks.clear()
     list(_walk(code, code.codebook.words))
     assert len(checks) == code.n
+
+
+def floored_state():
+    """Three classical registers and two qubits; grouping by X leaves a group of weight 4e-15 < PROB_FLOOR."""
+    rng = np.random.default_rng(7)
+    rhos = [quantum.random_density_matrix(rng, 4) for _ in range(4)]
+    labels = ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2))
+    weights = (0.5, 0.3, 0.2 - 4e-15, 4e-15)
+    registers = (("A1", 2), ("A2", 2), ("X", 3))
+    return CqState(registers, (2, 2), [(lab, w, DensityMatrix(r.mat, (2, 2))) for lab, w, r in zip(labels, weights, rhos)])
+
+
+def test_batched_entropies_equal_one_request_at_a_time():
+    n2, n3 = ehs_states(CODES["n2"]), ehs_states(CODES["n3-adaptive"])
+    floored = floored_state()
+    requests = [
+        (n3[2], ("A1", "A2", 0, 1)),
+        (n2[1], (1, "A2", "A1", 0)),
+        (floored, ("X", 1)),
+        (n3[2], ("X2", "A1")),
+        (n3[2], (1, 0, "A2", "A1")),
+        (floored, ("A2", "X", 0, 1)),
+        (n2[0], ()),
+        (floored, ("X",)),
+        (n3[1], ("A1", 0)),
+        (n3[2], ("A1", "A2", 0, 1)),
+        (floored, (1, "X")),
+    ]
+    got = cq_entropies(requests)
+    assert got == [cq_entropy(state, keys) for state, keys in requests]
+    assert got == [per_entropy(state, keys) for state, keys in requests]
+    assert got[0] == got[4] == got[9] and got[2] == got[10]
+    assert np.bincount(_first_seen(floored.labels[:, [2]])[0], floored.weights).min() < quantum.PROB_FLOOR
+
+
+def test_batched_entropies_raise_the_one_request_messages():
+    state = ehs_states(CODES["n3"])[1]
+    good = (state, ("A1", 0))
+    for keys, text in [
+        (("A1", "Z"), "unknown classical register 'Z'"),
+        (("A1", 0, "A1"), "repeated register keys"),
+        ((0, 5), "quantum register 5 out of range"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            per_entropy(state, keys)
+        assert str(info.value) == text
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            cq_entropies([good, (state, keys), good])
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            conditional_mutual_informations([(state, ("A1",), (0,), ()), (state, keys, (1,), ())])
+
+
+@pytest.mark.parametrize("name", ["n2", "n3", "n3-no-feedback", "n3-non-projective", "n3-adaptive"])
+def test_converse_chain_equals_the_per_entropy_oracle(name):
+    code = CODES[name]
+    states = ehs_states(code)
+    terms = per_entropy_terms(states)
+    final = float(sum(per_entropy_terms([states[-1]] * code.n)))
+    assert directed_terms(code) == terms
+    assert directed_information_final(code) == final
+    for uniform in (True, False):
+        rep = rate_report(code, uniform_messages=uniform)
+        assert rep.per_round == tuple(terms)
+        assert rep.directed_total == float(sum(terms))
+        assert rep.directed_final == final
+    lhs, rhs, slack = verify_ddpi(code)
+    assert (lhs, rhs, slack) == (message_information(code)[0], float(sum(terms)), rhs - lhs)
