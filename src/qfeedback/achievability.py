@@ -226,12 +226,17 @@ def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
     wt = herm_eigvals(t)
     if ws[-1] < -1e-9 or ws[0] > 1.0 + 1e-9 or wt[-1] < -1e-9:
         raise ValidationError("hayashi_nagaoka_check needs 0 <= S <= I and T >= 0")
+    violation = _hn_violation(s, t, 2.0)
+    return violation, violation <= 1e-9
+
+
+def _hn_violation(s: np.ndarray, t: np.ndarray, c: float) -> float:
+    """The violation of ``hayashi_nagaoka_check`` with c (I - S) in place of 2 (I - S); the self-test weakens c."""
     w = pinv_sqrt(s + t)
     lhs = identity(s.shape[0]) - w @ s @ w
-    rhs = 2.0 * (identity(s.shape[0]) - s) + 4.0 * t
+    rhs = c * (identity(s.shape[0]) - s) + 4.0 * t
     diff = rhs - lhs
-    violation = -float(herm_eigvals(0.5 * (diff + diff.conj().T))[-1])
-    return violation, violation <= 1e-9
+    return -float(herm_eigvals(0.5 * (diff + diff.conj().T))[-1])
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,11 @@ from .quantum import (
     Ensemble,
     QuantumChannel,
     ValidationError,
-    apply_channel,
     bloch_state,
+    bloch_vector,
+    channel_output,
     euler_unitary,
-    holevo_chi,
     holevo_chis,
-    pure_state,
     rotated_qubit_povm,
 )
 
@@ -34,6 +33,7 @@ from .quantum import (
 FD_STEP = 1e-4  # central-difference probe width
 ASCENT_TOL = 1e-8  # a sweep gaining less than this has converged
 STEP0 = 0.3  # first trial move along a coordinate, halved until it pays
+GRID_THETAS, GRID_PHIS, GRID_PROBS = 7, 5, 9  # grid oracle: polar angles, azimuths, weights
 
 
 @dataclass
@@ -91,70 +91,59 @@ def coordinate_ascent(
 
     x = clean(np.asarray(x0, dtype=float))
     best = objective(x)
-    h = FD_STEP
-    sweeps_used = 0
     for sweep in range(cfg.max_sweeps):
-        sweeps_used = sweep + 1
         before = best
         for i in range(len(x)):
             if i in frozen:
                 continue
-            up, down = objective(bump(x, i, +h)), objective(bump(x, i, -h))
+            up, down = objective(bump(x, i, +FD_STEP)), objective(bump(x, i, -FD_STEP))
             # Only an exact tie is skipped: a cutoff on |g| sits near one ulp
-            # of the objective divided by 2h, where rounding decides.
+            # of the objective divided by 2 FD_STEP, where rounding decides.
             if up == down:
                 continue
             direction = 1.0 if up > down else -1.0
-            step = STEP0
+            # Halve the move until one pays, then repeat it while it keeps paying.
+            step, moved = STEP0, False
             while step > 1e-10:
                 cand = bump(x, i, direction * step)
                 val = objective(cand)
                 if val > best + 1e-15:
-                    x, best = cand, val
-                    # Greedy extension while the same move keeps paying.
-                    while True:
-                        cand = bump(x, i, direction * step)
-                        val = objective(cand)
-                        if val > best + 1e-15:
-                            x, best = cand, val
-                        else:
-                            break
+                    x, best, moved = cand, val, True
+                elif moved:
                     break
-                step *= 0.5
+                else:
+                    step *= 0.5
         if best - before < ASCENT_TOL:
-            return AscentResult(x, best, True, sweeps_used)
-    return AscentResult(x, best, False, sweeps_used)
+            return AscentResult(x, best, True, sweep + 1)
+    return AscentResult(x, best, False, cfg.max_sweeps)
 
 
 # ----------------------------------------------------------------------------
 # Holevo quantity maximization (no-feedback, single channel use).
 
 
-def _vec_to_state(vec: np.ndarray, dim: int) -> DensityMatrix:
-    v = vec[:dim] + 1j * vec[dim:]
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = v / norm
-    return pure_state(v)
+def _pure_outputs(channel: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
+    """Channel outputs of the pure inputs along the rows of a (B, d_in) array; a row of norm below 1e-12 is |0>.
+
+    Rows are divided by their own ``np.linalg.norm``, as in ``pure_state``; the axis=1 norm rounds differently.
+    """
+    norms = np.array([np.linalg.norm(v) for v in vecs])
+    small = norms < 1e-12
+    vecs = np.where(small[:, None], np.eye(1, vecs.shape[1]), vecs)
+    v = vecs / np.where(small, 1.0, norms)[:, None]
+    return channel_output(channel, v[:, :, None] * v.conj()[:, None, :])
 
 
-def _output_ensemble(channel: QuantumChannel, num_states: int, x: np.ndarray) -> Ensemble:
-    """Channel outputs of the input ensemble encoded in ``x``: weights, then state vectors.
+def _output_ensemble(channel: QuantumChannel, num_states: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, outputs) of the input ensemble encoded in ``x``: weights, then state vectors.
 
     Weights below 1e-12 are dropped and the rest renormalized.
     """
     d = channel.in_dim
-    items = []
-    for k in range(num_states):
-        if x[k] < 1e-12:
-            continue
-        vec = x[num_states + 2 * d * k : num_states + 2 * d * (k + 1)]
-        items.append((float(x[k]), apply_channel(channel, _vec_to_state(vec, d))))
-    total = sum(p for p, _ in items)
-    return Ensemble(tuple((p / total, rho) for p, rho in items))
+    keep = x[:num_states] >= 1e-12
+    w = x[:num_states][keep]
+    vecs = x[num_states:].reshape(num_states, 2 * d)[keep]
+    return w / w.sum(), _pure_outputs(channel, vecs[:, :d] + 1j * vecs[:, d:])
 
 
 @dataclass
@@ -175,7 +164,8 @@ def holevo_capacity(channel: QuantumChannel, config: OptimizerConfig | None = No
     prob_block = slice(0, num)
 
     def objective(x):
-        return holevo_chi(_output_ensemble(channel, num, x))
+        w, outputs = _output_ensemble(channel, num, x)
+        return float(holevo_chis(w[None], np.arange(len(w))[None], outputs)[0])
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
     best: AscentResult | None = None
@@ -185,46 +175,35 @@ def holevo_capacity(channel: QuantumChannel, config: OptimizerConfig | None = No
         x0 = np.empty(num + 2 * d * num)
         x0[prob_block] = 1.0 / num
         if s == 0:
-            # Canonical start: computational basis padded with random vectors.
-            for k in range(num):
-                vec = np.zeros(2 * d)
-                if k < d:
-                    vec[k] = 1.0
-                else:
-                    raw = rng.standard_normal(2 * d)
-                    vec = raw / np.linalg.norm(raw)
-                x0[num + 2 * d * k : num + 2 * d * (k + 1)] = vec
+            # Canonical start: computational basis padded with random unit vectors.
+            pad = [raw / np.linalg.norm(raw) for raw in rng.standard_normal((num - d, 2 * d))]
+            x0[num:] = np.concatenate([np.eye(d, 2 * d), *pad], axis=None)
         else:
             x0[prob_block] = simplex_projection(rng.dirichlet(np.ones(num)))
-            raw = rng.standard_normal(2 * d * num)
-            x0[num:] = raw
+            x0[num:] = rng.standard_normal(2 * d * num)
         res = coordinate_ascent(objective, x0, prob_block, cfg)
         values.append(res.value)
         if best is None or res.value > best.value:
             best = res
 
-    return HolevoResult(best.value, _output_ensemble(channel, num, best.x), best.converged, tuple(values))
+    w, outputs = _output_ensemble(channel, num, best.x)
+    ensemble = Ensemble(tuple((p, DensityMatrix(rho, (channel.out_dim,))) for p, rho in zip(w, outputs)))
+    return HolevoResult(best.value, ensemble, best.converged, tuple(values))
 
 
-def grid_search_chi(
-    channel: QuantumChannel,
-    n_theta: int = 7,
-    n_phi: int = 5,
-    n_prob: int = 9,
-) -> float:
+def grid_search_chi(channel: QuantumChannel) -> float:
     """Dense-grid oracle: best chi over two-state Bloch-sphere ensembles.
 
-    Covers every unordered pair of the n_theta * n_phi grid outputs at each
-    interior weight of the n_prob grid (4,410 mixtures at the defaults),
-    including the exact poles and the balanced mixture, as one ``holevo_chis``.
+    Covers every unordered pair of the GRID_THETAS * GRID_PHIS grid outputs
+    at each interior weight of the GRID_PROBS grid (4,410 mixtures), including
+    the exact poles and the balanced mixture, as one ``holevo_chis``.
     """
     if channel.in_dim != 2:
         raise ValidationError("grid oracle is for qubit channels")
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    probs = np.linspace(0.0, 1.0, n_prob)
-    probs = probs[(probs >= 1e-12) & (probs <= 1 - 1e-12)]
-    outputs = np.array([apply_channel(channel, bloch_state(t, f)).mat for t in thetas for f in phis])
+    thetas = np.linspace(0.0, np.pi, GRID_THETAS)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHIS, endpoint=False)
+    probs = np.linspace(0.0, 1.0, GRID_PROBS)[1:-1]
+    outputs = _pure_outputs(channel, np.array([bloch_vector(t, f) for t in thetas for f in phis]))
     i, j = np.triu_indices(len(outputs))
     pairs = np.repeat(np.stack([i, j], axis=1), len(probs), axis=0)
     p = np.tile(probs, len(i))

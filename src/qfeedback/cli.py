@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .achievability import (
+    _hn_violation,
     gentle_measurement_check,
     cumulative_disturbance_report,
     typicality_bounds_check,
@@ -31,7 +32,7 @@ from .config import (
 )
 from .cqstate import CqState, mutual_information
 from .directed import rate_report, verify_ddpi
-from .linalg import LinalgError, herm_eigvals, identity, pinv_sqrt
+from .linalg import LinalgError, herm_eigvals, identity
 from .protocol import (
     CapExceededError,
     Codebook,
@@ -214,7 +215,7 @@ def _channel_spec_from_args(args) -> dict:
     return spec
 
 
-def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
+def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
     """Randomized checks for the inequality suite; deterministic per seed."""
     rng = np.random.default_rng(seed)
     results: dict = {}
@@ -269,12 +270,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
         s = s / (herm_eigvals(s)[0] * float(rng.uniform(1.0, 3.0)))
         h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = (h @ h.conj().T) / dim * float(rng.uniform(0.1, 2.0)) + 0.05 * identity(dim)
-        w = pinv_sqrt(s + t)
-        lhs = identity(dim) - w @ s @ w
-        rhs = hn_factor * (identity(dim) - s) + 4.0 * t
-        diff = rhs - lhs
-        violation = -float(herm_eigvals(0.5 * (diff + diff.conj().T))[-1])
-        worst_hn = max(worst_hn, violation)
+        worst_hn = max(worst_hn, _hn_violation(s, t, hn_factor))
     results["hayashi_nagaoka"] = {
         "trials": hn_trials,
         "worst_violation": float(worst_hn),
@@ -338,7 +334,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool = False) -> dict:
 
 
 def cmd_verify_lemmas(args) -> int:
-    results = _lemma_battery(args.trials, args.seed, self_test=args.self_test)
+    results = _lemma_battery(args.trials, args.seed, args.self_test)
     all_ok = all(entry["ok"] for entry in results.values())
     report = {
         "command": "verify-lemmas",

@@ -24,6 +24,7 @@ from .quantum import (
     dephasing_channel,
     depolarizing_channel,
     euler_unitary,
+    fully_depolarizing_channel,
     identity_channel,
     rotated_qubit_povm,
 )
@@ -62,40 +63,47 @@ def matrix_from_json(rows, where: str) -> np.ndarray:
     return out
 
 
+def _number(kind, value, where: str):
+    """``kind(value)``, or a ConfigError naming ``where`` when the field is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+# name -> (constructor, type of each keyword parameter); identity's "dim" defaults to 2.
+_CHANNELS = {
+    "identity": (identity_channel, {"dim": int}),
+    "depolarizing": (depolarizing_channel, {"p": float}),
+    "fully_depolarizing": (fully_depolarizing_channel, {}),
+    "amplitude_damping": (amplitude_damping_channel, {"gamma": float}),
+    "dephasing": (dephasing_channel, {"p": float}),
+}
+
+
 def channel_from_spec(spec: dict) -> QuantumChannel:
     _require_keys(spec, {"name", "p", "gamma", "dim", "kraus"}, set(), "channel")
     if "kraus" in spec:
-        if "name" in spec:
-            raise ConfigError("channel: give either a name or explicit kraus, not both")
+        _require_keys(spec, {"kraus"}, set(), "channel with explicit kraus")
         mats = [matrix_from_json(k, "channel.kraus") for k in spec["kraus"]]
         try:
             return QuantumChannel(tuple(mats), "explicit")
         except ValidationError as exc:
             raise ValidationError(f"channel 'explicit': {exc}") from None
     name = spec.get("name")
+    if name not in _CHANNELS:
+        raise ConfigError(f"channel: unknown name {name!r}")
+    build, params = _CHANNELS[name]
+    _require_keys(spec, {"name", *params}, set(params) - {"dim"}, f"channel '{name}'")
+    kwargs = {key: _number(kind, spec[key], f"channel.{key}") for key, kind in params.items() if key in spec}
     try:
-        if name == "identity":
-            return identity_channel(int(spec.get("dim", 2)))
-        if name == "depolarizing":
-            return depolarizing_channel(float(spec["p"]))
-        if name == "fully_depolarizing":
-            return depolarizing_channel(1.0)
-        if name == "amplitude_damping":
-            return amplitude_damping_channel(float(spec["gamma"]))
-        if name == "dephasing":
-            return dephasing_channel(float(spec["p"]))
-    except KeyError as exc:
-        raise ConfigError(f"channel '{name}': missing parameter {exc}") from None
+        return build(**kwargs)
     except ValidationError as exc:
         raise ValidationError(f"channel '{name}': {exc}") from None
-    raise ConfigError(f"channel: unknown name {name!r}")
 
 
 def _parse_word(w, n: int, where: str) -> tuple[int, ...]:
-    if isinstance(w, str):
-        letters = tuple(int(ch) for ch in w)
-    else:
-        letters = tuple(int(x) for x in w)
+    letters = tuple(_number(int, x, where) for x in w)  # a string word is read digit by digit
     if len(letters) != n:
         raise ConfigError(f"{where}: word {w!r} does not have length {n}")
     return letters
@@ -132,15 +140,17 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     only, so they need a channel of input dimension 2.
     """
     _require_keys(spec, _PROTOCOL_KEYS, {"n", "words", "probs"}, "protocol")
-    n = int(spec["n"])
-    alphabet = int(spec.get("alphabet", 2))
+    n = _number(int, spec["n"], "protocol.n")
+    alphabet = _number(int, spec.get("alphabet", 2), "protocol.alphabet")
     d = channel.in_dim
     words = tuple(_parse_word(w, n, "protocol.words") for w in spec["words"])
     try:
         book = Codebook(alphabet, n, words)
     except ValidationError as exc:
         raise ConfigError(f"protocol.words: {exc}") from None
-    probs = tuple(float(p) for p in spec["probs"])
+    if not isinstance(spec["probs"], list):
+        raise ConfigError(f"protocol.probs: expected a list, got {spec['probs']!r}")
+    probs = tuple(_number(float, p, "protocol.probs") for p in spec["probs"])
     if len(probs) != len(words):
         raise ConfigError("protocol.probs: arity does not match words")
     # Written "not >=" / "not <=" so that a NaN probability fails the check.
@@ -154,7 +164,8 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         angles = spec["letter_states"]
         if len(angles) != alphabet:
             raise ConfigError("protocol.letter_states: one [theta, phi] per letter")
-        states = product_states([bloch_state(float(t), float(f)) for t, f in angles], words)
+        angles = [[_number(float, a, "protocol.letter_states") for a in pair] for pair in angles]
+        states = product_states([bloch_state(t, f) for t, f in angles], words)
     else:
         states = []
         for i, rows in enumerate(spec["states"]):

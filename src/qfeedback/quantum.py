@@ -149,10 +149,13 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
     return pure_state(v)
 
 
+def bloch_vector(theta: float, phi: float) -> np.ndarray:
+    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+
+
 def bloch_state(theta: float, phi: float) -> DensityMatrix:
     """Pure qubit state at the given Bloch angles."""
-    v = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    return pure_state(v)
+    return pure_state(bloch_vector(theta, phi))
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,17 @@ def completeness_defect(mats) -> float:
     return float(np.max(np.abs(total - identity(total.shape[0]))))
 
 
+def channel_output(phi: QuantumChannel, x: np.ndarray) -> np.ndarray:
+    """Phi(X) = sum_j E_j X E_j^dagger, d_out x d_out, for a d_in x d_in matrix or a (B, d_in, d_in) stack."""
+    if np.shape(x)[-1] != phi.in_dim:
+        raise ValidationError(f"channel input dim {phi.in_dim} != state dim {np.shape(x)[-1]}")
+    return sum(k @ x @ k.conj().T for k in phi.kraus)
+
+
 def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Phi(rho) = sum_j E_j rho E_j^dagger."""
-    if rho.dim != phi.in_dim:
-        raise ValidationError(f"channel input dim {phi.in_dim} != state dim {rho.dim}")
-    out = sum(k @ rho.mat @ k.conj().T for k in phi.kraus)
+    """Phi(rho) = sum_j E_j rho E_j^dagger, by ``channel_output``."""
     dims = (phi.out_dim,) if phi.out_dim != rho.dim else rho.dims
-    return DensityMatrix(out, dims)
+    return DensityMatrix(channel_output(phi, rho.mat), dims)
 
 
 def sandwich(ops, x: np.ndarray, d_pre: int) -> np.ndarray:

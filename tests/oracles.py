@@ -6,26 +6,34 @@ per-object kernels of ``qfeedback.quantum`` (``apply_channel_at``,
 ``measure``, ``apply_kraus``) and ``measure_probabilities`` below, and evaluate
 entropies on the materialized block-diagonal matrix.  They are slow and
 small by design.  ``per_entropy`` is the exception: it is the one-entropy
-body that the batched ``cq_entropies`` pass must equal bit for bit.
+body that the batched ``cq_entropies`` pass must equal bit for bit.  The
+capacity layer has two more: ``oracle_output_ensemble`` builds the Holevo
+objective's ensemble one ``pure_state`` and ``apply_channel`` at a time, and
+``oracle_coordinate_ascent`` is the ascent with its greedy extension written
+as a loop of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qfeedback.capacity import ASCENT_TOL, FD_STEP, STEP0, AscentResult, simplex_projection
 from qfeedback.cqstate import CqState, _first_seen, _split_keys
 from qfeedback.linalg import RANK_TOL, as_matrix, herm_eig, partial_trace
 from qfeedback.protocol import FeedbackCode, round_zero
 from qfeedback.quantum import (
     PROB_FLOOR,
     DensityMatrix,
+    Ensemble,
     ValidationError,
+    apply_channel,
     apply_channel_at,
     apply_kraus,
     entropies,
     entropy,
     measure,
     outcome_probabilities,
+    pure_state,
     shannon,
 )
 
@@ -256,3 +264,74 @@ def support_projector(m: np.ndarray) -> np.ndarray:
         return np.zeros_like(as_matrix(m))
     mask = (w > RANK_TOL * w[0]).astype(float)
     return (v * mask) @ v.conj().T
+
+
+def oracle_output_ensemble(channel, num_states: int, x: np.ndarray) -> Ensemble:
+    """The Holevo objective's ensemble, one ``pure_state`` and ``apply_channel`` per kept input.
+
+    ``x`` holds ``num_states`` weights, then one (real, imaginary) vector of
+    length 2 d per input; weights below 1e-12 are dropped and the rest
+    renormalized, and a vector of norm below 1e-12 stands for |0>.
+    """
+    d = channel.in_dim
+    items = []
+    for k in range(num_states):
+        if x[k] < 1e-12:
+            continue
+        vec = x[num_states + 2 * d * k : num_states + 2 * d * (k + 1)]
+        v = vec[:d] + 1j * vec[d:]
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            v = np.zeros(d, dtype=complex)
+            v[0] = 1.0
+        else:
+            v = v / norm
+        items.append((float(x[k]), apply_channel(channel, pure_state(v))))
+    total = sum(p for p, _ in items)
+    return Ensemble(tuple((p / total, rho) for p, rho in items))
+
+
+def oracle_coordinate_ascent(objective, x0, prob_block, cfg, frozen=None):
+    """``coordinate_ascent`` written with a separate greedy-extension loop after the first paying move."""
+    frozen = frozen or set()
+
+    def clean(x):
+        x = x.copy()
+        if prob_block is not None:
+            x[prob_block] = simplex_projection(x[prob_block])
+        return x
+
+    def bump(x, i, delta):
+        y = x.copy()
+        y[i] += delta
+        return clean(y)
+
+    x = clean(np.asarray(x0, dtype=float))
+    best = objective(x)
+    for sweep in range(cfg.max_sweeps):
+        before = best
+        for i in range(len(x)):
+            if i in frozen:
+                continue
+            up, down = objective(bump(x, i, +FD_STEP)), objective(bump(x, i, -FD_STEP))
+            if up == down:
+                continue
+            direction = 1.0 if up > down else -1.0
+            step = STEP0
+            while step > 1e-10:
+                cand = bump(x, i, direction * step)
+                val = objective(cand)
+                if val > best + 1e-15:
+                    x, best = cand, val
+                    while True:
+                        cand = bump(x, i, direction * step)
+                        val = objective(cand)
+                        if val > best + 1e-15:
+                            x, best = cand, val
+                        else:
+                            break
+                    break
+                step *= 0.5
+        if best - before < ASCENT_TOL:
+            return AscentResult(x, best, True, sweep + 1)
+    return AscentResult(x, best, False, cfg.max_sweeps)

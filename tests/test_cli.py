@@ -79,6 +79,41 @@ def test_unknown_field_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "section, field, value, where",
+    [
+        ("protocol", "probs", 0.5, "protocol.probs"),
+        ("protocol", "probs", ["half", 0.5], "protocol.probs"),
+        ("channel", "p", "x", "channel.p"),
+        ("protocol", "words", [["a"], [1]], "protocol.words"),
+        ("protocol", "letter_states", [["x", 0.0], [3.14, 0.0]], "protocol.letter_states"),
+    ],
+    ids=["probs-not-a-list", "probs-not-numbers", "channel-p-not-a-number", "word-not-digits", "angle-not-a-number"],
+)
+def test_mistyped_fields_exit_two(tmp_path, section, field, value, where):
+    data = json.loads(IDENTITY.read_text())
+    if section == "channel":
+        data["channel"] = {"name": "depolarizing"}
+    data[section][field] = value
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_config(data)
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", path])[0] == 2
+
+
+def test_parameters_a_channel_does_not_take_exit_two(tmp_path):
+    data = json.loads(IDENTITY.read_text())
+    data["channel"] = {"name": "depolarizing", "p": 0.2, "gamma": 0.9, "dim": 7}
+    with pytest.raises(ConfigError, match=re.escape("channel 'depolarizing': unknown fields ['dim', 'gamma']")):
+        parse_config(data)
+    path = tmp_path / "stray_parameters.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", path])[0] == 2
+    assert run_cli(["optimize", "--channel", "identity", "--p", "0.3", "--max-sweeps", "0"])[0] == 2
+    assert run_cli(["optimize", "--channel", "depolarizing", "--starts", "1", "--max-sweeps", "0"])[0] == 2
+
+
 def test_dead_config_sections_rejected(tmp_path):
     # A config has no typicality or optimizer section: nothing would read one.
     data = json.loads(IDENTITY.read_text())

@@ -15,8 +15,10 @@ from qfeedback.quantum import (
     apply_channel_at,
     apply_kraus,
     basis_povm,
+    _random_isometry,
     basis_state,
     bloch_state,
+    channel_output,
     density,
     depolarizing_channel,
     entropy,
@@ -91,6 +93,24 @@ def test_amplitude_damping_oracle():
     gamma = 0.3
     out = apply_channel(amplitude_damping_channel(gamma), basis_state(2, 1))
     assert np.allclose(out.mat, np.diag([gamma, 1.0 - gamma]), atol=1e-12)
+
+
+def test_channel_output_of_a_stack_is_apply_channel_per_matrix():
+    # Square and rectangular (qubit to qutrit) channels; apply_channel is the
+    # Kraus sum written out, bit for bit.
+    rng = np.random.default_rng(11)
+    v = _random_isometry(rng, 6, 2)
+    for phi in (random_channel(rng, 2, 3), QuantumChannel((v[:3], v[3:]))):
+        stack = np.array([random_density_matrix(rng, 2).mat for _ in range(5)])
+        outputs = channel_output(phi, stack)
+        assert outputs.shape == (5, phi.out_dim, phi.out_dim)
+        for rho, out in zip(stack, outputs, strict=True):
+            single = apply_channel(phi, density(rho))
+            assert np.array_equal(single.mat, out)
+            assert np.array_equal(single.mat, sum(k @ rho @ k.conj().T for k in phi.kraus))
+            assert single.dims == (phi.out_dim,)
+    with pytest.raises(ValidationError, match="channel input dim 2 != state dim 3"):
+        channel_output(phi, np.zeros((3, 3)))
 
 
 def test_channel_completeness_enforced():

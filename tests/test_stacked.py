@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from oracles import (
     measure_probabilities,
+    oracle_coordinate_ascent,
     oracle_ehs_branches,
     oracle_error_probability,
+    oracle_output_ensemble,
     oracle_rate_report,
     oracle_transcripts,
     per_entropy,
@@ -16,7 +18,7 @@ from oracles import (
     round_update,
 )
 
-from qfeedback import cqstate, protocol, quantum
+from qfeedback import capacity, cqstate, protocol, quantum
 from qfeedback.achievability import build_double_blocked_code
 from qfeedback.capacity import grid_search_chi
 from qfeedback.cqstate import (
@@ -369,3 +371,118 @@ def test_converse_chain_equals_the_per_entropy_oracle(name):
         assert rep.directed_final == final
     lhs, rhs, slack = verify_ddpi(code)
     assert (lhs, rhs, slack) == (message_information(code)[0], float(sum(terms)), rhs - lhs)
+
+
+def qubit_to_qutrit_channel():
+    """A rectangular channel: two Kraus operators of shape (3, 2) from one seeded isometry."""
+    v = quantum._random_isometry(np.random.default_rng(5), 6, 2)
+    return quantum.QuantumChannel((v[:3], v[3:]), "qubit-to-qutrit")
+
+
+HOLEVO_CHANNELS = {
+    "amplitude-damping": amplitude_damping_channel(0.3),
+    "qutrit": quantum.random_channel(np.random.default_rng(2), 3, 2),
+    "qubit-to-qutrit": qubit_to_qutrit_channel(),
+}
+
+
+def holevo_objective(monkeypatch, channel):
+    """The objective ``holevo_capacity`` hands to the ascent, and its first start."""
+    seen = []
+
+    def capture(objective, x0, prob_block, cfg, frozen=None):
+        seen.append((objective, x0))
+        return capacity.AscentResult(x0, objective(x0), True, 0)
+
+    monkeypatch.setattr(capacity, "coordinate_ascent", capture)
+    capacity.holevo_capacity(channel, capacity.OptimizerConfig(starts=1))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def holevo_points(channel, seed):
+    """Seeded ensemble points: one weight below 1e-12, one kept input of norm zero."""
+    rng = np.random.default_rng(seed)
+    d = channel.in_dim
+    num = d * d
+    x = np.concatenate([rng.dirichlet(np.ones(num)), rng.standard_normal(2 * d * num)])
+    x[1] = 1e-13
+    x[num + 4 * d : num + 6 * d] = 0.0  # the third input, whose weight is kept
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(HOLEVO_CHANNELS))
+def test_holevo_objective_equals_the_per_object_oracle(monkeypatch, name):
+    channel = HOLEVO_CHANNELS[name]
+    num = channel.in_dim**2
+    objective, x0 = holevo_objective(monkeypatch, channel)
+    for x in [x0] + [holevo_points(channel, seed) for seed in range(4)]:
+        want = oracle_output_ensemble(channel, num, x)
+        weights, outputs = capacity._output_ensemble(channel, num, x)
+        assert len(weights) == len(want.items) == (num if x is x0 else num - 1)
+        for p, rho, (q, sigma) in zip(weights, outputs, want.items, strict=True):
+            assert abs(p - q) <= TOL and np.abs(rho - sigma.mat).max() <= TOL
+        assert abs(objective(x) - holevo_chi(want)) <= TOL
+
+
+def test_holevo_objective_builds_no_objects(monkeypatch):
+    objective, x0 = holevo_objective(monkeypatch, amplitude_damping_channel(0.3))
+    built = []
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(Ensemble, "__post_init__", lambda self: built.append(self))
+    objective(x0)
+    objective(holevo_points(amplitude_damping_channel(0.3), 0))
+    assert built == []
+
+
+def test_holevo_result_ensemble_is_built_once_from_the_best_point():
+    channel = qubit_to_qutrit_channel()
+    res = capacity.holevo_capacity(channel, capacity.OptimizerConfig(starts=2, max_sweeps=2))
+    assert all(rho.dims == (3,) for _, rho in res.ensemble.items)
+    assert holevo_chi(res.ensemble) == res.value
+
+
+def test_pure_outputs_equal_apply_channel_of_pure_state():
+    # The grid's and the objective's outputs, one pure input at a time.  With
+    # 64 rows some row norms differ in the last bit from the axis=1 norm.
+    channel = qubit_to_qutrit_channel()
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    vecs[2] = 0.0
+    outputs = capacity._pure_outputs(channel, vecs)
+    inputs = [quantum.basis_state(2, 0) if k == 2 else quantum.pure_state(v) for k, v in enumerate(vecs)]
+    for out, rho in zip(outputs, inputs, strict=True):
+        assert np.array_equal(out, quantum.apply_channel(channel, rho).mat)
+
+
+def ascent_cases(monkeypatch):
+    """(objective, x0, prob_block, frozen) of the amplitude-damping Holevo objective and of a smooth test function."""
+    objective, x0 = holevo_objective(monkeypatch, amplitude_damping_channel(0.3))
+    target = np.array([0.1, 0.6, 0.3, 1.0, -0.5, 2.0])
+
+    def smooth(v):
+        return -float(np.sum((v - target) ** 2)) + 0.25 * float(np.cos(v[3] * v[4]))
+
+    x_smooth = np.concatenate([np.full(3, 1.0 / 3.0), np.zeros(3)])
+    return [(objective, x0, slice(0, 4), None), (smooth, x_smooth, slice(0, 3), {5})]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_coordinate_ascent_evaluates_the_points_of_the_oracle_loop(monkeypatch, case):
+    objective, x0, prob_block, frozen = ascent_cases(monkeypatch)[case]
+    cfg = capacity.OptimizerConfig(max_sweeps=3)
+    runs = []
+    for ascent in (capacity.coordinate_ascent, oracle_coordinate_ascent):
+        points = []
+
+        def recorded(x):
+            points.append(x.copy())
+            return objective(x)
+
+        res = ascent(recorded, x0, prob_block, cfg, frozen)
+        runs.append((points, res))
+    (got, res), (want, ref) = runs
+    assert len(got) == len(want) > 50
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(res.x, ref.x)
+    assert (res.value, res.converged, res.sweeps) == (ref.value, ref.converged, ref.sweeps)
