@@ -11,11 +11,14 @@ the posterior ensembles via the square-root recipe.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     LinalgError,
     embed_operator,
     herm_eigvals,
@@ -40,6 +43,7 @@ from .protocol import (
 from .quantum import (
     ER,
     PROB_FLOOR,
+    TRACE_TOL,
     DensityMatrix,
     Povm,
     SubPovm,  # noqa: F401  (re-exported: the effect form lives next to Povm)
@@ -73,6 +77,63 @@ class TypicalityParams:
         return float(2.0 ** (-t * self.l * self.c * self.delta**2))
 
 
+def _typical_types(p, n: int, delta: float):
+    """The types (letter-count vectors) of ``typical_set`` and their multiplicities.
+
+    A string is typical iff its type c has lo <= c <= hi letter by letter, so
+    the kept types are the c with sum(c) = n inside that box, listed in
+    lexicographic order; type c holds the multinomial n! / prod c_x! strings.
+    Rejects what it cannot read as a distribution: a non-finite entry, one
+    below -PSD_TOL, a sum more than TRACE_TOL from 1, or an n that is not a
+    non-negative int.  Each check is written "not (...)" so that NaN fails it.
+    """
+    if not delta > 0:
+        raise ValidationError(f"typicality width delta must be positive, got {delta}")
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValidationError(f"block length n must be a non-negative int, got {n!r}")
+    p = np.asarray(list(p), dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(p >= -PSD_TOL) and abs(p.sum() - 1.0) <= TRACE_TOL):
+        raise ValidationError(f"typical_set needs a probability vector, got {p.tolist()}")
+    lo = np.ceil(n * p - n * delta - 1e-12)
+    hi = np.floor(n * p + n * delta + 1e-12)
+    hi[p <= 1e-12] = 0.0
+    lo = [max(int(x), 0) for x in lo]
+    hi = [min(int(x), n) for x in hi]
+    types = [()]
+    for x in range(len(p)):
+        # Keep a prefix only if the letters after x can still make up the rest of n.
+        rest_lo, rest_hi = sum(lo[x + 1 :]), sum(hi[x + 1 :])
+        types = [
+            c + (cx,)
+            for c in types
+            for cx in range(lo[x], hi[x] + 1)
+            if rest_lo <= n - sum(c) - cx <= rest_hi
+        ]
+    mults = [math.factorial(n) // math.prod(math.factorial(cx) for cx in c) for c in types]
+    return tuple(types), tuple(mults)
+
+
+def _strings_of_type(counts) -> list[tuple[int, ...]]:
+    """Every string in which letter x appears counts[x] times."""
+    out = []
+    s = [0] * sum(counts)
+
+    def place(x, free):
+        if x == len(counts) - 1:
+            for i in free:
+                s[i] = x
+            out.append(tuple(s))
+            return
+        for chosen in itertools.combinations(free, counts[x]):
+            for i in chosen:
+                s[i] = x
+            taken = set(chosen)
+            place(x + 1, [i for i in free if i not in taken])
+
+    place(0, range(len(s)))
+    return out
+
+
 def typical_set(p, n: int, delta: float) -> set[tuple[int, ...]]:
     """Strings whose letter counts all satisfy |N(x) - n p(x)| <= n delta.
 
@@ -80,63 +141,56 @@ def typical_set(p, n: int, delta: float) -> set[tuple[int, ...]]:
     typicality convention), whatever the width.  The width must be positive
     (NaN included in the rejection): a width <= 0 keeps at most the
     exact-count strings, and every decoder built on such a set is useless.
+    Only the kept types are expanded, so the work follows the size of the
+    set, which STRING_CAP bounds before any string is built.
     """
-    if not delta > 0:
-        raise ValidationError(f"typicality width delta must be positive, got {delta}")
-    p = np.asarray(list(p), dtype=float)
-    k = len(p)
-    if k**n > STRING_CAP:
-        raise CapExceededError(f"{k ** n} strings exceed the enumeration cap")
-    lo = np.ceil(n * p - n * delta - 1e-12)
-    hi = np.floor(n * p + n * delta + 1e-12)
-    hi[p <= 1e-12] = 0.0
-    out = set()
-    for s in itertools.product(range(k), repeat=n):
-        counts = np.bincount(s, minlength=k)
-        if np.all(counts >= lo) and np.all(counts <= hi):
-            out.add(s)
-    return out
+    types, mults = _typical_types(p, n, delta)
+    if sum(mults) > STRING_CAP:
+        raise CapExceededError(f"{sum(mults)} typical strings exceed the enumeration cap")
+    return {s for c in types for s in _strings_of_type(c)}
 
 
 @dataclass(frozen=True)
 class TypicalProjectorData:
-    """Lazy form: eigenbasis of rho plus the index strings kept by the projector."""
+    """Lazy form: eigenbasis of rho plus the kept types and how many strings each holds."""
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
     n: int
-    strings: frozenset
+    types: tuple
+    multiplicities: tuple
 
     @property
     def rank(self) -> int:
-        return len(self.strings)
+        return sum(self.multiplicities)
 
     def compressed_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of Pi rho^(x)n Pi, i.e. the kept string probabilities."""
-        vals = [float(np.prod(self.eigvals[list(s)])) for s in sorted(self.strings)]
-        return np.asarray(vals)
+        """The distinct eigenvalues prod_x p_x^(c_x) of Pi rho^(x)n Pi, one per kept type."""
+        types = np.asarray(self.types, dtype=int).reshape(-1, len(self.eigvals))
+        return np.prod(self.eigvals**types, axis=1)
 
     def overlap(self) -> float:
-        """tr(rho^(x)n Pi)."""
-        return float(sum(self.compressed_eigenvalues()))
+        """tr(rho^(x)n Pi): each type's eigenvalue times its multiplicity."""
+        return math.fsum(float(v) * m for v, m in zip(self.compressed_eigenvalues(), self.multiplicities))
 
     def matrix(self) -> np.ndarray:
         d = len(self.eigvals)
         if d**self.n > PROJECTOR_CAP:
             raise CapExceededError("materialized projector exceeds the cap")
         diag = np.zeros(d**self.n)
-        for s in self.strings:
-            idx = 0
-            for x in s:
-                idx = idx * d + x
-            diag[idx] = 1.0
+        for c in self.types:
+            for s in _strings_of_type(c):
+                idx = 0
+                for x in s:
+                    idx = idx * d + x
+                diag[idx] = 1.0
         v = kron_all([self.eigvecs] * self.n)
         return (v * diag) @ v.conj().T
 
 
 def typical_projector_data(rho: DensityMatrix, n: int, delta: float) -> TypicalProjectorData:
     w, v = rho.eig()
-    return TypicalProjectorData(w, v, n, frozenset(typical_set(w, n, delta)))
+    return TypicalProjectorData(w, v, n, *_typical_types(w, n, delta))
 
 
 def typical_projector(rho: DensityMatrix, n: int, delta: float) -> np.ndarray:
@@ -261,7 +315,7 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
     """
     data = typical_projector_data(rho, n, delta)
     comp = data.compressed_eigenvalues()
-    overlap = float(sum(comp))
+    overlap = data.overlap()
     d = rho.dim
     overlap_bound = 1.0 - 2.0 * d * float(np.exp(-2.0 * n * delta * delta))
     max_comp = float(comp.max()) if comp.size else 0.0

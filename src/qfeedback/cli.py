@@ -349,7 +349,7 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _count(least: int):
-    """argparse type for a count of at least ``least``; a smaller one is a parse error."""
+    """argparse type for a count (or seed) of at least ``least``; a smaller one is a parse error."""
 
     def count(text: str) -> int:
         value = int(text)
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--exact", action="store_true", help="exact enumeration only (default)")
     p.add_argument("--samples", type=_count(0), default=0, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("info", parents=[common], help="directed information and converse chain")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count(1), default=1)
     p.add_argument("--starts", type=_count(1), default=8)
     p.add_argument("--max-sweeps", type=_count(0), default=60)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--no-feedback", action="store_true")
     p.add_argument("--grid-check", action="store_true", help="also run the grid oracle")
     p.add_argument("--code-out", help="write the best code to this file")
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", parents=[common], help="randomized inequality battery")
     p.add_argument("--trials", type=_count(1), default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument(
         "--self-test",
         action="store_true",

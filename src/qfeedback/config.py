@@ -71,6 +71,20 @@ def _number(kind, value, where: str):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
+def _shaped(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (list or dict), else a ConfigError naming ``where``, as ``_number`` for scalars."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}: expected {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
+
+
+def _angle_pair(row, where: str) -> tuple[float, float]:
+    """A ``[theta, phi]`` row as two floats, or a ConfigError naming ``where``."""
+    if not (isinstance(row, list) and len(row) == 2):
+        raise ConfigError(f"{where}: expected a [theta, phi] pair, got {row!r}")
+    return _number(float, row[0], where), _number(float, row[1], where)
+
+
 # name -> (constructor, type of each keyword parameter); identity's "dim" defaults to 2.
 _CHANNELS = {
     "identity": (identity_channel, {"dim": int}),
@@ -103,6 +117,8 @@ def channel_from_spec(spec: dict) -> QuantumChannel:
 
 
 def _parse_word(w, n: int, where: str) -> tuple[int, ...]:
+    if not isinstance(w, (str, list)):
+        raise ConfigError(f"{where}: word {w!r} is neither a string nor a list")
     letters = tuple(_number(int, x, where) for x in w)  # a string word is read digit by digit
     if len(letters) != n:
         raise ConfigError(f"{where}: word {w!r} does not have length {n}")
@@ -143,14 +159,12 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     n = _number(int, spec["n"], "protocol.n")
     alphabet = _number(int, spec.get("alphabet", 2), "protocol.alphabet")
     d = channel.in_dim
-    words = tuple(_parse_word(w, n, "protocol.words") for w in spec["words"])
+    words = tuple(_parse_word(w, n, "protocol.words") for w in _shaped(spec["words"], list, "protocol.words"))
     try:
         book = Codebook(alphabet, n, words)
     except ValidationError as exc:
         raise ConfigError(f"protocol.words: {exc}") from None
-    if not isinstance(spec["probs"], list):
-        raise ConfigError(f"protocol.probs: expected a list, got {spec['probs']!r}")
-    probs = tuple(_number(float, p, "protocol.probs") for p in spec["probs"])
+    probs = tuple(_number(float, p, "protocol.probs") for p in _shaped(spec["probs"], list, "protocol.probs"))
     if len(probs) != len(words):
         raise ConfigError("protocol.probs: arity does not match words")
     # Written "not >=" / "not <=" so that a NaN probability fails the check.
@@ -161,14 +175,14 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         raise ConfigError("protocol: give exactly one of letter_states or states")
     if "letter_states" in spec:
         _require_qubit(channel, "protocol.letter_states")
-        angles = spec["letter_states"]
+        angles = _shaped(spec["letter_states"], list, "protocol.letter_states")
         if len(angles) != alphabet:
             raise ConfigError("protocol.letter_states: one [theta, phi] per letter")
-        angles = [[_number(float, a, "protocol.letter_states") for a in pair] for pair in angles]
+        angles = [_angle_pair(pair, "protocol.letter_states") for pair in angles]
         states = product_states([bloch_state(t, f) for t, f in angles], words)
     else:
         states = []
-        for i, rows in enumerate(spec["states"]):
+        for i, rows in enumerate(_shaped(spec["states"], list, "protocol.states")):
             mat = matrix_from_json(rows, f"protocol.states[{i}]")
             try:
                 states.append(DensityMatrix(mat, (d,) * n))
@@ -179,9 +193,13 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     if "measurements_explicit" in spec:
         if "measurements" in spec:
             raise ConfigError("protocol: give angles or explicit measurements, not both")
-        for j, entry in enumerate(spec["measurements_explicit"], start=1):
+        entries = _shaped(spec["measurements_explicit"], list, "protocol.measurements_explicit")
+        for j, entry in enumerate(entries, start=1):
             els = []
-            for lab, rows in entry:
+            for item in _shaped(entry, list, f"protocol.M{j}"):
+                if not (isinstance(item, list) and len(item) == 2):
+                    raise ConfigError(f"protocol.M{j}: expected a [label, matrix] pair, got {item!r}")
+                lab, rows = item
                 if isinstance(lab, str) and j == n and lab != "er":
                     label = _parse_word(lab, n, "measurement label")
                 else:
@@ -194,36 +212,35 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
         if len(measurements) != n:
             raise ConfigError("protocol.measurements_explicit: need one POVM per round")
     else:
-        angle_rows = spec.get("measurements", [[0.0, 0.0]] * (n - 1))
+        angle_rows = _shaped(spec.get("measurements", [[0.0, 0.0]] * (n - 1)), list, "protocol.measurements")
         if len(angle_rows) != n - 1:
             raise ConfigError("protocol.measurements: one [theta, phi] per round 1..n-1")
         if angle_rows:
             _require_qubit(channel, "protocol.measurements")
-        for j, (theta, phi) in enumerate(angle_rows, start=1):
+        for j, row in enumerate(angle_rows, start=1):
+            theta, phi = _angle_pair(row, "protocol.measurements")
             measurements.append(on_freshest(rotated_qubit_povm(theta, phi), j))
 
     feedback: dict = {}
-    fb_spec = spec.get("feedback", {})
+    fb_spec = _shaped(spec.get("feedback", {}), dict, "protocol.feedback")
     if fb_spec:
         for m_str, per in fb_spec.items():
-            m = int(m_str)
+            m = _number(int, m_str, "protocol.feedback")
             if not 2 <= m <= n - 1:
                 raise ConfigError(f"protocol.feedback: round {m} has no registers to act on")
             feedback[m] = {}
             labels = {str(lab): lab for lab in measurements[m - 2].labels}  # keys as encode_code writes them
-            for outcome_str, entry in per.items():
+            for outcome_str, entry in _shaped(per, dict, f"protocol.feedback[{m}]").items():
                 if outcome_str not in labels:
                     raise ConfigError(f"protocol.feedback[{m}][{outcome_str}]: not an outcome of M_{m - 1}")
                 outcome = labels[outcome_str]
+                where = f"protocol.feedback[{m}][{outcome}]"
                 if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
-                    _require_qubit(channel, f"protocol.feedback[{m}][{outcome}]")
-                    u = euler_unitary(*(float(x) for x in entry))
+                    _require_qubit(channel, where)
+                    u = euler_unitary(*(_number(float, x, where) for x in entry))
                     feedback[m][outcome] = (kron(u, identity(d ** (n - m - 1))),)
                 else:
-                    feedback[m][outcome] = tuple(
-                        matrix_from_json(rows, f"protocol.feedback[{m}][{outcome}]")
-                        for rows in entry
-                    )
+                    feedback[m][outcome] = tuple(matrix_from_json(rows, where) for rows in _shaped(entry, list, where))
 
     if len(measurements) == n - 1:
         final = spec.get("final_measurement", "pgm")

@@ -10,10 +10,14 @@ body that the batched ``cq_entropies`` pass must equal bit for bit.  The
 capacity layer has two more: ``oracle_output_ensemble`` builds the Holevo
 objective's ensemble one ``pure_state`` and ``apply_channel`` at a time, and
 ``oracle_coordinate_ascent`` is the ascent with its greedy extension written
-as a loop of its own.
+as a loop of its own.  The typicality layer has two: ``oracle_typical_set``
+and ``oracle_compressed_eigenvalues`` visit all k^n strings one at a time,
+where the library works per type (letter-count vector).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -335,3 +339,23 @@ def oracle_coordinate_ascent(objective, x0, prob_block, cfg, frozen=None):
         if best - before < ASCENT_TOL:
             return AscentResult(x, best, True, sweep + 1)
     return AscentResult(x, best, False, cfg.max_sweeps)
+
+
+def oracle_typical_set(p, n: int, delta: float) -> set[tuple[int, ...]]:
+    """``typical_set`` as a loop over all k^n strings, one ``bincount`` each."""
+    p = np.asarray(list(p), dtype=float)
+    k = len(p)
+    lo = np.ceil(n * p - n * delta - 1e-12)
+    hi = np.floor(n * p + n * delta + 1e-12)
+    hi[p <= 1e-12] = 0.0
+    out = set()
+    for s in itertools.product(range(k), repeat=n):
+        counts = np.bincount(s, minlength=k)
+        if np.all(counts >= lo) and np.all(counts <= hi):
+            out.add(s)
+    return out
+
+
+def oracle_compressed_eigenvalues(eigvals, strings) -> np.ndarray:
+    """The kept string probabilities, one per string in sorted order."""
+    return np.asarray([float(np.prod(eigvals[list(s)])) for s in sorted(strings)])

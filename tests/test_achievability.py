@@ -1,9 +1,13 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import oracle_compressed_eigenvalues, oracle_typical_set
 
 from qfeedback.achievability import (
+    STRING_CAP,
     DisturbanceRecord,
     SubPovm,
     TypicalityParams,
@@ -25,6 +29,7 @@ from qfeedback.achievability import (
 )
 from qfeedback.linalg import herm_eigvals, identity, kron, trace_norm
 from qfeedback.protocol import (
+    CapExceededError,
     Codebook,
     FeedbackCode,
     enumerate_transcripts,
@@ -82,6 +87,67 @@ def test_typical_set_matches_counting_oracle():
         zeros = s.count(0)
         ok = abs(zeros - n * p[0]) <= n * delta and abs((n - zeros) - n * p[1]) <= n * delta
         assert (s in got) == ok
+
+
+def _typicality_case(rng):
+    """A seeded (p, n, delta): k = 1-4 letters, some of probability zero, some widths with n delta an integer."""
+    k = int(rng.integers(1, 5))
+    n = int(rng.integers(0, {1: 12, 2: 12, 3: 7, 4: 5}[k] + 1))
+    p = rng.dirichlet(np.ones(k))
+    if k > 1 and rng.random() < 0.4:
+        p[rng.integers(k)] = 0.0
+        p = p / p.sum()
+    if n and rng.random() < 0.4:
+        p = rng.multinomial(n, p) / n  # n p(x) on the integers: every bound is an exact count
+    delta = int(rng.integers(1, n + 1)) / n if n and rng.random() < 0.5 else float(rng.uniform(0.02, 0.5))
+    return p, n, delta
+
+
+def test_typical_types_match_per_string_oracle():
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        p, n, delta = _typicality_case(rng)
+        assert typical_set(p, n, delta) == oracle_typical_set(p, n, delta), (p, n, delta)
+        data = typical_projector_data(density(np.diag(p)), n, delta)
+        strings = oracle_typical_set(data.eigvals, n, delta)
+        assert data.rank == len(strings)
+        if not strings:
+            continue
+        per_string = oracle_compressed_eigenvalues(data.eigvals, strings)
+        assert abs(data.overlap() - math.fsum(per_string)) <= 1e-15
+        assert abs(data.compressed_eigenvalues().max() - per_string.max()) <= 1e-15
+
+
+def test_typicality_at_block_length_400_matches_exact_binomial_sum():
+    # 2^400 strings: only the 81 kept types are visited.
+    rep = typicality_bounds_check(density(np.diag([0.75, 0.25])), 400, 0.1)
+    kept = [z for z in range(401) if abs(z - 300) <= 40]
+    assert rep.rank == sum(math.comb(400, z) for z in kept)
+    exact = sum(math.comb(400, z) * Fraction(3, 4) ** z * Fraction(1, 4) ** (400 - z) for z in kept)
+    assert abs(rep.overlap - float(exact)) <= 1e-12
+    assert rep.overlap_ok and math.isfinite(rep.max_compressed)
+
+
+def test_string_cap_counts_the_typical_strings():
+    # 2^21 strings in all, but only 196,878 typical ones.
+    assert len(typical_set([0.75, 0.25], 21, 0.1)) == 196_878
+    with pytest.raises(CapExceededError, match="typical strings exceed"):
+        typical_set([0.5, 0.5], 21, 0.5)
+    assert 2**21 > STRING_CAP
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [([float("nan"), 0.5], 4), ([0.5, 0.7], 4), ([-0.2, 1.2], 4), ([0.75, 0.25], -1), ([0.75, 0.25], 2.5)],
+    ids=["nan-entry", "sum-above-one", "negative-entry", "negative-n", "fractional-n"],
+)
+def test_typical_set_rejects_what_it_cannot_read(p, n):
+    with pytest.raises(ValidationError):
+        typical_set(p, n, 0.1)
+
+
+def test_typical_set_of_an_empty_block():
+    assert typical_set([0.75, 0.25], 0, 0.1) == {()}
 
 
 def test_typical_projector_maximally_mixed():

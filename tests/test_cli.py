@@ -102,6 +102,47 @@ def test_mistyped_fields_exit_two(tmp_path, section, field, value, where):
     assert run_cli(["validate", path])[0] == 2
 
 
+N3 = {"n": 3, "words": ["000", "111"], "measurements": [[0.6, 0.3], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "update, where",
+    [
+        ({"words": 5}, "protocol.words"),
+        ({"letter_states": [0.0, 3.14]}, "protocol.letter_states"),
+        ({"measurements": [["a", 0.3]]}, "protocol.measurements"),
+        ({"measurements": [[0.6]]}, "protocol.measurements"),
+        ({**N3, "feedback": {"2": 5}}, "protocol.feedback[2]"),
+        ({**N3, "feedback": {"x": {"0": [0.1, 0.0, 0.0]}}}, "protocol.feedback"),
+        ({**N3, "feedback": {"2": {"0": ["a", 0, 0]}}}, "protocol.feedback[2][0]"),
+        ({"measurements": None, "measurements_explicit": 5}, "protocol.measurements_explicit"),
+        ({"measurements": None, "measurements_explicit": [5, 6]}, "protocol.M1"),
+        ({"measurements": None, "measurements_explicit": [[["a"]], []]}, "protocol.M1"),
+    ],
+    ids=[
+        "words-not-a-list",
+        "angle-pair-not-a-list",
+        "measurement-angle-not-a-number",
+        "measurement-row-too-short",
+        "feedback-round-not-an-object",
+        "feedback-round-key-not-an-int",
+        "feedback-angle-not-a-number",
+        "explicit-measurements-not-a-list",
+        "explicit-povm-not-a-list",
+        "explicit-element-not-a-pair",
+    ],
+)
+def test_misshapen_fields_exit_two(tmp_path, update, where):
+    data = json.loads(DEPOLARIZING.read_text())
+    data["protocol"].update(update)
+    data["protocol"] = {key: value for key, value in data["protocol"].items() if value is not None}
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: expected")):
+        parse_config(data)
+    path = tmp_path / "misshapen.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", path])[0] == 2
+
+
 def test_parameters_a_channel_does_not_take_exit_two(tmp_path):
     data = json.loads(IDENTITY.read_text())
     data["channel"] = {"name": "depolarizing", "p": 0.2, "gamma": 0.9, "dim": 7}
@@ -205,8 +246,11 @@ def test_qubit_only_fields_on_qutrit_channel_exit_two(case, field, tmp_path):
         ["optimize", "--channel", "identity", "--max-sweeps", "-1"],
         ["simulate", IDENTITY, "--samples", "-5"],
         ["verify-lemmas", "--trials", "0"],
+        ["verify-lemmas", "--seed", "-1"],
+        ["optimize", "--channel", "identity", "--seed", "-3"],
+        ["simulate", IDENTITY, "--seed", "-2"],
     ],
-    ids=["starts", "n", "max-sweeps", "samples", "trials"],
+    ids=["starts", "n", "max-sweeps", "samples", "trials", "verify-seed", "optimize-seed", "simulate-seed"],
 )
 def test_out_of_range_counts_are_parse_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
