@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     LinalgError,
+    dagger,
     embed_operator,
     herm_eigvals,
     identity,
@@ -99,18 +100,21 @@ def _typical_types(p, n: int, delta: float):
     hi[p <= 1e-12] = 0.0
     lo = [max(int(x), 0) for x in lo]
     hi = [min(int(x), n) for x in hi]
-    types = [()]
+    types = [((), 1)]
     for x in range(len(p)):
-        # Keep a prefix only if the letters after x can still make up the rest of n.
+        # Keep a prefix only if the letters after x can still make up the rest of n; its
+        # multiplicity gains comb(free, cx), stepped as comb(free, cx) (free - cx) / (cx + 1).
         rest_lo, rest_hi = sum(lo[x + 1 :]), sum(hi[x + 1 :])
-        types = [
-            c + (cx,)
-            for c in types
-            for cx in range(lo[x], hi[x] + 1)
-            if rest_lo <= n - sum(c) - cx <= rest_hi
-        ]
-    mults = [math.factorial(n) // math.prod(math.factorial(cx) for cx in c) for c in types]
-    return tuple(types), tuple(mults)
+        grown = []
+        for c, m in types:
+            free = n - sum(c)
+            first = max(lo[x], free - rest_hi)
+            k = math.comb(free, first)
+            for cx in range(first, min(hi[x], free - rest_lo) + 1):
+                grown.append((c + (cx,), m * k))
+                k = k * (free - cx) // (cx + 1)
+        types = grown
+    return tuple(c for c, _ in types), tuple(m for _, m in types)
 
 
 def _strings_of_type(counts) -> list[tuple[int, ...]]:
@@ -170,8 +174,13 @@ class TypicalProjectorData:
         return np.prod(self.eigvals**types, axis=1)
 
     def overlap(self) -> float:
-        """tr(rho^(x)n Pi): each type's eigenvalue times its multiplicity."""
-        return math.fsum(float(v) * m for v, m in zip(self.compressed_eigenvalues(), self.multiplicities))
+        """tr(rho^(x)n Pi), exact: each float p_x is a_x / 2^e_x, so the types' terms
+        m_c prod_x p_x^(c_x) sum to one int over a power of two, rounded once."""
+        ratios = [float(x).as_integer_ratio() for x in self.eigvals]
+        nums = [m * math.prod(a**cx for (a, _), cx in zip(ratios, c)) for c, m in zip(self.types, self.multiplicities)]
+        dens = [math.prod(b**cx for (_, b), cx in zip(ratios, c)) for c in self.types]
+        top = max(dens, default=1)
+        return sum(a * (top // b) for a, b in zip(nums, dens)) / top
 
     def matrix(self) -> np.ndarray:
         d = len(self.eigvals)
@@ -250,21 +259,32 @@ def gentle_measurement_check(rho: DensityMatrix, effect: np.ndarray, eps: float)
 
     Hypothesis: tr(rho R) >= 1 - 3 eps; reported rather than raised when it
     fails.  The distance is between rho and its renormalized post-measurement
-    state sqrt(R) rho sqrt(R) / tr(rho R).
+    state sqrt(R) rho sqrt(R) / tr(rho R).  The B = 1 call of ``_gentle_distances``.
     """
-    overlap = float(np.trace(rho.mat @ effect).real)
-    root = psd_sqrt(effect)
-    post = root @ rho.mat @ root
-    distance = trace_norm(rho.mat - post / overlap) if overlap > PROB_FLOOR else 2.0
+    overlap, distance = (float(x[0]) for x in _gentle_distances(rho.mat[None], np.asarray(effect)[None]))
     bound = cumulative_disturbance_bound([eps])
     return GentleReport(
         overlap=overlap,
         epsilon=eps,
-        distance=float(distance),
+        distance=distance,
         bound=bound,
         hypothesis_ok=overlap >= 1.0 - 3.0 * eps - 1e-12,
         passed=distance <= bound + 1e-9,
     )
+
+
+def _gentle_distances(rhos: np.ndarray, effects: np.ndarray):
+    """(tr(rho R), ||rho - sqrt(R) rho sqrt(R) / tr(rho R)||_1) for each pair of two (B, D, D) stacks.
+
+    One stacked ``psd_sqrt`` and one stacked ``trace_norm``; the distance is
+    2 where the overlap is at most PROB_FLOOR.
+    """
+    overlaps = np.trace(rhos @ effects, axis1=1, axis2=2).real
+    roots, kept = psd_sqrt(effects), overlaps > PROB_FLOOR
+    distances = np.full(len(rhos), 2.0)
+    post = roots[kept] @ rhos[kept] @ roots[kept]
+    distances[kept] = trace_norm(rhos[kept] - post / overlaps[kept, None, None])
+    return overlaps, distances
 
 
 def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
@@ -272,25 +292,27 @@ def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
 
     Requires 0 <= S <= I and T >= 0.  Returns (violation, passed) where the
     violation is the largest eigenvalue of LHS - RHS (negative when the
-    inequality holds strictly); it passes up to 1e-9.
+    inequality holds strictly); it passes up to 1e-9.  The B = 1 call of
+    ``_hn_violations``.
     """
     s = 0.5 * (s + s.conj().T)
     t = 0.5 * (t + t.conj().T)
-    ws = herm_eigvals(s)
-    wt = herm_eigvals(t)
+    ws, wt = herm_eigvals(np.array([s, t]))
     if ws[-1] < -1e-9 or ws[0] > 1.0 + 1e-9 or wt[-1] < -1e-9:
         raise ValidationError("hayashi_nagaoka_check needs 0 <= S <= I and T >= 0")
-    violation = _hn_violation(s, t, 2.0)
+    violation = float(_hn_violations(s[None], t[None], 2.0)[0])
     return violation, violation <= 1e-9
 
 
-def _hn_violation(s: np.ndarray, t: np.ndarray, c: float) -> float:
-    """The violation of ``hayashi_nagaoka_check`` with c (I - S) in place of 2 (I - S); the self-test weakens c."""
+def _hn_violations(s: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
+    """The violation of ``hayashi_nagaoka_check`` for each pair of two (B, D, D) stacks.
+
+    c (I - S) stands in place of 2 (I - S); the self-test weakens c.
+    """
     w = pinv_sqrt(s + t)
-    lhs = identity(s.shape[0]) - w @ s @ w
-    rhs = c * (identity(s.shape[0]) - s) + 4.0 * t
-    diff = rhs - lhs
-    return -float(herm_eigvals(0.5 * (diff + diff.conj().T))[-1])
+    eye = identity(s.shape[-1])
+    diff = c * (eye - s) + 4.0 * t - (eye - w @ s @ w)
+    return -herm_eigvals(0.5 * (diff + dagger(diff)))[:, -1]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .achievability import (
-    _hn_violation,
-    gentle_measurement_check,
+    _gentle_distances,
+    _hn_violations,
+    cumulative_disturbance_bound,
     cumulative_disturbance_report,
     typicality_bounds_check,
 )
@@ -30,8 +31,8 @@ from .config import (
     encode_code,
     load_config,
 )
-from .cqstate import CqState, mutual_information
-from .directed import rate_report, verify_ddpi
+from .cqstate import CqState, conditional_mutual_informations
+from .directed import _converse
 from .linalg import LinalgError, herm_eigvals, identity
 from .protocol import (
     CapExceededError,
@@ -46,13 +47,12 @@ from .protocol import (
     validate_code,
 )
 from .quantum import (
-    Ensemble,
     Povm,
     ValidationError,
     basis_state,
     density,
     depolarizing_channel,
-    holevo_chi,
+    holevo_chis,
     random_density_matrix,
     random_pure_state,
 )
@@ -147,8 +147,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = load_config(args.config)
-    rep = rate_report(cfg.code)
-    lhs, rhs, slack = verify_ddpi(cfg.code)
+    rep, lhs = _converse(cfg.code, None, None, True)
+    slack = rep.directed_total - lhs
     report = {
         "command": "info",
         "n": rep.n,
@@ -159,7 +159,7 @@ def cmd_info(args) -> int:
         "i_message_quantum": rep.i_message_quantum,
         "i_message_classical": rep.i_message_classical,
         "ddpi_lhs": lhs,
-        "ddpi_rhs": rhs,
+        "ddpi_rhs": rep.directed_total,
         "ddpi_slack": slack,
         "rate": rep.rate,
         "average_error": rep.avg_error,
@@ -220,57 +220,54 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
     rng = np.random.default_rng(seed)
     results: dict = {}
 
-    # Directed data-processing inequality + converse chain on random codes.
-    worst_ddpi = np.inf
-    worst_holevo = np.inf
-    worst_fano = np.inf
+    # Directed data-processing inequality + converse chain on random codes:
+    # one walk and one entropy pass per code give all three.
+    worst_ddpi = worst_holevo = worst_fano = np.inf
     for _ in range(trials):
         n = int(rng.integers(1, 4))
-        code = random_feedback_code(
-            rng,
-            depolarizing_channel(float(rng.uniform(0.0, 0.6))),
-            n,
-            num_words=min(int(rng.integers(2, 5)), 2**n),
-        )
-        lhs, rhs, slack = verify_ddpi(code)
-        worst_ddpi = min(worst_ddpi, slack)
-        rep = rate_report(code)
+        channel = depolarizing_channel(float(rng.uniform(0.0, 0.6)))
+        code = random_feedback_code(rng, channel, n, num_words=min(int(rng.integers(2, 5)), 2**n))
+        rep, lhs = _converse(code, None, None, True)
+        worst_ddpi = min(worst_ddpi, rep.directed_total - lhs)
         worst_holevo = min(worst_holevo, rep.i_message_quantum - rep.i_message_classical)
         worst_fano = min(worst_fano, rep.fano_bound - rep.h_message_rate)
     results["ddpi"] = {"trials": trials, "worst_slack": float(worst_ddpi), "ok": worst_ddpi >= -1e-9}
-    results["holevo_ordering"] = {
-        "trials": trials,
-        "worst_slack": float(worst_holevo),
-        "ok": worst_holevo >= -1e-9,
-    }
+    results["holevo_ordering"] = {"trials": trials, "worst_slack": float(worst_holevo), "ok": worst_holevo >= -1e-9}
     results["fano"] = {"trials": trials, "worst_slack": float(worst_fano), "ok": worst_fano >= -1e-9}
 
+    # The loops below make all of their draws first, in trial order, and then
+    # evaluate every trial of one dimension in one stacked pass.
+
     # cq identity: block mutual information equals the Holevo quantity.
-    worst_cq = 0.0
-    for _ in range(max(trials, 20)):
-        probs = rng.dirichlet(np.ones(3))
-        states = [random_density_matrix(rng, 2) for _ in range(3)]
-        s = CqState(
-            (("A", 3),),
-            (2,),
-            tuple(((i,), float(probs[i]), states[i]) for i in range(3)),
-        )
-        chi = holevo_chi(Ensemble(tuple((float(probs[i]), states[i]) for i in range(3))))
-        worst_cq = max(worst_cq, abs(mutual_information(s, ("A",), (0,)) - chi))
+    cq_trials = max(trials, 20)
+    ensembles = [
+        (rng.dirichlet(np.ones(3)), [random_density_matrix(rng, 2) for _ in range(3)]) for _ in range(cq_trials)
+    ]
+    infos = conditional_mutual_informations(
+        (CqState((("A", 3),), (2,), tuple(((i,), float(p[i]), st[i]) for i in range(3))), ("A",), (0,), ())
+        for p, st in ensembles
+    )
+    stack = np.array([rho.mat for _, st in ensembles for rho in st])
+    chis = holevo_chis(np.array([p for p, _ in ensembles]), np.arange(3 * cq_trials).reshape(-1, 3), stack)
+    worst_cq = max([0.0] + [abs(i - float(chi)) for i, chi in zip(infos, chis)])
     results["cq_identity"] = {"worst_deviation": float(worst_cq), "ok": worst_cq <= 1e-10}
 
     # Hayashi-Nagaoka operator inequality.
     hn_factor = 0.2 if self_test else 2.0
-    worst_hn = -np.inf
     hn_trials = max(trials * 5, 100)
+    draws = []
     for _ in range(hn_trials):
         dim = int(rng.integers(2, 9))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        s = g @ g.conj().T
-        s = s / (herm_eigvals(s)[0] * float(rng.uniform(1.0, 3.0)))
+        scale = float(rng.uniform(1.0, 3.0))
         h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = (h @ h.conj().T) / dim * float(rng.uniform(0.1, 2.0)) + 0.05 * identity(dim)
-        worst_hn = max(worst_hn, _hn_violation(s, t, hn_factor))
+        draws.append((dim, g @ g.conj().T, scale, t))
+    worst_hn = -np.inf
+    for dim in sorted({d[0] for d in draws}):
+        s, scale, t = (np.array(x) for x in zip(*(d[1:] for d in draws if d[0] == dim)))
+        s = s / (herm_eigvals(s)[:, 0] * scale)[:, None, None]
+        worst_hn = max(worst_hn, float(_hn_violations(s, t, hn_factor).max()))
     results["hayashi_nagaoka"] = {
         "trials": hn_trials,
         "worst_violation": float(worst_hn),
@@ -280,21 +277,18 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
 
     # Gentle measurement at epsilon = 0.01.
     eps = 0.01
-    worst_gentle = -np.inf
     gentle_trials = max(trials * 5, 100)
+    rhos, effects = [], []
     for _ in range(gentle_trials):
-        rho = random_density_matrix(rng, 3)
+        rho = random_density_matrix(rng, 3).mat
         pert = random_pure_state(rng, 3).mat
-        denom = float(np.trace(rho.mat @ pert).real)
+        denom = float(np.trace(rho @ pert).real)
         scale = min(1.0, 3.0 * eps * float(rng.uniform(0, 1)) / max(denom, 1e-12))
-        effect = identity(3) - scale * pert
-        rep = gentle_measurement_check(rho, effect, eps)
-        worst_gentle = max(worst_gentle, rep.distance - rep.bound)
-    results["gentle_measurement"] = {
-        "trials": gentle_trials,
-        "worst_excess": float(worst_gentle),
-        "ok": worst_gentle <= 1e-9,
-    }
+        rhos.append(rho)
+        effects.append(identity(3) - scale * pert)
+    _, distances = _gentle_distances(np.array(rhos), np.array(effects))
+    worst_gentle = float(np.max(distances - cumulative_disturbance_bound([eps])))
+    results["gentle_measurement"] = {"trials": gentle_trials, "worst_excess": worst_gentle, "ok": worst_gentle <= 1e-9}
 
     # Typicality bounds with the provable per-state exponent constant.
     rho = density(np.diag([0.75, 0.25]))
@@ -312,17 +306,8 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
 
     # Cumulative disturbance end-to-end on a small double-blocked instance.
     book = Codebook(2, 1, ((0,), (1,)))
-    els = (
-        ((0,), np.diag([1.0, 0.0]).astype(complex)),
-        ((1,), np.diag([0.0, 1.0]).astype(complex)),
-    )
-    base = FeedbackCode(
-        book,
-        depolarizing_channel(0.1),
-        (0.5, 0.5),
-        (basis_state(2, 0), basis_state(2, 1)),
-        (Povm(els),),
-    )
+    povm = Povm(tuple(((k,), np.diag(np.eye(2)[k]).astype(complex)) for k in range(2)))
+    base = FeedbackCode(book, depolarizing_channel(0.1), (0.5, 0.5), (basis_state(2, 0), basis_state(2, 1)), (povm,))
     records = cumulative_disturbance_report(base, 2, delta=0.5)
     worst_l4 = max((r.distance - r.bound for r in records), default=-np.inf)
     results["cumulative_disturbance"] = {

@@ -158,12 +158,11 @@ def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_pro
     Returns (lhs, rhs, slack); the inequality holds when slack >= 0 up to
     numerical tolerance.  Defaults to one message per codeword, weighted by
     the input ensemble so both sides describe the same joint state.  Both
-    sides are read off one walk of the codewords; no transcript is built.
+    sides come from ``_converse``'s one walk: the right-hand side is the rate
+    report's ``directed_total``.
     """
-    table, pieces = _walked(code, message_map, message_probs)
-    lhs = _holevo_term(code, table, pieces)
-    rhs = float(sum(_terms([_ehs_states(code, pieces)])[0]))
-    return lhs, rhs, rhs - lhs
+    report, lhs = _converse(code, message_map, message_probs, True)
+    return lhs, report.directed_total, report.directed_total - lhs
 
 
 def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_probs=None) -> float:
@@ -192,27 +191,32 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
     used for the error exponent); set ``uniform_messages=False`` to weight
     messages by the input ensemble instead.
     """
+    return _converse(code, None, None, uniform_messages)[0]
+
+
+def _converse(code: FeedbackCode, message_map, message_probs, uniform_messages: bool):
+    """``rate_report``'s report and ``verify_ddpi``'s I(M:Z_1^n) under its message law, from one walk.
+
+    One entropy pass gives the directed terms on the protocol-time and the final states.
+    """
     n = code.n
     words = code.codebook.words
     num = len(words)
-    probs = {i: 1.0 / num for i in range(num)} if uniform_messages else None
-    table, pieces = _walked(code, None, probs)
-    _, _, probs = table
+    ddpi_table = _message_table(code, message_map, message_probs)
+    table, pieces = _walked(code, None, {i: 1.0 / num for i in range(num)} if uniform_messages else None)
     laws = _transcripts(code, pieces)
     states = _ehs_states(code, pieces)
     terms, final_terms = _terms([states, [states[-1]] * n])
-    final = float(sum(final_terms))
-    i_mz = _holevo_term(code, table, pieces)
+    i_mz, lhs = _holevo_term(code, table, pieces), _holevo_term(code, ddpi_table, pieces)
     i_mk = _classical_term(table, laws)
     avg_err, max_err = _error_figures(code, (_p_correct(laws[w], w) for w in words))
     rate, eps, fano = _fano(n, table, laws, i_mk)
-    h_m = shannon(probs.values()) / n
     report = RateReport(
         n=n,
         num_messages=num,
         per_round=tuple(float(x) for x in terms),
         directed_total=float(sum(terms)),
-        directed_final=final,
+        directed_final=float(sum(final_terms)),
         i_message_quantum=float(i_mz),
         i_message_classical=float(i_mk),
         rate=rate,
@@ -220,7 +224,7 @@ def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport
         max_error=float(max_err),
         epsilon_n=float(eps),
         fano_bound=float(fano),
-        h_message_rate=float(h_m),
+        h_message_rate=float(shannon(table[2].values()) / n),
     )
     report.check()
-    return report
+    return report, lhs

@@ -195,31 +195,42 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
     return herm_eig(m, vectors=False)
 
 
+def psd_eig(m: np.ndarray):
+    """``herm_eig`` of a PSD matrix or (B, D, D) stack: the first matrix with an eigenvalue below -PSD_TOL raises."""
+    w, v = herm_eig(m)
+    low = w[..., -1:].reshape(-1)
+    if np.any(low < -PSD_TOL):
+        raise LinalgError(f"matrix is not PSD: min eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e}")
+    return w, v
+
+
+def from_spectrum(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V diag(f) V^dagger for each matrix of a stack, or for one matrix."""
+    return (v * f[..., None, :]) @ dagger(v)
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive square root of a PSD matrix.
+    """Positive square root of a PSD matrix, or of each matrix of a (B, D, D) stack in one LAPACK call.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything lower raises.
     """
-    w, v = herm_eig(m)
-    if w.size and w[-1] < -PSD_TOL:
-        raise LinalgError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    w, v = psd_eig(m)
+    return from_spectrum(v, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def pinv_sqrt(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root: lambda^(-1/2) on the support, 0 on the kernel.
 
-    The support cutoff is RANK_TOL relative to the largest eigenvalue.
+    The support cutoff is RANK_TOL relative to the largest eigenvalue; a
+    matrix whose largest eigenvalue is not positive maps to zero.  ``m`` may
+    be a (B, D, D) stack, taken in one LAPACK call.
     """
     w, v = herm_eig(m)
-    if w.size == 0 or w[0] <= 0.0:
-        return np.zeros_like(as_matrix(m))
-    cutoff = RANK_TOL * w[0]
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
-    return (v * inv) @ v.conj().T
+    support = w > RANK_TOL * w[..., :1]  # empty when the largest eigenvalue is not positive
+    return from_spectrum(v, np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(herm_eigvals(m))))
+def trace_norm(m: np.ndarray):
+    """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of each matrix of a stack (a (B,) array)."""
+    norms = np.sum(np.abs(herm_eigvals(m)), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms

@@ -13,19 +13,20 @@ from typing import Hashable
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     HERM_TOL,
     PSD_TOL,
     as_matrix,
     check_register_shape,
     dagger,
+    from_spectrum,
     herm_eig,
     herm_eigvals,
     identity,
     left_product,
     partial_trace,
     pinv_sqrt,
+    psd_eig,
 )
 
 PROB_FLOOR = 1e-14
@@ -395,9 +396,7 @@ class SubPovm:
         if not els:
             raise ValidationError("sub-POVM needs at least one element")
         dim = els[0][1].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for _, m in els:
-            total += m
+        total = np.array([m for _, m in els]).sum(axis=0)
         w = herm_eigvals(0.5 * (total + total.conj().T))
         if w[0] > 1.0 + COMPLETENESS_TOL or w[-1] < -COMPLETENESS_TOL:
             raise ValidationError("effects violate 0 <= sum R <= I")
@@ -410,7 +409,7 @@ class SubPovm:
         return self.elements[0][1].shape[0]
 
     def roots(self) -> tuple:
-        """Measurement operators: (label, sqrt R) per effect, then (ER, sqrt remainder).
+        """Measurement operators: (label, sqrt R) per effect, then (ER, sqrt remainder), from one stacked eigh.
 
         Eigenvalues of an effect or of the remainder at or below
         COMPLETENESS_TOL count as zero, and one below -PSD_TOL raises.  They
@@ -419,14 +418,9 @@ class SubPovm:
         (~1e-8) would make the operators depend on the last bits of the
         effects.
         """
-        out = []
-        for lab, m in self.elements + ((ER, self.remainder),):
-            w, v = herm_eig(m)
-            if w[-1] < -PSD_TOL:
-                raise linalg.LinalgError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
-            w = np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))
-            out.append((lab, (v * w) @ v.conj().T))
-        return tuple(out)
+        w, v = psd_eig(np.array([m for _, m in self.elements] + [self.remainder]))
+        roots = from_spectrum(v, np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0)))
+        return tuple(zip([lab for lab, _ in self.elements] + [ER], roots))
 
     def as_complete_povm(self) -> Povm:
         """The complete measurement of ``roots()``; the remainder routes to 'er'."""
@@ -442,21 +436,10 @@ def square_root_measurement(gammas: dict) -> SubPovm:
     """
     if not gammas:
         raise ValidationError("no Gamma operators supplied")
-    total = None
-    for g in gammas.values():
-        g = np.asarray(g, dtype=complex)
-        total = g.copy() if total is None else total + g
-    w = pinv_sqrt(total)
-    els = []
-    for lab, g in gammas.items():
-        r = w @ np.asarray(g, dtype=complex) @ w
-        els.append((lab, 0.5 * (r + r.conj().T)))
-    return SubPovm(tuple(els))
-
-
-def basis_povm(dim: int) -> Povm:
-    els = tuple((k, np.diag(np.eye(dim)[k]).astype(complex)) for k in range(dim))
-    return Povm(els)
+    stack = np.array([np.asarray(g, dtype=complex) for g in gammas.values()])
+    w = pinv_sqrt(stack.sum(axis=0))
+    r = w @ stack @ w
+    return SubPovm(tuple(zip(gammas, 0.5 * (r + dagger(r)))))
 
 
 def rotated_qubit_povm(theta: float, phi: float) -> Povm:
@@ -606,13 +589,6 @@ def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_channel(rng: np.random.Generator, dim: int, num_kraus: int) -> QuantumChannel:
-    """Haar-like random channel: isometry split into Kraus blocks."""
-    v = _random_isometry(rng, dim * num_kraus, dim)
-    ks = tuple(v[j * dim : (j + 1) * dim, :] for j in range(num_kraus))
-    return QuantumChannel(ks, "random")
 
 
 def random_povm(rng: np.random.Generator, dim: int, outcomes: int = 2) -> Povm:

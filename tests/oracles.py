@@ -12,7 +12,10 @@ objective's ensemble one ``pure_state`` and ``apply_channel`` at a time, and
 ``oracle_coordinate_ascent`` is the ascent with its greedy extension written
 as a loop of its own.  The typicality layer has two: ``oracle_typical_set``
 and ``oracle_compressed_eigenvalues`` visit all k^n strings one at a time,
-where the library works per type (letter-count vector).
+where the library works per type (letter-count vector).  The spectral
+kernels have three, one matrix and one ``eigh`` at a time, as the library
+computed them before they took stacks: ``oracle_psd_sqrt``,
+``oracle_pinv_sqrt`` and ``oracle_roots``.
 """
 
 from __future__ import annotations
@@ -23,13 +26,18 @@ import numpy as np
 
 from qfeedback.capacity import ASCENT_TOL, FD_STEP, STEP0, AscentResult, simplex_projection
 from qfeedback.cqstate import CqState, _first_seen, _split_keys
-from qfeedback.linalg import RANK_TOL, as_matrix, herm_eig, partial_trace
+from qfeedback.linalg import PSD_TOL, RANK_TOL, LinalgError, as_matrix, herm_eig, partial_trace
 from qfeedback.protocol import FeedbackCode, round_zero
 from qfeedback.quantum import (
+    COMPLETENESS_TOL,
+    ER,
     PROB_FLOOR,
     DensityMatrix,
     Ensemble,
+    Povm,
+    QuantumChannel,
     ValidationError,
+    _random_isometry,
     apply_channel,
     apply_channel_at,
     apply_kraus,
@@ -359,3 +367,46 @@ def oracle_typical_set(p, n: int, delta: float) -> set[tuple[int, ...]]:
 def oracle_compressed_eigenvalues(eigvals, strings) -> np.ndarray:
     """The kept string probabilities, one per string in sorted order."""
     return np.asarray([float(np.prod(eigvals[list(s)])) for s in sorted(strings)])
+
+
+def basis_povm(dim: int) -> Povm:
+    """The computational-basis measurement, one projector per basis state."""
+    els = tuple((k, np.diag(np.eye(dim)[k]).astype(complex)) for k in range(dim))
+    return Povm(els)
+
+
+def random_channel(rng: np.random.Generator, dim: int, num_kraus: int) -> QuantumChannel:
+    """Haar-like random channel: isometry split into Kraus blocks."""
+    v = _random_isometry(rng, dim * num_kraus, dim)
+    ks = tuple(v[j * dim : (j + 1) * dim, :] for j in range(num_kraus))
+    return QuantumChannel(ks, "random")
+
+
+def _oracle_eig_psd(m: np.ndarray):
+    w, v = herm_eig(m)
+    if w.size and w[-1] < -PSD_TOL:
+        raise LinalgError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
+    return w, v
+
+
+def oracle_psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = _oracle_eig_psd(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def oracle_pinv_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = herm_eig(m)
+    if w.size == 0 or w[0] <= 0.0:
+        return np.zeros_like(as_matrix(m))
+    cutoff = RANK_TOL * w[0]
+    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
+    return (v * inv) @ v.conj().T
+
+
+def oracle_roots(sub) -> list:
+    """``SubPovm.roots`` one effect at a time: (label, sqrt R) per effect, then (ER, sqrt remainder)."""
+    out = []
+    for lab, m in sub.elements + ((ER, sub.remainder),):
+        w, v = _oracle_eig_psd(m)
+        out.append((lab, (v * np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))) @ v.conj().T))
+    return out

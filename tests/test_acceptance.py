@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import random_channel
 
 from qfeedback.achievability import (
     gentle_measurement_check,
@@ -45,7 +46,6 @@ from qfeedback.quantum import (
     entropy,
     holevo_chi,
     identity_channel,
-    random_channel,
     random_density_matrix,
     random_pure_state,
 )

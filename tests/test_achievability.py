@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import oracle_compressed_eigenvalues, oracle_typical_set
+from oracles import oracle_compressed_eigenvalues, oracle_typical_set, random_channel
 
 from qfeedback.achievability import (
     STRING_CAP,
@@ -384,6 +384,23 @@ def test_typicality_overlap_matches_binomial_oracle():
     assert abs(rep.overlap - want) < 1e-12
 
 
+@pytest.mark.parametrize("n, delta", [(1100, 0.05), (10000, 0.05), (10000, 0.005)])
+def test_typicality_overlap_past_the_float_range_matches_the_exact_sum(n, delta):
+    # Multiplicities above 2^1024 made the per-type float product overflow.
+    # The exact overlap of diag(1/2, 1/2) is the binomial mass of
+    # |c - n/2| <= n delta over 2^n, with the binomial row stepped exactly.
+    rep = typicality_bounds_check(density(np.diag([0.5, 0.5])), n, delta)
+    row, binom = [], 1
+    for c in range(n + 1):
+        row.append(binom)
+        binom = binom * (n - c) // (c + 1)
+    kept = [row[c] for c in range(n + 1) if abs(c - n / 2) <= n * delta + 1e-12]
+    want = Fraction(sum(kept), 2**n)
+    assert rep.rank == sum(kept)
+    assert abs(rep.overlap - float(want)) <= 1e-12
+    assert rep.overlap_ok
+
+
 def test_error_recursion_basics():
     assert error_recursion([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
     assert error_recursion([0.3]) == [0.3]
@@ -480,7 +497,7 @@ def test_cumulative_disturbance_bound_one_round():
 
 def test_trace_distance_monotone_under_channels():
     rng = np.random.default_rng(10)
-    from qfeedback.quantum import apply_channel, random_channel
+    from qfeedback.quantum import apply_channel
 
     for _ in range(30):
         phi = random_channel(rng, 3, 2)

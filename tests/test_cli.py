@@ -416,6 +416,23 @@ def test_verify_lemmas_passes():
     assert rep["all_ok"] is True
 
 
+VERIFY_PIN = ROOT / "tests" / "data" / "verify_lemmas.json"
+
+
+@pytest.mark.parametrize("argv", sorted(json.loads(VERIFY_PIN.read_text())))
+def test_verify_lemmas_output_pin(argv):
+    # Recorded from the trial-by-trial battery: drawing first and evaluating in
+    # stacks keeps every field bit for bit.  The typicality overlap, now summed
+    # exactly, may move by at most 1e-15.
+    code, out = run_cli(argv.split())
+    assert code == (1 if "--self-test" in argv else 0)
+    got = {path: (type(v), v) for path, v in cli._leaves(json.loads(out))}
+    want = {path: (type(v), v) for path, v in cli._leaves(json.loads(VERIFY_PIN.read_text())[argv])}
+    overlap = "checks.typicality.overlap"
+    assert abs(got.pop(overlap)[1] - want.pop(overlap)[1]) <= 1e-15
+    assert got == want
+
+
 def test_verify_lemmas_reproducible():
     _, a = run_cli(["verify-lemmas", "--trials", 1, "--seed", 9])
     _, b = run_cli(["verify-lemmas", "--trials", 1, "--seed", 9])

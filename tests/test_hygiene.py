@@ -2,10 +2,11 @@
 
 No linter is a dependency, so the checks that matter here are made by hand:
 every import in the library is used and sits in its module's import block,
-every module-private definition is named somewhere else, every name the
-package exports is used in the library or named in the README, every
-function the benchmark's span tracer wraps still exists under its name, and
-the README's example runs as written.  Tolerances and floors are module constants: no
+every module-private definition is named somewhere else, every top-level
+function and class has a caller in the library or is exported or traced,
+every name the package exports is used in the library or named in the
+README, every function the benchmark's span tracer wraps still exists under
+its name, and the README's example runs as written.  Tolerances and floors are module constants: no
 function takes one as a parameter, so no caller can loosen a check per call.  The count
 of settable values may only fall, so a new knob shows up in the diff.
 """
@@ -184,6 +185,47 @@ def test_every_private_definition_is_named_elsewhere():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = {"spans.py": (ROOT / "bench" / "spans.py").read_text()}
     assert unnamed_privates(sources, readers) == []
+
+
+def uncalled_definitions(sources: dict[str, str], public: set[str]) -> list[str]:
+    """Top-level functions and classes that no other top-level statement of ``sources`` reads and ``public`` does not name.
+
+    A read is a bare name or an attribute of that name; a definition that
+    only reads itself (recursion) has no caller.
+    """
+    defined, readers = [], {}
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node.lineno, node.name))
+            for inner in ast.walk(node):
+                name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+                if isinstance(inner, (ast.Name, ast.Attribute)):
+                    readers.setdefault(name, set()).add((path, node.lineno))
+    return [
+        f"{path}:{line} {name}"
+        for path, line, name in defined
+        if name not in public and not readers.get(name, set()) - {(path, line)}
+    ]
+
+
+def test_uncalled_definition_detector():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef alone(k):\n    return alone(k - 1)\n\nclass Kept:\n    pass\n",
+        "b.py": "import a\n\ndef caller():\n    return a.used()\n",
+    }
+    assert uncalled_definitions(sources, {"Kept"}) == ["a.py:4 alone", "b.py:3 caller"]
+
+
+def test_every_definition_has_a_caller():
+    # Public means exported by __init__.py or wrapped by the benchmark's span tracer.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert uncalled_definitions(sources, exported | {attr for _, attr in spans.TRACED}) == []
 
 
 def uncalled_exports(init: str, sources: list[str], readme: str) -> list[str]:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import outcome_chain, round_update
+from oracles import basis_povm, outcome_chain, random_channel, round_update
 
 from qfeedback.cqstate import cq_entropy
 from qfeedback.linalg import identity, kron
@@ -24,7 +24,6 @@ from qfeedback.quantum import (
     Povm,
     ValidationError,
     apply_kraus,
-    basis_povm,
     basis_state,
     density,
     depolarizing_channel,
@@ -341,8 +340,6 @@ def test_validate_code_random_codes_pass():
 
 def test_random_feedback_code_draws_feedback_for_every_outcome():
     # A projective qutrit M_1 has three outcomes; each needs its own feedback map.
-    from qfeedback.quantum import random_channel
-
     code = random_feedback_code(np.random.default_rng(0), random_channel(np.random.default_rng(0), 3, 2), 3)
     assert code.outcome_labels(1) == (0, 1, 2)
     assert sorted(code.feedback[2]) == [0, 1, 2]

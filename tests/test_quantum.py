@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import measure_probabilities
+from oracles import basis_povm, measure_probabilities, random_channel
 
 from qfeedback.linalg import embed_operator, herm_eigvals, identity, kron
 from qfeedback.quantum import (
@@ -14,7 +14,6 @@ from qfeedback.quantum import (
     apply_channel,
     apply_channel_at,
     apply_kraus,
-    basis_povm,
     _random_isometry,
     basis_state,
     bloch_state,
@@ -28,7 +27,6 @@ from qfeedback.quantum import (
     identity_channel,
     measure,
     pure_state,
-    random_channel,
     random_density_matrix,
     random_povm,
     random_pure_state,

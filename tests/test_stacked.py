@@ -6,20 +6,31 @@ import re
 import numpy as np
 import pytest
 from oracles import (
+    basis_povm,
     measure_probabilities,
     oracle_coordinate_ascent,
     oracle_ehs_branches,
     oracle_error_probability,
     oracle_output_ensemble,
+    oracle_pinv_sqrt,
+    oracle_psd_sqrt,
     oracle_rate_report,
+    oracle_roots,
     oracle_transcripts,
     per_entropy,
     per_entropy_terms,
+    random_channel,
     round_update,
 )
 
 from qfeedback import capacity, cqstate, protocol, quantum
-from qfeedback.achievability import build_double_blocked_code
+from qfeedback.achievability import (
+    _gentle_distances,
+    _hn_violations,
+    build_double_blocked_code,
+    gentle_measurement_check,
+    hayashi_nagaoka_check,
+)
 from qfeedback.capacity import grid_search_chi
 from qfeedback.cqstate import (
     CqState,
@@ -38,7 +49,7 @@ from qfeedback.directed import (
     rate_report,
     verify_ddpi,
 )
-from qfeedback.linalg import LinalgError
+from qfeedback.linalg import LinalgError, dagger, herm_eigvals, identity, pinv_sqrt, psd_sqrt, trace_norm
 from qfeedback.protocol import (
     _walk,
     ehs_states,
@@ -50,9 +61,11 @@ from qfeedback.protocol import (
     with_pgm_decoder,
 )
 from qfeedback.quantum import (
+    ER,
     DensityMatrix,
     Ensemble,
     Povm,
+    SubPovm,
     ValidationError,
     amplitude_damping_channel,
     density,
@@ -123,7 +136,7 @@ def floored_code():
     letters = [quantum.basis_state(2, 0), quantum.basis_state(2, 1)]
     m1 = on_freshest(quantum.rotated_qubit_povm(2.0 * np.arcsin(np.sqrt(1.2e-14)), 0.0), 1)
     split = on_freshest(Povm(((0, np.sqrt(0.7) * np.eye(2)), (1, np.sqrt(0.3) * np.eye(2)))), 2)
-    m2 = {(0,): on_freshest(quantum.basis_povm(2), 2), (1,): split}
+    m2 = {(0,): on_freshest(basis_povm(2), 2), (1,): split}
     states = protocol.product_states(letters, book.words)
     partial = protocol.FeedbackCode(book, quantum.identity_channel(2), (0.5, 0.5), states, (m1, m2, None))
     return with_pgm_decoder(partial, partial.probs)
@@ -381,7 +394,7 @@ def qubit_to_qutrit_channel():
 
 HOLEVO_CHANNELS = {
     "amplitude-damping": amplitude_damping_channel(0.3),
-    "qutrit": quantum.random_channel(np.random.default_rng(2), 3, 2),
+    "qutrit": random_channel(np.random.default_rng(2), 3, 2),
     "qubit-to-qutrit": qubit_to_qutrit_channel(),
 }
 
@@ -486,3 +499,82 @@ def test_coordinate_ascent_evaluates_the_points_of_the_oracle_loop(monkeypatch, 
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(res.x, ref.x)
     assert (res.value, res.converged, res.sweeps) == (ref.value, ref.converged, ref.sweeps)
+
+
+def psd_stack(rng, dim: int, size: int = 5) -> np.ndarray:
+    g = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+    return g @ dagger(g)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 64])
+def test_stacked_spectral_kernels_equal_per_matrix_calls(dim):
+    rng = np.random.default_rng(dim)
+    psd = psd_stack(rng, dim)
+    psd[2] = 0.0  # pinv_sqrt maps the zero matrix to zero
+    indefinite = psd - psd[::-1]
+    indefinite[1] = -psd[1]  # and a matrix with no positive eigenvalue
+    for kernel, stack in ((psd_sqrt, psd), (pinv_sqrt, psd), (pinv_sqrt, indefinite), (trace_norm, indefinite)):
+        assert np.array_equal(kernel(stack), np.array([kernel(m) for m in stack]))
+    assert isinstance(trace_norm(indefinite[0]), float)
+    assert np.array_equal(psd_sqrt(psd), np.array([oracle_psd_sqrt(m) for m in psd]))
+    assert np.array_equal(pinv_sqrt(psd), np.array([oracle_pinv_sqrt(m) for m in psd]))
+    assert np.array_equal(pinv_sqrt(indefinite), np.array([oracle_pinv_sqrt(m) for m in indefinite]))
+    assert not pinv_sqrt(psd)[2].any() and not pinv_sqrt(indefinite)[1].any()
+
+    effects = psd / (herm_eigvals(psd.sum(axis=0))[0] * 1.25)
+    sub = SubPovm(tuple(enumerate(effects)))
+    roots = sub.roots()
+    assert [lab for lab, _ in roots] == [0, 1, 2, 3, 4, ER]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(roots, oracle_roots(sub)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 64])
+def test_stacked_lemma_bodies_equal_their_one_pair_checks(dim):
+    rng = np.random.default_rng(100 + dim)
+    s = psd_stack(rng, dim)
+    s = s / herm_eigvals(s)[:, :1, None]
+    s = 0.5 * (s + dagger(s))  # exactly Hermitian, so the check's own symmetrization keeps every bit
+    t = psd_stack(rng, dim) / dim
+    t = 0.5 * (t + dagger(t))
+    for c in (2.0, 0.2):
+        got = _hn_violations(s, t, c)
+        assert np.array_equal(got, [_hn_violations(a[None], b[None], c)[0] for a, b in zip(s, t)])
+    assert np.array_equal(_hn_violations(s, t, 2.0), [hayashi_nagaoka_check(a, b)[0] for a, b in zip(s, t)])
+
+    rhos = psd_stack(rng, dim)
+    rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    rhos = 0.5 * (rhos + dagger(rhos))
+    effects = identity(dim) - 0.5 * s
+    effects[1] = 0.0  # overlap at the floor: distance 2
+    overlaps, distances = _gentle_distances(rhos, effects)
+    reports = [gentle_measurement_check(density(rho), effect, 0.01) for rho, effect in zip(rhos, effects)]
+    assert np.array_equal(overlaps, [r.overlap for r in reports])
+    assert np.array_equal(distances, [r.distance for r in reports])
+    assert distances[1] == 2.0
+
+
+def test_a_stack_with_one_non_psd_matrix_raises_its_message():
+    stack = psd_stack(np.random.default_rng(7), 4)
+    stack[3] = stack[3] - 50.0 * identity(4)
+    stack[4] = stack[4] - 90.0 * identity(4)  # lower, but after the first one
+    with pytest.raises(LinalgError) as single:
+        psd_sqrt(stack[3])
+    with pytest.raises(LinalgError, match=f"^{re.escape(str(single.value))}$"):
+        psd_sqrt(stack)
+    # One effect below zero while the effects still sum to at most the identity.
+    bad, good = np.diag([0.5, -0.05]).astype(complex), np.diag([0.2, 0.5]).astype(complex)
+    with pytest.raises(LinalgError) as single:
+        psd_sqrt(bad)
+    with pytest.raises(LinalgError, match=f"^{re.escape(str(single.value))}$"):
+        SubPovm(((0, good), (1, bad))).roots()
+
+
+def test_ddpi_right_side_is_the_reports_directed_total():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        channel = depolarizing_channel(float(rng.uniform(0.0, 0.6)))
+        code = random_feedback_code(rng, channel, n, num_words=min(int(rng.integers(2, 5)), 2**n))
+        lhs, rhs, slack = verify_ddpi(code)
+        assert rate_report(code).directed_total == rhs == directed_information_total(code)
+        assert (lhs, slack) == (message_information(code)[0], rhs - lhs)
