@@ -8,7 +8,6 @@ from .quantum import (  # noqa: F401
     Ensemble,
     Povm,
     QuantumChannel,
-    SubPovm,
     ValidationError,
     amplitude_damping_channel,
     apply_channel,
@@ -30,7 +29,6 @@ from .cqstate import (  # noqa: F401
     CqState,
     conditional_mutual_information,
     cq_entropy,
-    marginalize,
     mutual_information,
 )
 from .protocol import (  # noqa: F401

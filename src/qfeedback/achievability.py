@@ -47,7 +47,6 @@ from .quantum import (
     TRACE_TOL,
     DensityMatrix,
     Povm,
-    SubPovm,  # noqa: F401  (re-exported: the effect form lives next to Povm)
     ValidationError,
     entropy,
     square_root_measurement,
@@ -56,6 +55,7 @@ from .quantum import (
 PROJECTOR_CAP = 4096
 STRING_CAP = 2**20
 DIM_BUDGET = 512  # qubits: n*l <= 9
+EXPONENT_RTOL = 1e-12  # relative slack of the eigenvalue cap, compared as log2 exponents
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,10 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
     Pi-compressed eigenvalue is at most 2^(-n (S(rho) - c delta)).  Both
     measured values and bounds are reported; the eigenvalue cap only holds
     when c is at least the spread of |log2 lambda| across the spectrum, so a
-    too-small c yields an honest failing report.
+    too-small c yields an honest failing report.  The cap is checked on the
+    exponents, max over kept types of sum_x c_x log2 p_x against
+    -n (S(rho) - c delta), within EXPONENT_RTOL of the larger one: the
+    values themselves underflow once n reaches a few hundred.
     """
     data = typical_projector_data(rho, n, delta)
     comp = data.compressed_eigenvalues()
@@ -341,7 +344,10 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
     d = rho.dim
     overlap_bound = 1.0 - 2.0 * d * float(np.exp(-2.0 * n * delta * delta))
     max_comp = float(comp.max()) if comp.size else 0.0
-    cap = float(2.0 ** (-n * (entropy(rho) - c * delta)))
+    exponent = -n * (entropy(rho) - c * delta)
+    cap = float(2.0**exponent)
+    types = np.asarray(data.types, dtype=int).reshape(-1, d)
+    top = float((types * np.log2(np.where(types > 0, data.eigvals, 1.0))).sum(axis=1).max(initial=-np.inf))
     return TypicalityReport(
         overlap=overlap,
         overlap_bound=overlap_bound,
@@ -349,7 +355,7 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
         eigen_cap=cap,
         rank=data.rank,
         overlap_ok=overlap >= overlap_bound - 1e-12,
-        eigen_ok=max_comp <= cap + 1e-15,
+        eigen_ok=top <= exponent + EXPONENT_RTOL * max(abs(top), abs(exponent)),
     )
 
 
@@ -511,8 +517,11 @@ def build_double_blocked_code(
     implied per-round rate split is reported by ``rate_split``.  The result
     is an ordinary FeedbackCode: global-round measurements are tabulated per
     outcome history (``{history: Povm}``), and the final measurement emits
-    flat codewords (or 'er').
+    flat codewords (or 'er').  Raises unless ``l`` is an int >= 1 and
+    ``groups`` a non-empty list of l-tuples of base codewords.
     """
+    if not (isinstance(l, numbers.Integral) and l >= 1):
+        raise ValidationError(f"block copies l must be an int >= 1, got {l!r}")
     n, d = base.n, base.channel.in_dim
     nl = n * l
     if d**nl > DIM_BUDGET:
@@ -521,6 +530,8 @@ def build_double_blocked_code(
         groups = list(itertools.product(base.codebook.words, repeat=l))
     else:
         groups = [tuple(tuple(w) for w in g) for g in groups]
+        if not groups or any(len(g) != l for g in groups):
+            raise ValidationError(f"groups must be a non-empty list of {l}-tuples of base codewords")
     gprobs = np.array(
         [np.prod([base.probs[base.word_index(w)] for w in g]) for g in groups], dtype=float
     )
@@ -553,7 +564,7 @@ def build_double_blocked_code(
                 roots = ((ER, identity(d**q)),)
                 if post:
                     gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta)
-                    roots = square_root_measurement(gammas).roots()
+                    roots = square_root_measurement(gammas).elements
                 if t == n:
                     # The last global outcome names the flat codeword: all blocks in order.
                     roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
@@ -597,8 +608,11 @@ def rate_split(code: FeedbackCode, l: int) -> tuple[float, ...]:
     """Per-global-round rates R(t) = log2(N_t) / l from the blocked codebook.
 
     N_t counts the distinct letter-t blocks labelling the round-t measurement;
-    the splits sum to log2(N)/l when the codebook is a full product.
+    the splits sum to log2(N)/l when the codebook is a full product.  Raises
+    unless ``l`` is an int >= 1 that divides the block length.
     """
+    if not (isinstance(l, numbers.Integral) and l >= 1 and code.codebook.n % l == 0):
+        raise ValidationError(f"l = {l!r} does not split the block length {code.codebook.n} into l copies")
     n = code.codebook.n // l
     out = []
     for t in range(1, n + 1):
@@ -642,12 +656,7 @@ def _reference_code(base: FeedbackCode, flat: FeedbackCode, l: int) -> FeedbackC
     return replace(flat, measurements=measurements, feedback=feedback)
 
 
-def cumulative_disturbance_report(
-    base: FeedbackCode,
-    l: int,
-    delta: float = 0.3,
-    groups=None,
-) -> list[DisturbanceRecord]:
+def cumulative_disturbance_report(base: FeedbackCode, l: int, delta: float = 0.3) -> list[DisturbanceRecord]:
     """Measured cumulative disturbance of the global-round measurements.
 
     Follows every correct-decoding branch of the double-blocked code,
@@ -658,7 +667,7 @@ def cumulative_disturbance_report(
     on that branch; the trace distance must stay below the running total at
     every global round.
     """
-    flat = build_double_blocked_code(base, l, delta=delta, groups=groups)
+    flat = build_double_blocked_code(base, l, delta=delta)
     ref = _reference_code(base, flat, l)
     n = base.n
     records: list[DisturbanceRecord] = []

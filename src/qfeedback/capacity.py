@@ -9,6 +9,7 @@ convergence flags, and are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,12 @@ class OptimizerConfig:
     seed: int = 0
     max_sweeps: int = 200
     feedback: bool = True
+
+    def __post_init__(self):
+        if not (isinstance(self.starts, numbers.Integral) and self.starts >= 1):
+            raise ValidationError(f"starts must be an int >= 1, got {self.starts!r}")
+        if not (isinstance(self.max_sweeps, numbers.Integral) and self.max_sweeps >= 0):
+            raise ValidationError(f"max_sweeps must be an int >= 0, got {self.max_sweeps!r}")
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .quantum import (
     PROB_FLOOR,
     DensityMatrix,
     ValidationError,
-    check_states,
     entropies,
     shannon,
 )
@@ -231,24 +230,3 @@ def conditional_mutual_informations(requests) -> list[float]:
         s_abc, s_ac, s_bc = next(values), next(values), next(values)
         out.append(s_ac + s_bc - s_abc - next(values) if c else s_ac + s_bc - s_abc)
     return out
-
-
-def marginalize(state: CqState, drop_classical=(), drop_quantum=()) -> CqState:
-    """Drop classical registers (merging branches) and/or trace out quantum ones."""
-    drop_c, drop_q = _split_keys(state, (*drop_classical, *drop_quantum))
-    keep_c = [i for i in range(len(state.classical_registers)) if i not in drop_c]
-    keep_q = [i for i in range(len(state.quantum_dims)) if i not in drop_q]
-    new_qdims = tuple(state.quantum_dims[i] for i in keep_q)
-    group, first, w_g = _grouping(state, keep_c)
-    keep = w_g >= PROB_FLOOR
-    if new_qdims:
-        reduced = partial_trace(state.states, state.quantum_dims, keep_q)
-        states = _block_sums(state, group, len(first), reduced)[keep] / w_g[keep, None, None]
-        check_states(states)
-    else:
-        states = np.ones((int(keep.sum()), 1, 1), dtype=complex)
-    return CqState.stacked(
-        tuple(state.classical_registers[i] for i in keep_c),
-        new_qdims or (1,),
-        *pruned(state.labels[first][:, keep_c][keep], w_g[keep], states),
-    )

@@ -25,7 +25,7 @@ from .protocol import (
     ehs_state,
     ehs_states,
 )
-from .quantum import TRACE_TOL, ValidationError, holevo_chis, shannon
+from .quantum import ValidationError, holevo_chis, shannon
 
 
 @dataclass(frozen=True)
@@ -81,139 +81,111 @@ def directed_information_final(code: FeedbackCode) -> float:
     return float(sum(_terms([[ehs_state(code, code.n - 1)] * code.n])[0]))
 
 
-def _message_table(code: FeedbackCode, message_map, message_probs):
-    if message_map is None:
-        message_map = {i: w for i, w in enumerate(code.codebook.words)}
-    message_map = {m: tuple(int(x) for x in w) for m, w in message_map.items()}
-    for w in message_map.values():
-        code.word_index(w)
-    msgs = sorted(message_map)
-    if message_probs is None:
-        probs = {m: code.probs[code.word_index(message_map[m])] for m in msgs}
-        total = sum(probs.values())
-        probs = {m: p / total for m, p in probs.items()}
-    else:
-        try:
-            probs = {m: float(message_probs[m]) for m in msgs}
-        except (KeyError, IndexError) as exc:
-            raise ValidationError(f"no probability given for message {exc}") from None
-        # "not <=" / "not >=" so that a NaN fails too; TRACE_TOL, as the average state gets the trace check.
-        if not abs(sum(probs.values()) - 1.0) <= TRACE_TOL:
-            raise ValidationError("message probabilities do not sum to 1")
-        if not all(p >= 0.0 for p in probs.values()):
-            raise ValidationError("message probabilities must be non-negative")
-    return message_map, msgs, probs
+def _message_law(code: FeedbackCode, uniform: bool) -> list[float]:
+    """P(M = i), message i being sent as codeword i: uniform, or the input ensemble renormalized."""
+    num = len(code.codebook.words)
+    if uniform:
+        return [1.0 / num] * num
+    total = sum(code.probs)
+    return [p / total for p in code.probs]
 
 
-def _walked(code: FeedbackCode, message_map, message_probs):
-    """The message table, then the pieces of one walk of the codewords (``protocol._walk``)."""
-    return _message_table(code, message_map, message_probs), list(_walk(code, code.codebook.words))
-
-
-def _holevo_term(code: FeedbackCode, table, pieces) -> float:
-    """I(M : Z_1^n): the Holevo quantity of the messages' averaged final states (``holevo_chis``)."""
-    message_map, msgs, probs = table
+def _holevo_terms(code: FeedbackCode, message_laws, pieces) -> list[float]:
+    """I(M : Z_1^n) under each message law: one ``holevo_chis`` call on the messages' averaged final states."""
     averages = _average_states(code, pieces)
-    states = np.array([averages[message_map[m]] for m in msgs])
-    weights = np.array([[probs[m] for m in msgs]])
-    i_mz = float(holevo_chis(weights, np.arange(len(msgs))[None], states)[0])
-    return max(i_mz, 0.0) if abs(i_mz) < 1e-14 else i_mz
+    states = np.array([averages[w] for w in code.codebook.words])
+    index = np.tile(np.arange(len(states)), (len(message_laws), 1))
+    chis = [float(x) for x in holevo_chis(np.array(message_laws), index, states)]
+    return [max(x, 0.0) if abs(x) < 1e-14 else x for x in chis]
 
 
-def _classical_term(table, laws) -> float:
+def _classical_term(code: FeedbackCode, law, laws) -> float:
     """I(M : K_1^n): Shannon mutual information of the message-outcome joint law."""
-    message_map, msgs, probs = table
     cond = {}
     for w, pairs in laws.items():
-        law: dict = {}
+        joint: dict = {}
         for outcomes, prob in pairs:
-            law[outcomes] = law.get(outcomes, 0.0) + prob
-        cond[w] = law
-    h_k_given_m = sum(probs[m] * shannon(cond[message_map[m]].values()) for m in msgs)
+            joint[outcomes] = joint.get(outcomes, 0.0) + prob
+        cond[w] = joint
+    sent = list(zip(law, code.codebook.words))
+    h_k_given_m = sum(p_m * shannon(cond[w].values()) for p_m, w in sent)
     marginal: dict = {}
-    for m in msgs:
-        for k, p in cond[message_map[m]].items():
-            marginal[k] = marginal.get(k, 0.0) + probs[m] * p
+    for p_m, w in sent:
+        for k, p in cond[w].items():
+            marginal[k] = marginal.get(k, 0.0) + p_m * p
     return float(shannon(marginal.values()) - h_k_given_m)
 
 
-def message_information(
-    code: FeedbackCode,
-    message_map: dict | None = None,
-    message_probs=None,
-) -> tuple[float, float]:
-    """(I(M : Z_1^n), I(M : K_1^n)) for a message-to-codeword assignment.
+def message_information(code: FeedbackCode) -> tuple[float, float]:
+    """(I(M : Z_1^n), I(M : K_1^n)) with message i sent as codeword i, under the ensemble law.
 
     The quantum term is the Holevo information of the ensemble of averaged
     final states; the classical term is Shannon mutual information of the
     message-outcome joint law.
     """
-    table, pieces = _walked(code, message_map, message_probs)
-    return _holevo_term(code, table, pieces), _classical_term(table, _transcripts(code, pieces))
+    law, pieces = _message_law(code, uniform=False), list(_walk(code, code.codebook.words))
+    return _holevo_terms(code, [law], pieces)[0], _classical_term(code, law, _transcripts(code, pieces))
 
 
-def verify_ddpi(code: FeedbackCode, message_map: dict | None = None, message_probs=None):
+def verify_ddpi(code: FeedbackCode):
     """Directed data-processing inequality: I(M:Z_1^n) <= I(A_1^n -> Z_1^n).
 
     Returns (lhs, rhs, slack); the inequality holds when slack >= 0 up to
-    numerical tolerance.  Defaults to one message per codeword, weighted by
-    the input ensemble so both sides describe the same joint state.  Both
-    sides come from ``_converse``'s one walk: the right-hand side is the rate
-    report's ``directed_total``.
+    numerical tolerance.  One message per codeword, weighted by the input
+    ensemble so both sides describe the same joint state.  Both sides come
+    from ``_converse``'s one walk: the right-hand side is the rate report's
+    ``directed_total``.
     """
-    report, lhs = _converse(code, message_map, message_probs, True)
+    report, lhs = _converse(code)
     return lhs, report.directed_total, report.directed_total - lhs
 
 
-def fano_bound(code: FeedbackCode, message_map: dict | None = None, message_probs=None) -> float:
-    """epsilon_n + I(M:K_1^n)/n in bits, the converse's outer bound.
+def fano_bound(code: FeedbackCode) -> float:
+    """epsilon_n + I(M:K_1^n)/n in bits under the ensemble law, the converse's outer bound.
 
     epsilon_n = (1 + P_e n R)/n with R = log2(#messages)/n, as in ``rate_report``.
     """
-    table, pieces = _walked(code, message_map, message_probs)
-    laws = _transcripts(code, pieces)
-    return float(_fano(code.n, table, laws, _classical_term(table, laws))[2])
+    law, laws = _message_law(code, uniform=False), _transcripts(code, _walk(code, code.codebook.words))
+    return float(_fano(code, law, laws, _classical_term(code, law, laws))[2])
 
 
-def _fano(n: int, table, laws, i_mk: float) -> tuple[float, float, float]:
-    """(R, epsilon_n, Fano bound) of a message table, for ``fano_bound`` and ``rate_report``."""
-    message_map, msgs, probs = table
-    rate = float(np.log2(len(msgs)) / n) if len(msgs) > 1 else 0.0
-    p_err = sum(probs[m] * (1.0 - _p_correct(laws[w], w)) for m, w in message_map.items())
+def _fano(code: FeedbackCode, law, laws, i_mk: float) -> tuple[float, float, float]:
+    """(R, epsilon_n, Fano bound) under a message law, for ``fano_bound`` and ``rate_report``."""
+    n, words = code.n, code.codebook.words
+    rate = float(np.log2(len(words)) / n) if len(words) > 1 else 0.0
+    p_err = sum(p_m * (1.0 - _p_correct(laws[w], w)) for p_m, w in zip(law, words))
     eps = (1.0 + p_err * n * rate) / n
     return rate, eps, eps + i_mk / n
 
 
-def rate_report(code: FeedbackCode, uniform_messages: bool = True) -> RateReport:
+def rate_report(code: FeedbackCode) -> RateReport:
     """Full converse-chain report for one code, from one walk of the codewords.
 
-    Messages default to one per codeword with a uniform law (the source model
-    used for the error exponent); set ``uniform_messages=False`` to weight
-    messages by the input ensemble instead.
+    Messages are one per codeword with a uniform law, the source model of
+    the rate and the error exponent.
     """
-    return _converse(code, None, None, uniform_messages)[0]
+    return _converse(code)[0]
 
 
-def _converse(code: FeedbackCode, message_map, message_probs, uniform_messages: bool):
-    """``rate_report``'s report and ``verify_ddpi``'s I(M:Z_1^n) under its message law, from one walk.
+def _converse(code: FeedbackCode):
+    """``rate_report``'s report (uniform law) and ``verify_ddpi``'s I(M:Z_1^n) (ensemble law), from one walk.
 
     One entropy pass gives the directed terms on the protocol-time and the final states.
     """
     n = code.n
     words = code.codebook.words
-    num = len(words)
-    ddpi_table = _message_table(code, message_map, message_probs)
-    table, pieces = _walked(code, None, {i: 1.0 / num for i in range(num)} if uniform_messages else None)
+    law = _message_law(code, uniform=True)
+    pieces = list(_walk(code, words))
     laws = _transcripts(code, pieces)
     states = _ehs_states(code, pieces)
     terms, final_terms = _terms([states, [states[-1]] * n])
-    i_mz, lhs = _holevo_term(code, table, pieces), _holevo_term(code, ddpi_table, pieces)
-    i_mk = _classical_term(table, laws)
+    i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
+    i_mk = _classical_term(code, law, laws)
     avg_err, max_err = _error_figures(code, (_p_correct(laws[w], w) for w in words))
-    rate, eps, fano = _fano(n, table, laws, i_mk)
+    rate, eps, fano = _fano(code, law, laws, i_mk)
     report = RateReport(
         n=n,
-        num_messages=num,
+        num_messages=len(words),
         per_round=tuple(float(x) for x in terms),
         directed_total=float(sum(terms)),
         directed_final=float(sum(final_terms)),
@@ -224,7 +196,7 @@ def _converse(code: FeedbackCode, message_map, message_probs, uniform_messages: 
         max_error=float(max_err),
         epsilon_n=float(eps),
         fano_bound=float(fano),
-        h_message_rate=float(shannon(table[2].values()) / n),
+        h_message_rate=float(shannon(law) / n),
     )
     report.check()
     return report, lhs

@@ -511,8 +511,7 @@ def pgm_decoder(states, weights, labels) -> Povm:
     The square-root measurement of the weighted state matrices p_w rho_w, in
     label order, with the defect from completeness routed to the 'er' outcome.
     """
-    gammas = {lab: p * rho for lab, p, rho in zip(labels, weights, states)}
-    return square_root_measurement(gammas).as_complete_povm()
+    return square_root_measurement({lab: p * rho for lab, p, rho in zip(labels, weights, states)})
 
 
 def with_pgm_decoder(code: FeedbackCode, weights) -> FeedbackCode:

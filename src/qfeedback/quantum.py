@@ -1,14 +1,14 @@
 """Quantum objects and entropic functionals.
 
-Density matrices, Kraus channels, POVMs and sub-POVMs, square-root
-measurements, ensembles, von Neumann entropy, Holevo quantity and
-measurement back-action.  Entropies are in bits throughout so information
-quantities compare directly to rates.
+Density matrices, Kraus channels, POVMs, square-root measurements,
+ensembles, von Neumann entropy, Holevo quantity and measurement
+back-action.  Entropies are in bits throughout so information quantities
+compare directly to rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
@@ -384,62 +384,31 @@ class Povm:
         return completeness_defect(m for _, m in self.elements)
 
 
-@dataclass(frozen=True)
-class SubPovm:
-    """PSD effects summing to at most the identity, with an explicit remainder."""
+def square_root_measurement(gammas: dict) -> Povm:
+    """Pretty-good measurement: sqrt(R_r) per label of ``gammas``, in its order, then (ER, sqrt(I - sum R)).
 
-    elements: tuple
-    remainder: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        els = tuple((lab, np.asarray(m, dtype=complex)) for lab, m in self.elements)
-        if not els:
-            raise ValidationError("sub-POVM needs at least one element")
-        dim = els[0][1].shape[0]
-        total = np.array([m for _, m in els]).sum(axis=0)
-        w = herm_eigvals(0.5 * (total + total.conj().T))
-        if w[0] > 1.0 + COMPLETENESS_TOL or w[-1] < -COMPLETENESS_TOL:
-            raise ValidationError("effects violate 0 <= sum R <= I")
-        rem = identity(dim) - total
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "remainder", 0.5 * (rem + rem.conj().T))
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0][1].shape[0]
-
-    def roots(self) -> tuple:
-        """Measurement operators: (label, sqrt R) per effect, then (ER, sqrt remainder), from one stacked eigh.
-
-        Eigenvalues of an effect or of the remainder at or below
-        COMPLETENESS_TOL count as zero, and one below -PSD_TOL raises.  They
-        lie inside the tolerance the measurement is checked to; for a
-        square-root measurement they are rounding noise, and their roots
-        (~1e-8) would make the operators depend on the last bits of the
-        effects.
-        """
-        w, v = psd_eig(np.array([m for _, m in self.elements] + [self.remainder]))
-        roots = from_spectrum(v, np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0)))
-        return tuple(zip([lab for lab, _ in self.elements] + [ER], roots))
-
-    def as_complete_povm(self) -> Povm:
-        """The complete measurement of ``roots()``; the remainder routes to 'er'."""
-        return Povm(self.roots())
-
-
-def square_root_measurement(gammas: dict) -> SubPovm:
-    """Pretty-good measurement: R_r = T^(-1/2) Gamma_r T^(-1/2), T = sum Gamma.
-
-    Elements keep the label order of ``gammas``.  The inverse square root
-    lives on the support of T, so the elements sum to the support projector
-    (never above the identity).
+    R_r = T^(-1/2) Gamma_r T^(-1/2) with T = sum Gamma.  The inverse square
+    root lives on the support of T, so the effects sum to the support
+    projector (never above the identity) and the remainder I - sum R is the
+    error outcome's effect.  The effects and the remainder are rooted in one
+    stacked eigh: eigenvalues at or below COMPLETENESS_TOL count as zero,
+    and one below -PSD_TOL raises.  They lie inside the tolerance the
+    measurement is checked to; here they are rounding noise, and their roots
+    (~1e-8) would make the operators depend on the last bits of the effects.
     """
     if not gammas:
         raise ValidationError("no Gamma operators supplied")
     stack = np.array([np.asarray(g, dtype=complex) for g in gammas.values()])
-    w = pinv_sqrt(stack.sum(axis=0))
-    r = w @ stack @ w
-    return SubPovm(tuple(zip(gammas, 0.5 * (r + dagger(r)))))
+    t_inv = pinv_sqrt(stack.sum(axis=0))
+    r = t_inv @ stack @ t_inv
+    effects = 0.5 * (r + dagger(r))
+    total = effects.sum(axis=0)
+    bounds = herm_eigvals(total)
+    if bounds[0] > 1.0 + COMPLETENESS_TOL or bounds[-1] < -COMPLETENESS_TOL:
+        raise ValidationError("effects violate 0 <= sum R <= I")
+    w, v = psd_eig(np.concatenate([effects, [identity(total.shape[0]) - total]]))
+    roots = from_spectrum(v, np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0)))
+    return Povm(tuple(zip([*gammas, ER], roots)))
 
 
 def rotated_qubit_povm(theta: float, phi: float) -> Povm:

@@ -30,7 +30,6 @@ from qfeedback.linalg import PSD_TOL, RANK_TOL, LinalgError, as_matrix, herm_eig
 from qfeedback.protocol import FeedbackCode, round_zero
 from qfeedback.quantum import (
     COMPLETENESS_TOL,
-    ER,
     PROB_FLOOR,
     DensityMatrix,
     Ensemble,
@@ -403,10 +402,10 @@ def oracle_pinv_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def oracle_roots(sub) -> list:
-    """``SubPovm.roots`` one effect at a time: (label, sqrt R) per effect, then (ER, sqrt remainder)."""
+def oracle_roots(effects, remainder) -> list:
+    """The square-root measurement's operators one matrix at a time: sqrt R per effect, then sqrt of the remainder."""
     out = []
-    for lab, m in sub.elements + ((ER, sub.remainder),):
+    for m in [*effects, remainder]:
         w, v = _oracle_eig_psd(m)
-        out.append((lab, (v * np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))) @ v.conj().T))
+        out.append((v * np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))) @ v.conj().T)
     return out

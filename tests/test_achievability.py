@@ -9,7 +9,6 @@ from oracles import oracle_compressed_eigenvalues, oracle_typical_set, random_ch
 from qfeedback.achievability import (
     STRING_CAP,
     DisturbanceRecord,
-    SubPovm,
     TypicalityParams,
     build_double_blocked_code,
     cond_typical_projector,
@@ -248,21 +247,25 @@ def test_gamma_operator_eigenvalues_in_unit_interval():
         assert w[-1] >= -1e-10
 
 
+def effects(povm) -> dict:
+    """The effect F^dagger F of each outcome of a measurement in operator form."""
+    return {lab: f.conj().T @ f for lab, f in povm.elements}
+
+
 def test_square_root_measurement_orthogonal_states():
     # Orthogonal rank-1 gammas: PGM is the projective measurement onto them.
     g = {0: np.diag([1.0, 0.0]).astype(complex), 1: np.diag([0.0, 1.0]).astype(complex)}
-    sub = square_root_measurement(g)
-    els = dict(sub.elements)
+    els = dict(square_root_measurement(g).elements)
     assert np.allclose(els[0], g[0], atol=1e-12)
     assert np.allclose(els[1], g[1], atol=1e-12)
-    assert np.allclose(sub.remainder, np.zeros((2, 2)), atol=1e-12)
+    assert np.allclose(els[ER], np.zeros((2, 2)), atol=1e-12)
 
 
 def test_square_root_measurement_single_full_rank():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(rng, 3)
-    sub = square_root_measurement({0: rho.mat})
-    assert np.allclose(dict(sub.elements)[0], identity(3), atol=1e-9)
+    povm = square_root_measurement({0: rho.mat})
+    assert np.allclose(dict(povm.elements)[0], identity(3), atol=1e-9)
 
 
 def test_square_root_measurement_gram_oracle():
@@ -270,8 +273,7 @@ def test_square_root_measurement_gram_oracle():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([np.cos(0.4), np.sin(0.4)], dtype=complex)
     gammas = {0: 0.5 * np.outer(a, a.conj()), 1: 0.5 * np.outer(b, b.conj())}
-    sub = square_root_measurement(gammas)
-    els = dict(sub.elements)
+    els = effects(square_root_measurement(gammas))
     # Oracle: PGM probabilities from T^(-1/2) computed via the Gram structure.
     t = gammas[0] + gammas[1]
     w, v = np.linalg.eigh(t)
@@ -284,11 +286,10 @@ def test_square_root_measurement_gram_oracle():
 
 
 def test_sub_povm_bounds():
-    sub = square_root_measurement({0: 0.3 * identity(2), 1: 0.2 * identity(2)})
-    total = sum(m for _, m in sub.elements)
+    povm = square_root_measurement({0: 0.3 * identity(2), 1: 0.2 * identity(2)})
+    total = sum(m for lab, m in effects(povm).items() if lab != ER)
     w = herm_eigvals(total)
     assert w[0] <= 1.0 + 1e-9
-    povm = sub.as_complete_povm()
     assert povm.completeness_defect() < 1e-9
     assert ER in povm.labels
 
@@ -532,8 +533,7 @@ def test_square_root_measurement_subnormalized_randomized():
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m = g @ g.conj().T
             gammas[k] = m / (herm_eigvals(m)[0] * float(rng.uniform(1.0, 4.0)))
-        sub = square_root_measurement(gammas)
-        total = sum(m for _, m in sub.elements)
+        total = sum(m for lab, m in effects(square_root_measurement(gammas)).items() if lab != ER)
         w = herm_eigvals(total)
         assert w[0] <= 1.0 + 1e-9
         # equality with the support projector of the Gamma sum
@@ -817,3 +817,37 @@ def test_cumulative_disturbance_through_feedback():
     assert {r.round for r in records} == {1, 2, 3}
     for rec in records:
         assert rec.distance <= rec.bound + 1e-9, rec
+
+
+@pytest.mark.parametrize("n", [100, 400, 2000])
+def test_eigenvalue_cap_is_checked_on_exponents(n):
+    # The largest compressed eigenvalue of diag(3/4, 1/4) at delta = 0.1 is
+    # 2^(n (0.85 log2(3/4) - 0.15 * 2)), above the c = 1 cap and below the
+    # cap at c = log2(4/3) + 2.  Both values fall under 1e-15 by n = 100 and
+    # to 0 at n = 2000, where an absolute slack passed every c.
+    rho = density(np.diag([0.75, 0.25]))
+    assert not typicality_bounds_check(rho, n, 0.1, c=1.0).eigen_ok
+    assert typicality_bounds_check(rho, n, 0.1, c=math.log2(4 / 3) + 2).eigen_ok
+
+
+def test_blocked_code_rejects_bad_copies_and_groups():
+    base = one_block_code(depolarizing_channel(0.1))
+    words = base.codebook.words
+    for l in (0, -1, 1.5):
+        with pytest.raises(ValidationError, match="block copies"):
+            build_double_blocked_code(base, l)
+    for groups in ([], [(words[0],)], [(words[0], words[1]), (words[1],)], [(words[0], words[1], words[0])]):
+        with pytest.raises(ValidationError, match="groups"):
+            build_double_blocked_code(base, 2, groups=groups)
+
+
+def test_rate_split_rejects_copies_that_do_not_split_the_block():
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    flat = build_double_blocked_code(base, 2)
+    assert flat.codebook.n == 4
+    for l in (0, 3, -2, 2.0):
+        with pytest.raises(ValidationError, match="does not split"):
+            rate_split(flat, l)
+    assert len(rate_split(flat, 2)) == 2

@@ -16,6 +16,7 @@ from qfeedback.config import code_from_spec
 from qfeedback.directed import directed_information_total
 from qfeedback.protocol import validate_code
 from qfeedback.quantum import (
+    ValidationError,
     amplitude_damping_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -222,3 +223,12 @@ def test_code_from_spec_matches_family_build(n):
     for m, per in built.feedback.items():
         for k, kraus in per.items():
             assert all(np.array_equal(u, v) for u, v in zip(kraus, parsed.feedback[m][k], strict=True))
+
+
+@pytest.mark.parametrize("bad", [dict(starts=0), dict(starts=-2), dict(max_sweeps=-1), dict(starts=1.5)])
+def test_optimizer_config_rejects_bad_counts(bad):
+    # Unchecked, starts=0 makes estimate_feedback_capacity raise TypeError
+    # and holevo_capacity AttributeError, so the config refuses it.
+    with pytest.raises(ValidationError):
+        OptimizerConfig(**bad)
+    assert OptimizerConfig(starts=1, max_sweeps=0).max_sweeps == 0

@@ -5,7 +5,6 @@ from qfeedback.cqstate import (
     CqState,
     conditional_mutual_information,
     cq_entropy,
-    marginalize,
     mutual_information,
 )
 from oracles import materialize, materialized_entropy
@@ -179,31 +178,6 @@ def test_conditioning_reduces_conditional_entropy():
         s_z_c1c2 = cq_entropy(s, ("C1", "C2"), (0,)) - cq_entropy(s, ("C1", "C2"))
         s_z_c1 = cq_entropy(s, ("C1",), (0,)) - cq_entropy(s, ("C1",))
         assert s_z_c1c2 <= s_z_c1 + 1e-9
-
-
-def test_marginalize_identity_and_full_drop():
-    rng = np.random.default_rng(20)
-    s = random_cq(rng, names=("A",), sizes=(2,), qdims=(2, 2))
-    same = marginalize(s)
-    assert same.classical_registers == s.classical_registers
-    assert same.quantum_dims == s.quantum_dims
-    only_classical = marginalize(s, drop_quantum=(0, 1))
-    assert only_classical.quantum_dims == (1,)
-    w_want = {lab: w for lab, w, _ in s.branches}
-    for lab, w, rho in only_classical.branches:
-        assert abs(w - w_want[lab]) < 1e-12
-        assert abs(rho.mat[0, 0] - 1.0) < 1e-12
-
-
-def test_marginalize_commutes_with_materialize():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        s = random_cq(rng, names=("A", "B"), sizes=(2, 2), qdims=(2, 2))
-        dropped = marginalize(s, drop_classical=("B",), drop_quantum=(1,))
-        left = materialize(dropped).mat
-        # materialize-then-trace: classical regs occupy indices 0,1; quantum 2,3
-        right = materialize(s).ptrace([0, 2]).mat
-        assert np.allclose(left, right, atol=1e-10)
 
 
 def test_materialize_single_branch():

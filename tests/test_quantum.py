@@ -372,7 +372,7 @@ def test_euler_unitary_is_unitary_closed_form(a, b, c):
 
 
 def _er_operator(gammas: dict) -> np.ndarray:
-    return dict(square_root_measurement(gammas).as_complete_povm().elements)[ER]
+    return dict(square_root_measurement(gammas).elements)[ER]
 
 
 def test_pgm_er_operator_is_exactly_zero_on_full_rank_ensembles():

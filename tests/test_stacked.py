@@ -45,6 +45,7 @@ from qfeedback.directed import (
     directed_information_final,
     directed_information_total,
     directed_terms,
+    fano_bound,
     message_information,
     rate_report,
     verify_ddpi,
@@ -65,7 +66,6 @@ from qfeedback.quantum import (
     DensityMatrix,
     Ensemble,
     Povm,
-    SubPovm,
     ValidationError,
     amplitude_damping_channel,
     density,
@@ -74,6 +74,7 @@ from qfeedback.quantum import (
     holevo_chis,
     measure,
     random_unitary,
+    square_root_measurement,
 )
 
 TOL = 1e-12
@@ -163,12 +164,17 @@ def test_transcripts_and_ehs_match_the_oracle(name):
 @pytest.mark.parametrize("name", list(CODES))
 def test_rate_report_matches_the_oracle(name):
     code = CODES[name]
-    for uniform in (True, False):
-        got = dataclasses.asdict(rate_report(code, uniform_messages=uniform))
-        want = oracle_rate_report(code, uniform)
-        assert set(got) == set(want)
-        for field, value in want.items():
-            assert np.max(np.abs(np.subtract(got[field], value))) <= TOL, field
+    got = dataclasses.asdict(rate_report(code))
+    want = oracle_rate_report(code, True)
+    assert set(got) == set(want)
+    for field, value in want.items():
+        assert np.max(np.abs(np.subtract(got[field], value))) <= TOL, field
+    # The ensemble law is message_information's and fano_bound's.
+    want = oracle_rate_report(code, False)
+    i_mz, i_mk = message_information(code)
+    got = {"i_message_quantum": i_mz, "i_message_classical": i_mk, "fano_bound": fano_bound(code)}
+    for field, value in got.items():
+        assert abs(value - want[field]) <= TOL, field
 
 
 @pytest.mark.parametrize("name", list(BLOCKED))
@@ -377,11 +383,10 @@ def test_converse_chain_equals_the_per_entropy_oracle(name):
     final = float(sum(per_entropy_terms([states[-1]] * code.n)))
     assert directed_terms(code) == terms
     assert directed_information_final(code) == final
-    for uniform in (True, False):
-        rep = rate_report(code, uniform_messages=uniform)
-        assert rep.per_round == tuple(terms)
-        assert rep.directed_total == float(sum(terms))
-        assert rep.directed_final == final
+    rep = rate_report(code)
+    assert rep.per_round == tuple(terms)
+    assert rep.directed_total == float(sum(terms))
+    assert rep.directed_final == final
     lhs, rhs, slack = verify_ddpi(code)
     assert (lhs, rhs, slack) == (message_information(code)[0], float(sum(terms)), rhs - lhs)
 
@@ -521,11 +526,16 @@ def test_stacked_spectral_kernels_equal_per_matrix_calls(dim):
     assert np.array_equal(pinv_sqrt(indefinite), np.array([oracle_pinv_sqrt(m) for m in indefinite]))
     assert not pinv_sqrt(psd)[2].any() and not pinv_sqrt(indefinite)[1].any()
 
-    effects = psd / (herm_eigvals(psd.sum(axis=0))[0] * 1.25)
-    sub = SubPovm(tuple(enumerate(effects)))
-    roots = sub.roots()
-    assert [lab for lab, _ in roots] == [0, 1, 2, 3, 4, ER]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(roots, oracle_roots(sub)))
+    half = np.diag(np.arange(dim) < dim // 2).astype(complex)
+    gammas = half @ psd @ half  # their sum has a kernel, so the remainder is not zero
+    povm = square_root_measurement(dict(enumerate(gammas)))
+    assert povm.labels == (0, 1, 2, 3, 4, ER)
+    w = pinv_sqrt(gammas.sum(axis=0))
+    r = w @ gammas @ w
+    effects = 0.5 * (r + dagger(r))
+    rem = identity(dim) - effects.sum(axis=0)
+    want = oracle_roots(effects, 0.5 * (rem + dagger(rem)))
+    assert all(np.array_equal(a, b) for (_, a), b in zip(povm.elements, want, strict=True))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 64])
@@ -563,10 +573,11 @@ def test_a_stack_with_one_non_psd_matrix_raises_its_message():
         psd_sqrt(stack)
     # One effect below zero while the effects still sum to at most the identity.
     bad, good = np.diag([0.5, -0.05]).astype(complex), np.diag([0.2, 0.5]).astype(complex)
+    w = pinv_sqrt(good + bad)
     with pytest.raises(LinalgError) as single:
-        psd_sqrt(bad)
+        psd_sqrt(w @ bad @ w)
     with pytest.raises(LinalgError, match=f"^{re.escape(str(single.value))}$"):
-        SubPovm(((0, good), (1, bad))).roots()
+        square_root_measurement({0: good, 1: bad})
 
 
 def test_ddpi_right_side_is_the_reports_directed_total():
