@@ -68,14 +68,20 @@ class TypicalityParams:
 
     def __post_init__(self):
         # Written "not (... > 0)" so that a NaN parameter is rejected too.
-        if not (self.delta > 0 and self.c > 0 and self.l >= 1):
+        if not (self.delta > 0 and self.c > 0):
             raise ValidationError("typicality parameters must be positive")
+        if not (isinstance(self.l, numbers.Integral) and self.l >= 1):
+            raise ValidationError(f"block copies l must be an int >= 1, got {self.l!r}")
 
     def epsilon(self, t: int) -> float:
         """2^(-t l c delta^2), strictly decreasing in t."""
-        if t < 1:
-            raise ValidationError("round index must be >= 1")
+        _check_round(t)
         return float(2.0 ** (-t * self.l * self.c * self.delta**2))
+
+
+def _check_round(t) -> None:
+    if not (isinstance(t, numbers.Integral) and t >= 1):
+        raise ValidationError(f"round index must be an int >= 1, got {t!r}")
 
 
 def _typical_types(p, n: int, delta: float):
@@ -260,7 +266,10 @@ def gentle_measurement_check(rho: DensityMatrix, effect: np.ndarray, eps: float)
     Hypothesis: tr(rho R) >= 1 - 3 eps; reported rather than raised when it
     fails.  The distance is between rho and its renormalized post-measurement
     state sqrt(R) rho sqrt(R) / tr(rho R).  The B = 1 call of ``_gentle_distances``.
+    Raises unless ``eps`` is finite and non-negative.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
     overlap, distance = (float(x[0]) for x in _gentle_distances(rho.mat[None], np.asarray(effect)[None]))
     bound = cumulative_disturbance_bound([eps])
     return GentleReport(
@@ -374,8 +383,7 @@ def error_recursion(per_round) -> list[float]:
 
 def disturbance_accumulator(params: TypicalityParams, t: int) -> float:
     """sum_{s<=t} (sqrt(24 eps_s) + 6 eps_s) for eps_s = 2^(-s l c delta^2)."""
-    if t < 1:
-        raise ValidationError("round index must be >= 1")
+    _check_round(t)
     return cumulative_disturbance_bound(params.epsilon(s) for s in range(1, t + 1))
 
 

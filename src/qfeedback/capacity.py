@@ -49,6 +49,8 @@ class OptimizerConfig:
             raise ValidationError(f"starts must be an int >= 1, got {self.starts!r}")
         if not (isinstance(self.max_sweeps, numbers.Integral) and self.max_sweeps >= 0):
             raise ValidationError(f"max_sweeps must be an int >= 0, got {self.max_sweeps!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -238,9 +240,10 @@ class FeedbackCodeFamily:
 
     probs (N) | letter Bloch angles (2 per letter) | intermediate measurement
     angles (2 per round 1..n-1) | feedback Euler angles (3 per register per
-    outcome for rounds 2..n-1).  Codeword states are per-letter pure products;
-    intermediate measurements are rotated projective measurements on the
-    freshest output; feedback maps are outcome-indexed unitaries on the
+    outcome for rounds 2..n-1, from ``fb_start``).  Codeword states are
+    per-letter pure products over a binary alphabet; intermediate
+    measurements are rotated projective measurements on the freshest
+    output; feedback maps are outcome-indexed unitaries on the
     not-yet-transmitted registers.
     """
 
@@ -251,44 +254,36 @@ class FeedbackCodeFamily:
         if self.channel.in_dim != 2:
             raise ValidationError("the feedback code family is parametrized for qubits")
         self.n = len(self.words[0])
-        self.alphabet = 2
-        self.num_words = len(self.words)
-        self.meas_rounds = self.n - 1
-        self.fb_slots = []  # (round m, outcome k, register r)
-        for m in range(2, self.n):
-            for k in range(2):
-                for r in range(m, self.n):
-                    self.fb_slots.append((m, k, r))
-        self.prob_block = slice(0, self.num_words)
-        self.size = self.num_words + 2 * self.alphabet + 2 * self.meas_rounds + 3 * len(self.fb_slots)
-
-    def feedback_coords(self) -> set[int]:
-        start = self.num_words + 2 * self.alphabet + 2 * self.meas_rounds
-        return set(range(start, self.size))
+        self.book = Codebook(2, self.n, self.words)
+        # (round m, outcome k, register r)
+        self.fb_slots = [(m, k, r) for m in range(2, self.n) for k in range(2) for r in range(m, self.n)]
+        self.prob_block = slice(0, len(self.words))
+        self.fb_start = len(self.words) + 4 + 2 * (self.n - 1)
+        self.size = self.fb_start + 3 * len(self.fb_slots)
 
     def initial(self, rng: np.random.Generator | None = None) -> np.ndarray:
         x = np.zeros(self.size)
-        x[self.prob_block] = 1.0 / self.num_words
-        base = self.num_words
+        base = len(self.words)
+        x[self.prob_block] = 1.0 / base
         x[base + 2] = np.pi  # letter 1 at the opposite pole
         if rng is not None:
-            x[self.prob_block] = simplex_projection(rng.dirichlet(np.ones(self.num_words)))
+            x[self.prob_block] = simplex_projection(rng.dirichlet(np.ones(base)))
             x[base:] = rng.uniform(0.0, np.pi, self.size - base)
         return x
 
-    def build(self, x: np.ndarray, with_decoder: bool = False) -> FeedbackCode:
-        """The code at ``x``. M_n is None unless ``with_decoder``: the objective never reads it."""
+    def build(self, x: np.ndarray) -> FeedbackCode:
+        """The code at ``x``, its M_n None: the objective never reads it."""
         n = self.n
         probs = simplex_projection(x[self.prob_block])
-        base = self.num_words
-        letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(self.alphabet)]
+        base = len(self.words)
+        letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(2)]
         states = product_states(letters, self.words)
-        mbase = base + 2 * self.alphabet
+        mbase = base + 4
         measurements = [
             on_freshest(rotated_qubit_povm(x[mbase + 2 * (t - 1)], x[mbase + 2 * (t - 1) + 1]), t)
             for t in range(1, n)
         ]
-        fbase = mbase + 2 * self.meas_rounds
+        fbase = self.fb_start
         fb: dict = {}
         for idx, (m, k, r) in enumerate(self.fb_slots):
             a, b, c = x[fbase + 3 * idx : fbase + 3 * idx + 3]
@@ -297,15 +292,8 @@ class FeedbackCodeFamily:
             m: {k: (kron_all(regs[r] for r in range(m, n)),) for k, regs in per.items()}
             for m, per in fb.items()
         }
-
-        book = Codebook(self.alphabet, n, self.words)
         probs_t = tuple(float(p) for p in probs)
-        partial = FeedbackCode(book, self.channel, probs_t, states, tuple(measurements) + (None,), feedback)
-        if not with_decoder:
-            return partial
-        weights = [max(p, 1e-12) for p in probs_t]
-        total = sum(weights)
-        return with_pgm_decoder(partial, [w / total for w in weights])
+        return FeedbackCode(self.book, self.channel, probs_t, states, tuple(measurements) + (None,), feedback)
 
 
 @dataclass
@@ -330,6 +318,8 @@ def estimate_feedback_capacity(
     rate than the no-feedback run under the same seed.
     """
     cfg = config or OptimizerConfig()
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValidationError(f"block length n must be an int >= 1, got {n!r}")
     if channel.in_dim != 2:
         raise ValidationError("feedback capacity estimation is parametrized for qubits")
     if channel.in_dim**n > 8:
@@ -339,7 +329,7 @@ def estimate_feedback_capacity(
     def objective(x):
         return directed_information_total(family.build(x)) / family.n
 
-    fb_coords = family.feedback_coords()
+    fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
     best_x, best_val, best_converged = None, -1.0, False
     no_fb_best = -1.0
@@ -357,5 +347,8 @@ def estimate_feedback_capacity(
         values.append(res.value)
         if res.value > best_val:
             best_x, best_val, best_converged = res.x, res.value, res.converged
-    code = family.build(best_x, with_decoder=True)
+    code = family.build(best_x)
+    weights = [max(p, 1e-12) for p in code.probs]
+    total = sum(weights)
+    code = with_pgm_decoder(code, [w / total for w in weights])
     return FeedbackCapacityResult(code, float(best_val), best_converged, tuple(values), float(no_fb_best))

@@ -135,7 +135,6 @@ _PROTOCOL_KEYS = {
     "measurements",
     "measurements_explicit",
     "feedback",
-    "final_measurement",
 }
 
 
@@ -148,10 +147,11 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     """Build a FeedbackCode from the protocol section.
 
     States come either from per-letter Bloch angles ("letter_states") or
-    explicit matrices ("states").  Intermediate measurements are rotated
-    projective angles ("measurements", one [theta, phi] per round, default
-    [0, 0]) or explicit operator lists; the final measurement defaults to
-    the pretty-good measurement over the averaged pre-decode outputs.  Bloch
+    explicit matrices ("states").  Measurements are either rotated
+    projective angles ("measurements", one [theta, phi] per round 1..n-1,
+    default [0, 0]) followed by the pretty-good measurement over the
+    averaged pre-decode outputs, or explicit operator lists for all n
+    rounds ("measurements_explicit").  Bloch
     angles, measurement angles and Euler-angle feedback describe qubits
     only, so they need a channel of input dimension 2.
     """
@@ -243,9 +243,6 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
                     feedback[m][outcome] = tuple(matrix_from_json(rows, where) for rows in _shaped(entry, list, where))
 
     if len(measurements) == n - 1:
-        final = spec.get("final_measurement", "pgm")
-        if final != "pgm":
-            raise ConfigError("protocol.final_measurement: only 'pgm' or explicit POVMs")
         partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), feedback)
         return with_pgm_decoder(partial, probs)
     return FeedbackCode(book, channel, probs, states, tuple(measurements), feedback)

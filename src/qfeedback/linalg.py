@@ -196,12 +196,17 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
 
 
 def psd_eig(m: np.ndarray):
-    """``herm_eig`` of a PSD matrix or (B, D, D) stack: the first matrix with an eigenvalue below -PSD_TOL raises."""
+    """``herm_eig`` of a PSD matrix or (B, D, D) stack, checked by ``check_psd``."""
     w, v = herm_eig(m)
+    check_psd(w)
+    return w, v
+
+
+def check_psd(w: np.ndarray) -> None:
+    """Raise on the first of descending spectra (a (D,) or (B, D) array) with an eigenvalue below -PSD_TOL."""
     low = w[..., -1:].reshape(-1)
     if np.any(low < -PSD_TOL):
         raise LinalgError(f"matrix is not PSD: min eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e}")
-    return w, v
 
 
 def from_spectrum(v: np.ndarray, f: np.ndarray) -> np.ndarray:

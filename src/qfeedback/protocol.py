@@ -23,6 +23,7 @@ measurement (``with_pgm_decoder``).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Hashable
 
@@ -47,7 +48,6 @@ from .quantum import (
     leading_block_rest,
     outcome_probabilities,
     random_density_matrix,
-    random_povm,
     random_unitary,
     sandwich,
     square_root_measurement,
@@ -526,29 +526,21 @@ def with_pgm_decoder(code: FeedbackCode, weights) -> FeedbackCode:
     return replace(code, measurements=code.measurements[:-1] + (decoder,))
 
 
-def random_feedback_code(
-    rng: np.random.Generator,
-    channel: QuantumChannel,
-    n: int,
-    num_words: int = 2,
-    feedback: bool = True,
-    projective: bool = True,
-) -> FeedbackCode:
+def random_feedback_code(rng: np.random.Generator, channel: QuantumChannel, n: int, num_words: int = 2) -> FeedbackCode:
     """Random n-block feedback code over a binary alphabet of mixed letter states.
 
-    Codeword states are letter products.  Intermediate measurements act on
-    the freshest channel output only (two-outcome when not ``projective``),
-    and post-processing maps are products of unitaries drawn for every
-    outcome of the preceding measurement, so the directed data-processing
-    inequality holds for every draw.  With
-    ``projective`` the intermediate measurements are rank-1 rotated basis
-    projectors; their outcome stays recoverable from the post-measurement
-    state, which additionally makes I(M:K_1^n) <= I(M:Z_1^n) hold on every
-    draw.  Non-projective measurement operators can dump information into
-    the classical record that the disturbed state no longer carries.
+    Codeword states are letter products.  Intermediate measurements are
+    rank-1 rotated basis projectors on the freshest channel output, and
+    post-processing maps are products of unitaries drawn for every outcome
+    of the preceding measurement, so the directed data-processing inequality
+    holds for every draw.  A projector's outcome stays recoverable from the
+    post-measurement state, which additionally makes I(M:K_1^n) <= I(M:Z_1^n)
+    hold on every draw.  Raises unless ``num_words`` is an int in 1..2^n.
     """
     d = channel.in_dim
     all_words = list(itertools.product(range(2), repeat=n))
+    if not (isinstance(num_words, numbers.Integral) and num_words >= 1):
+        raise ValidationError(f"num_words must be an int >= 1, got {num_words!r}")
     if num_words > len(all_words):
         raise ValidationError("more codewords than strings")
     order = rng.permutation(len(all_words))
@@ -562,18 +554,14 @@ def random_feedback_code(
 
     measurements = []
     for j in range(1, n):
-        if projective:
-            u = random_unitary(rng, d)
-            single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
-        else:
-            single = random_povm(rng, d)
+        u = random_unitary(rng, d)
+        single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
         measurements.append(on_freshest(single, j))
 
     fb: dict = {}
-    if feedback:
-        for m in range(2, n):
-            labels = measurements[m - 2].labels
-            fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
+    for m in range(2, n):
+        labels = measurements[m - 2].labels
+        fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
 
     # Final decoder: PGM over the average pre-decode outputs per word.
     partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)

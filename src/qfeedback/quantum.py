@@ -17,6 +17,7 @@ from .linalg import (
     HERM_TOL,
     PSD_TOL,
     as_matrix,
+    check_psd,
     check_register_shape,
     dagger,
     from_spectrum,
@@ -26,7 +27,6 @@ from .linalg import (
     left_product,
     partial_trace,
     pinv_sqrt,
-    psd_eig,
 )
 
 PROB_FLOOR = 1e-14
@@ -131,11 +131,9 @@ def _canonical_basis(v: np.ndarray) -> np.ndarray:
     return v @ q
 
 
-def density(mat, dims=None) -> DensityMatrix:
+def density(mat) -> DensityMatrix:
     m = as_matrix(mat)
-    if dims is None:
-        dims = (m.shape[0],)
-    return DensityMatrix(m, tuple(dims))
+    return DensityMatrix(m, (m.shape[0],))
 
 
 def pure_state(vec) -> DensityMatrix:
@@ -391,10 +389,12 @@ def square_root_measurement(gammas: dict) -> Povm:
     root lives on the support of T, so the effects sum to the support
     projector (never above the identity) and the remainder I - sum R is the
     error outcome's effect.  The effects and the remainder are rooted in one
-    stacked eigh: eigenvalues at or below COMPLETENESS_TOL count as zero,
-    and one below -PSD_TOL raises.  They lie inside the tolerance the
-    measurement is checked to; here they are rounding noise, and their roots
-    (~1e-8) would make the operators depend on the last bits of the effects.
+    stacked eigh, whose remainder spectrum also gives the bounds of sum R
+    (1 minus it) for the 0 <= sum R <= I check: eigenvalues at or below
+    COMPLETENESS_TOL count as zero, and one below -PSD_TOL raises.  They lie
+    inside the tolerance the measurement is checked to; here they are
+    rounding noise, and their roots (~1e-8) would make the operators depend
+    on the last bits of the effects.
     """
     if not gammas:
         raise ValidationError("no Gamma operators supplied")
@@ -403,10 +403,11 @@ def square_root_measurement(gammas: dict) -> Povm:
     r = t_inv @ stack @ t_inv
     effects = 0.5 * (r + dagger(r))
     total = effects.sum(axis=0)
-    bounds = herm_eigvals(total)
-    if bounds[0] > 1.0 + COMPLETENESS_TOL or bounds[-1] < -COMPLETENESS_TOL:
+    w, v = herm_eig(np.concatenate([effects, [identity(total.shape[0]) - total]]))
+    bounds = 1.0 - w[-1]
+    if bounds[-1] > 1.0 + COMPLETENESS_TOL or bounds[0] < -COMPLETENESS_TOL:
         raise ValidationError("effects violate 0 <= sum R <= I")
-    w, v = psd_eig(np.concatenate([effects, [identity(total.shape[0]) - total]]))
+    check_psd(w)
     roots = from_spectrum(v, np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0)))
     return Povm(tuple(zip([*gammas, ER], roots)))
 
@@ -550,18 +551,3 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
 def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return pure_state(v)
-
-
-def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Orthonormalized Gaussian columns: V^dagger V = I_cols."""
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def random_povm(rng: np.random.Generator, dim: int, outcomes: int = 2) -> Povm:
-    """Random complete POVM in measurement-operator form."""
-    v = _random_isometry(rng, dim * outcomes, dim)
-    els = tuple((k, v[k * dim : (k + 1) * dim, :]) for k in range(outcomes))
-    return Povm(els)

@@ -15,7 +15,10 @@ and ``oracle_compressed_eigenvalues`` visit all k^n strings one at a time,
 where the library works per type (letter-count vector).  The spectral
 kernels have three, one matrix and one ``eigh`` at a time, as the library
 computed them before they took stacks: ``oracle_psd_sqrt``,
-``oracle_pinv_sqrt`` and ``oracle_roots``.
+``oracle_pinv_sqrt`` and ``oracle_roots``.  The seeded generators of the
+tests live here too: ``random_isometry``, ``random_povm``, ``random_channel``
+and ``oracle_random_feedback_code``, the library's ``random_feedback_code``
+with feedback-free and non-projective draws added.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from qfeedback.capacity import ASCENT_TOL, FD_STEP, STEP0, AscentResult, simplex_projection
 from qfeedback.cqstate import CqState, _first_seen, _split_keys
-from qfeedback.linalg import PSD_TOL, RANK_TOL, LinalgError, as_matrix, herm_eig, partial_trace
-from qfeedback.protocol import FeedbackCode, round_zero
+from qfeedback.linalg import PSD_TOL, RANK_TOL, LinalgError, as_matrix, herm_eig, kron_all, partial_trace
+from qfeedback.protocol import Codebook, FeedbackCode, on_freshest, product_states, round_zero, with_pgm_decoder
 from qfeedback.quantum import (
     COMPLETENESS_TOL,
     PROB_FLOOR,
@@ -36,7 +39,6 @@ from qfeedback.quantum import (
     Povm,
     QuantumChannel,
     ValidationError,
-    _random_isometry,
     apply_channel,
     apply_channel_at,
     apply_kraus,
@@ -45,6 +47,8 @@ from qfeedback.quantum import (
     measure,
     outcome_probabilities,
     pure_state,
+    random_density_matrix,
+    random_unitary,
     shannon,
 )
 
@@ -374,9 +378,24 @@ def basis_povm(dim: int) -> Povm:
     return Povm(els)
 
 
+def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Orthonormalized Gaussian columns: V^dagger V = I_cols."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_povm(rng: np.random.Generator, dim: int, outcomes: int = 2) -> Povm:
+    """Random complete POVM in measurement-operator form."""
+    v = random_isometry(rng, dim * outcomes, dim)
+    els = tuple((k, v[k * dim : (k + 1) * dim, :]) for k in range(outcomes))
+    return Povm(els)
+
+
 def random_channel(rng: np.random.Generator, dim: int, num_kraus: int) -> QuantumChannel:
     """Haar-like random channel: isometry split into Kraus blocks."""
-    v = _random_isometry(rng, dim * num_kraus, dim)
+    v = random_isometry(rng, dim * num_kraus, dim)
     ks = tuple(v[j * dim : (j + 1) * dim, :] for j in range(num_kraus))
     return QuantumChannel(ks, "random")
 
@@ -409,3 +428,52 @@ def oracle_roots(effects, remainder) -> list:
         w, v = _oracle_eig_psd(m)
         out.append((v * np.sqrt(np.where(w > COMPLETENESS_TOL, w, 0.0))) @ v.conj().T)
     return out
+
+
+def oracle_random_feedback_code(
+    rng: np.random.Generator,
+    channel: QuantumChannel,
+    n: int,
+    num_words: int = 2,
+    feedback: bool = True,
+    projective: bool = True,
+) -> FeedbackCode:
+    """``random_feedback_code`` with two switches, drawing from ``rng`` in the same order.
+
+    With both on it is the library's generator, bit for bit.  Without
+    ``feedback`` the post-processing table stays empty and no unitaries are
+    drawn for it.  Without ``projective`` each intermediate measurement is a
+    two-outcome ``random_povm`` on the freshest output, whose outcome the
+    post-measurement state need not carry: I(M:K_1^n) <= I(M:Z_1^n) can then
+    fail, while the directed data-processing inequality still holds.
+    """
+    d = channel.in_dim
+    all_words = list(itertools.product(range(2), repeat=n))
+    if num_words > len(all_words):
+        raise ValidationError("more codewords than strings")
+    order = rng.permutation(len(all_words))
+    words = tuple(all_words[i] for i in order[:num_words])
+    book = Codebook(2, n, words)
+
+    probs = rng.dirichlet(np.ones(num_words)) * 0.8 + 0.2 / num_words
+    probs = tuple(float(p) for p in probs / probs.sum())
+
+    states = product_states([random_density_matrix(rng, d) for _ in range(2)], words)
+
+    measurements = []
+    for j in range(1, n):
+        if projective:
+            u = random_unitary(rng, d)
+            single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
+        else:
+            single = random_povm(rng, d)
+        measurements.append(on_freshest(single, j))
+
+    fb: dict = {}
+    if feedback:
+        for m in range(2, n):
+            labels = measurements[m - 2].labels
+            fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
+
+    partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)
+    return with_pgm_decoder(partial, probs)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import random_channel
+from oracles import oracle_random_feedback_code, random_channel
 
 from qfeedback.achievability import (
     gentle_measurement_check,
@@ -273,7 +273,7 @@ def test_criterion_10_no_feedback_reduction():
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        code = random_feedback_code(
+        code = oracle_random_feedback_code(
             rng, _random_channel(rng), n, num_words=min(int(rng.integers(2, 5)), 2**n), feedback=False
         )
         meas = tuple(Povm(((0, identity(2**j)),)) for j in range(1, n)) + (code.measurements[-1],)

@@ -294,6 +294,55 @@ def test_sub_povm_bounds():
     assert ER in povm.labels
 
 
+def test_square_root_measurement_takes_two_eigensolves(monkeypatch):
+    # One on T for T^(-1/2) and one stacked call over the effects and the
+    # remainder, whose spectrum also gives the bounds of sum R.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, solver=solver, name=name: calls.append(name) or solver(a))
+    gammas = {k: np.diag(np.eye(3)[k] + 0.1).astype(complex) for k in range(3)}
+    square_root_measurement(gammas)
+    assert calls == ["eigh", "eigh"]
+
+
+@pytest.mark.parametrize("factor", [2.0, 1j])
+def test_square_root_measurement_checks_the_sum_of_effects(monkeypatch, factor):
+    # A broken T^(-1/2) makes sum R = 4 P (above I) or -P (below 0, and each
+    # effect negative): the sum check fires before the PSD raise.
+    from qfeedback import quantum
+    from qfeedback.linalg import pinv_sqrt
+
+    monkeypatch.setattr(quantum, "pinv_sqrt", lambda m: factor * pinv_sqrt(m))
+    gammas = {0: np.diag([0.5, 0.0]).astype(complex), 1: np.diag([0.2, 0.3]).astype(complex)}
+    with pytest.raises(ValidationError, match=r"^effects violate 0 <= sum R <= I$"):
+        square_root_measurement(gammas)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.01, float("inf")])
+def test_gentle_measurement_rejects_a_bad_eps(eps):
+    # Unchecked, a NaN or negative eps gave bound=nan, passed=False and a RuntimeWarning.
+    rho = random_density_matrix(np.random.default_rng(5), 2)
+    with pytest.raises(ValidationError, match="eps must be finite and >= 0"):
+        gentle_measurement_check(rho, identity(2), eps)
+
+
+@pytest.mark.parametrize("l", [1.5, 0, -2])
+def test_typicality_params_reject_a_bad_copy_count(l):
+    with pytest.raises(ValidationError, match="block copies l must be an int >= 1"):
+        TypicalityParams(0.1, l=l)
+
+
+@pytest.mark.parametrize("t", [1.5, 0, -1])
+def test_round_index_must_be_a_positive_int(t):
+    # Unchecked, epsilon(1.5) returned a value and disturbance_accumulator(params, 1.5) raised TypeError.
+    params = TypicalityParams(0.1, l=2)
+    with pytest.raises(ValidationError, match="round index must be an int >= 1"):
+        params.epsilon(t)
+    with pytest.raises(ValidationError, match="round index must be an int >= 1"):
+        disturbance_accumulator(params, t)
+
+
 def test_gentle_measurement_trivial():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng, 3)
@@ -653,7 +702,7 @@ def test_double_blocked_first_global_round_matches_scratch_oracle():
 
 
 def _pinned_disturbance_cases():
-    from qfeedback.protocol import random_feedback_code
+    from oracles import oracle_random_feedback_code
     from qfeedback.quantum import amplitude_damping_channel
 
     cases = {
@@ -667,7 +716,7 @@ def _pinned_disturbance_cases():
     for name, (chan, seed) in channels.items():
         for projective in (True, False):
             rng = np.random.default_rng(seed)
-            base = random_feedback_code(rng, chan, 2, num_words=2, projective=projective)
+            base = oracle_random_feedback_code(rng, chan, 2, num_words=2, projective=projective)
             cases[f"{name}-seed{seed}-{'projective' if projective else 'general'}"] = (base, 2)
     return cases
 

@@ -14,7 +14,7 @@ from qfeedback.capacity import (
 )
 from qfeedback.config import code_from_spec
 from qfeedback.directed import directed_information_total
-from qfeedback.protocol import validate_code
+from qfeedback.protocol import validate_code, with_pgm_decoder
 from qfeedback.quantum import (
     ValidationError,
     amplitude_damping_channel,
@@ -110,7 +110,8 @@ def test_default_words():
 def test_family_build_valid_code():
     fam = FeedbackCodeFamily(depolarizing_channel(0.2), default_words(2))
     x = fam.initial()
-    code = fam.build(x, with_decoder=True)
+    partial = fam.build(x)
+    code = with_pgm_decoder(partial, partial.probs)
     rep = validate_code(code)
     assert rep.ok, rep.violations
 
@@ -199,8 +200,8 @@ def test_code_from_spec_matches_family_build(n):
     fam = FeedbackCodeFamily(channel, default_words(n))
     x = fam.initial(np.random.default_rng(n))
     built = fam.build(x)
-    angles = [float(v) for v in x[fam.num_words :]]
-    fbase = 2 * fam.alphabet + 2 * fam.meas_rounds
+    angles = [float(v) for v in x[len(fam.words) :]]
+    fbase = fam.fb_start - len(fam.words)
     feedback: dict = {}
     for idx, (m, k, _r) in enumerate(fam.fb_slots):  # one register per (m, k) at n <= 3
         feedback.setdefault(str(m), {})[str(k)] = angles[fbase + 3 * idx : fbase + 3 * idx + 3]
@@ -225,10 +226,21 @@ def test_code_from_spec_matches_family_build(n):
             assert all(np.array_equal(u, v) for u, v in zip(kraus, parsed.feedback[m][k], strict=True))
 
 
-@pytest.mark.parametrize("bad", [dict(starts=0), dict(starts=-2), dict(max_sweeps=-1), dict(starts=1.5)])
+@pytest.mark.parametrize(
+    "bad",
+    [dict(starts=0), dict(starts=-2), dict(max_sweeps=-1), dict(starts=1.5), dict(seed=-1), dict(seed=1.5)],
+)
 def test_optimizer_config_rejects_bad_counts(bad):
     # Unchecked, starts=0 makes estimate_feedback_capacity raise TypeError
-    # and holevo_capacity AttributeError, so the config refuses it.
+    # and holevo_capacity AttributeError, so the config refuses it; a bad
+    # seed would fail later, inside SeedSequence.
     with pytest.raises(ValidationError):
         OptimizerConfig(**bad)
     assert OptimizerConfig(starts=1, max_sweeps=0).max_sweeps == 0
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0])
+def test_feedback_capacity_rejects_a_bad_block_length(n):
+    # Unchecked, n=0 reported rate 0.0 and n=2.0 raised TypeError.
+    with pytest.raises(ValidationError, match="block length n must be an int >= 1"):
+        estimate_feedback_capacity(depolarizing_channel(0.1), n, small_cfg(starts=1, max_sweeps=0))

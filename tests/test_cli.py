@@ -155,6 +155,17 @@ def test_parameters_a_channel_does_not_take_exit_two(tmp_path):
     assert run_cli(["optimize", "--channel", "depolarizing", "--starts", "1", "--max-sweeps", "0"])[0] == 2
 
 
+def test_final_measurement_key_is_unknown(tmp_path):
+    # The PGM is the only decoder a config without explicit POVMs gets, so the key selects nothing.
+    data = json.loads(IDENTITY.read_text())
+    data["protocol"]["final_measurement"] = "pgm"
+    with pytest.raises(ConfigError, match=re.escape("protocol: unknown fields ['final_measurement']")):
+        parse_config(data)
+    path = tmp_path / "final.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", path])[0] == 2
+
+
 def test_dead_config_sections_rejected(tmp_path):
     # A config has no typicality or optimizer section: nothing would read one.
     data = json.loads(IDENTITY.read_text())

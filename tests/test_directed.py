@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import materialize, materialized_entropy
+from oracles import materialize, materialized_entropy, oracle_random_feedback_code
 from qfeedback.cli import main
 from qfeedback.cqstate import conditional_mutual_information
 from qfeedback.directed import (
@@ -171,7 +171,7 @@ def test_ddpi_also_holds_for_nonprojective_measurements():
     rng = np.random.default_rng(60)
     for _ in range(20):
         n = int(rng.integers(2, 4))
-        code = random_feedback_code(
+        code = oracle_random_feedback_code(
             rng, depolarizing_channel(0.2), n, num_words=2, projective=False
         )
         _, _, slack = verify_ddpi(code)
@@ -284,7 +284,7 @@ def test_no_feedback_reduction_to_mutual_information():
     rng = np.random.default_rng(9)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        code = random_feedback_code(
+        code = oracle_random_feedback_code(
             rng, depolarizing_channel(float(rng.uniform(0, 0.5))), n, num_words=2, feedback=False
         )
         # strip intermediate measurements down to the trivial one

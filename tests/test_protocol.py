@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import basis_povm, outcome_chain, random_channel, round_update
+from oracles import basis_povm, oracle_random_feedback_code, outcome_chain, random_channel, random_povm, round_update
 
 from qfeedback.cqstate import cq_entropy
 from qfeedback.linalg import identity, kron
@@ -122,7 +122,6 @@ def test_padded_povm_keeps_the_completeness_defect(dims):
     # The round engine measures the unpadded M_j on the leading registers and
     # relies on its validated defect: padding with an identity leaves it alone.
     from qfeedback.protocol import _padded_povm
-    from qfeedback.quantum import random_povm
 
     rng = np.random.default_rng(len(dims))
     for j in range(1, len(dims) + 1):
@@ -344,6 +343,36 @@ def test_random_feedback_code_draws_feedback_for_every_outcome():
     assert code.outcome_labels(1) == (0, 1, 2)
     assert sorted(code.feedback[2]) == [0, 1, 2]
     assert validate_code(code).ok
+
+
+@pytest.mark.parametrize("num_words", [0, -1, 2.5])
+def test_random_feedback_code_rejects_a_bad_word_count(num_words):
+    # Unchecked, 0 divided by zero, -1 reached numpy's ValueError and 2.5 a TypeError.
+    with pytest.raises(ValidationError, match="num_words must be an int >= 1"):
+        random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), 2, num_words=num_words)
+    with pytest.raises(ValidationError, match="more codewords than strings"):
+        random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), 2, num_words=5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_generator_matches_the_library(n):
+    # The tests draw feedback-free and non-projective codes from the oracle
+    # copy; with both switches on it must draw the library's codes exactly.
+    for seed in range(4):
+        channel = random_channel(np.random.default_rng(100 + seed), 2, 2)
+        num_words = min(2 + seed % 3, 2**n)
+        got = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=num_words)
+        want = oracle_random_feedback_code(np.random.default_rng(seed), channel, n, num_words=num_words)
+        assert got.codebook == want.codebook and got.probs == want.probs
+        assert all(np.array_equal(a.mat, b.mat) and a.dims == b.dims for a, b in zip(got.states, want.states, strict=True))
+        for a, b in zip(got.measurements, want.measurements, strict=True):  # M_n is the decoder
+            assert a.labels == b.labels
+            assert all(np.array_equal(f, g) for (_, f), (_, g) in zip(a.elements, b.elements))
+        assert got.feedback.keys() == want.feedback.keys()
+        for m, per in got.feedback.items():
+            assert per.keys() == want.feedback[m].keys()
+            for k, kraus in per.items():
+                assert all(np.array_equal(u, v) for u, v in zip(kraus, want.feedback[m][k], strict=True))
 
 
 def test_validate_code_flags_nan_probability():

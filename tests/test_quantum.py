@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import basis_povm, measure_probabilities, random_channel
+from oracles import basis_povm, measure_probabilities, random_channel, random_isometry, random_povm
 
 from qfeedback.linalg import embed_operator, herm_eigvals, identity, kron
 from qfeedback.quantum import (
@@ -14,7 +14,6 @@ from qfeedback.quantum import (
     apply_channel,
     apply_channel_at,
     apply_kraus,
-    _random_isometry,
     basis_state,
     bloch_state,
     channel_output,
@@ -28,7 +27,6 @@ from qfeedback.quantum import (
     measure,
     pure_state,
     random_density_matrix,
-    random_povm,
     random_pure_state,
     rotated_qubit_povm,
     random_unitary,
@@ -97,7 +95,7 @@ def test_channel_output_of_a_stack_is_apply_channel_per_matrix():
     # Square and rectangular (qubit to qutrit) channels; apply_channel is the
     # Kraus sum written out, bit for bit.
     rng = np.random.default_rng(11)
-    v = _random_isometry(rng, 6, 2)
+    v = random_isometry(rng, 6, 2)
     for phi in (random_channel(rng, 2, 3), QuantumChannel((v[:3], v[3:]))):
         stack = np.array([random_density_matrix(rng, 2).mat for _ in range(5)])
         outputs = channel_output(phi, stack)

@@ -14,10 +14,12 @@ from oracles import (
     oracle_output_ensemble,
     oracle_pinv_sqrt,
     oracle_psd_sqrt,
+    oracle_random_feedback_code,
     oracle_rate_report,
     oracle_roots,
     oracle_transcripts,
     per_entropy,
+    random_isometry,
     per_entropy_terms,
     random_channel,
     round_update,
@@ -100,10 +102,10 @@ def seeded_codes():
         codes[f"n{n}"] = random_feedback_code(
             np.random.default_rng(40 + n), depolarizing_channel(0.15), n, num_words=min(3, 2**n)
         )
-    codes["n3-no-feedback"] = random_feedback_code(
+    codes["n3-no-feedback"] = oracle_random_feedback_code(
         np.random.default_rng(44), depolarizing_channel(0.15), 3, num_words=3, feedback=False
     )
-    codes["n3-non-projective"] = random_feedback_code(
+    codes["n3-non-projective"] = oracle_random_feedback_code(
         np.random.default_rng(45), amplitude_damping_channel(0.3), 3, num_words=2, projective=False
     )
     codes["n3-adaptive"] = adaptive_code(46)
@@ -393,7 +395,7 @@ def test_converse_chain_equals_the_per_entropy_oracle(name):
 
 def qubit_to_qutrit_channel():
     """A rectangular channel: two Kraus operators of shape (3, 2) from one seeded isometry."""
-    v = quantum._random_isometry(np.random.default_rng(5), 6, 2)
+    v = random_isometry(np.random.default_rng(5), 6, 2)
     return quantum.QuantumChannel((v[:3], v[3:]), "qubit-to-qutrit")
 
 
