@@ -24,6 +24,7 @@ from .linalg import (
     embed_operator,
     herm_eigvals,
     identity,
+    kron,
     kron_all,
     partial_trace,
     permute_registers,
@@ -216,12 +217,13 @@ def typical_projector(rho: DensityMatrix, n: int, delta: float) -> np.ndarray:
     return typical_projector_data(rho, n, delta).matrix()
 
 
-def cond_typical_projector(states: dict, word, delta: float) -> np.ndarray:
+def cond_typical_projector(states: dict, word, delta: float, projectors: dict) -> np.ndarray:
     """Conditionally typical projector for a labeled word.
 
     Positions carrying the same label are grouped, each group receives the
     typical projector of its state on that many copies, and the group
-    projectors are placed back at their positions.
+    projectors are placed back at their positions, each computed once per
+    (state matrix bytes, copies, delta) over the calls that share ``projectors``.
     """
     word = tuple(word)
     dims = []
@@ -237,8 +239,10 @@ def cond_typical_projector(states: dict, word, delta: float) -> np.ndarray:
     out = identity(total)
     for u in sorted(set(word), key=repr):
         positions = [i for i, x in enumerate(word) if x == u]
-        block = typical_projector(states[u], len(positions), delta)
-        out = out @ embed_operator(block, dims, positions)
+        key = (states[u].mat.tobytes(), len(positions), delta)
+        if key not in projectors:
+            projectors[key] = typical_projector(states[u], len(positions), delta)
+        out = out @ embed_operator(projectors[key], dims, positions)
     return out
 
 
@@ -424,13 +428,13 @@ def _slot_components(q: int, n: int, l: int):
 
 
 def _base_slot_povm(base: FeedbackCode, q: int, l: int) -> Povm | None:
-    """Copy j's base measurement M_k on the first q flat registers, if slot q has one."""
+    """Copy j's base measurement M_k on its shortest leading block, flat registers 0..max(targets), if slot q has one."""
     base_comp, _ = _slot_components(q, base.n, l)
     if base_comp is None:
         return None
     j, k = base_comp
-    dims = (base.channel.in_dim,) * q
     targets = [s * l + (j - 1) for s in range(k)]
+    dims = (base.channel.in_dim,) * (targets[-1] + 1)
     # base schedules are fixed Povms
     return Povm(tuple((lab, embed_operator(f, dims, targets)) for lab, f in base.measurement(k).elements))
 
@@ -467,8 +471,8 @@ def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
     return {g: p / total for g, p in post.items()}
 
 
-def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float) -> dict:
-    """Gamma operators of global round t on the flat received prefix, by candidate block."""
+def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float, projectors: dict) -> dict:
+    """Gamma operators of global round t on the flat received prefix, by candidate block, from the build's ``projectors``."""
     l = len(k_hists)
     marg = [{} for _ in range(l)]
     for g, p in post.items():
@@ -497,7 +501,7 @@ def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float) -> dict
             avg_states[lab] = avg_state(j)
     dims = avg_states[labels[0]].dims * l
     perm = _copy_to_flat_perm(t, l)
-    pi_avg = permute_registers(cond_typical_projector(avg_states, labels, delta), dims, perm)
+    pi_avg = permute_registers(cond_typical_projector(avg_states, labels, delta, projectors), dims, perm)
     out = {}
     for r in sorted({tuple(g[j][t - 1] for j in range(l)) for g in post}):
         cond_states = {}
@@ -507,7 +511,7 @@ def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float) -> dict
             cond_labels.append(lab)
             if lab not in cond_states:
                 cond_states[lab] = avg_state(j, restrict=r[j])
-        pi_r = cond_typical_projector(cond_states, cond_labels, delta)
+        pi_r = cond_typical_projector(cond_states, cond_labels, delta, projectors)
         out[r] = gamma_operator(pi_avg, permute_registers(pi_r, dims, perm))
     return out
 
@@ -554,6 +558,7 @@ def build_double_blocked_code(
     )
 
     tables = base_prefix_tables(base)
+    projectors: dict = {}
     slots: list[dict] = []
     feedback: dict = {}
     # Each open history carries its prior global blocks and per-copy base outcomes.
@@ -571,13 +576,13 @@ def build_double_blocked_code(
                 post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
                 roots = ((ER, identity(d**q)),)
                 if post:
-                    gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta)
+                    gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta, projectors)
                     roots = square_root_measurement(gammas).elements
                 if t == n:
                     # The last global outcome names the flat codeword: all blocks in order.
                     roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
                 if base_povm is not None:
-                    roots = [((r, b), f @ m) for r, m in roots for b, f in base_povm.elements]
+                    roots = [((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m in roots for b, f in base_povm.elements]
                 povm = Povm(tuple(roots))
             slot[history] = povm
             for lab in povm.labels:

@@ -88,8 +88,8 @@ class Codebook:
 class FeedbackCode:
     """The code quadruple plus the channel it is built for.
 
-    measurements[j-1] is M_j, acting on the first j registers: a Povm, or an
-    adaptive ``{history: Povm}`` dict keyed by the tuple of earlier outcomes.
+    measurements[j-1] is M_j, acting on a leading block of at most j registers:
+    a Povm, or an adaptive ``{history: Povm}`` dict keyed by earlier outcomes.
     feedback[m] maps the outcome of M_{m-1} to a Kraus family on registers
     m..n-1 (0-indexed); missing entries mean "do nothing".  The decoded
     message is the outcome of M_n.
@@ -124,7 +124,7 @@ class FeedbackCode:
             raise ValidationError(f"unknown codeword {word}") from None
 
     def measurement(self, j: int, history: tuple = ()) -> Povm:
-        """M_j (resolved on ``history``), checked to act on the first j registers."""
+        """M_j (resolved on ``history``), checked to act on a leading block of at most j registers."""
         povm = self.measurements[j - 1]
         if isinstance(povm, dict):
             try:
@@ -205,7 +205,7 @@ def validate_code(code: FeedbackCode) -> CodeReport:
         meas = code.measurements[j - 1]
         entries = meas.items() if isinstance(meas, dict) else [((), meas)]
         for hist, povm in entries:
-            if povm.dim != d**j:
+            if povm.dim not in {d**i for i in range(1, j + 1)}:
                 rep.add(f"M_{j}: dimension {povm.dim} != {d ** j}", 0.0)
                 continue
             defect = povm.completeness_defect()
@@ -241,9 +241,9 @@ def validate_code(code: FeedbackCode) -> CodeReport:
 
 
 def _padded_povm(povm: Povm, dims, j: int) -> Povm:
-    """Pad a measurement on the first j registers with identity on the rest."""
+    """Pad a measurement on at most the first j registers with identity on the rest."""
     pad = identity(leading_block_rest(povm.dim, dims, j))
-    if j == len(dims):
+    if len(pad) == 1:
         return povm
     return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements))
 
@@ -535,8 +535,10 @@ def random_feedback_code(rng: np.random.Generator, channel: QuantumChannel, n: i
     of the preceding measurement, so the directed data-processing inequality
     holds for every draw.  A projector's outcome stays recoverable from the
     post-measurement state, which additionally makes I(M:K_1^n) <= I(M:Z_1^n)
-    hold on every draw.  Raises unless ``num_words`` is an int in 1..2^n.
+    hold on every draw.  Raises unless ``n`` is an int >= 1 and ``num_words`` an int in 1..2^n.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValidationError(f"block length n must be an int >= 1, got {n!r}")
     d = channel.in_dim
     all_words = list(itertools.product(range(2), repeat=n))
     if not (isinstance(num_words, numbers.Integral) and num_words >= 1):

@@ -8,6 +8,7 @@ compare directly to rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -430,13 +431,15 @@ def euler_unitary(a: float, b: float, c: float) -> np.ndarray:
 def leading_block_rest(dim: int, dims, registers: int | None = None) -> int:
     """Dimension of the registers after a leading block of dimension ``dim``.
 
-    Raises unless ``dim`` is the product of the leading registers of ``dims``
-    (of exactly ``registers`` of them, if given).
+    Raises unless ``dim`` is the product of the first i >= 1 registers of
+    ``dims`` (with i <= ``registers``, if given).
     """
-    prefix = np.cumprod(dims)
-    if dim not in (prefix if registers is None else prefix[registers - 1 : registers]):
-        raise ValidationError(f"dimension {dim} does not match the leading registers of {tuple(dims)}")
-    return int(prefix[-1]) // dim
+    prefix = 1
+    for d in dims[:registers]:
+        prefix *= d
+        if prefix == dim:
+            return math.prod(dims) // dim
+    raise ValidationError(f"dimension {dim} does not match the leading registers of {tuple(dims)}")
 
 
 def _kept(p: np.ndarray, prob: np.ndarray, labels) -> tuple:

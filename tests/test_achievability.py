@@ -197,7 +197,7 @@ def test_cond_typical_projector_uniform_word():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(rng, 2)
     states = {"a": rho}
-    got = cond_typical_projector(states, ("a", "a", "a"), 0.2)
+    got = cond_typical_projector(states, ("a", "a", "a"), 0.2, {})
     want = typical_projector(rho, 3, 0.2)
     assert np.allclose(got, want, atol=1e-10)
 
@@ -205,7 +205,7 @@ def test_cond_typical_projector_uniform_word():
 def test_cond_typical_projector_singletons_wide_delta():
     rng = np.random.default_rng(1)
     states = {"a": random_density_matrix(rng, 2), "b": random_density_matrix(rng, 2)}
-    got = cond_typical_projector(states, ("a", "b"), 1.0)
+    got = cond_typical_projector(states, ("a", "b"), 1.0, {})
     assert np.allclose(got, identity(4), atol=1e-12)
 
 
@@ -215,7 +215,7 @@ def test_cond_typical_projector_matches_kron_oracle():
     sb = random_density_matrix(rng, 2)
     states = {"a": sa, "b": sb}
     # word with grouped positions: (a, b, a) -> P_a on {0,2} copies, P_b on {1}
-    got = cond_typical_projector(states, ("a", "b", "a"), 0.4)
+    got = cond_typical_projector(states, ("a", "b", "a"), 0.4, {})
     pa = typical_projector(sa, 2, 0.4)  # acts on positions 0 and 2
     pb = typical_projector(sb, 1, 0.4)
     from qfeedback.linalg import embed_operator
@@ -793,6 +793,57 @@ def test_blocked_l3_error_ignores_projector_rounding(monkeypatch):
     flat = build_double_blocked_code(base, 3, delta=0.3)
     want = (0.8261757527082543, 0.8635006579787097)
     assert np.allclose(error_probability(flat), want, rtol=0.0, atol=1e-12)
+
+
+def test_blocked_l3_build_computes_each_typical_projector_once(monkeypatch):
+    # The benchmark's l=3 build asks for 311 typical projectors, on 19
+    # distinct (state, copies) pairs: each pair is computed once.  Every slot
+    # element, padded to the slot's registers, equals the element of a build
+    # with the parent construction: a fresh projector per request and each
+    # base element embedded on all q leading registers.
+    from qfeedback import achievability
+    from qfeedback.linalg import embed_operator
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    typical, cond, base_slot = (
+        achievability.typical_projector,
+        achievability.cond_typical_projector,
+        achievability._base_slot_povm,
+    )
+    computed, requested = [], []
+
+    def counted(rho, n, delta):
+        computed.append((rho.mat.tobytes(), n))
+        return typical(rho, n, delta)
+
+    def requesting(states, word, delta, projectors):
+        requested.extend(set(word))
+        return cond(states, word, delta, projectors)
+
+    monkeypatch.setattr(achievability, "typical_projector", counted)
+    monkeypatch.setattr(achievability, "cond_typical_projector", requesting)
+    flat = build_double_blocked_code(base, 3, delta=0.3)
+    assert (len(requested), len(computed), len(set(computed))) == (311, 19, 19)
+
+    def on_all_q_registers(base, q, l):
+        if base_slot(base, q, l) is None:
+            return None
+        j, k = achievability._slot_components(q, base.n, l)[0]
+        targets = [s * l + (j - 1) for s in range(k)]
+        return Povm(tuple((lab, embed_operator(f, (2,) * q, targets)) for lab, f in base.measurement(k).elements))
+
+    monkeypatch.setattr(achievability, "cond_typical_projector", lambda states, word, delta, _: cond(states, word, delta, {}))
+    monkeypatch.setattr(achievability, "_base_slot_povm", on_all_q_registers)
+    parent = build_double_blocked_code(base, 3, delta=0.3)
+    assert [f.shape[0] for f in (flat.measurement(4).elements[0][1], parent.measurement(4).elements[0][1])] == [4, 16]
+    for q, (mine, theirs) in enumerate(zip(flat.measurements, parent.measurements, strict=True), start=1):
+        mine, theirs = (m if isinstance(m, dict) else {(): m} for m in (mine, theirs))
+        assert mine.keys() == theirs.keys()
+        for h, povm in mine.items():
+            assert povm.labels == theirs[h].labels
+            for (_, f), (_, g) in zip(povm.elements, theirs[h].elements):
+                assert np.array_equal(kron(f, identity(2**q // len(f))), g)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.3])

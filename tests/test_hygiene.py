@@ -6,7 +6,9 @@ every module-private definition is named somewhere else, every top-level
 function and class has a caller in the library or is exported or traced,
 every name the package exports is used in the library or named in the
 README, every function the benchmark's span tracer wraps still exists under
-its name, and the README's example runs as written.  Tolerances and floors are module constants: no
+its name, no module keeps state between calls (no ``global``, no memoizing
+decorator, no lower-case module-level container), and the README's example
+runs as written.  Tolerances and floors are module constants: no
 function takes one as a parameter, so no caller can loosen a check per call.  The count
 of settable values may only fall, so a new knob shows up in the diff.
 """
@@ -124,6 +126,66 @@ SETTABLE_VALUES = 28
 
 def test_settable_values_do_not_grow():
     assert sum(settable_values(p.read_text()) for p in SRC.glob("*.py")) <= SETTABLE_VALUES
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def process_state(source: str) -> list[str]:
+    """``global`` statements, ``functools.cache``/``lru_cache`` decorators, and
+    module-level containers whose name is not ALL_CAPS.
+
+    State that outlives a call belongs to an object the caller makes and
+    passes; a mutable module-level name or a memoizing decorator is shared by
+    every caller in the process.  An ALL_CAPS container is a constant table.
+    """
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            out.append(f"global {', '.join(node.names)} line {node.lineno}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    out.append(f"@{name} on {node.name} line {dec.lineno}")
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        called = call.attr if isinstance(call, ast.Attribute) else getattr(call, "id", None)
+        if isinstance(value, CONTAINERS) or called in CONTAINER_CALLS:
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != t.id.upper():
+                    out.append(f"container {t.id} line {node.lineno}")
+    return out
+
+
+def test_process_state_detector():
+    source = (
+        "import functools\n_TABLE = {1: 2}\n_seen = {}\nhits: list = []\nlog = collections.deque()\n"
+        "N = 3\n\n@functools.lru_cache(maxsize=None)\ndef f():\n    global N\n\n@cache\ndef g():\n"
+        "    local = {}\n"
+    )
+    assert process_state(source) == [
+        "@lru_cache on f line 8",
+        "@cache on g line 12",
+        "global N line 10",
+        "container _seen line 3",
+        "container hits line 4",
+        "container log line 5",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_wide_state(path):
+    assert process_state(path.read_text()) == []
 
 
 def test_traced_names_resolve():

@@ -11,6 +11,7 @@ from qfeedback.protocol import (
     FeedbackCode,
     ProtocolTranscript,
     ehs_state,
+    ehs_states,
     enumerate_transcripts,
     error_probability,
     random_feedback_code,
@@ -139,6 +140,30 @@ def test_measurement_rejects_a_povm_on_another_prefix():
         bad.measurement(1)
     with pytest.raises(ValidationError, match="does not match"):
         enumerate_transcripts(bad, (0, 0))
+    # validate_code refuses it too, and a dimension that is no prefix product.
+    assert "M_1: dimension 4 != 2" in [name for name, _ in validate_code(bad).violations]
+    off = dataclasses.replace(code, measurements=(Povm(((0, identity(3)),)), code.measurements[1]))
+    with pytest.raises(ValidationError, match=r"dimension 3 does not match the leading registers of \(2, 2\)"):
+        off.measurement(1)
+    assert "M_1: dimension 3 != 2" in [name for name, _ in validate_code(off).violations]
+
+
+def test_measurement_on_fewer_registers_walks_as_its_padded_form():
+    # M_2 on register 0 alone, a leading block of 1 <= 2 registers, is kron(f, I)
+    # on registers 0 and 1: the same transcripts, EHS states and error, bit for bit.
+    code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.2), 3)
+    short = random_povm(np.random.default_rng(4), 2, outcomes=3)
+    padded = Povm(tuple((lab, kron(f, identity(2))) for lab, f in short.elements))
+    a, b = (dataclasses.replace(code, measurements=(code.measurements[0], m, code.measurements[2])) for m in (short, padded))
+    assert validate_code(a).ok and a.measurement(2) is short
+    for word in code.codebook.words:
+        for s, t in zip(enumerate_transcripts(a, word), enumerate_transcripts(b, word), strict=True):
+            assert s.outcomes == t.outcomes and s.probability == t.probability
+            assert all(np.array_equal(x.mat, y.mat) for x, y in zip(s.states, t.states, strict=True))
+    for s, t in zip(ehs_states(a), ehs_states(b), strict=True):
+        assert np.array_equal(s.labels, t.labels) and np.array_equal(s.weights, t.weights)
+        assert np.array_equal(s.states, t.states)
+    assert error_probability(a) == error_probability(b)
 
 
 def test_round_update_matches_composition_oracle():
@@ -352,6 +377,14 @@ def test_random_feedback_code_rejects_a_bad_word_count(num_words):
         random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), 2, num_words=num_words)
     with pytest.raises(ValidationError, match="more codewords than strings"):
         random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), 2, num_words=5)
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_random_feedback_code_rejects_a_bad_block_length(n):
+    # Unchecked, 0 failed deep in the walk ("register 0 out of range for 0
+    # registers"), -1 reached itertools' ValueError and 1.5 a TypeError.
+    with pytest.raises(ValidationError, match="block length n must be an int >= 1"):
+        random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), n, num_words=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import basis_povm, measure_probabilities, random_channel, random_isometry, random_povm
@@ -24,6 +26,7 @@ from qfeedback.quantum import (
     fully_depolarizing_channel,
     holevo_chi,
     identity_channel,
+    leading_block_rest,
     measure,
     pure_state,
     random_density_matrix,
@@ -234,6 +237,36 @@ def test_measure_rejects_a_povm_off_the_register_prefixes():
             measure(bad, rho)
         with pytest.raises(ValidationError, match="does not match"):
             measure_probabilities(bad, rho)
+
+
+@pytest.mark.parametrize(
+    "dim, dims, registers, rest",
+    [
+        (2, (2, 3, 2), None, 6),
+        (6, (2, 3, 2), None, 2),
+        (12, (2, 3, 2), None, 1),
+        (6, (2, 3, 2), 2, 2),
+        (2, (2, 3, 2), 3, 6),  # registers bounds the block from above
+        (6, (2, 3, 2), 1, None),
+        (4, (2, 3, 2), None, None),
+        (3, (2, 3, 2), None, None),
+        (1, (2, 3, 2), None, None),  # a leading block holds at least one register
+        (1, (1, 2, 3), None, 6),
+        (2, (1, 2, 1, 3), None, 3),
+        (2, (1, 2, 1, 3), 1, None),
+        (2, (1, 2, 1, 3), 2, 3),
+        (6, (1, 2, 1, 3), 4, 1),
+        (6, (1, 2, 1, 3), 3, None),
+        (2, (2,), 0, None),
+    ],
+)
+def test_leading_block_rest_table(dim, dims, registers, rest):
+    if rest is not None:
+        assert leading_block_rest(dim, dims, registers) == rest
+        return
+    message = f"dimension {dim} does not match the leading registers of {dims}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        leading_block_rest(dim, dims, registers)
 
 
 def test_apply_kraus_rejects_a_non_contiguous_block():
