@@ -36,7 +36,6 @@ from .protocol import (
     CapExceededError,
     Codebook,
     FeedbackCode,
-    product_states,
     _branch,
     _start,
     _updated,
@@ -49,6 +48,7 @@ from .quantum import (
     DensityMatrix,
     Povm,
     ValidationError,
+    check_count,
     entropy,
     square_root_measurement,
 )
@@ -71,18 +71,12 @@ class TypicalityParams:
         # Written "not (... > 0)" so that a NaN parameter is rejected too.
         if not (self.delta > 0 and self.c > 0):
             raise ValidationError("typicality parameters must be positive")
-        if not (isinstance(self.l, numbers.Integral) and self.l >= 1):
-            raise ValidationError(f"block copies l must be an int >= 1, got {self.l!r}")
+        check_count(self.l, "block copies l", 1)
 
     def epsilon(self, t: int) -> float:
         """2^(-t l c delta^2), strictly decreasing in t."""
-        _check_round(t)
+        check_count(t, "round index", 1)
         return float(2.0 ** (-t * self.l * self.c * self.delta**2))
-
-
-def _check_round(t) -> None:
-    if not (isinstance(t, numbers.Integral) and t >= 1):
-        raise ValidationError(f"round index must be an int >= 1, got {t!r}")
 
 
 def _typical_types(p, n: int, delta: float):
@@ -387,7 +381,7 @@ def error_recursion(per_round) -> list[float]:
 
 def disturbance_accumulator(params: TypicalityParams, t: int) -> float:
     """sum_{s<=t} (sqrt(24 eps_s) + 6 eps_s) for eps_s = 2^(-s l c delta^2)."""
-    _check_round(t)
+    check_count(t, "round index", 1)
     return cumulative_disturbance_bound(params.epsilon(s) for s in range(1, t + 1))
 
 
@@ -410,11 +404,12 @@ def _copy_to_flat_perm(n: int, l: int) -> list[int]:
 
 
 def base_prefix_tables(code: FeedbackCode) -> list[dict]:
-    """For t = 0..n-1: (word, k_1^t) -> (P(k_1^t | word), omega^t)."""
+    """For t = 0..n-1: (word, k_1^t) -> (P(k_1^t | word), marginal on received registers 0..t), one partial trace per walk piece."""
     tables: list[dict] = [dict() for _ in range(code.n)]
     for t, front in _walk(code, code.codebook.words):
-        for w, history, p_path, omega in zip(front.word, front.history, front.prob, front.states):
-            tables[t][(code.codebook.words[w], history)] = (float(p_path), DensityMatrix(omega, code.dims))
+        marginals = partial_trace(front.states, code.dims, keep=range(t + 1))
+        for w, history, p_path, sigma in zip(front.word, front.history, front.prob, marginals):
+            tables[t][(code.codebook.words[w], history)] = (float(p_path), DensityMatrix(sigma, code.dims[: t + 1]))
     return tables
 
 
@@ -472,46 +467,38 @@ def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
 
 
 def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float, projectors: dict) -> dict:
-    """Gamma operators of global round t on the flat received prefix, by candidate block, from the build's ``projectors``."""
+    """Gamma operators of global round t on the flat received prefix, by candidate block, from the build's ``projectors``.
+
+    One sorted pass per copy gives its averaged state (key None) and each letter-t restriction, every sum started
+    from its first term (a start from 0 turns -0.0 into 0.0); copies with equal labels share the first one's states.
+    """
     l = len(k_hists)
-    marg = [{} for _ in range(l)]
-    for g, p in post.items():
-        for j in range(l):
-            marg[j][g[j]] = marg[j].get(g[j], 0.0) + p
-
-    def avg_state(j, restrict=None):
-        # Every candidate letter comes from a group of positive posterior weight,
-        # so each average has at least one term; sorted, so the sum is order-free.
-        acc, tot = None, 0.0
-        for w, p in sorted(marg[j].items()):
-            if restrict is not None and w[t - 1] != restrict:
-                continue
-            _, omega = table[(w, k_hists[j])]
-            sigma = partial_trace(omega.mat, omega.dims, keep=range(t))
-            acc = p * sigma if acc is None else acc + p * sigma
-            tot += p
-        return DensityMatrix(acc / tot, omega.dims[:t])
-
-    labels = []
-    avg_states = {}
-    for j in range(l):
-        lab = (tuple(b[j] for b in r_blocks), k_hists[j])
-        labels.append(lab)
-        if lab not in avg_states:
-            avg_states[lab] = avg_state(j)
-    dims = avg_states[labels[0]].dims * l
-    perm = _copy_to_flat_perm(t, l)
+    passes, letters, labels, avg_states = {}, [], [], {}
+    for j, k_hist in enumerate(k_hists):
+        marg = {}
+        for g, p in post.items():
+            marg[g[j]] = marg.get(g[j], 0.0) + p
+        key = (k_hist, tuple(sorted(marg.items())))  # all that a copy's letter states depend on
+        if key not in passes:
+            sums = {}
+            for w, p in key[1]:
+                sigma = table[(w, k_hist)][1]
+                term = p * sigma.mat
+                for x in (None, w[t - 1]):
+                    acc, tot = sums.get(x, (None, 0.0))
+                    sums[x] = (term if acc is None else acc + term, tot + p)
+            passes[key] = {x: DensityMatrix(acc / tot, sigma.dims) for x, (acc, tot) in sums.items()}
+        letters.append(passes[key])
+        labels.append((tuple(b[j] for b in r_blocks), k_hist))
+        avg_states.setdefault(labels[-1], letters[-1][None])
+    dims, perm = avg_states[labels[0]].dims * l, _copy_to_flat_perm(t, l)
     pi_avg = permute_registers(cond_typical_projector(avg_states, labels, delta, projectors), dims, perm)
     out = {}
     for r in sorted({tuple(g[j][t - 1] for j in range(l)) for g in post}):
         cond_states = {}
-        cond_labels = []
-        for j in range(l):
-            lab = (labels[j], r[j])
-            cond_labels.append(lab)
-            if lab not in cond_states:
-                cond_states[lab] = avg_state(j, restrict=r[j])
-        pi_r = cond_typical_projector(cond_states, cond_labels, delta, projectors)
+        for lab, states, x in zip(labels, letters, r):
+            cond_states.setdefault((lab, x), states[x])
+        pi_r = cond_typical_projector(cond_states, list(zip(labels, r)), delta, projectors)
         out[r] = gamma_operator(pi_avg, permute_registers(pi_r, dims, perm))
     return out
 
@@ -530,10 +517,10 @@ def build_double_blocked_code(
     is an ordinary FeedbackCode: global-round measurements are tabulated per
     outcome history (``{history: Povm}``), and the final measurement emits
     flat codewords (or 'er').  Raises unless ``l`` is an int >= 1 and
-    ``groups`` a non-empty list of l-tuples of base codewords.
+    ``groups`` a non-empty list of l-tuples of base codewords whose total base
+    probability is positive.
     """
-    if not (isinstance(l, numbers.Integral) and l >= 1):
-        raise ValidationError(f"block copies l must be an int >= 1, got {l!r}")
+    check_count(l, "block copies l", 1)
     n, d = base.n, base.channel.in_dim
     nl = n * l
     if d**nl > DIM_BUDGET:
@@ -544,18 +531,18 @@ def build_double_blocked_code(
         groups = [tuple(tuple(w) for w in g) for g in groups]
         if not groups or any(len(g) != l for g in groups):
             raise ValidationError(f"groups must be a non-empty list of {l}-tuples of base codewords")
-    gprobs = np.array(
-        [np.prod([base.probs[base.word_index(w)] for w in g]) for g in groups], dtype=float
-    )
-    gprobs = gprobs / gprobs.sum()
+    gprobs = np.array([np.prod([base.probs[base.word_index(w)] for w in g]) for g in groups], dtype=float)
+    total = gprobs.sum()
+    # Written "not (... > 0)" so that a NaN total is rejected too.
+    if not (total > 0):
+        raise ValidationError(f"groups must carry positive total base probability, got {float(total)}")
+    gprobs = gprobs / total
 
     flat_words = tuple(_interleave(g, n, l) for g in groups)
     book = Codebook(base.codebook.alphabet, nl, flat_words)
-    perm = _copy_to_flat_perm(n, l)
-    flat_states = tuple(
-        DensityMatrix(permute_registers(s.mat, s.dims, perm), s.dims)
-        for s in product_states(dict(zip(base.codebook.words, base.states)), groups)
-    )
+    letters = dict(zip(base.codebook.words, base.states))
+    dims, perm = base.dims * l, _copy_to_flat_perm(n, l)
+    flat_states = tuple(DensityMatrix(permute_registers(kron_all(letters[w].mat for w in g), dims, perm), dims) for g in groups)
 
     tables = base_prefix_tables(base)
     projectors: dict = {}
@@ -574,16 +561,16 @@ def build_double_blocked_code(
                 povm = base_povm or Povm(((0, identity(d**q)),))
             else:
                 post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
-                roots = ((ER, identity(d**q)),)
                 if post:
                     gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta, projectors)
-                    roots = square_root_measurement(gammas).elements
-                if t == n:
-                    # The last global outcome names the flat codeword: all blocks in order.
-                    roots = [(sum(r_blocks, ()) + lab if lab != ER else ER, m) for lab, m in roots]
+                    if t == n:
+                        # The last global outcome names the flat codeword: all blocks in order.
+                        gammas = {sum(r_blocks, ()) + r: g for r, g in gammas.items()}
+                    povm = square_root_measurement(gammas)
+                else:
+                    povm = Povm(((ER, identity(d**q)),))
                 if base_povm is not None:
-                    roots = [((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m in roots for b, f in base_povm.elements]
-                povm = Povm(tuple(roots))
+                    povm = Povm(tuple(((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m in povm.elements for b, f in base_povm.elements))
             slot[history] = povm
             for lab in povm.labels:
                 r, kb = _label_parts(q, n, l, lab)

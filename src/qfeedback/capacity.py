@@ -9,7 +9,6 @@ convergence flags, and are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .quantum import (
     bloch_state,
     bloch_vector,
     channel_output,
+    check_count,
     euler_unitary,
     holevo_chis,
     rotated_qubit_povm,
@@ -45,12 +45,9 @@ class OptimizerConfig:
     feedback: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.starts, numbers.Integral) and self.starts >= 1):
-            raise ValidationError(f"starts must be an int >= 1, got {self.starts!r}")
-        if not (isinstance(self.max_sweeps, numbers.Integral) and self.max_sweeps >= 0):
-            raise ValidationError(f"max_sweeps must be an int >= 0, got {self.max_sweeps!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValidationError(f"seed must be an int >= 0, got {self.seed!r}")
+        check_count(self.starts, "starts", 1)
+        check_count(self.max_sweeps, "max_sweeps", 0)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass
@@ -318,8 +315,7 @@ def estimate_feedback_capacity(
     rate than the no-feedback run under the same seed.
     """
     cfg = config or OptimizerConfig()
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValidationError(f"block length n must be an int >= 1, got {n!r}")
+    check_count(n, "block length n", 1)
     if channel.in_dim != 2:
         raise ValidationError("feedback capacity estimation is parametrized for qubits")
     if channel.in_dim**n > 8:

@@ -23,7 +23,6 @@ measurement (``with_pgm_decoder``).
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Hashable
 
@@ -42,6 +41,7 @@ from .quantum import (
     ValidationError,
     _kept,
     channel_at,
+    check_count,
     check_states,
     completeness_defect,
     kraus_at,
@@ -537,12 +537,10 @@ def random_feedback_code(rng: np.random.Generator, channel: QuantumChannel, n: i
     post-measurement state, which additionally makes I(M:K_1^n) <= I(M:Z_1^n)
     hold on every draw.  Raises unless ``n`` is an int >= 1 and ``num_words`` an int in 1..2^n.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValidationError(f"block length n must be an int >= 1, got {n!r}")
+    check_count(n, "block length n", 1)
     d = channel.in_dim
     all_words = list(itertools.product(range(2), repeat=n))
-    if not (isinstance(num_words, numbers.Integral) and num_words >= 1):
-        raise ValidationError(f"num_words must be an int >= 1, got {num_words!r}")
+    check_count(num_words, "num_words", 1)
     if num_words > len(all_words):
         raise ValidationError("more codewords than strings")
     order = rng.permutation(len(all_words))

@@ -9,6 +9,7 @@ compare directly to rates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -42,6 +43,12 @@ ER = "er"  # distinguished error outcome label
 
 class ValidationError(Exception):
     """A quantum object violates one of its invariants."""
+
+
+def check_count(x, what: str, least: int) -> None:
+    """Raise ``ValidationError`` unless ``x`` is an int >= ``least``; ``what`` names ``x`` in the message."""
+    if not (isinstance(x, numbers.Integral) and x >= least):
+        raise ValidationError(f"{what} must be an int >= {least}, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,76 @@
+"""One SHA-256 digest over six double-blocked codes, for bit-identity checks.
+
+Run it on two trees and compare the printed lines:
+
+    PYTHONPATH=src python tests/capture_blocked.py
+
+The digest covers each code's codeword probabilities and states, every slot
+element (history, label, dtype, shape and bytes), every feedback operator, the
+exact (average, max) error and every cumulative-disturbance record.  Not a
+test module: pytest does not collect it.
+"""
+
+import hashlib
+
+import numpy as np
+
+from qfeedback import (
+    amplitude_damping_channel,
+    build_double_blocked_code,
+    cumulative_disturbance_report,
+    depolarizing_channel,
+    error_probability,
+    random_feedback_code,
+)
+
+# (seed, channel, base block length n, copies l)
+CASES = (
+    (9, depolarizing_channel(0.1), 2, 2),
+    (9, depolarizing_channel(0.1), 2, 3),
+    (77, depolarizing_channel(0.3), 2, 2),
+    (77, depolarizing_channel(0.3), 2, 3),
+    (78, amplitude_damping_channel(0.4), 2, 2),
+    (5, depolarizing_channel(0.2), 3, 2),
+)
+DELTA = 0.3
+
+
+def feed(h, *parts):
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+
+
+def capture(h, base, l):
+    code = build_double_blocked_code(base, l, delta=DELTA)
+    feed(h, code.probs, code.codebook.words)
+    for state in code.states:
+        feed(h, state.mat)
+    for q, slot in enumerate(code.measurements, start=1):
+        for history, povm in (slot if isinstance(slot, dict) else {(): slot}).items():
+            for label, element in povm.elements:
+                feed(h, q, history, label, element)
+    for m, per in code.feedback.items():
+        for label, ops in per.items():
+            feed(h, m, label, *ops)
+    feed(h, error_probability(code))
+    for record in cumulative_disturbance_report(base, l, delta=DELTA):
+        feed(h, record)
+
+
+def main():
+    total = hashlib.sha256()
+    for seed, channel, n, l in CASES:
+        base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
+        one = hashlib.sha256()
+        capture(one, base, l)
+        print(f"seed {seed} n={n} l={l}: {one.hexdigest()}")
+        total.update(one.digest())
+    print(f"all: {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

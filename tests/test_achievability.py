@@ -846,6 +846,55 @@ def test_blocked_l3_build_computes_each_typical_projector_once(monkeypatch):
                 assert np.array_equal(kron(f, identity(2**q // len(f))), g)
 
 
+def test_blocked_l3_build_reads_the_base_walk_once(monkeypatch):
+    # The benchmark's l=3 build takes one stacked partial trace per base walk
+    # piece (2) and validates each measurement once (79 Povms): the 64
+    # final-round square-root measurements are the slot's Povms as returned.
+    # Deriving the letter states per history took 312 partial traces, and
+    # relabelling every final-round measurement validated 143 Povms.
+    from qfeedback import achievability
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    calls = {"partial_trace": 0, "square_root_measurement": 0, "Povm": 0}
+    returned = {name: [] for name in calls}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            returned[name].append(f(*args, **kwargs))
+            return returned[name][-1]
+
+        return counted
+
+    for name in ("partial_trace", "square_root_measurement"):
+        monkeypatch.setattr(achievability, name, counting(name, getattr(achievability, name)))
+    monkeypatch.setattr(Povm, "__post_init__", counting("Povm", Povm.__post_init__))
+    flat = build_double_blocked_code(base, 3, delta=0.3)
+    assert calls == {"partial_trace": 2, "square_root_measurement": 65, "Povm": 79}
+    # 64 final histories decode a flat codeword; 8 follow an 'er' block and measure ER alone.
+    decoding = [p for p in flat.measurements[-1].values() if p.labels != (ER,)]
+    assert len(decoding) == 64
+    assert {id(p) for p in decoding} <= {id(x) for x in returned["square_root_measurement"]}
+    assert all(lab == ER or len(lab) == 6 for p in decoding for lab in p.labels)
+
+
+@pytest.mark.parametrize("probs", [(1.0, 0.0), (0.5, float("nan"))])
+def test_blocked_code_rejects_groups_of_no_probability(probs):
+    # Unchecked, (1.0, 0.0) with the one group (w1, w1) normalized 0 by 0: the
+    # code came out with probs (nan,) and a RuntimeWarning, and its error
+    # probability was (nan, 1.0).
+    from dataclasses import replace
+
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    base = replace(base, probs=probs)
+    w1 = base.codebook.words[1]
+    with pytest.raises(ValidationError, match="groups must carry positive total base probability"):
+        build_double_blocked_code(base, 2, delta=0.3, groups=[(w1, w1)])
+
+
 @pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.3])
 def test_non_positive_or_nan_delta_rejected(delta):
     with pytest.raises(ValidationError, match="positive"):
