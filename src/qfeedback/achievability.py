@@ -423,15 +423,17 @@ def _slot_components(q: int, n: int, l: int):
 
 
 def _base_slot_povm(base: FeedbackCode, q: int, l: int) -> Povm | None:
-    """Copy j's base measurement M_k on its shortest leading block, flat registers 0..max(targets), if slot q has one."""
+    """Copy j's base M_k on its shortest leading block, its feedback on copy j's later registers, if slot q has one."""
     base_comp, _ = _slot_components(q, base.n, l)
     if base_comp is None:
         return None
     j, k = base_comp
-    targets = [s * l + (j - 1) for s in range(k)]
-    dims = (base.channel.in_dim,) * (targets[-1] + 1)
-    # base schedules are fixed Povms
-    return Povm(tuple((lab, embed_operator(f, dims, targets)) for lab, f in base.measurement(k).elements))
+    d, regs = base.channel.in_dim, [s * l + (j - 1) for s in range(base.n)]  # copy j's flat registers
+    leading = (d,) * (regs[k - 1] + 1), regs[:k]
+    later = (d,) * (base.n * l - q - 1), [r - (q + 1) for r in regs[k + 1 :]]  # on the registers after q
+    povm = base.measurement(k)  # base schedules are fixed Povms
+    feedback = {b: tuple(embed_operator(f, *later) for f in ops) for b, ops in povm.feedback.items()}
+    return Povm(tuple((lab, embed_operator(f, *leading)) for lab, f in povm.elements), feedback)
 
 
 def _label_parts(q: int, n: int, l: int, lab):
@@ -547,14 +549,13 @@ def build_double_blocked_code(
     tables = base_prefix_tables(base)
     projectors: dict = {}
     slots: list[dict] = []
-    feedback: dict = {}
     # Each open history carries its prior global blocks and per-copy base outcomes.
     histories = {(): ((), ((),) * l)}
     for q in range(1, nl + 1):
-        base_comp, t = _slot_components(q, n, l)
+        t = _slot_components(q, n, l)[1]
         base_povm = _base_slot_povm(base, q, l)
         c = q % l  # copy j - 1, whose base outcomes slot q extends
-        slot, following, base_outcome = {}, {}, {}
+        slot, following = {}, {}
         for history, (r_blocks, k_hists) in histories.items():
             if t is None:
                 # Slots before copy l's first letter measure nothing; each has one history.
@@ -569,31 +570,17 @@ def build_double_blocked_code(
                     povm = square_root_measurement(gammas)
                 else:
                     povm = Povm(((ER, identity(d**q)),))
-                if base_povm is not None:
-                    povm = Povm(tuple(((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m in povm.elements for b, f in base_povm.elements))
+                if base_povm is not None:  # outcome (r, b) is followed by base outcome b's feedback
+                    pairs = [(r, m, b, f) for r, m in povm.elements for b, f in base_povm.elements]
+                    els = tuple(((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m, b, f in pairs)
+                    povm = Povm(els, {(r, b): base_povm.feedback[b] for (r, b), _ in els if b in base_povm.feedback})
             slot[history] = povm
             for lab in povm.labels:
                 r, kb = _label_parts(q, n, l, lab)
-                base_outcome[lab] = kb
                 ks = k_hists if kb is None else k_hists[:c] + (k_hists[c] + (kb,),) + k_hists[c + 1 :]
                 following[history + (lab,)] = (r_blocks if r is None else r_blocks + (r,), ks)
         slots.append(slot)
         histories = following
-        if base_comp is None:
-            continue
-        # Copy j's round-(k+1) feedback on its registers k+1..n-1, placed once
-        # per base outcome and keyed by every flat label carrying that outcome.
-        j, k = base_comp
-        targets = [s * l + (j - 1) - (q + 1) for s in range(k + 1, n)]
-        kraus = {b: base.feedback_kraus(k + 1, b) for b in base_povm.labels} if targets else {}
-        placed = {
-            b: tuple(embed_operator(mk, (d,) * (nl - q - 1), targets) for mk in ops)
-            for b, ops in kraus.items()
-            if ops is not None
-        }
-        per = {lab: placed[b] for lab, b in base_outcome.items() if b in placed}
-        if per:
-            feedback[q + 1] = per
 
     # A slot whose every history shares one Povm object is a fixed measurement.
     measurements = tuple(
@@ -601,7 +588,7 @@ def build_double_blocked_code(
         for tab in slots
     )
     probs = tuple(float(p) for p in gprobs)
-    return FeedbackCode(book, base.channel, probs, flat_states, measurements, feedback)
+    return FeedbackCode(book, base.channel, probs, flat_states, measurements)
 
 
 def rate_split(code: FeedbackCode, l: int) -> tuple[float, ...]:
@@ -641,19 +628,14 @@ class DisturbanceRecord:
 def _reference_code(base: FeedbackCode, flat: FeedbackCode, l: int) -> FeedbackCode:
     """``flat`` as independent copies, without its global rounds.
 
-    Slot q measures copy j's base M_k alone (``_base_slot_povm``) or
-    nothing, and the feedback is ``flat``'s, keyed by the base outcome of
-    each flat label.
+    Slot q measures copy j's base M_k alone, followed by its feedback
+    (``_base_slot_povm``), or nothing.
     """
     n, d = base.n, base.channel.in_dim
     measurements = tuple(
         _base_slot_povm(base, q, l) or Povm(((None, identity(d**q)),)) for q in range(1, n * l + 1)
     )
-    feedback = {
-        m: {_label_parts(m - 1, n, l, lab)[1]: ops for lab, ops in per.items()}
-        for m, per in flat.feedback.items()
-    }
-    return replace(flat, measurements=measurements, feedback=feedback)
+    return replace(flat, measurements=measurements)
 
 
 def cumulative_disturbance_report(base: FeedbackCode, l: int, delta: float = 0.3) -> list[DisturbanceRecord]:

@@ -240,8 +240,8 @@ class FeedbackCodeFamily:
     outcome for rounds 2..n-1, from ``fb_start``).  Codeword states are
     per-letter pure products over a binary alphabet; intermediate
     measurements are rotated projective measurements on the freshest
-    output; feedback maps are outcome-indexed unitaries on the
-    not-yet-transmitted registers.
+    output; feedback maps, carried by the measurement they follow, are
+    outcome-indexed unitaries on the not-yet-transmitted registers.
     """
 
     channel: QuantumChannel
@@ -275,22 +275,17 @@ class FeedbackCodeFamily:
         base = len(self.words)
         letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(2)]
         states = product_states(letters, self.words)
-        mbase = base + 4
-        measurements = [
-            on_freshest(rotated_qubit_povm(x[mbase + 2 * (t - 1)], x[mbase + 2 * (t - 1) + 1]), t)
-            for t in range(1, n)
-        ]
         fbase = self.fb_start
-        fb: dict = {}
-        for idx, (m, k, r) in enumerate(self.fb_slots):
-            a, b, c = x[fbase + 3 * idx : fbase + 3 * idx + 3]
-            fb.setdefault(m, {}).setdefault(k, {})[r] = euler_unitary(a, b, c)
-        feedback = {
-            m: {k: (kron_all(regs[r] for r in range(m, n)),) for k, regs in per.items()}
-            for m, per in fb.items()
-        }
+        fb: dict = {}  # M_t's feedback: per outcome, one unitary per register t+1..n-1, in register order
+        for idx, (m, k, _) in enumerate(self.fb_slots):
+            fb.setdefault(m - 1, {}).setdefault(k, []).append(euler_unitary(*x[fbase + 3 * idx : fbase + 3 * idx + 3]))
+        mbase = base + 4
+        measurements = []
+        for t in range(1, n):
+            feedback = {k: (kron_all(us),) for k, us in fb.get(t, {}).items()}
+            measurements.append(on_freshest(rotated_qubit_povm(*x[mbase + 2 * t - 2 : mbase + 2 * t]), t, feedback))
         probs_t = tuple(float(p) for p in probs)
-        return FeedbackCode(self.book, self.channel, probs_t, states, tuple(measurements) + (None,), feedback)
+        return FeedbackCode(self.book, self.channel, probs_t, states, tuple(measurements) + (None,))
 
 
 @dataclass

@@ -8,7 +8,7 @@ keep configs honest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,33 +219,32 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
             _require_qubit(channel, "protocol.measurements")
         for j, row in enumerate(angle_rows, start=1):
             theta, phi = _angle_pair(row, "protocol.measurements")
-            measurements.append(on_freshest(rotated_qubit_povm(theta, phi), j))
+            measurements.append(on_freshest(rotated_qubit_povm(theta, phi), j, {}))
 
-    feedback: dict = {}
-    fb_spec = _shaped(spec.get("feedback", {}), dict, "protocol.feedback")
-    if fb_spec:
-        for m_str, per in fb_spec.items():
-            m = _number(int, m_str, "protocol.feedback")
-            if not 2 <= m <= n - 1:
-                raise ConfigError(f"protocol.feedback: round {m} has no registers to act on")
-            feedback[m] = {}
-            labels = {str(lab): lab for lab in measurements[m - 2].labels}  # keys as encode_code writes them
-            for outcome_str, entry in _shaped(per, dict, f"protocol.feedback[{m}]").items():
-                if outcome_str not in labels:
-                    raise ConfigError(f"protocol.feedback[{m}][{outcome_str}]: not an outcome of M_{m - 1}")
-                outcome = labels[outcome_str]
-                where = f"protocol.feedback[{m}][{outcome}]"
-                if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
-                    _require_qubit(channel, where)
-                    u = euler_unitary(*(_number(float, x, where) for x in entry))
-                    feedback[m][outcome] = (kron(u, identity(d ** (n - m - 1))),)
-                else:
-                    feedback[m][outcome] = tuple(matrix_from_json(rows, where) for rows in _shaped(entry, list, where))
+    # Round m's feedback follows M_{m-1}, which carries it.
+    for m_str, per in _shaped(spec.get("feedback", {}), dict, "protocol.feedback").items():
+        m = _number(int, m_str, "protocol.feedback")
+        if not 2 <= m <= n - 1:
+            raise ConfigError(f"protocol.feedback: round {m} has no registers to act on")
+        feedback = {}
+        labels = {str(lab): lab for lab in measurements[m - 2].labels}  # keys as encode_code writes them
+        for outcome_str, entry in _shaped(per, dict, f"protocol.feedback[{m}]").items():
+            if outcome_str not in labels:
+                raise ConfigError(f"protocol.feedback[{m}][{outcome_str}]: not an outcome of M_{m - 1}")
+            outcome = labels[outcome_str]
+            where = f"protocol.feedback[{m}][{outcome}]"
+            if isinstance(entry, list) and len(entry) == 3 and not isinstance(entry[0], list):
+                _require_qubit(channel, where)
+                u = euler_unitary(*(_number(float, x, where) for x in entry))
+                feedback[outcome] = (kron(u, identity(d ** (n - m - 1))),)
+            else:
+                feedback[outcome] = tuple(matrix_from_json(rows, where) for rows in _shaped(entry, list, where))
+        measurements[m - 2] = replace(measurements[m - 2], feedback=feedback)
 
     if len(measurements) == n - 1:
-        partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), feedback)
+        partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,))
         return with_pgm_decoder(partial, probs)
-    return FeedbackCode(book, channel, probs, states, tuple(measurements), feedback)
+    return FeedbackCode(book, channel, probs, states, tuple(measurements))
 
 
 @dataclass
@@ -281,11 +280,11 @@ def encode_code(code: FeedbackCode) -> dict:
                 for lab, f in m.elements
             ]
         )
-    fb = {}
-    for m, per in sorted(code.feedback.items()):
-        fb[str(m)] = {
-            str(outcome): [matrix_to_json(k) for k in kraus] for outcome, kraus in per.items()
-        }
+    fb = {
+        str(j + 1): {str(outcome): [matrix_to_json(k) for k in kraus] for outcome, kraus in m.feedback.items()}
+        for j, m in enumerate(code.measurements, start=1)
+        if m.feedback
+    }
     return {
         "channel": {"kraus": [matrix_to_json(k) for k in code.channel.kraus]},
         "protocol": {

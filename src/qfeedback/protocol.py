@@ -90,9 +90,9 @@ class FeedbackCode:
 
     measurements[j-1] is M_j, acting on a leading block of at most j registers:
     a Povm, or an adaptive ``{history: Povm}`` dict keyed by earlier outcomes.
-    feedback[m] maps the outcome of M_{m-1} to a Kraus family on registers
-    m..n-1 (0-indexed); missing entries mean "do nothing".  The decoded
-    message is the outcome of M_n.
+    Each Povm carries its outcomes' feedback (``Povm.feedback``); an outcome
+    without a family is followed by no post-processing.  The decoded message
+    is the outcome of M_n.
     """
 
     codebook: Codebook
@@ -100,13 +100,11 @@ class FeedbackCode:
     probs: tuple[float, ...]
     states: tuple[DensityMatrix, ...]
     measurements: tuple
-    feedback: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(self, "feedback", dict(self.feedback))
 
     @property
     def n(self) -> int:
@@ -139,12 +137,6 @@ class FeedbackCode:
         m = self.measurements[j - 1]
         povms = m.values() if isinstance(m, dict) else (m,)
         return tuple(dict.fromkeys(lab for povm in povms for lab in povm.labels))
-
-    def feedback_kraus(self, m: int, outcome):
-        per_round = self.feedback.get(m)
-        if not per_round:
-            return None
-        return per_round.get(outcome)
 
 
 @dataclass(frozen=True)
@@ -207,45 +199,33 @@ def validate_code(code: FeedbackCode) -> CodeReport:
         for hist, povm in entries:
             if povm.dim not in {d**i for i in range(1, j + 1)}:
                 rep.add(f"M_{j}: dimension {povm.dim} != {d ** j}", 0.0)
-                continue
-            defect = povm.completeness_defect()
-            if not defect <= COMPLETENESS_TOL:
+            elif not (defect := povm.completeness_defect()) <= COMPLETENESS_TOL:
                 rep.add(f"M_{j}: completeness defect (history={hist!r})", defect)
+            if povm.feedback and j >= n - 1:
+                rest = "out of range" if j == n else "acts on an empty register set"
+                rep.add(f"feedback round {j + 1}: {rest}", 0.0)
+                continue
+            for outcome, kraus in povm.feedback.items():
+                where = f"feedback round {j + 1} outcome {outcome!r}"
+                if outcome not in povm.labels:
+                    rep.add(f"{where}: not an outcome of M_{j}", 0.0)
+                elif any(k.shape != (d ** (n - j - 1),) * 2 for k in kraus):
+                    rep.add(f"{where}: wrong shape", 0.0)
+                elif not (defect := completeness_defect(kraus)) <= COMPLETENESS_TOL:
+                    rep.add(f"{where}: completeness", defect)
     final_labels = set(code.outcome_labels(n))
     allowed = set(book.words) | {ER}
     if not final_labels <= allowed:
         rep.add("M_n: outcomes are not codewords plus 'er'", float(len(final_labels - allowed)))
-
-    for m, per_outcome in sorted(code.feedback.items()):
-        suffix = (d,) * (n - m)
-        if m < 2 or m > n:
-            rep.add(f"feedback round {m}: out of range", 0.0)
-            continue
-        if not suffix:
-            rep.add(f"feedback round {m}: acts on an empty register set", 0.0)
-            continue
-        d_suf = d ** (n - m)
-        labels = code.outcome_labels(m - 1)
-        for outcome, kraus in per_outcome.items():
-            if outcome not in labels:
-                rep.add(f"feedback round {m} outcome {outcome!r}: not an outcome of M_{m - 1}", 0.0)
-                continue
-            mats = [np.asarray(k, dtype=complex) for k in kraus]
-            if any(k.shape != (d_suf, d_suf) for k in mats):
-                rep.add(f"feedback round {m} outcome {outcome!r}: wrong shape", 0.0)
-                continue
-            defect = completeness_defect(mats)
-            if not defect <= COMPLETENESS_TOL:
-                rep.add(f"feedback round {m} outcome {outcome!r}: completeness", defect)
     return rep
 
 
 def _padded_povm(povm: Povm, dims, j: int) -> Povm:
-    """Pad a measurement on at most the first j registers with identity on the rest."""
+    """Pad a measurement on at most the first j registers with identity on the rest; its feedback is kept."""
     pad = identity(leading_block_rest(povm.dim, dims, j))
     if len(pad) == 1:
         return povm
-    return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements))
+    return Povm(tuple((lab, kron(f, pad)) for lab, f in povm.elements), povm.feedback)
 
 
 @dataclass(frozen=True)
@@ -310,9 +290,10 @@ def _updated(code: FeedbackCode, m: int, povm: Povm, front: Frontier) -> Frontie
     p = np.trace(posts, axis1=2, axis2=3).real.T
     prob = front.prob[:, None] * p
     r, e, labels = _kept(p, prob, povm.labels)
-    states = posts[e, r] / p[r, e, None, None]
+    with np.errstate(invalid="ignore"):  # dividing by a NaN p: check_states below rejects its state
+        states = posts[e, r] / p[r, e, None, None]
     for lab in dict.fromkeys(labels) if m < code.n else ():
-        kraus = code.feedback_kraus(m, lab)
+        kraus = povm.feedback.get(lab)
         if kraus is not None:
             rows = [i for i, x in enumerate(labels) if x == lab]
             states[rows] = kraus_at(kraus, states[rows], code.dims, range(m, code.n))
@@ -499,10 +480,10 @@ def product_states(letters, words) -> tuple[DensityMatrix, ...]:
     )
 
 
-def on_freshest(single: Povm, j: int) -> Povm:
-    """M_j measuring ``single`` on register j-1, identity on the j-1 registers before it."""
+def on_freshest(single: Povm, j: int, feedback: dict) -> Povm:
+    """M_j measuring ``single`` on register j-1, identity on the j-1 registers before it, with ``feedback``."""
     pad = identity(single.dim ** (j - 1))
-    return Povm(tuple((lab, kron(pad, f)) for lab, f in single.elements))
+    return Povm(tuple((lab, kron(pad, f)) for lab, f in single.elements), feedback)
 
 
 def pgm_decoder(states, weights, labels) -> Povm:
@@ -552,17 +533,16 @@ def random_feedback_code(rng: np.random.Generator, channel: QuantumChannel, n: i
 
     states = product_states([random_density_matrix(rng, d) for _ in range(2)], words)
 
-    measurements = []
-    for j in range(1, n):
+    singles = []
+    for _ in range(1, n):
         u = random_unitary(rng, d)
-        single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
-        measurements.append(on_freshest(single, j))
-
-    fb: dict = {}
-    for m in range(2, n):
-        labels = measurements[m - 2].labels
-        fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
+        singles.append(Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d))))
+    # Feedback after M_j on registers j+1..n-1, drawn once every measurement is.
+    fb = {
+        j: {k: (kron_all(random_unitary(rng, d) for _ in range(j + 1, n)),) for k in range(d)} for j in range(1, n - 1)
+    }
+    measurements = tuple(on_freshest(single, j, fb.get(j, {})) for j, single in enumerate(singles, start=1))
 
     # Final decoder: PGM over the average pre-decode outputs per word.
-    partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)
+    partial = FeedbackCode(book, channel, probs, states, measurements + (None,))
     return with_pgm_decoder(partial, probs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
@@ -360,11 +360,17 @@ class Povm:
 
     Elements are operators F_k with outcome probability tr(F rho F^dagger)
     and post-state F rho F^dagger / p; completeness sum F^dagger F = I.
+    ``feedback`` maps an outcome to the Kraus family applied after the next
+    channel use: for M_j of a feedback code, on registers j+1..n-1
+    (0-indexed).  Only ``validate_code`` checks the families.
     """
 
     elements: tuple[tuple[Hashable, np.ndarray], ...]
+    feedback: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        fb = {label: tuple(as_matrix(k) for k in ops) for label, ops in self.feedback.items()}
+        object.__setattr__(self, "feedback", fb)
         els = tuple((label, as_matrix(m)) for label, m in self.elements)
         if not els:
             raise ValidationError("POVM needs at least one element")
@@ -474,7 +480,8 @@ def measure(povm: Povm, rho: DensityMatrix) -> dict:
     posts = sandwich([f for _, f in povm.elements], rho.mat, 1)
     p = np.trace(posts, axis1=1, axis2=2).real
     _, e, labels = _kept(p[None], p[None], povm.labels)
-    return {lab: (float(p[k]), DensityMatrix(posts[k] / p[k], rho.dims)) for k, lab in zip(e, labels)}
+    with np.errstate(invalid="ignore"):  # dividing by a NaN p: the DensityMatrix check rejects its post-state
+        return {lab: (float(p[k]), DensityMatrix(posts[k] / p[k], rho.dims)) for k, lab in zip(e, labels)}
 
 
 def outcome_probabilities(povm: Povm, stack: np.ndarray, dims) -> np.ndarray:

@@ -49,13 +49,20 @@ def capture(h, base, l):
     feed(h, code.probs, code.codebook.words)
     for state in code.states:
         feed(h, state.mat)
-    for q, slot in enumerate(code.measurements, start=1):
-        for history, povm in (slot if isinstance(slot, dict) else {(): slot}).items():
+    slots = [slot if isinstance(slot, dict) else {(): slot} for slot in code.measurements]
+    for q, slot in enumerate(slots, start=1):
+        for history, povm in slot.items():
             for label, element in povm.elements:
                 feed(h, q, history, label, element)
-    for m, per in code.feedback.items():
-        for label, ops in per.items():
-            feed(h, m, label, *ops)
+    # Slot q's feedback runs in update q + 1: each label's family once, in history, then label order.
+    for q, slot in enumerate(slots, start=1):
+        families = {}
+        for povm in slot.values():
+            for label in povm.labels:
+                if label in povm.feedback:
+                    families.setdefault(label, povm.feedback[label])
+        for label, ops in families.items():
+            feed(h, q + 1, label, *ops)
     feed(h, error_probability(code))
     for record in cumulative_disturbance_report(base, l, delta=DELTA):
         feed(h, record)

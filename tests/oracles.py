@@ -74,11 +74,12 @@ def round_update(code: FeedbackCode, state: DensityMatrix, m: int, outcome, hist
     n = code.n
     if not 2 <= m <= n:
         raise ValidationError(f"round {m} out of range 2..{n}")
-    branches = measure(code.measurement(m - 1, history), apply_channel_at(code.channel, state, m - 1))
+    povm = code.measurement(m - 1, history)
+    branches = measure(povm, apply_channel_at(code.channel, state, m - 1))
     if outcome not in branches:
         raise ValidationError(f"outcome {outcome!r} has probability below the floor")
     p, post = branches[outcome]
-    kraus = code.feedback_kraus(m, outcome)
+    kraus = povm.feedback.get(outcome)
     if kraus is not None and m < n:
         post = apply_kraus(kraus, post, registers=range(m, n))
     return p, post
@@ -441,8 +442,8 @@ def oracle_random_feedback_code(
     """``random_feedback_code`` with two switches, drawing from ``rng`` in the same order.
 
     With both on it is the library's generator, bit for bit.  Without
-    ``feedback`` the post-processing table stays empty and no unitaries are
-    drawn for it.  Without ``projective`` each intermediate measurement is a
+    ``feedback`` the measurements carry no post-processing and no unitaries
+    are drawn for it.  Without ``projective`` each intermediate measurement is a
     two-outcome ``random_povm`` on the freshest output, whose outcome the
     post-measurement state need not carry: I(M:K_1^n) <= I(M:Z_1^n) can then
     fail, while the directed data-processing inequality still holds.
@@ -460,20 +461,20 @@ def oracle_random_feedback_code(
 
     states = product_states([random_density_matrix(rng, d) for _ in range(2)], words)
 
-    measurements = []
+    singles = []
     for j in range(1, n):
         if projective:
             u = random_unitary(rng, d)
-            single = Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
+            singles.append(Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in range(d))))
         else:
-            single = random_povm(rng, d)
-        measurements.append(on_freshest(single, j))
+            singles.append(random_povm(rng, d))
 
+    # M_j's feedback acts on registers j+1..n-1; every measurement is drawn before it.
     fb: dict = {}
     if feedback:
-        for m in range(2, n):
-            labels = measurements[m - 2].labels
-            fb[m] = {k: (kron_all(random_unitary(rng, d) for _ in range(m, n)),) for k in labels}
+        for j in range(1, n - 1):
+            fb[j] = {k: (kron_all(random_unitary(rng, d) for _ in range(j + 1, n)),) for k in singles[j - 1].labels}
+    measurements = tuple(on_freshest(single, j, fb.get(j, {})) for j, single in enumerate(singles, start=1))
 
-    partial = FeedbackCode(book, channel, probs, states, tuple(measurements) + (None,), fb)
+    partial = FeedbackCode(book, channel, probs, states, measurements + (None,))
     return with_pgm_decoder(partial, probs)

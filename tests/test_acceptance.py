@@ -277,7 +277,7 @@ def test_criterion_10_no_feedback_reduction():
             rng, _random_channel(rng), n, num_words=min(int(rng.integers(2, 5)), 2**n), feedback=False
         )
         meas = tuple(Povm(((0, identity(2**j)),)) for j in range(1, n)) + (code.measurements[-1],)
-        trivial = FeedbackCode(code.codebook, code.channel, code.probs, code.states, meas, {})
+        trivial = FeedbackCode(code.codebook, code.channel, code.probs, code.states, meas)
         total = directed_information_total(trivial)
         s = ehs_state(trivial, n - 1)
         mi = mutual_information(s, tuple(f"A{i}" for i in range(1, n + 1)), tuple(range(n)))

@@ -947,12 +947,19 @@ def test_double_blocked_feedback_matches_independent_copies():
 
     base = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=2)
     flat = build_double_blocked_code(base, 2, delta=5.0)
-    assert flat.feedback
+    slots = [slot.values() if isinstance(slot, dict) else (slot,) for slot in flat.measurements]
+    assert any(povm.feedback for povms in slots for povm in povms)
     worst, branches = _independent_copies_miss(flat, base, 2)
     assert branches == 64
     assert worst < 1e-12
     # Without its feedback the flat code misses the oracle by far.
-    assert _independent_copies_miss(dataclasses.replace(flat, feedback={}), base, 2)[0] > 0.1
+    bare = tuple(
+        {h: dataclasses.replace(p, feedback={}) for h, p in slot.items()}
+        if isinstance(slot, dict)
+        else dataclasses.replace(slot, feedback={})
+        for slot in flat.measurements
+    )
+    assert _independent_copies_miss(dataclasses.replace(flat, measurements=bare), base, 2)[0] > 0.1
 
 
 def test_cumulative_disturbance_through_feedback():

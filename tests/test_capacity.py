@@ -14,8 +14,9 @@ from qfeedback.capacity import (
 )
 from qfeedback.config import code_from_spec
 from qfeedback.directed import directed_information_total
-from qfeedback.protocol import validate_code, with_pgm_decoder
+from qfeedback.protocol import random_feedback_code, validate_code, with_pgm_decoder
 from qfeedback.quantum import (
+    Povm,
     ValidationError,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -217,13 +218,28 @@ def test_code_from_spec_matches_family_build(n):
     for a, b in zip(built.states, parsed.states, strict=True):
         assert a.dims == b.dims and np.array_equal(a.mat, b.mat)
     for j in range(1, n):
-        got, want = parsed.measurement(j).elements, built.measurement(j).elements
-        assert [lab for lab, _ in got] == [lab for lab, _ in want]
-        assert all(np.array_equal(f, g) for (_, f), (_, g) in zip(got, want))
-    assert parsed.feedback.keys() == built.feedback.keys()
-    for m, per in built.feedback.items():
-        for k, kraus in per.items():
-            assert all(np.array_equal(u, v) for u, v in zip(kraus, parsed.feedback[m][k], strict=True))
+        got, want = parsed.measurement(j), built.measurement(j)
+        assert got.labels == want.labels
+        assert all(np.array_equal(f, g) for (_, f), (_, g) in zip(got.elements, want.elements))
+        assert got.feedback.keys() == want.feedback.keys()
+        for k, kraus in want.feedback.items():
+            assert all(np.array_equal(u, v) for u, v in zip(kraus, got.feedback[k], strict=True))
+
+
+def test_each_intermediate_measurement_is_made_once_with_its_feedback(monkeypatch):
+    # The optimizer builds the family's code once per objective evaluation. At
+    # n=3 that is two rotated qubit measurements and the two M_j made from
+    # them, M_1 carrying its feedback; the random generator adds the decoder.
+    made = []
+    init = Povm.__post_init__
+    monkeypatch.setattr(Povm, "__post_init__", lambda self: (made.append(self), init(self)))
+    fam = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(3))
+    code = fam.build(fam.initial(np.random.default_rng(0)))
+    assert len(made) == 4
+    assert sorted(code.measurements[0].feedback) == [0, 1] and not code.measurements[1].feedback
+    made.clear()
+    random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=3)
+    assert len(made) == 5
 
 
 @pytest.mark.parametrize(

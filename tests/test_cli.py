@@ -511,7 +511,7 @@ def test_report_roundtrip_byte_identical():
 
 def test_code_roundtrip(tmp_path):
     feedback_code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=3)
-    assert feedback_code.feedback
+    assert feedback_code.measurements[0].feedback
     for i, code in enumerate([load_config(str(DEPOLARIZING)).code, feedback_code]):
         path = tmp_path / f"code{i}.json"
         path.write_text(json.dumps(encode_code(code)))
@@ -523,26 +523,26 @@ def test_code_roundtrip(tmp_path):
         for a, b in zip(loaded.measurements, code.measurements, strict=True):
             assert a.labels == b.labels
             assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a.elements, b.elements, strict=True))
-        assert loaded.feedback.keys() == code.feedback.keys()
-        for m, per in code.feedback.items():
-            assert loaded.feedback[m].keys() == per.keys()
-            for k, kraus in per.items():
-                assert all(np.array_equal(x, y) for x, y in zip(loaded.feedback[m][k], kraus, strict=True))
+            assert a.feedback.keys() == b.feedback.keys()
+            for k, kraus in b.feedback.items():
+                assert all(np.array_equal(x, y) for x, y in zip(a.feedback[k], kraus, strict=True))
 
 
 def test_code_roundtrip_with_string_labels(tmp_path):
     # M_1 relabelled 'a'/'b': encode_code writes its feedback keys as str(label), and loading resolves them back.
     code = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=3)
     names = {0: "a", 1: "b"}
-    m1 = Povm(tuple((names[lab], f) for lab, f in code.measurements[0].elements))
-    feedback = {2: {names[k]: kraus for k, kraus in code.feedback[2].items()}}
-    relabelled = dataclasses.replace(code, measurements=(m1,) + code.measurements[1:], feedback=feedback)
+    m1 = code.measurements[0]
+    m1 = Povm(
+        tuple((names[lab], f) for lab, f in m1.elements), {names[k]: kraus for k, kraus in m1.feedback.items()}
+    )
+    relabelled = dataclasses.replace(code, measurements=(m1,) + code.measurements[1:])
     assert validate_code(relabelled).ok
     path = tmp_path / "labels.json"
     path.write_text(json.dumps(encode_code(relabelled)))
     loaded = load_config(str(path)).code
     assert loaded.measurements[0].labels == ("a", "b")
-    assert loaded.feedback[2].keys() == {"a", "b"}
+    assert loaded.measurements[0].feedback.keys() == {"a", "b"}
     assert rate_report(loaded) == rate_report(relabelled) == rate_report(code)
     assert run_cli(["info", path])[0] == 0
     data = json.loads(path.read_text())

@@ -291,9 +291,7 @@ def test_no_feedback_reduction_to_mutual_information():
         from qfeedback.linalg import identity as eye
 
         meas = tuple(Povm(((0, eye(2**j)),)) for j in range(1, n)) + (code.measurements[-1],)
-        trivial = FeedbackCode(
-            code.codebook, code.channel, code.probs, code.states, meas, {}
-        )
+        trivial = FeedbackCode(code.codebook, code.channel, code.probs, code.states, meas)
         total = directed_information_total(trivial)
         s = ehs_state(trivial, n - 1)
         mi = conditional_mutual_information(

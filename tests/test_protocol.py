@@ -132,6 +132,15 @@ def test_padded_povm_keeps_the_completeness_defect(dims):
         assert abs(padded.completeness_defect() - povm.completeness_defect()) <= 1e-15
 
 
+def test_padded_povm_keeps_the_feedback():
+    from qfeedback.protocol import _padded_povm
+
+    m1 = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3).measurements[0]
+    padded = _padded_povm(m1, (2, 2, 2), 1)
+    assert padded.dim == 8 and padded.feedback.keys() == m1.feedback.keys() == {0, 1}
+    assert all(np.array_equal(u, v) for k in m1.feedback for u, v in zip(padded.feedback[k], m1.feedback[k], strict=True))
+
+
 def test_measurement_rejects_a_povm_on_another_prefix():
     # measure accepts any leading block, so M_1 spanning both registers must be caught here.
     code = two_word_basis_code(identity_channel(2), n=2)
@@ -181,7 +190,7 @@ def test_round_update_matches_composition_oracle():
         branches = measure(Povm(tuple((lab, kron(f, identity(4))) for lab, f in povm.elements)), DensityMatrix(sigma_mat, (2, 2, 2)))
         outcome = sorted(branches)[0]
         want_p, want_post = branches[outcome]
-        fb = code.feedback_kraus(2, outcome)
+        fb = povm.feedback.get(outcome)
         if fb is not None:
             want_post = apply_kraus(fb, want_post, registers=[2])
         got_p, got_post = round_update(code, omega0, 2, outcome)
@@ -366,7 +375,7 @@ def test_random_feedback_code_draws_feedback_for_every_outcome():
     # A projective qutrit M_1 has three outcomes; each needs its own feedback map.
     code = random_feedback_code(np.random.default_rng(0), random_channel(np.random.default_rng(0), 3, 2), 3)
     assert code.outcome_labels(1) == (0, 1, 2)
-    assert sorted(code.feedback[2]) == [0, 1, 2]
+    assert sorted(code.measurements[0].feedback) == [0, 1, 2]
     assert validate_code(code).ok
 
 
@@ -401,11 +410,9 @@ def test_oracle_generator_matches_the_library(n):
         for a, b in zip(got.measurements, want.measurements, strict=True):  # M_n is the decoder
             assert a.labels == b.labels
             assert all(np.array_equal(f, g) for (_, f), (_, g) in zip(a.elements, b.elements))
-        assert got.feedback.keys() == want.feedback.keys()
-        for m, per in got.feedback.items():
-            assert per.keys() == want.feedback[m].keys()
-            for k, kraus in per.items():
-                assert all(np.array_equal(u, v) for u, v in zip(kraus, want.feedback[m][k], strict=True))
+            assert a.feedback.keys() == b.feedback.keys()
+            for k, kraus in a.feedback.items():
+                assert all(np.array_equal(u, v) for u, v in zip(kraus, b.feedback[k], strict=True))
 
 
 def test_validate_code_flags_nan_probability():
@@ -421,10 +428,8 @@ def test_validate_code_flags_bad_povm():
     els = tuple((lab, (1.0 - 5e-4) * f) for lab, f in code.measurements[0].elements)
     bad_povm = Povm.__new__(Povm)
     object.__setattr__(bad_povm, "elements", els)
-    object.__setattr__(bad_povm, "mode", "complete")
-    bad = FeedbackCode(
-        code.codebook, code.channel, code.probs, code.states, (bad_povm,), {}
-    )
+    object.__setattr__(bad_povm, "feedback", {})
+    bad = FeedbackCode(code.codebook, code.channel, code.probs, code.states, (bad_povm,))
     rep = validate_code(bad)
     assert not rep.ok
     assert any("M_1" in name for name, _ in rep.violations)
@@ -434,14 +439,15 @@ def test_validate_code_flags_nan_completeness_defects():
     # A NaN defect fails "defect > tol"; both completeness checks must flag it.
     code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
     nan = np.full((2, 2), np.nan, dtype=complex)
-    outcome = next(iter(code.feedback[2]))
-    feedback = {**code.feedback, 2: {**code.feedback[2], outcome: (nan,)}}
-    rep = validate_code(dataclasses.replace(code, feedback=feedback))
+    m1 = code.measurements[0]
+    outcome = next(iter(m1.feedback))
+    m1 = dataclasses.replace(m1, feedback={**m1.feedback, outcome: (nan,)})
+    rep = validate_code(dataclasses.replace(code, measurements=(m1,) + code.measurements[1:]))
     assert [name for name, _ in rep.violations] == [f"feedback round 2 outcome {outcome!r}: completeness"]
 
     bad_povm = Povm.__new__(Povm)
     object.__setattr__(bad_povm, "elements", ((0, nan), (1, nan)))
-    object.__setattr__(bad_povm, "mode", "complete")
+    object.__setattr__(bad_povm, "feedback", {})
     measurements = (bad_povm,) + code.measurements[1:]
     rep = validate_code(dataclasses.replace(code, measurements=measurements))
     assert [name for name, _ in rep.violations] == ["M_1: completeness defect (history=())"]
@@ -450,9 +456,28 @@ def test_validate_code_flags_nan_completeness_defects():
 def test_validate_code_flags_feedback_for_a_missing_outcome():
     # M_1 has outcomes {0, 1}, so a map keyed by 7 would never run.
     code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
-    feedback = {**code.feedback, 2: {**code.feedback[2], 7: code.feedback[2][0]}}
-    rep = validate_code(dataclasses.replace(code, feedback=feedback))
+    m1 = code.measurements[0]
+    m1 = dataclasses.replace(m1, feedback={**m1.feedback, 7: m1.feedback[0]})
+    rep = validate_code(dataclasses.replace(code, measurements=(m1,) + code.measurements[1:]))
     assert [name for name, _ in rep.violations] == ["feedback round 2 outcome 7: not an outcome of M_1"]
+
+
+def test_validate_code_flags_feedback_on_the_last_two_measurements():
+    # Feedback after M_{n-1} would act on no register and after M_n on none
+    # either; the walk applies neither, so both are reported.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    m2, m3 = code.measurements[1:]
+    late = (
+        dataclasses.replace(m2, feedback={0: (identity(2),)}),
+        dataclasses.replace(m3, feedback={m3.labels[0]: (identity(2),)}),
+    )
+    late_code = dataclasses.replace(code, measurements=code.measurements[:1] + late)
+    rep = validate_code(late_code)
+    assert [name for name, _ in rep.violations] == [
+        "feedback round 3: acts on an empty register set",
+        "feedback round 4: out of range",
+    ]
+    assert error_probability(late_code) == error_probability(code)
 
 
 def test_validate_trivial_one_round_code():

@@ -89,7 +89,7 @@ def adaptive_code(seed):
 
     def rotated(order):
         u = random_unitary(rng, 2)
-        return on_freshest(Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in order)), 2)
+        return on_freshest(Povm(tuple((k, np.outer(u[:, k], u[:, k].conj())) for k in order)), 2, {})
 
     m2 = {(k,): rotated((0, 1) if k == 0 else (1, 0)) for k in base.outcome_labels(1)}
     partial = dataclasses.replace(base, measurements=(base.measurements[0], m2, None))
@@ -137,9 +137,9 @@ def floored_code():
     """
     book = protocol.Codebook(2, 3, ((0, 0, 0), (1, 1, 1)))
     letters = [quantum.basis_state(2, 0), quantum.basis_state(2, 1)]
-    m1 = on_freshest(quantum.rotated_qubit_povm(2.0 * np.arcsin(np.sqrt(1.2e-14)), 0.0), 1)
-    split = on_freshest(Povm(((0, np.sqrt(0.7) * np.eye(2)), (1, np.sqrt(0.3) * np.eye(2)))), 2)
-    m2 = {(0,): on_freshest(basis_povm(2), 2), (1,): split}
+    m1 = on_freshest(quantum.rotated_qubit_povm(2.0 * np.arcsin(np.sqrt(1.2e-14)), 0.0), 1, {})
+    split = on_freshest(Povm(((0, np.sqrt(0.7) * np.eye(2)), (1, np.sqrt(0.3) * np.eye(2)))), 2, {})
+    m2 = {(0,): on_freshest(basis_povm(2), 2, {}), (1,): split}
     states = protocol.product_states(letters, book.words)
     partial = protocol.FeedbackCode(book, quantum.identity_channel(2), (0.5, 0.5), states, (m1, m2, None))
     return with_pgm_decoder(partial, partial.probs)
@@ -182,7 +182,8 @@ def test_rate_report_matches_the_oracle(name):
 @pytest.mark.parametrize("name", list(BLOCKED))
 def test_blocked_code_matches_the_oracle(name):
     code = BLOCKED[name]
-    assert bool(code.feedback) == (name == "n3-base")
+    slots = [slot.values() if isinstance(slot, dict) else (slot,) for slot in code.measurements]
+    assert any(povm.feedback for povms in slots for povm in povms) == (name == "n3-base")
     got, want = error_probability(code), oracle_error_probability(code)
     assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
     for word in code.codebook.words[:2]:
@@ -214,10 +215,10 @@ def message(fn):
 
 
 def test_walk_raises_as_the_oracle_on_a_corrupted_feedback_operator():
-    code = dataclasses.replace(CODES["n3"])
-    outcome = next(iter(code.feedback[2]))
-    feedback = {**code.feedback, 2: {**code.feedback[2], outcome: (1.01 * code.feedback[2][outcome][0],)}}
-    object.__setattr__(code, "feedback", feedback)
+    m1 = CODES["n3"].measurements[0]
+    outcome = next(iter(m1.feedback))
+    m1 = dataclasses.replace(m1, feedback={**m1.feedback, outcome: (1.01 * m1.feedback[outcome][0],)})
+    code = dataclasses.replace(CODES["n3"], measurements=(m1,) + CODES["n3"].measurements[1:])
     word = code.codebook.words[0]
     want = message(lambda: round_update(code, round_zero(code, word), 2, outcome))
     assert want == (ValidationError, "Kraus family is not complete")
@@ -227,7 +228,7 @@ def test_walk_raises_as_the_oracle_on_a_corrupted_feedback_operator():
 
 def test_walk_raises_as_the_oracle_on_a_corrupted_povm_element():
     code = dataclasses.replace(CODES["n3"])
-    povm = Povm(code.measurements[0].elements)
+    povm = Povm(code.measurements[0].elements, code.measurements[0].feedback)
     nan = np.full_like(povm.elements[0][1], np.nan)
     object.__setattr__(povm, "elements", ((povm.labels[0], nan),) + povm.elements[1:])
     object.__setattr__(code, "measurements", (povm,) + code.measurements[1:])
