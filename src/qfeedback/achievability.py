@@ -215,9 +215,9 @@ def cond_typical_projector(states: dict, word, delta: float, projectors: dict) -
     """Conditionally typical projector for a labeled word.
 
     Positions carrying the same label are grouped, each group receives the
-    typical projector of its state on that many copies, and the group
-    projectors are placed back at their positions, each computed once per
-    (state matrix bytes, copies, delta) over the calls that share ``projectors``.
+    typical projector of its state on that many copies, computed once per
+    (state matrix bytes, copies, delta) over the calls that share
+    ``projectors``, and one ``kron_all`` of them is permuted to word order.
     """
     word = tuple(word)
     dims = []
@@ -225,19 +225,17 @@ def cond_typical_projector(states: dict, word, delta: float, projectors: dict) -
         if u not in states:
             raise ValidationError(f"no state supplied for label {u!r}")
         dims.append(states[u].dim)
-    total = 1
-    for d in dims:
-        total *= d
-    if total > PROJECTOR_CAP:
+    if math.prod(dims) > PROJECTOR_CAP:
         raise CapExceededError("conditional projector exceeds the cap")
-    out = identity(total)
+    factors, order = [], []
     for u in sorted(set(word), key=repr):
         positions = [i for i, x in enumerate(word) if x == u]
         key = (states[u].mat.tobytes(), len(positions), delta)
         if key not in projectors:
             projectors[key] = typical_projector(states[u], len(positions), delta)
-        out = out @ embed_operator(projectors[key], dims, positions)
-    return out
+        factors.append(projectors[key])
+        order += positions
+    return permute_registers(kron_all(factors), [dims[i] for i in order], np.argsort(order))
 
 
 def gamma_operator(avg_proj: np.ndarray, cond_proj: np.ndarray) -> np.ndarray:
@@ -468,11 +466,22 @@ def _posterior(groups, gprobs, table, r_blocks, k_hists) -> dict:
     return {g: p / total for g, p in post.items()}
 
 
-def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float, projectors: dict) -> dict:
-    """Gamma operators of global round t on the flat received prefix, by candidate block, from the build's ``projectors``.
+def _composed(elements, base_povm: Povm | None) -> Povm:
+    """A global slot's Povm: ``elements`` alone, or each (r, m) then base outcome b, labelled (r, b), with b's feedback."""
+    if base_povm is None:
+        return Povm(elements)
+    pairs = [(r, m, b, f) for r, m in elements for b, f in base_povm.elements]
+    els = tuple(((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m, b, f in pairs)
+    return Povm(els, {(r, b): base_povm.feedback[b] for (r, b), _ in els if b in base_povm.feedback})
+
+
+def _global_round(table, post, t: int, r_blocks, k_hists, delta: float, projectors: dict, prefix, base_povm) -> Povm:
+    """Global round t's measurement on the flat received prefix, candidate block r labelled ``prefix + r``, composed with ``base_povm``.
 
     One sorted pass per copy gives its averaged state (key None) and each letter-t restriction, every sum started
     from its first term (a start from 0 turns -0.0 into 0.0); copies with equal labels share the first one's states.
+    With one candidate whose Pi_r (from the build's ``projectors``) equals Pi_avg entry for entry, the round is the
+    projective test {Pi_r, I - Pi_r}; otherwise it is the square-root measurement of Gamma_r = Pi_avg Pi_r Pi_avg.
     """
     l = len(k_hists)
     passes, letters, labels, avg_states = {}, [], [], {}
@@ -495,14 +504,18 @@ def _global_gammas(table, post, t: int, r_blocks, k_hists, delta: float, project
         avg_states.setdefault(labels[-1], letters[-1][None])
     dims, perm = avg_states[labels[0]].dims * l, _copy_to_flat_perm(t, l)
     pi_avg = permute_registers(cond_typical_projector(avg_states, labels, delta, projectors), dims, perm)
-    out = {}
+    pis = {}
     for r in sorted({tuple(g[j][t - 1] for j in range(l)) for g in post}):
         cond_states = {}
         for lab, states, x in zip(labels, letters, r):
             cond_states.setdefault((lab, x), states[x])
         pi_r = cond_typical_projector(cond_states, list(zip(labels, r)), delta, projectors)
-        out[r] = gamma_operator(pi_avg, permute_registers(pi_r, dims, perm))
-    return out
+        pis[prefix + r] = permute_registers(pi_r, dims, perm)
+    (label, pi), *others = pis.items()
+    if not others and np.array_equal(pi, pi_avg):
+        return _composed(((label, pi), (ER, identity(len(pi)) - pi)), base_povm)
+    povm = square_root_measurement({lab: gamma_operator(pi_avg, pi) for lab, pi in pis.items()})
+    return povm if base_povm is None else _composed(povm.elements, base_povm)
 
 
 def build_double_blocked_code(
@@ -513,14 +526,16 @@ def build_double_blocked_code(
 ) -> FeedbackCode:
     """Interleave l copies of ``base`` with square-root global-round decoding.
 
-    ``groups`` selects which l-tuples of base codewords form the blocked
-    codebook (default: all combinations, with product probabilities); the
-    implied per-round rate split is reported by ``rate_split``.  The result
-    is an ordinary FeedbackCode: global-round measurements are tabulated per
-    outcome history (``{history: Povm}``), and the final measurement emits
-    flat codewords (or 'er').  Raises unless ``l`` is an int >= 1 and
-    ``groups`` a non-empty list of l-tuples of base codewords whose total base
-    probability is positive.
+    A global round that leaves one candidate block, whose Pi_r equals Pi_avg,
+    is the projective test {Pi, I - Pi}, its square-root measurement up to
+    rounding.  ``groups`` selects which l-tuples of base codewords form the
+    blocked codebook (default: all combinations, with product probabilities);
+    the implied per-round rate split is reported by ``rate_split``.  The
+    result is an ordinary FeedbackCode: global-round measurements are
+    tabulated per outcome history (``{history: Povm}``), and the final
+    measurement emits flat codewords (or 'er').  Raises unless ``l`` is an int
+    >= 1 and ``groups`` a non-empty list of l-tuples of base codewords whose
+    total base probability is positive.
     """
     check_count(l, "block copies l", 1)
     n, d = base.n, base.channel.in_dim
@@ -563,17 +578,11 @@ def build_double_blocked_code(
             else:
                 post = _posterior(groups, gprobs, tables[t - 1], r_blocks, k_hists)
                 if post:
-                    gammas = _global_gammas(tables[t - 1], post, t, r_blocks, k_hists, delta, projectors)
-                    if t == n:
-                        # The last global outcome names the flat codeword: all blocks in order.
-                        gammas = {sum(r_blocks, ()) + r: g for r, g in gammas.items()}
-                    povm = square_root_measurement(gammas)
+                    # The last global outcome names the flat codeword: all blocks in order.
+                    prefix = sum(r_blocks, ()) if t == n else ()
+                    povm = _global_round(tables[t - 1], post, t, r_blocks, k_hists, delta, projectors, prefix, base_povm)
                 else:
-                    povm = Povm(((ER, identity(d**q)),))
-                if base_povm is not None:  # outcome (r, b) is followed by base outcome b's feedback
-                    pairs = [(r, m, b, f) for r, m in povm.elements for b, f in base_povm.elements]
-                    els = tuple(((r, b), kron(f, identity(len(m) // len(f))) @ m) for r, m, b, f in pairs)
-                    povm = Povm(els, {(r, b): base_povm.feedback[b] for (r, b), _ in els if b in base_povm.feedback})
+                    povm = _composed(((ER, identity(d**q)),), base_povm)
             slot[history] = povm
             for lab in povm.labels:
                 r, kb = _label_parts(q, n, l, lab)

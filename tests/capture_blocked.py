@@ -1,6 +1,8 @@
 """One SHA-256 digest over six double-blocked codes, for bit-identity checks.
 
-Run it on two trees and compare the printed lines:
+Run it on two trees and compare the printed lines; each case's line also
+gives its exact (average, max) error at full precision, so a digest change
+can be read off directly:
 
     PYTHONPATH=src python tests/capture_blocked.py
 
@@ -63,9 +65,11 @@ def capture(h, base, l):
                     families.setdefault(label, povm.feedback[label])
         for label, ops in families.items():
             feed(h, q + 1, label, *ops)
-    feed(h, error_probability(code))
+    errors = error_probability(code)
+    feed(h, errors)
     for record in cumulative_disturbance_report(base, l, delta=DELTA):
         feed(h, record)
+    return errors
 
 
 def main():
@@ -73,8 +77,8 @@ def main():
     for seed, channel, n, l in CASES:
         base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
         one = hashlib.sha256()
-        capture(one, base, l)
-        print(f"seed {seed} n={n} l={l}: {one.hexdigest()}")
+        average, worst = capture(one, base, l)
+        print(f"seed {seed} n={n} l={l}: {one.hexdigest()} errors ({average!r}, {worst!r})")
         total.update(one.digest())
     print(f"all: {total.hexdigest()}")
 

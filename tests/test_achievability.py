@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -846,37 +847,198 @@ def test_blocked_l3_build_computes_each_typical_projector_once(monkeypatch):
                 assert np.array_equal(kron(f, identity(2**q // len(f))), g)
 
 
-def test_blocked_l3_build_reads_the_base_walk_once(monkeypatch):
-    # The benchmark's l=3 build takes one stacked partial trace per base walk
-    # piece (2) and validates each measurement once (79 Povms): the 64
-    # final-round square-root measurements are the slot's Povms as returned.
-    # Deriving the letter states per history took 312 partial traces, and
-    # relabelling every final-round measurement validated 143 Povms.
-    from qfeedback import achievability
-    from qfeedback.protocol import random_feedback_code
-
-    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
-    calls = {"partial_trace": 0, "square_root_measurement": 0, "Povm": 0}
-    returned = {name: [] for name in calls}
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Count calls to ``module``'s ``names`` and ``Povm`` validations, in the returned dict."""
+    calls = dict.fromkeys((*names, "Povm"), 0)
 
     def counting(name, f):
         def counted(*args, **kwargs):
             calls[name] += 1
-            returned[name].append(f(*args, **kwargs))
-            return returned[name][-1]
+            return f(*args, **kwargs)
 
         return counted
 
-    for name in ("partial_trace", "square_root_measurement"):
-        monkeypatch.setattr(achievability, name, counting(name, getattr(achievability, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Povm, "__post_init__", counting("Povm", Povm.__post_init__))
+    return calls
+
+
+def test_blocked_l3_build_reads_the_base_walk_once(monkeypatch):
+    # The benchmark's l=3 build takes one stacked partial trace per base walk
+    # piece (2) and validates each measurement once (79 Povms).  Only slot 3's
+    # 8-candidate round is a square-root measurement: the 64 final rounds
+    # leave one candidate and are the projective test {Pi, I - Pi}.  Deriving
+    # the letter states per history took 312 partial traces, relabelling
+    # every final-round measurement validated 143 Povms, and decoding every
+    # round by the square-root recipe took 65 square-root measurements.
+    from qfeedback import achievability
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    calls = _count_calls(monkeypatch, achievability, ("partial_trace", "square_root_measurement"))
     flat = build_double_blocked_code(base, 3, delta=0.3)
-    assert calls == {"partial_trace": 2, "square_root_measurement": 65, "Povm": 79}
+    assert calls == {"partial_trace": 2, "square_root_measurement": 1, "Povm": 79}
     # 64 final histories decode a flat codeword; 8 follow an 'er' block and measure ER alone.
     decoding = [p for p in flat.measurements[-1].values() if p.labels != (ER,)]
     assert len(decoding) == 64
-    assert {id(p) for p in decoding} <= {id(x) for x in returned["square_root_measurement"]}
-    assert all(lab == ER or len(lab) == 6 for p in decoding for lab in p.labels)
+    for povm in decoding:
+        (label, pi), (er, rest) = povm.elements
+        assert len(label) == 6 and er == ER
+        assert np.array_equal(rest, identity(64) - pi)
+        assert np.max(np.abs(pi @ pi - pi)) < 1e-12 and np.array_equal(pi, pi.conj().T)
+
+
+def _recorded_rounds(monkeypatch):
+    """Wrap the build's global round; each call appends a dict of its t, prefix, base Povm,
+    posterior, the conditional projectors it asked for (Pi_avg first), its square-root
+    measurement count and its Povm to the returned list."""
+    from qfeedback import achievability
+
+    cond, srm, global_round = (
+        achievability.cond_typical_projector,
+        achievability.square_root_measurement,
+        achievability._global_round,
+    )
+    rounds = []
+
+    def recording_cond(*args):
+        rounds[-1]["projectors"].append(cond(*args))
+        return rounds[-1]["projectors"][-1]
+
+    def recording_srm(gammas):
+        rounds[-1]["srm"] += 1
+        return srm(gammas)
+
+    def recording_round(table, post, t, r_blocks, k_hists, delta, projectors, prefix, base_povm):
+        rounds.append(dict(t=t, prefix=prefix, base_povm=base_povm, post=post, projectors=[], srm=0))
+        rounds[-1]["povm"] = global_round(table, post, t, r_blocks, k_hists, delta, projectors, prefix, base_povm)
+        return rounds[-1]["povm"]
+
+    monkeypatch.setattr(achievability, "cond_typical_projector", recording_cond)
+    monkeypatch.setattr(achievability, "square_root_measurement", recording_srm)
+    monkeypatch.setattr(achievability, "_global_round", recording_round)
+    return rounds
+
+
+def _parent_recipe(record, l, d):
+    """The round decoded as before single-candidate rounds became projective:
+    the square-root measurement of Gamma_r = Pi_avg Pi_r Pi_avg, then composed
+    with the slot's base measurement as kron(f, I) @ m, labelled (r, b)."""
+    from qfeedback.achievability import _copy_to_flat_perm
+    from qfeedback.linalg import permute_registers
+
+    t = record["t"]
+    dims, perm = (d,) * (t * l), _copy_to_flat_perm(t, l)
+    pi_avg, *pi_rs = (permute_registers(p, dims, perm) for p in record["projectors"])
+    candidates = sorted({tuple(g[j][t - 1] for j in range(l)) for g in record["post"]})
+    povm = square_root_measurement({record["prefix"] + r: gamma_operator(pi_avg, p) for r, p in zip(candidates, pi_rs)})
+    if record["base_povm"] is None:
+        return povm.labels, [m for _, m in povm.elements]
+    pairs = [(r, m, b, f) for r, m in povm.elements for b, f in record["base_povm"].elements]
+    return [(r, b) for r, _, b, _ in pairs], [kron(f, identity(len(m) // len(f))) @ m for _, m, _, f in pairs]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_projective_global_rounds_match_the_square_root_recipe(monkeypatch, case):
+    # On each capture code, every round that leaves one candidate block whose
+    # Pi_r equals Pi_avg is built as {Pi, I - Pi} without a square-root
+    # measurement, and equals the parent recipe to 1e-13, labels in order.
+    from capture_blocked import CASES, DELTA
+
+    from qfeedback.protocol import random_feedback_code
+
+    seed, channel, n, l = CASES[case]
+    base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
+    rounds = _recorded_rounds(monkeypatch)
+    build_double_blocked_code(base, l, delta=DELTA)
+    projective = [r for r in rounds if r["srm"] == 0]
+    assert projective and all(r["srm"] == 1 for r in rounds if r["srm"])
+    for record in projective:
+        assert len(record["projectors"]) == 2 and np.array_equal(*record["projectors"])
+        labels, elements = _parent_recipe(record, l, base.channel.in_dim)
+        assert record["povm"].labels == tuple(labels)
+        for (_, mine), theirs in zip(record["povm"].elements, elements, strict=True):
+            assert np.max(np.abs(mine - theirs)) < 1e-13
+
+
+def test_a_round_whose_copies_share_a_label_but_not_a_letter_keeps_the_square_root_measurement(monkeypatch):
+    # One group (w0, w1) at l=2: at round 1 both copies carry the label
+    # ((), ()) but different letters, so Pi_avg is one two-copy projector and
+    # Pi_r a product of two one-copy ones; that round keeps its square-root
+    # measurement.  The final rounds give the copies different labels.
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    w0, w1 = base.codebook.words
+    assert w0[0] != w1[0]
+    rounds = _recorded_rounds(monkeypatch)
+    build_double_blocked_code(base, 2, delta=0.3, groups=[(w0, w1)])
+    assert [(r["t"], r["srm"]) for r in rounds] == [(1, 1), (2, 0), (2, 0), (2, 0), (2, 0)]
+    for record in rounds[1:]:
+        (label, pi), (er, rest) = record["povm"].elements
+        assert label == (w0[0], w1[0], w0[1], w1[1]) and er == ER and np.array_equal(rest, identity(16) - pi)
+
+
+def test_composed_projective_rounds_are_validated_once(monkeypatch):
+    # The seed-5 n=3, l=2 build: slot 4 composes 16 projective rounds (and the
+    # 'er' histories' one-element rounds) with copy 1's base M_2, and builds
+    # their composed elements directly, so each is validated once; the one
+    # square-root round is still validated as returned and composed.  The
+    # square-root recipe for every round took 81 square-root measurements and
+    # 191 validations.
+    from qfeedback import achievability
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(5), depolarizing_channel(0.2), 3, num_words=2)
+    calls = _count_calls(monkeypatch, achievability, ("square_root_measurement",))
+    build_double_blocked_code(base, 2, delta=0.3)
+    assert calls == {"square_root_measurement": 1, "Povm": 171}
+
+
+def _non_product_codes():
+    """16 seeded blocked codebooks that are not products of per-copy word sets, by name.
+
+    Code s uses capture base s % 4 of tests/capture_blocked.py, at l = 2 + (s // 4) % 2
+    (l = 2 for the n=3 base), and draws from default_rng(s) a subset of 2 to N - 1 of
+    the N product groups, in product order, redrawn while it is itself a product or
+    repeats an earlier code's.
+    """
+    from capture_blocked import CASES
+
+    from qfeedback.protocol import random_feedback_code
+
+    bases = {seed: (channel, n) for seed, channel, n, _ in CASES}
+    codes, drawn = {}, collections.defaultdict(list)
+    for s in range(16):
+        seed, (channel, n) = list(bases.items())[s % 4]
+        l = 2 + (s // 4) % 2 if n == 2 else 2
+        base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
+        product = list(itertools.product(base.codebook.words, repeat=l))
+        rng = np.random.default_rng(s)
+        while True:
+            picked = sorted(rng.choice(len(product), size=rng.integers(2, len(product)), replace=False))
+            groups = [product[i] for i in picked]
+            if len(groups) < math.prod(len({g[j] for g in groups}) for j in range(l)) and groups not in drawn[seed, l]:
+                break
+        drawn[seed, l].append(groups)
+        codes[f"seed{seed}-n{n}-l{l}-subset{s}"] = (base, l, groups)
+    return codes
+
+
+@pytest.mark.parametrize("name", list(_non_product_codes()))
+def test_non_product_blocked_errors_pinned(name):
+    # Groups and (average, max) error of each code as the build computed them
+    # before single-candidate rounds became projective, in
+    # tests/data/non_product_codes.json.
+    import json
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "data" / "non_product_codes.json").read_text())[name]
+    base, l, groups = _non_product_codes()[name]
+    assert [[list(w) for w in g] for g in groups] == pins["groups"]
+    flat = build_double_blocked_code(base, l, delta=0.3, groups=groups)
+    assert np.allclose(error_probability(flat), pins["error"], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.5, float("nan"))])
