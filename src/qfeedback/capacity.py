@@ -33,7 +33,7 @@ from .quantum import (
 
 FD_STEP = 1e-4  # central-difference probe width
 ASCENT_TOL = 1e-8  # a sweep gaining less than this has converged
-STEP0 = 0.3  # first trial move along a coordinate, halved until it pays
+STEP0 = 0.3  # first trial move along a coordinate, halved until it pays, down to FD_STEP
 GRID_THETAS, GRID_PHIS, GRID_PROBS = 7, 5, 9  # grid oracle: polar angles, azimuths, weights
 
 
@@ -80,7 +80,7 @@ def coordinate_ascent(
 
     Coordinates inside ``prob_block`` live on the simplex (projected after
     every trial move); ``frozen`` coordinates are never touched.  Only moves
-    that improve the objective are accepted, so the trajectory is monotone.
+    that improve the objective are accepted, none shorter than ``FD_STEP``.
     """
     frozen = frozen or set()
 
@@ -108,9 +108,9 @@ def coordinate_ascent(
             if up == down:
                 continue
             direction = 1.0 if up > down else -1.0
-            # Halve the move until one pays, then repeat it while it keeps paying.
+            # Halve the move until one pays, down to FD_STEP, then repeat it while it pays.
             step, moved = STEP0, False
-            while step > 1e-10:
+            while step >= FD_STEP:
                 cand = bump(x, i, direction * step)
                 val = objective(cand)
                 if val > best + 1e-15:

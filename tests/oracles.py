@@ -334,7 +334,7 @@ def oracle_coordinate_ascent(objective, x0, prob_block, cfg, frozen=None):
                 continue
             direction = 1.0 if up > down else -1.0
             step = STEP0
-            while step > 1e-10:
+            while step >= FD_STEP:
                 cand = bump(x, i, direction * step)
                 val = objective(cand)
                 if val > best + 1e-15:

@@ -17,6 +17,7 @@ from qfeedback.directed import directed_information_total
 from qfeedback.protocol import random_feedback_code, validate_code, with_pgm_decoder
 from qfeedback.quantum import (
     Povm,
+    QuantumChannel,
     ValidationError,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -61,6 +62,48 @@ def test_coordinate_ascent_follows_tiny_slope_and_skips_exact_tie():
     assert res.value > f(np.zeros(2))
 
 
+def test_coordinate_ascent_stops_halving_at_the_probe_width():
+    # The probes at 0 +- FD_STEP differ, so the ladder runs, but no move
+    # pays: the start sits 1e-12 from the peak.  It tries STEP0 / 2^k for
+    # k = 0..11, down to 1.46e-4, the last rung not shorter than FD_STEP.
+    f = lambda v: -1e6 * (v[0] - 1e-12) ** 2
+    points = []
+
+    def recorded(v):
+        points.append(v[0])
+        return f(v)
+
+    res = coordinate_ascent(recorded, np.zeros(1), None, small_cfg(max_sweeps=1))
+    assert len(points) == 1 + 2 + 12
+    assert res.x[0] == 0.0
+    assert min(abs(x) for x in points[1:]) == capacity.FD_STEP
+    assert points[3:] == [capacity.STEP0 * 0.5**k for k in range(12)]
+
+
+@pytest.mark.parametrize(
+    "sweeps, evals, rate",
+    [(1, 184, 0.7135464340741215), (3, 634, 0.7136030428406647)],
+)
+def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
+    # The objective is a closure of estimate_feedback_capacity, so it is
+    # counted where it enters coordinate_ascent.  Rungs shorter than the
+    # FD_STEP probe would add evaluations that gain at rounding level only.
+    count = [0]
+    original = capacity.coordinate_ascent
+
+    def counted_ascent(objective, *args, **kwargs):
+        def counted(x):
+            count[0] += 1
+            return objective(x)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "coordinate_ascent", counted_ascent)
+    res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=sweeps))
+    assert count[0] == evals
+    assert abs(res.rate - rate) <= 1e-12
+
+
 def test_n3_one_sweep_rates_pinned():
     # The family's start is stationary; one sweep escapes it only if a
     # near-zero but nonzero probe difference is followed.
@@ -68,6 +111,35 @@ def test_n3_one_sweep_rates_pinned():
     res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, cfg)
     assert abs(res.rate - 0.7135464) <= 1e-6
     assert abs(res.no_feedback_rate - 0.7005103) <= 1e-6
+
+
+def classical_channel(w, label: str) -> QuantumChannel:
+    """The classical channel W(y|x) = w[x][y] on a qubit: Kraus operators sqrt(W(y|x)) |y><x|."""
+    kraus = []
+    for x, row in enumerate(w):
+        for y, p in enumerate(row):
+            if p > 0:
+                k = np.zeros((2, 2), dtype=complex)
+                k[y, x] = np.sqrt(p)
+                kraus.append(k)
+    return QuantumChannel(tuple(kraus), label)
+
+
+def test_feedback_rates_stay_below_the_shannon_capacity_of_classical_channels():
+    # Shannon: feedback does not raise the capacity of a memoryless classical
+    # channel, so no n-block directed-information rate may exceed C(W).
+    h = lambda q: -q * np.log2(q) - (1 - q) * np.log2(1 - q)
+    p, q = 0.1, 0.3
+    bsc = classical_channel([[1 - p, p], [p, 1 - p]], "bsc(0.1)")
+    z = classical_channel([[1.0, 0.0], [q, 1 - q]], "z(0.3)")
+    cases = [(bsc, 1.0 - h(p)), (z, np.log2(1.0 + (1 - q) * q ** (q / (1 - q))))]
+    cfg = OptimizerConfig(starts=1, seed=0, max_sweeps=1)
+    for channel, c in cases:
+        for n in (1, 2, 3):
+            rate = estimate_feedback_capacity(channel, n, cfg).rate
+            assert rate <= c + 1e-9, (channel.label, n, rate, c)
+            if channel is bsc and n < 3:
+                assert abs(rate - c) <= 1e-12, (n, rate, c)
 
 
 def test_holevo_identity_qubit():
