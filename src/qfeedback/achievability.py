@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -634,38 +634,31 @@ class DisturbanceRecord:
         return self.distance <= self.bound + 1e-9
 
 
-def _reference_code(base: FeedbackCode, flat: FeedbackCode, l: int) -> FeedbackCode:
-    """``flat`` as independent copies, without its global rounds.
-
-    Slot q measures copy j's base M_k alone, followed by its feedback
-    (``_base_slot_povm``), or nothing.
-    """
-    n, d = base.n, base.channel.in_dim
-    measurements = tuple(
-        _base_slot_povm(base, q, l) or Povm(((None, identity(d**q)),)) for q in range(1, n * l + 1)
-    )
-    return replace(flat, measurements=measurements)
-
-
-def cumulative_disturbance_report(base: FeedbackCode, l: int, delta: float = 0.3) -> list[DisturbanceRecord]:
-    """Measured cumulative disturbance of the global-round measurements.
+def cumulative_disturbance_report(code: FeedbackCode, base: FeedbackCode) -> list[DisturbanceRecord]:
+    """Measured cumulative disturbance of the global-round measurements of ``code``, l copies of ``base``.
 
     Follows every correct-decoding branch of the double-blocked code,
     comparing the joint state (with global-round back-action) against the
     tensor product of the independently evolved copies conditioned on the
-    same base outcomes.  Round s contributes a gentle-measurement allowance
-    of sqrt(24 eps_s) + 6 eps_s with eps_s measured as (1 - tr(omega R)) / 3
-    on that branch; the trace distance must stay below the running total at
-    every global round.
+    same base outcomes, stepped on ``code`` with slot q's base measurement
+    and feedback (``_base_slot_povm``) or nothing.  Round s contributes a
+    gentle-measurement allowance of sqrt(24 eps_s) + 6 eps_s with eps_s
+    measured as (1 - tr(omega R)) / 3 on that branch; the trace distance must
+    stay below the running total at every global round.  Raises unless
+    l = code.n / base.n is an integer and each codeword's l interleaved copies
+    are base codewords.
     """
-    flat = build_double_blocked_code(base, l, delta=delta)
-    ref = _reference_code(base, flat, l)
-    n = base.n
+    n, d = base.n, base.channel.in_dim
+    l = code.n // n
+    base_words = set(base.codebook.words)
+    if code.n % n or any(word[j::l] not in base_words for word in code.codebook.words for j in range(l)):
+        raise ValidationError(f"the code (n = {code.n}) is not interleaved copies of the base code (n = {n})")
+    reference = [_base_slot_povm(base, q, l) or Povm(((None, identity(d**q)),)) for q in range(1, n * l + 1)]
     records: list[DisturbanceRecord] = []
 
-    for word in flat.codebook.words:
+    for word in code.codebook.words:
         group = tuple(word[j::l] for j in range(l))
-        start = _start(flat, [word])
+        start = _start(code, [word])
         branches = [(1.0, start, start, ())]
         for q in range(1, n * l + 1):
             glob = _slot_components(q, n, l)[1]
@@ -673,19 +666,19 @@ def cumulative_disturbance_report(base: FeedbackCode, l: int, delta: float = 0.3
                 correct_r = word if glob == n else word[(glob - 1) * l : glob * l]
             new = []
             for p_path, front_f, front_r, eps in branches:
-                # Slot q is update q+1 of both codes (channel on register q, M_q,
+                # Slot q is update q+1 of both branches (channel on register q, M_q,
                 # feedback); the last slot is the final measurement alone.
-                povm = flat.measurement(q, front_f.history[0])
+                povm = code.measurement(q, front_f.history[0])
                 if glob is not None:
                     correct = [lab for lab in povm.labels if _label_parts(q, n, l, lab)[0] == correct_r]
                     if not correct:
                         continue  # correct outcome unreachable on this branch
-                    seen = _updated(flat, q + 1, povm, front_r)
+                    seen = _updated(code, q + 1, povm, front_r)
                     overlap = sum(p for h, p in zip(seen.history, seen.prob.tolist()) if h[-1] in correct)
                     eps = eps + (max((1.0 - overlap) / 3.0, 0.0),)
-                kids_r = _updated(ref, q + 1, ref.measurement(q), front_r)
+                kids_r = _updated(code, q + 1, reference[q - 1], front_r)
                 refs = {h[-1]: b for b, h in enumerate(kids_r.history)}
-                kids_f = _updated(flat, q + 1, povm, front_f)
+                kids_f = _updated(code, q + 1, povm, front_f)
                 for b, (outcomes, p_flat) in enumerate(zip(kids_f.history, kids_f.prob.tolist())):
                     r_lab, b_lab = _label_parts(q, n, l, outcomes[-1])
                     if (glob is not None and r_lab != correct_r) or b_lab not in refs:

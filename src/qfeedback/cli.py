@@ -19,6 +19,7 @@ from . import __version__
 from .achievability import (
     _gentle_distances,
     _hn_violations,
+    build_double_blocked_code,
     cumulative_disturbance_bound,
     cumulative_disturbance_report,
     typicality_bounds_check,
@@ -308,7 +309,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
     book = Codebook(2, 1, ((0,), (1,)))
     povm = Povm(tuple(((k,), np.diag(np.eye(2)[k]).astype(complex)) for k in range(2)))
     base = FeedbackCode(book, depolarizing_channel(0.1), (0.5, 0.5), (basis_state(2, 0), basis_state(2, 1)), (povm,))
-    records = cumulative_disturbance_report(base, 2, delta=0.5)
+    records = cumulative_disturbance_report(build_double_blocked_code(base, 2, delta=0.5), base)
     worst_l4 = max((r.distance - r.bound for r in records), default=-np.inf)
     results["cumulative_disturbance"] = {
         "branches": len(records),

@@ -67,7 +67,7 @@ def capture(h, base, l):
             feed(h, q + 1, label, *ops)
     errors = error_probability(code)
     feed(h, errors)
-    for record in cumulative_disturbance_report(base, l, delta=DELTA):
+    for record in cumulative_disturbance_report(code, base):
         feed(h, record)
     return errors
 

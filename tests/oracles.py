@@ -18,7 +18,11 @@ computed them before they took stacks: ``oracle_psd_sqrt``,
 ``oracle_pinv_sqrt`` and ``oracle_roots``.  The seeded generators of the
 tests live here too: ``random_isometry``, ``random_povm``, ``random_channel``
 and ``oracle_random_feedback_code``, the library's ``random_feedback_code``
-with feedback-free and non-projective draws added.
+with feedback-free and non-projective draws added.  The classical limit has
+``classical_channel`` (a classical channel as qubit Kraus operators),
+``classical_channels`` (BSC(0.1) and the Z-channel(0.3) with their Shannon
+capacities) and ``oracle_massey_terms``, Massey's directed-information terms
+from the classical joint law, with no quantum code path.
 """
 
 from __future__ import annotations
@@ -399,6 +403,54 @@ def random_channel(rng: np.random.Generator, dim: int, num_kraus: int) -> Quantu
     v = random_isometry(rng, dim * num_kraus, dim)
     ks = tuple(v[j * dim : (j + 1) * dim, :] for j in range(num_kraus))
     return QuantumChannel(ks, "random")
+
+
+def classical_channel(w, label: str) -> QuantumChannel:
+    """The classical channel W(y|x) = w[x][y] on a qubit: Kraus operators sqrt(W(y|x)) |y><x|."""
+    kraus = []
+    for x, row in enumerate(w):
+        for y, p in enumerate(row):
+            if p > 0:
+                k = np.zeros((2, 2), dtype=complex)
+                k[y, x] = np.sqrt(p)
+                kraus.append(k)
+    return QuantumChannel(tuple(kraus), label)
+
+
+def classical_channels() -> list[tuple[QuantumChannel, list, float]]:
+    """(channel, W, Shannon capacity C(W)) for BSC(0.1), C = 1 - h(0.1), and the Z-channel(0.3), whose optimal input is not uniform."""
+    p, q = 0.1, 0.3
+    bsc, z = [[1 - p, p], [p, 1 - p]], [[1.0, 0.0], [q, 1 - q]]
+    return [
+        (classical_channel(bsc, "bsc(0.1)"), bsc, 1.0 + p * np.log2(p) + (1 - p) * np.log2(1 - p)),
+        (classical_channel(z, "z(0.3)"), z, float(np.log2(1.0 + (1 - q) * q ** (q / (1 - q))))),
+    ]
+
+
+def oracle_massey_terms(w, letters, words, probs) -> tuple[list[float], float]:
+    """Massey's I(A^t; Y_t | Y^(t-1)) for t = 1..n and I(A^n; Y^n), codewords sent without feedback.
+
+    Letter a enters the classical channel W(y|x) = w[x][y] as x with
+    probability letters[a][x], so y follows W_eff(y|a) = sum_x letters[a][x] W(y|x);
+    the joint law P(a^n) prod_t W_eff(y_t|a_t) is listed one (a^n, y^n) pair at
+    a time and every entropy is a sum over one of its marginals.
+    """
+    w_eff = np.asarray(letters, dtype=float) @ np.asarray(w, dtype=float)
+    n = len(words[0])
+    joint = {}
+    for word, p in zip(words, probs):
+        for ys in itertools.product(range(w_eff.shape[1]), repeat=n):
+            joint[word, ys] = p * float(np.prod([w_eff[a, y] for a, y in zip(word, ys)]))
+
+    def h(t_a: int, t_y: int) -> float:
+        marginal: dict = {}
+        for (word, ys), p in joint.items():
+            key = (word[:t_a], ys[:t_y])
+            marginal[key] = marginal.get(key, 0.0) + p
+        return -sum(p * np.log2(p) for p in marginal.values() if p > 0)
+
+    terms = [h(t, t - 1) + h(0, t) - h(t, t) - h(0, t - 1) for t in range(1, n + 1)]
+    return terms, h(n, 0) + h(0, n) - h(n, n)
 
 
 def _oracle_eig_psd(m: np.ndarray):

@@ -19,6 +19,7 @@ import pytest
 from oracles import oracle_random_feedback_code, random_channel
 
 from qfeedback.achievability import (
+    build_double_blocked_code,
     gentle_measurement_check,
     hayashi_nagaoka_check,
     cumulative_disturbance_report,
@@ -180,7 +181,7 @@ def test_criterion_06_cumulative_disturbance_end_to_end():
     worst = -np.inf
     branches = 0
     for l in (2, 3):
-        records = cumulative_disturbance_report(base, l, delta=0.5)
+        records = cumulative_disturbance_report(build_double_blocked_code(base, l, delta=0.5), base)
         assert records
         branches += len(records)
         worst = max(worst, max(r.distance - r.bound for r in records))

@@ -540,7 +540,7 @@ def test_double_blocked_n2_runs_and_validates():
 def test_cumulative_disturbance_bound_one_round():
     base = one_block_code(depolarizing_channel(0.1))
     for l in (2, 3):
-        records = cumulative_disturbance_report(base, l, delta=0.3)
+        records = cumulative_disturbance_report(build_double_blocked_code(base, l, delta=0.3), base)
         assert records, "no correct-decoding branches tracked"
         for rec in records:
             assert rec.distance <= rec.bound + 1e-9, rec
@@ -616,7 +616,7 @@ def test_cumulative_disturbance_two_global_rounds():
         rng = np.random.default_rng(seed)
         chan = depolarizing_channel(0.1) if seed % 2 == 0 else amplitude_damping_channel(0.3)
         base = random_feedback_code(rng, chan, 2, num_words=2)
-        records = cumulative_disturbance_report(base, 2, delta=0.5)
+        records = cumulative_disturbance_report(build_double_blocked_code(base, 2, delta=0.5), base)
         assert {r.round for r in records} == {1, 2}
         for rec in records:
             assert rec.distance <= rec.bound + 1e-9, rec
@@ -731,7 +731,7 @@ def test_cumulative_disturbance_records_pinned(case):
 
     pins = json.loads((Path(__file__).parent / "data" / "disturbance_records.json").read_text())
     base, l = _pinned_disturbance_cases()[case]
-    records = cumulative_disturbance_report(base, l, delta=0.3)
+    records = cumulative_disturbance_report(build_double_blocked_code(base, l, delta=0.3), base)
     want = pins[case]
     assert len(records) == len(want)
     for rec, pin in zip(records, want):
@@ -1130,11 +1130,39 @@ def test_cumulative_disturbance_through_feedback():
     from qfeedback.protocol import random_feedback_code
 
     base = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=2)
-    records = cumulative_disturbance_report(base, 2, delta=0.5)
+    records = cumulative_disturbance_report(build_double_blocked_code(base, 2, delta=0.5), base)
     assert len(records) == 104
     assert {r.round for r in records} == {1, 2, 3}
     for rec in records:
         assert rec.distance <= rec.bound + 1e-9, rec
+
+
+def test_cumulative_disturbance_reads_the_code_it_is_given():
+    # The report walks the code it is handed: built from the groups in a
+    # seeded order, as the benchmark's blocked-l3 job draws them, it gives
+    # the product-order code's records bit for bit once both are sorted by group.
+    from qfeedback.protocol import random_feedback_code
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    groups = list(itertools.product(base.codebook.words, repeat=3))
+    permuted = [groups[i] for i in np.random.default_rng(1).permutation(len(groups))]
+    assert permuted != groups
+    want = cumulative_disturbance_report(build_double_blocked_code(base, 3, delta=0.3), base)
+    got = cumulative_disturbance_report(build_double_blocked_code(base, 3, delta=0.3, groups=permuted), base)
+    assert [r.group for r in got] != [r.group for r in want]
+    assert sorted(got, key=lambda r: r.group) == sorted(want, key=lambda r: r.group)
+
+
+def test_cumulative_disturbance_rejects_a_code_that_is_not_copies_of_the_base():
+    from qfeedback.protocol import random_feedback_code
+
+    n2 = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    n3 = random_feedback_code(np.random.default_rng(5), depolarizing_channel(0.2), 3, num_words=2)
+    other = random_feedback_code(np.random.default_rng(8), depolarizing_channel(0.1), 2, num_words=2)
+    assert other.codebook.words != n2.codebook.words
+    for code, base in ((build_double_blocked_code(n2, 2), n3), (n2, n3), (build_double_blocked_code(other, 2), n2)):
+        with pytest.raises(ValidationError, match="interleaved copies"):
+            cumulative_disturbance_report(code, base)
 
 
 @pytest.mark.parametrize("n", [100, 400, 2000])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import classical_channels
 from qfeedback import capacity
 from qfeedback.capacity import (
     FeedbackCodeFamily,
@@ -17,7 +18,6 @@ from qfeedback.directed import directed_information_total
 from qfeedback.protocol import random_feedback_code, validate_code, with_pgm_decoder
 from qfeedback.quantum import (
     Povm,
-    QuantumChannel,
     ValidationError,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -113,32 +113,15 @@ def test_n3_one_sweep_rates_pinned():
     assert abs(res.no_feedback_rate - 0.7005103) <= 1e-6
 
 
-def classical_channel(w, label: str) -> QuantumChannel:
-    """The classical channel W(y|x) = w[x][y] on a qubit: Kraus operators sqrt(W(y|x)) |y><x|."""
-    kraus = []
-    for x, row in enumerate(w):
-        for y, p in enumerate(row):
-            if p > 0:
-                k = np.zeros((2, 2), dtype=complex)
-                k[y, x] = np.sqrt(p)
-                kraus.append(k)
-    return QuantumChannel(tuple(kraus), label)
-
-
 def test_feedback_rates_stay_below_the_shannon_capacity_of_classical_channels():
     # Shannon: feedback does not raise the capacity of a memoryless classical
     # channel, so no n-block directed-information rate may exceed C(W).
-    h = lambda q: -q * np.log2(q) - (1 - q) * np.log2(1 - q)
-    p, q = 0.1, 0.3
-    bsc = classical_channel([[1 - p, p], [p, 1 - p]], "bsc(0.1)")
-    z = classical_channel([[1.0, 0.0], [q, 1 - q]], "z(0.3)")
-    cases = [(bsc, 1.0 - h(p)), (z, np.log2(1.0 + (1 - q) * q ** (q / (1 - q))))]
     cfg = OptimizerConfig(starts=1, seed=0, max_sweeps=1)
-    for channel, c in cases:
+    for channel, _, c in classical_channels():
         for n in (1, 2, 3):
             rate = estimate_feedback_capacity(channel, n, cfg).rate
             assert rate <= c + 1e-9, (channel.label, n, rate, c)
-            if channel is bsc and n < 3:
+            if channel.label == "bsc(0.1)" and n < 3:
                 assert abs(rate - c) <= 1e-12, (n, rate, c)
 
 

@@ -5,7 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import materialize, materialized_entropy, oracle_random_feedback_code
+from oracles import (
+    basis_povm,
+    classical_channels,
+    materialize,
+    materialized_entropy,
+    oracle_massey_terms,
+    oracle_random_feedback_code,
+)
 from qfeedback.cli import main
 from qfeedback.cqstate import conditional_mutual_information
 from qfeedback.directed import (
@@ -23,7 +30,10 @@ from qfeedback.protocol import (
     FeedbackCode,
     ehs_state,
     error_probability,
+    on_freshest,
+    product_states,
     random_feedback_code,
+    with_pgm_decoder,
 )
 from qfeedback.quantum import (
     DensityMatrix,
@@ -307,6 +317,41 @@ def test_directed_nonnegative():
         code = random_feedback_code(rng, depolarizing_channel(0.4), n, num_words=2)
         for term in directed_terms(code):
             assert term >= -1e-9
+
+
+def test_directed_terms_equal_massey_terms_without_feedback():
+    # Classical limit: diagonal letter states sent over a classical channel and
+    # read in the computational basis, with no feedback.  Each term is then
+    # Massey's I(A^t; Y_t | Y^(t-1)) and their sum I(A^n; Y^n).
+    rng = np.random.default_rng(2024)
+    for channel, w, _ in classical_channels():
+        for n in (1, 2, 3):
+            for _ in range(3):
+                letters = [rng.dirichlet(np.ones(2)) for _ in range(2)]
+                strings = [tuple(int(b) for b in np.binary_repr(i, n)) for i in range(2**n)]
+                picked = sorted(rng.choice(2**n, size=int(rng.integers(2, 2**n + 1)), replace=False))
+                words = tuple(strings[i] for i in picked)
+                probs = tuple(rng.dirichlet(np.ones(len(words))))
+                states = product_states([DensityMatrix(np.diag(x).astype(complex), (2,)) for x in letters], words)
+                measurements = tuple(on_freshest(basis_povm(2), j, {}) for j in range(1, n))
+                code = FeedbackCode(Codebook(2, n, words), channel, probs, states, measurements + (None,))
+                terms = directed_terms(with_pgm_decoder(code, probs))
+                want, total = oracle_massey_terms(w, letters, words, probs)
+                assert np.allclose(terms, want, rtol=0.0, atol=1e-12), (channel.label, terms, want)
+                assert abs(sum(terms) - total) <= 1e-12, (channel.label, sum(terms), total)
+
+
+def test_directed_terms_with_feedback_stay_below_the_shannon_capacity():
+    # Shannon's feedback theorem step by step: the channel reads its input in
+    # the computational basis, so (A^t, Z^(t-1)) -> X_t -> Y_t is a Markov
+    # chain and every term I(A^t; Z_t | Z^(t-1)) <= I(X_t; Y_t) <= C(W).
+    rng = np.random.default_rng(56)
+    for channel, _, c in classical_channels():
+        for n in (1, 2, 3):
+            for _ in range(20):
+                code = random_feedback_code(rng, channel, n, num_words=int(rng.integers(2, 2**n + 1)))
+                for term in directed_terms(code):
+                    assert term <= c + 1e-9, (channel.label, n, term, c)
 
 
 CONVERSE_PIN = json.loads((Path(__file__).parent / "data" / "converse_chain.json").read_text())
