@@ -645,8 +645,9 @@ def cumulative_disturbance_report(code: FeedbackCode, base: FeedbackCode) -> lis
     gentle-measurement allowance of sqrt(24 eps_s) + 6 eps_s with eps_s
     measured as (1 - tr(omega R)) / 3 on that branch; the trace distance must
     stay below the running total at every global round.  Raises unless
-    l = code.n / base.n is an integer and each codeword's l interleaved copies
-    are base codewords.
+    l = code.n / base.n is an integer, each codeword's l interleaved copies
+    are base codewords and each slot with a base measurement but no global
+    round holds ``_base_slot_povm``'s measurement bit for bit.
     """
     n, d = base.n, base.channel.in_dim
     l = code.n // n
@@ -654,6 +655,15 @@ def cumulative_disturbance_report(code: FeedbackCode, base: FeedbackCode) -> lis
     if code.n % n or any(word[j::l] not in base_words for word in code.codebook.words for j in range(l)):
         raise ValidationError(f"the code (n = {code.n}) is not interleaved copies of the base code (n = {n})")
     reference = [_base_slot_povm(base, q, l) or Povm(((None, identity(d**q)),)) for q in range(1, n * l + 1)]
+    # A measurement's labels, element bytes and feedback families, compared exactly on the slots that hold
+    # a base measurement and no global round.
+    raw = lambda ops: tuple((f.dtype.str, f.shape, f.tobytes()) for f in ops)
+    mark = lambda p: (p.labels, raw(f for _, f in p.elements), {b: raw(ops) for b, ops in p.feedback.items()})
+    held = [m.values() if isinstance(m, dict) else (m,) for m in code.measurements]
+    bare = [q for q in range(1, n * l + 1) if _slot_components(q, n, l)[0] and _slot_components(q, n, l)[1] is None]
+    foreign = [q for q in bare if any(mark(p) != mark(reference[q - 1]) for p in held[q - 1])]
+    if foreign:
+        raise ValidationError(f"slots {foreign} of the code do not hold the base code's measurements")
     records: list[DisturbanceRecord] = []
 
     for word in code.codebook.words:

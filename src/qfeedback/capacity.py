@@ -9,14 +9,15 @@ convergence flags, and are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .directed import directed_information_total
+from .directed import _terms
 from .linalg import kron_all
-from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
+from .protocol import Codebook, FeedbackCode, _ehs_states, _walk, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
+    PROB_FLOOR,
     DensityMatrix,
     Ensemble,
     QuantumChannel,
@@ -284,8 +285,7 @@ class FeedbackCodeFamily:
         for t in range(1, n):
             feedback = {k: (kron_all(us),) for k, us in fb.get(t, {}).items()}
             measurements.append(on_freshest(rotated_qubit_povm(*x[mbase + 2 * t - 2 : mbase + 2 * t]), t, feedback))
-        probs_t = tuple(float(p) for p in probs)
-        return FeedbackCode(self.book, self.channel, probs_t, states, tuple(measurements) + (None,))
+        return FeedbackCode(self.book, self.channel, probs, states, tuple(measurements) + (None,))
 
 
 @dataclass
@@ -316,9 +316,19 @@ def estimate_feedback_capacity(
     if channel.in_dim**n > 8:
         raise ValidationError("dimension budget allows n <= 3 for qubit channels")
     family = FeedbackCodeFamily(channel, default_words(n))
+    last = [None, None, None]  # the last code shape walked: key, code, walk pieces
 
     def objective(x):
-        return directed_information_total(family.build(x)) / family.n
+        # directed_information_total(family.build(x)) / n.  The walk reads no probability, only which words are
+        # live (at or above PROB_FLOOR), so a move that keeps the other coordinates and the live words reuses it.
+        probs = simplex_projection(x[family.prob_block])  # as build computes them
+        live = tuple(w for w, p in zip(family.words, probs) if p >= PROB_FLOOR)
+        key = (x[family.prob_block.stop :].tobytes(), live)
+        if key != last[0]:
+            code = family.build(x)
+            last[:] = key, code, list(_walk(code, live))
+        _, code, pieces = last
+        return float(sum(_terms([_ehs_states(replace(code, probs=probs), pieces)])[0])) / family.n
 
     fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)

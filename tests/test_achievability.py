@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -1163,6 +1164,23 @@ def test_cumulative_disturbance_rejects_a_code_that_is_not_copies_of_the_base():
     for code, base in ((build_double_blocked_code(n2, 2), n3), (n2, n3), (build_double_blocked_code(other, 2), n2)):
         with pytest.raises(ValidationError, match="interleaved copies"):
             cumulative_disturbance_report(code, base)
+
+
+def test_cumulative_disturbance_rejects_a_base_the_code_was_not_built_from():
+    # The seed-4 base has the seed-9 base's words but other measurements and
+    # letters, so its blocked codes interleave the same codewords.  Only the
+    # slots that hold a base measurement and no global round can tell: slot 3
+    # at l = 2, slots 4 and 5 at l = 3.
+    from qfeedback.protocol import random_feedback_code
+
+    channel = depolarizing_channel(0.1)
+    own, other = (random_feedback_code(np.random.default_rng(s), channel, 2, num_words=2) for s in (9, 4))
+    assert other.codebook.words == own.codebook.words
+    for l, slots in ((2, [3]), (3, [4, 5])):
+        code = build_double_blocked_code(own, l, delta=0.3)
+        assert cumulative_disturbance_report(code, own)
+        with pytest.raises(ValidationError, match=re.escape(f"slots {slots} of the code")):
+            cumulative_disturbance_report(code, other)
 
 
 @pytest.mark.parametrize("n", [100, 400, 2000])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import classical_channels
+from oracles import classical_channel, classical_channels, oracle_blahut_arimoto
 from qfeedback import capacity
 from qfeedback.capacity import (
     FeedbackCodeFamily,
@@ -17,6 +17,7 @@ from qfeedback.config import code_from_spec
 from qfeedback.directed import directed_information_total
 from qfeedback.protocol import random_feedback_code, validate_code, with_pgm_decoder
 from qfeedback.quantum import (
+    PROB_FLOOR,
     Povm,
     ValidationError,
     amplitude_damping_channel,
@@ -88,8 +89,10 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     # The objective is a closure of estimate_feedback_capacity, so it is
     # counted where it enters coordinate_ascent.  Rungs shorter than the
     # FD_STEP probe would add evaluations that gain at rounding level only.
-    count = [0]
-    original = capacity.coordinate_ascent
+    # Only a call that moves a non-probability coordinate or the set of live
+    # words walks the code; the others reuse the last walk.
+    count, walked = [0], [0]
+    original, walk = capacity.coordinate_ascent, capacity._walk
 
     def counted_ascent(objective, *args, **kwargs):
         def counted(x):
@@ -98,10 +101,61 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
 
         return original(counted, *args, **kwargs)
 
+    def counted_walk(*args):
+        walked[0] += 1
+        return walk(*args)
+
     monkeypatch.setattr(capacity, "coordinate_ascent", counted_ascent)
+    monkeypatch.setattr(capacity, "_walk", counted_walk)
     res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=sweeps))
     assert count[0] == evals
+    assert walked[0] == {1: 72, 3: 314}[sweeps]
     assert abs(res.rate - rate) <= 1e-12
+
+
+def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
+    # The objective reuses its last walk when a call keeps every
+    # non-probability coordinate and the words at or above PROB_FLOOR.  An
+    # ascent driven by directed_information_total(family.build(x)) / n must
+    # see the same value at every point and report the same bits.
+    channel, cfg = depolarizing_channel(0.1), OptimizerConfig(starts=2, seed=0, max_sweeps=1)
+    original = capacity.coordinate_ascent
+    below_floor = []
+    for n in (1, 2, 3):
+        family = FeedbackCodeFamily(channel, default_words(n))
+        plain = lambda x: directed_information_total(family.build(x)) / n
+        values, objectives = {}, []
+
+        def run(driver):
+            seen = values.setdefault(driver, [])
+
+            def ascent(objective, *args, **kwargs):
+                objectives.append(objective)
+
+                def recorded(x):
+                    below_floor.append(simplex_projection(x[family.prob_block]).min() < PROB_FLOOR)
+                    seen.append(plain(x) if driver == "plain" else objective(x))
+                    return seen[-1]
+
+                return original(recorded, *args, **kwargs)
+
+            monkeypatch.setattr(capacity, "coordinate_ascent", ascent)
+            return estimate_feedback_capacity(channel, n, cfg)
+
+        reused, reference = run("reused"), run("plain")
+        assert values["reused"] == values["plain"]
+        assert reused.rate == reference.rate
+        assert reused.no_feedback_rate == reference.no_feedback_rate
+        assert reused.start_values == reference.start_values
+        assert np.array(reused.code.probs).tobytes() == np.array(reference.code.probs).tobytes()
+        # A shape first walked with one live word, then met with every word live: the walk must not be reused.
+        x = family.initial()
+        one_live = x.copy()
+        one_live[family.prob_block] = np.eye(len(family.words))[0]
+        for point in (one_live, x, one_live):
+            assert objectives[0](point) == plain(point)
+    # Some evaluated point drops a codeword below the floor, so the live-word part of the key is exercised.
+    assert any(below_floor)
 
 
 def test_n3_one_sweep_rates_pinned():
@@ -123,6 +177,23 @@ def test_feedback_rates_stay_below_the_shannon_capacity_of_classical_channels():
             assert rate <= c + 1e-9, (channel.label, n, rate, c)
             if channel.label == "bsc(0.1)" and n < 3:
                 assert abs(rate - c) <= 1e-12, (n, rate, c)
+
+
+def test_blahut_arimoto_oracle_meets_the_closed_forms():
+    for channel, w, c in classical_channels():
+        assert abs(oracle_blahut_arimoto(w) - c) <= 1e-9, channel.label
+
+
+def test_feedback_rates_stay_below_the_blahut_arimoto_capacity():
+    # Shannon's feedback theorem on a seeded asymmetric binary channel: its
+    # Blahut-Arimoto capacity bounds every n-block rate.
+    e0, e1 = np.random.default_rng(0).uniform(0.0, 0.5, 2)
+    w = [[1 - e0, e0], [e1, 1 - e1]]
+    c = oracle_blahut_arimoto(w)
+    cfg = OptimizerConfig(starts=1, seed=0, max_sweeps=1)
+    for n in (1, 2, 3):
+        rate = estimate_feedback_capacity(classical_channel(w, "asymmetric"), n, cfg).rate
+        assert rate <= c + 1e-9, (n, rate, c)
 
 
 def test_holevo_identity_qubit():
