@@ -326,6 +326,8 @@ class TypicalityReport:
     overlap_bound: float
     max_compressed: float
     eigen_cap: float
+    log2_max_compressed: float
+    log2_eigen_cap: float
     rank: int
     overlap_ok: bool
     eigen_ok: bool
@@ -340,24 +342,23 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
     when c is at least the spread of |log2 lambda| across the spectrum, so a
     too-small c yields an honest failing report.  The cap is checked on the
     exponents, max over kept types of sum_x c_x log2 p_x against
-    -n (S(rho) - c delta), within EXPONENT_RTOL of the larger one: the
-    values themselves underflow once n reaches a few hundred.
+    -n (S(rho) - c delta), within EXPONENT_RTOL of the larger one, and both
+    are reported (``log2_*``): the values underflow once n reaches a few hundred.
     """
     data = typical_projector_data(rho, n, delta)
     comp = data.compressed_eigenvalues()
     overlap = data.overlap()
-    d = rho.dim
-    overlap_bound = 1.0 - 2.0 * d * float(np.exp(-2.0 * n * delta * delta))
-    max_comp = float(comp.max()) if comp.size else 0.0
-    exponent = -n * (entropy(rho) - c * delta)
-    cap = float(2.0**exponent)
-    types = np.asarray(data.types, dtype=int).reshape(-1, d)
+    overlap_bound = 1.0 - 2.0 * rho.dim * float(np.exp(-2.0 * n * delta * delta))
+    exponent = float(-n * (entropy(rho) - c * delta))
+    types = np.asarray(data.types, dtype=int).reshape(-1, rho.dim)
     top = float((types * np.log2(np.where(types > 0, data.eigvals, 1.0))).sum(axis=1).max(initial=-np.inf))
     return TypicalityReport(
         overlap=overlap,
         overlap_bound=overlap_bound,
-        max_compressed=max_comp,
-        eigen_cap=cap,
+        max_compressed=float(comp.max()) if comp.size else 0.0,
+        eigen_cap=float(2.0**exponent),
+        log2_max_compressed=top,
+        log2_eigen_cap=exponent,
         rank=data.rank,
         overlap_ok=overlap >= overlap_bound - 1e-12,
         eigen_ok=top <= exponent + EXPONENT_RTOL * max(abs(top), abs(exponent)),

@@ -313,21 +313,29 @@ def _walk(code: FeedbackCode, words):
     PROB_FLOOR are dropped and a codeword with more than ENUM_CAP branches
     after t rounds raises.
     """
+    return _decoding_walk(code, words, {})
+
+
+def _decoding_walk(code: FeedbackCode, words, reach: dict):
+    """``_walk`` dropping each child whose codeword is not in ``reach[history]``; a history not in ``reach`` is kept."""
     size = max(1, STACK_BYTES // code.states[0].mat.nbytes)
     for i in range(0, len(words), size):
         counts = np.zeros((code.n, code.codebook.size), dtype=int)
-        yield from _expanded(code, 0, _start(code, words[i : i + size]), counts)
+        yield from _expanded(code, 0, _start(code, words[i : i + size]), counts, reach)
 
 
-def _expanded(code: FeedbackCode, t: int, front: Frontier, counts: np.ndarray):
-    """Yield a piece after t rounds, then each piece its runs make, depth first."""
+def _expanded(code: FeedbackCode, t: int, front: Frontier, counts: np.ndarray, reach: dict):
+    """Yield a piece after t rounds, then each piece its runs make less the children ``reach`` drops, depth first."""
     yield t, front
     for povm, part in _runs(code, t + 1, front) if t + 1 < code.n else ():
         run = Frontier(front.word[part], front.history[part], front.prob[part], front.states[part])
         piece = _updated(code, t + 2, povm, run)
+        if reach:
+            live = [b for b, h in enumerate(piece.history) if h not in reach or code.codebook.words[piece.word[b]] in reach[h]]
+            piece = Frontier(piece.word[live], tuple(piece.history[b] for b in live), piece.prob[live], piece.states[live])
         counts[t + 1] += np.bincount(piece.word, minlength=counts.shape[1])
         _capped(counts[t + 1].max())
-        yield from _expanded(code, t + 1, piece, counts)
+        yield from _expanded(code, t + 1, piece, counts, reach)
 
 
 def _capped(count: int) -> None:
@@ -461,11 +469,22 @@ def _error_figures(code: FeedbackCode, p_correct) -> tuple[float, float]:
     return sum((prob * err for prob, err in zip(code.probs, errors)), 0.0), max([0.0, *errors])
 
 
+def _decodable(code: FeedbackCode) -> dict:
+    """Each prefix of an M_n table's histories, mapped to the labels of every M_n keyed by its extensions; empty for a fixed M_n."""
+    final, reach = code.measurements[-1], {}
+    for (history, povm), t in itertools.product(final.items() if isinstance(final, dict) else (), range(1, code.n)):
+        reach.setdefault(history[:t], set()).update(povm.labels)
+    return reach
+
+
 def error_probability(code: FeedbackCode) -> tuple[float, float]:
-    """(average error, maximal error) over codewords, decoding by the final outcome."""
+    """(average error, maximal error) over codewords, decoding by the final outcome.
+
+    Walks only the branches that can still decode to their word (``_decodable``), and ENUM_CAP counts only those;
+    a dropped branch is an error, not pruned mass, so both figures equal the full walk's bit for bit."""
     words = code.codebook.words
-    laws = _transcripts(code, _walk(code, words))
-    return _error_figures(code, (_p_correct(laws[w], w) for w in words))
+    laws = _transcripts(code, _decoding_walk(code, words, _decodable(code)))
+    return _error_figures(code, (_p_correct(laws.get(w, ()), w) for w in words))
 
 
 # ----------------------------------------------------------------------------

@@ -9,7 +9,8 @@ can be read off directly:
 The digest covers each code's codeword probabilities and states, every slot
 element (history, label, dtype, shape and bytes), every feedback operator, the
 exact (average, max) error and every cumulative-disturbance record.  Not a
-test module: pytest does not collect it.
+test module: pytest does not collect it; ``tests/test_achievability.py`` asserts
+``digest``'s value.
 """
 
 import hashlib
@@ -72,15 +73,20 @@ def capture(h, base, l):
     return errors
 
 
-def main():
+def digest(echo) -> str:
+    """The hex digest over every case; each case's line goes to ``echo``."""
     total = hashlib.sha256()
     for seed, channel, n, l in CASES:
         base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
         one = hashlib.sha256()
         average, worst = capture(one, base, l)
-        print(f"seed {seed} n={n} l={l}: {one.hexdigest()} errors ({average!r}, {worst!r})")
+        echo(f"seed {seed} n={n} l={l}: {one.hexdigest()} errors ({average!r}, {worst!r})")
         total.update(one.digest())
-    print(f"all: {total.hexdigest()}")
+    return total.hexdigest()
+
+
+def main():
+    print(f"all: {digest(print)}")
 
 
 if __name__ == "__main__":

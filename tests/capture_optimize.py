@@ -10,7 +10,8 @@ Each case is ``estimate_feedback_capacity`` with two starts and one sweep.
 The digest covers the point x, value, convergence flag and sweep count that
 every ascent stage returns (recorded where ``coordinate_ascent`` returns), the
 reported rate, no-feedback rate, convergence flag and start values, and the
-returned code's probabilities.  Not a test module: pytest does not collect it.
+returned code's probabilities.  Not a test module: pytest does not collect it;
+``tests/test_capacity.py`` asserts ``digest``'s value.
 """
 
 import hashlib
@@ -47,15 +48,20 @@ def capture(h, channel, n):
     return res
 
 
-def main():
+def digest(echo) -> str:
+    """The hex digest over every case; each case's line goes to ``echo``."""
     total = hashlib.sha256()
     for channel in CHANNELS:
         for n in (1, 2, 3):
             one = hashlib.sha256()
             res = capture(one, channel, n)
-            print(f"{channel.label} n={n}: {one.hexdigest()} rates ({res.rate!r}, {res.no_feedback_rate!r})")
+            echo(f"{channel.label} n={n}: {one.hexdigest()} rates ({res.rate!r}, {res.no_feedback_rate!r})")
             total.update(one.digest())
-    print(f"all: {total.hexdigest()}")
+    return total.hexdigest()
+
+
+def main():
+    print(f"all: {digest(print)}")
 
 
 if __name__ == "__main__":

@@ -1194,6 +1194,130 @@ def test_eigenvalue_cap_is_checked_on_exponents(n):
     assert typicality_bounds_check(rho, n, 0.1, c=math.log2(4 / 3) + 2).eigen_ok
 
 
+
+@pytest.mark.parametrize("p, n, delta", [((0.5, 0.5), 10000, 0.05), ((0.75, 0.25), 3000, 0.1)])
+def test_typicality_exponents_match_exact_fractions(p, n, delta):
+    # max_compressed and eigen_cap read 0.0 at these n; their log2 forms stay
+    # finite and match the largest kept-type product prod_x p_x^c_x, computed
+    # in exact rationals, and -n (S - delta).
+    rep = typicality_bounds_check(density(np.diag(p)), n, delta)
+    assert rep.max_compressed == 0.0 and rep.eigen_cap == 0.0
+    data = typical_projector_data(density(np.diag(p)), n, delta)
+    exact = max(math.prod(Fraction(q) ** c for q, c in zip(data.eigvals, t)) for t in data.types)
+    log2_exact = math.log2(exact.numerator) - math.log2(exact.denominator)
+    assert math.isfinite(rep.log2_max_compressed)
+    assert abs(rep.log2_max_compressed - log2_exact) <= 1e-12 * max(1.0, abs(log2_exact))
+    entropy = -sum(Fraction(q) * Fraction(math.log2(q)) for q in p)
+    assert abs(rep.log2_eigen_cap - float(-n * (entropy - Fraction(delta)))) <= 1e-12 * n
+
+
+def _full_walk_errors(code):
+    from qfeedback.protocol import _error_figures, _p_correct, _transcripts, _walk
+
+    laws = _transcripts(code, _walk(code, code.codebook.words))
+    return _error_figures(code, (_p_correct(laws[w], w) for w in code.codebook.words))
+
+
+def _capture_code(case):
+    from capture_blocked import CASES, DELTA
+
+    from qfeedback.protocol import random_feedback_code
+
+    seed, channel, n, l = CASES[case]
+    base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=2)
+    return build_double_blocked_code(base, l, delta=DELTA)
+
+
+def _shipped_code(name):
+    from pathlib import Path
+
+    from qfeedback.config import load_config
+
+    return load_config(str(Path(__file__).parent.parent / "configs" / f"{name}.json")).code
+
+
+@pytest.mark.parametrize(
+    "code",
+    [("capture", c) for c in range(6)]
+    + [("non-product", name) for name in _non_product_codes()]
+    + [("config", name) for name in ("identity", "depolarizing")],
+    ids=lambda code: f"{code[0]}-{code[1]}",
+)
+def test_decoding_walk_errors_equal_the_full_walk_bit_for_bit(code):
+    # The walk behind error_probability follows only branches that can still
+    # decode; the dropped ones add nothing to a word's correct-decoding sum,
+    # so both figures equal the full walk's exactly.
+    kind, key = code
+    if kind == "capture":
+        code = _capture_code(key)
+    elif kind == "non-product":
+        base, l, groups = _non_product_codes()[key]
+        code = build_double_blocked_code(base, l, delta=0.3, groups=groups)
+    else:
+        code = _shipped_code(key)
+    assert error_probability(code) == _full_walk_errors(code)
+
+
+def test_a_word_with_no_decodable_branch_has_error_one():
+    # Seed 77 at l = 3: no branch of some word can decode to it, so the
+    # decoding walk registers no transcript for it and its error is 1.0.
+    from qfeedback.protocol import _decodable, _decoding_walk, _transcripts
+
+    code = _capture_code(3)
+    words = code.codebook.words
+    laws = _transcripts(code, _decoding_walk(code, words, _decodable(code)))
+    assert set(words) - set(laws)
+    assert error_probability(code)[1] == 1.0
+
+
+def _branch_counts(code, reach):
+    from qfeedback.protocol import _decoding_walk
+
+    counts = [0] * code.n
+    for t, piece in _decoding_walk(code, code.codebook.words, reach):
+        counts[t] += len(piece.word)
+    return counts
+
+
+def test_decoding_walk_branch_counts():
+    # The seed-9 base at l = 3 with every group: after t = 0..5 measured
+    # rounds the full walk holds 8, 8, 8, 144, 288, 576 branches, of which
+    # only 8, 8, 8, 16, 32, 64 can still decode to their own word.
+    from qfeedback.protocol import _decodable, _decoding_walk, _walk, random_feedback_code
+
+    code = _capture_code(1)
+    assert _branch_counts(code, _decodable(code)) == [8, 8, 8, 16, 32, 64]
+    assert _branch_counts(code, {}) == [8, 8, 8, 144, 288, 576]
+    # A fixed M_n leaves every label reachable: the same pieces either way.
+    fixed = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=4)
+    assert _decodable(fixed) == {}
+    assert _branch_counts(fixed, {}) == [4, 8, 16]
+    pieces = _walk(fixed, fixed.codebook.words)
+    for (t, a), (u, b) in zip(pieces, _decoding_walk(fixed, fixed.codebook.words, _decodable(fixed)), strict=True):
+        assert t == u and a.history == b.history
+        assert all(np.array_equal(x, y) for x, y in zip((a.word, a.prob, a.states), (b.word, b.prob, b.states)))
+
+
+def test_decoding_walk_still_raises_on_a_missing_history():
+    # A history of the l = 2 code's M_n table is deleted; the branches that
+    # reach it are walked, so the missing measurement still raises.
+    from dataclasses import replace
+
+    code = _capture_code(0)
+    table = dict(code.measurements[-1])
+    history = next(h for h, povm in table.items() if ER in povm.labels and len(povm.labels) > 1)
+    del table[history]
+    with pytest.raises(ValidationError, match="no measurement tabulated"):
+        error_probability(replace(code, measurements=code.measurements[:-1] + (table,)))
+
+
+def test_capture_blocked_digest():
+    # The six codes of tests/capture_blocked.py: every slot element, feedback
+    # operator, exact error and disturbance record, as one digest.
+    from capture_blocked import digest
+
+    assert digest(lambda line: None) == "777bfae9de5752d3d5c318e449d5f23ee2856d68152a15013041f0658cd4be03"
+
 def test_blocked_code_rejects_bad_copies_and_groups():
     base = one_block_code(depolarizing_channel(0.1))
     words = base.codebook.words

@@ -386,3 +386,11 @@ def test_feedback_capacity_rejects_a_bad_block_length(n):
     # Unchecked, n=0 reported rate 0.0 and n=2.0 raised TypeError.
     with pytest.raises(ValidationError, match="block length n must be an int >= 1"):
         estimate_feedback_capacity(depolarizing_channel(0.1), n, small_cfg(starts=1, max_sweeps=0))
+
+
+def test_capture_optimize_digest():
+    # tests/capture_optimize.py: every ascent stage, rate and probability of
+    # two starts and one sweep at n = 1-3 on two channels, as one digest.
+    from capture_optimize import digest
+
+    assert digest(lambda line: None) == "c1a9ba222f3ed900d6542b6ef5d5d9521dea61b04a3ddbf783e1820e4da6af15"
