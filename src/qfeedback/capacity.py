@@ -9,7 +9,7 @@ convergence flags, and are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .directed import _terms
 from .linalg import kron_all
 from .protocol import Codebook, FeedbackCode, _ehs_states, _walk, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
-    PROB_FLOOR,
     DensityMatrix,
     Ensemble,
     QuantumChannel,
@@ -319,16 +318,15 @@ def estimate_feedback_capacity(
     last = [None, None, None]  # the last code shape walked: key, code, walk pieces
 
     def objective(x):
-        # directed_information_total(family.build(x)) / n.  The walk reads no probability, only which words are
-        # live (at or above PROB_FLOOR), so a move that keeps the other coordinates and the live words reuses it.
-        probs = simplex_projection(x[family.prob_block])  # as build computes them
-        live = tuple(w for w, p in zip(family.words, probs) if p >= PROB_FLOOR)
-        key = (x[family.prob_block.stop :].tobytes(), live)
+        # directed_information_total(family.build(x)) / n.  The walk reads no codeword probability, so a move
+        # that keeps the non-probability coordinates (the key) reuses it.
+        key = x[family.prob_block.stop :].tobytes()
         if key != last[0]:
             code = family.build(x)
-            last[:] = key, code, list(_walk(code, live))
+            last[:] = key, code, list(_walk(code, family.words))
         _, code, pieces = last
-        return float(sum(_terms([_ehs_states(replace(code, probs=probs), pieces)])[0])) / family.n
+        probs = simplex_projection(x[family.prob_block])  # as build computes them
+        return float(sum(_terms([_ehs_states(code, pieces, probs)])[0])) / family.n
 
     fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)

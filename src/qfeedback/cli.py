@@ -40,7 +40,6 @@ from .protocol import (
     Codebook,
     FeedbackCode,
     _error_figures,
-    _p_correct,
     _transcripts,
     _walk,
     random_feedback_code,
@@ -118,8 +117,7 @@ def cmd_simulate(args) -> int:
             for outcomes, p in laws[word]:
                 exact[_outcome_key(outcomes)] = exact.get(_outcome_key(outcomes), 0.0) + prob * p
         report["exact_outcome_distribution"] = {k: exact[k] for k in sorted(exact)}
-        p_correct = [_p_correct(laws[w], w) for w in words]
-        report["average_error"], report["max_error"] = _error_figures(code, p_correct)
+        report["average_error"], report["max_error"] = _error_figures(code, laws)
     except CapExceededError:
         if not args.samples:
             raise

@@ -177,11 +177,11 @@ def _converse(code: FeedbackCode):
     law = _message_law(code, uniform=True)
     pieces = list(_walk(code, words))
     laws = _transcripts(code, pieces)
-    states = _ehs_states(code, pieces)
+    states = _ehs_states(code, pieces, code.probs)
     terms, final_terms = _terms([states, [states[-1]] * n])
     i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
     i_mk = _classical_term(code, law, laws)
-    avg_err, max_err = _error_figures(code, (_p_correct(laws[w], w) for w in words))
+    avg_err, max_err = _error_figures(code, laws)
     rate, eps, fano = _fano(code, law, laws, i_mk)
     report = RateReport(
         n=n,

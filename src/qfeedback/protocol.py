@@ -33,7 +33,6 @@ from .linalg import herm_eigvals, identity, kron, kron_all
 from .quantum import (
     COMPLETENESS_TOL,
     ER,
-    PROB_FLOOR,
     STACK_BYTES,
     DensityMatrix,
     Povm,
@@ -193,8 +192,13 @@ def validate_code(code: FeedbackCode) -> CodeReport:
     if len(code.measurements) != n:
         rep.add(f"measurements: expected {n}, got {len(code.measurements)}", 0.0)
         return rep
+    histories = [()]  # every outcome history M_1..M_{j-1} can produce
     for j in range(1, n + 1):
         meas = code.measurements[j - 1]
+        table = meas if isinstance(meas, dict) else dict.fromkeys(histories, meas)
+        for hist in (h for h in histories if h not in table):
+            rep.add(f"M_{j}: no measurement tabulated for history {hist!r}", 0.0)
+        histories = [h + (lab,) for h in histories if h in table for lab in table[h].labels]
         entries = meas.items() if isinstance(meas, dict) else [((), meas)]
         for hist, povm in entries:
             if povm.dim not in {d**i for i in range(1, j + 1)}:
@@ -417,25 +421,27 @@ def _average_states(code: FeedbackCode, pieces) -> dict:
     return {code.codebook.words[w]: a for w, a in zip(acc, stack)}
 
 
-def _ehs_states(code: FeedbackCode, pieces) -> list[CqState]:
-    """EHS states for t = 0..n-1 from the pieces of ``_walk``."""
+def _ehs_states(code: FeedbackCode, pieces, probs) -> list[CqState]:
+    """EHS states for t = 0..n-1 from the pieces of ``_walk``: the one place a codeword law meets a walk.
+
+    A branch weighs its word's ``probs`` entry times a path probability of at most 1, so ``pruned``
+    drops every branch of a word below PROB_FLOOR."""
     n = code.n
     marks = [{lab: i + 1 for i, lab in enumerate(code.outcome_labels(j))} for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
         (f"X{j + 1}", len(marks[j]) + 1) for j in range(n - 1)
     )
     letters = np.array(code.codebook.words, dtype=int).reshape(code.codebook.size, n)
-    p_word = np.array(code.probs)
+    p_word = np.array(probs)
     out = []
     for t in range(n):
         fronts = [f for t_f, f in pieces if t_f == t]
         word = np.concatenate([f.word for f in fronts])
         xs = [[marks[j][k] for j, k in enumerate(h)] + [0] * (n - 1 - t) for f in fronts for h in f.history]
         labels = np.concatenate([letters[word], np.array(xs, dtype=int).reshape(len(word), n - 1)], axis=1)
-        live = p_word[word] >= PROB_FLOOR
         weights = p_word[word] * np.concatenate([f.prob for f in fronts])
         states = np.concatenate([f.states for f in fronts])
-        out.append(CqState.stacked(regs, code.dims, *pruned(labels[live], weights[live], states[live])))
+        out.append(CqState.stacked(regs, code.dims, *pruned(labels, weights, states)))
     return out
 
 
@@ -447,8 +453,7 @@ def ehs_states(code: FeedbackCode) -> list[CqState]:
     of M_j stored as its index + 1).  The quantum part of state t is
     omega^t, in which registers 0..t have passed through the channel.
     """
-    words = [w for idx, w in enumerate(code.codebook.words) if code.probs[idx] >= PROB_FLOOR]
-    return _ehs_states(code, list(_walk(code, words)))
+    return _ehs_states(code, list(_walk(code, code.codebook.words)), code.probs)
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:
@@ -463,9 +468,9 @@ def _p_correct(transcripts, word) -> float:
     return sum((prob for outcomes, prob in transcripts if outcomes[-1] == word), 0.0)
 
 
-def _error_figures(code: FeedbackCode, p_correct) -> tuple[float, float]:
-    """(average, maximal) error from each codeword's probability of correct decoding."""
-    errors = [1.0 - p for p in p_correct]
+def _error_figures(code: FeedbackCode, laws) -> tuple[float, float]:
+    """(average, maximal) error from each codeword's transcript law; a word with no transcript never decodes."""
+    errors = [1.0 - _p_correct(laws.get(w, ()), w) for w in code.codebook.words]
     return sum((prob * err for prob, err in zip(code.probs, errors)), 0.0), max([0.0, *errors])
 
 
@@ -481,10 +486,9 @@ def error_probability(code: FeedbackCode) -> tuple[float, float]:
     """(average error, maximal error) over codewords, decoding by the final outcome.
 
     Walks only the branches that can still decode to their word (``_decodable``), and ENUM_CAP counts only those;
-    a dropped branch is an error, not pruned mass, so both figures equal the full walk's bit for bit."""
-    words = code.codebook.words
-    laws = _transcripts(code, _decoding_walk(code, words, _decodable(code)))
-    return _error_figures(code, (_p_correct(laws.get(w, ()), w) for w in words))
+    a dropped branch is an error, not pruned mass, so on every code ``validate_code`` accepts both figures equal
+    the full walk's bit for bit."""
+    return _error_figures(code, _transcripts(code, _decoding_walk(code, code.codebook.words, _decodable(code))))
 
 
 # ----------------------------------------------------------------------------

@@ -447,20 +447,27 @@ def oracle_blahut_arimoto(w) -> float:
     raise AssertionError("Blahut-Arimoto did not converge")
 
 
-def oracle_massey_terms(w, letters, words, probs) -> tuple[list[float], float]:
-    """Massey's I(A^t; Y_t | Y^(t-1)) for t = 1..n and I(A^n; Y^n), codewords sent without feedback.
+def oracle_massey_terms(w, letters, words, probs, flips=None) -> tuple[list[float], float]:
+    """Massey's I(A^t; Y_t | Y^(t-1)) for t = 1..n and I(A^n; Y^n), codewords sent with bit-flip feedback.
 
     Letter a enters the classical channel W(y|x) = w[x][y] as x with
-    probability letters[a][x], so y follows W_eff(y|a) = sum_x letters[a][x] W(y|x);
-    the joint law P(a^n) prod_t W_eff(y_t|a_t) is listed one (a^n, y^n) pair at
-    a time and every entropy is a sum over one of its marginals.
+    probability letters[a][x], so y follows W_eff(y|a) = sum_x letters[a][x] W(y|x).
+    Feedback: once round t reads y_t, ``flips[t, y_t][s]`` (registers s
+    0-indexed, t 1-indexed, set only for s > t, the registers not yet sent)
+    flips register s's input bit; a register sent after several flips carries
+    their XOR, and no ``flips`` means no feedback.  The joint law
+    P(a^n) prod_t W_eff(y_t | a_t, flip_t) is listed one (a^n, y^n) pair at a
+    time and every entropy is a sum over one of its marginals.
     """
-    w_eff = np.asarray(letters, dtype=float) @ np.asarray(w, dtype=float)
+    letters, w = np.asarray(letters, dtype=float), np.asarray(w, dtype=float)
+    w_eff = np.stack([letters @ w, letters[:, ::-1] @ w])  # by flip: the input bit x read as 1 - x
     n = len(words[0])
+    flips = flips or {}
     joint = {}
     for word, p in zip(words, probs):
-        for ys in itertools.product(range(w_eff.shape[1]), repeat=n):
-            joint[word, ys] = p * float(np.prod([w_eff[a, y] for a, y in zip(word, ys)]))
+        for ys in itertools.product(range(w.shape[1]), repeat=n):
+            flip = [sum(flips.get((t, ys[t - 1]), (0,) * n)[s] for t in range(1, s)) % 2 for s in range(n)]
+            joint[word, ys] = p * float(np.prod([w_eff[f, a, y] for f, a, y in zip(flip, word, ys)]))
 
     def h(t_a: int, t_y: int) -> float:
         marginal: dict = {}

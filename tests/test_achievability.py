@@ -1212,10 +1212,9 @@ def test_typicality_exponents_match_exact_fractions(p, n, delta):
 
 
 def _full_walk_errors(code):
-    from qfeedback.protocol import _error_figures, _p_correct, _transcripts, _walk
+    from qfeedback.protocol import _error_figures, _transcripts, _walk
 
-    laws = _transcripts(code, _walk(code, code.codebook.words))
-    return _error_figures(code, (_p_correct(laws[w], w) for w in code.codebook.words))
+    return _error_figures(code, _transcripts(code, _walk(code, code.codebook.words)))
 
 
 def _capture_code(case):
@@ -1246,7 +1245,8 @@ def _shipped_code(name):
 def test_decoding_walk_errors_equal_the_full_walk_bit_for_bit(code):
     # The walk behind error_probability follows only branches that can still
     # decode; the dropped ones add nothing to a word's correct-decoding sum,
-    # so both figures equal the full walk's exactly.
+    # so both figures equal the full walk's exactly on a code validate_code
+    # accepts, and every code here tabulates each history it can produce.
     kind, key = code
     if kind == "capture":
         code = _capture_code(key)
@@ -1255,6 +1255,7 @@ def test_decoding_walk_errors_equal_the_full_walk_bit_for_bit(code):
         code = build_double_blocked_code(base, l, delta=0.3, groups=groups)
     else:
         code = _shipped_code(key)
+    assert validate_code(code).ok, validate_code(code).violations[:3]
     assert error_probability(code) == _full_walk_errors(code)
 
 
@@ -1309,6 +1310,21 @@ def test_decoding_walk_still_raises_on_a_missing_history():
     del table[history]
     with pytest.raises(ValidationError, match="no measurement tabulated"):
         error_probability(replace(code, measurements=code.measurements[:-1] + (table,)))
+
+
+def test_validate_code_reports_each_missing_final_history():
+    # Each of the 20 histories of the seed-9 l = 2 code's M_n table is one
+    # that M_1..M_{n-1} can produce; deleting any one is reported by name,
+    # and the complete table validates clean.
+    from dataclasses import replace
+
+    code = _capture_code(0)
+    table = code.measurements[-1]
+    assert len(table) == 20 and validate_code(code).ok
+    for history in table:
+        rest = {h: povm for h, povm in table.items() if h != history}
+        rep = validate_code(replace(code, measurements=code.measurements[:-1] + (rest,)))
+        assert rep.violations == [(f"M_{code.n}: no measurement tabulated for history {history!r}", 0.0)]
 
 
 def test_capture_blocked_digest():

@@ -89,8 +89,8 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     # The objective is a closure of estimate_feedback_capacity, so it is
     # counted where it enters coordinate_ascent.  Rungs shorter than the
     # FD_STEP probe would add evaluations that gain at rounding level only.
-    # Only a call that moves a non-probability coordinate or the set of live
-    # words walks the code; the others reuse the last walk.
+    # Only a call that moves a non-probability coordinate walks the code; the
+    # others reuse the last walk.
     count, walked = [0], [0]
     original, walk = capacity.coordinate_ascent, capacity._walk
 
@@ -115,7 +115,7 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
 
 def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
     # The objective reuses its last walk when a call keeps every
-    # non-probability coordinate and the words at or above PROB_FLOOR.  An
+    # non-probability coordinate, whichever words sit below PROB_FLOOR.  An
     # ascent driven by directed_information_total(family.build(x)) / n must
     # see the same value at every point and report the same bits.
     channel, cfg = depolarizing_channel(0.1), OptimizerConfig(starts=2, seed=0, max_sweeps=1)
@@ -148,14 +148,42 @@ def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
         assert reused.no_feedback_rate == reference.no_feedback_rate
         assert reused.start_values == reference.start_values
         assert np.array(reused.code.probs).tobytes() == np.array(reference.code.probs).tobytes()
-        # A shape first walked with one live word, then met with every word live: the walk must not be reused.
+        # One shape met with one word above the floor, then every word, then one again: the reused walk must
+        # give the plain value at each.
         x = family.initial()
         one_live = x.copy()
         one_live[family.prob_block] = np.eye(len(family.words))[0]
         for point in (one_live, x, one_live):
             assert objectives[0](point) == plain(point)
-    # Some evaluated point drops a codeword below the floor, so the live-word part of the key is exercised.
+    # Some evaluated point drops a codeword below the floor, so the weight floor is exercised on a reused walk.
     assert any(below_floor)
+
+
+def test_a_move_below_the_floor_reuses_the_walk(monkeypatch):
+    # A probability move that sends codewords below PROB_FLOOR keeps every
+    # non-probability coordinate, so it reuses the stored walk of every word.
+    channel, n = depolarizing_channel(0.1), 2
+    family = FeedbackCodeFamily(channel, default_words(n))
+    objectives, walked, original, walk = [], [0], capacity.coordinate_ascent, capacity._walk
+
+    def recorded_ascent(objective, *args, **kwargs):
+        objectives.append(objective)
+        return original(objective, *args, **kwargs)
+
+    def counted_walk(*args):
+        walked[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(capacity, "coordinate_ascent", recorded_ascent)
+    monkeypatch.setattr(capacity, "_walk", counted_walk)
+    # No sweep: each stage evaluates the family's start alone, one shape walked once.
+    estimate_feedback_capacity(channel, n, OptimizerConfig(starts=1, seed=0, max_sweeps=0))
+    x = family.initial()
+    low = x.copy()
+    low[family.prob_block] = [0.5, 0.5, PROB_FLOOR / 2, 0.0]
+    for point in (x, low, x):
+        assert objectives[0](point) == directed_information_total(family.build(point)) / n
+    assert walked[0] == 1
 
 
 def test_n3_one_sweep_rates_pinned():

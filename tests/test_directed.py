@@ -24,7 +24,7 @@ from qfeedback.directed import (
     rate_report,
     verify_ddpi,
 )
-from qfeedback.linalg import kron
+from qfeedback.linalg import kron, kron_all
 from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
@@ -339,6 +339,44 @@ def test_directed_terms_equal_massey_terms_without_feedback():
                 want, total = oracle_massey_terms(w, letters, words, probs)
                 assert np.allclose(terms, want, rtol=0.0, atol=1e-12), (channel.label, terms, want)
                 assert abs(sum(terms) - total) <= 1e-12, (channel.label, sum(terms), total)
+
+
+def test_ddpi_holds_with_equality_in_the_classical_limit_under_feedback():
+    # Diagonal letters over a classical channel, read in the computational
+    # basis on the freshest register, with outcome-conditioned bit flips on
+    # the registers not yet sent (only n = 3 has one).  Y_t then depends on
+    # A_t and Y^(t-1) alone, so I(M : Z^n) = I(A^n; Y^n) = sum_t
+    # I(A^t; Y_t | Y^(t-1)) (Massey 1990): each term matches the oracle and
+    # the DDPI's slack is 0.
+    rng = np.random.default_rng(2027)
+    flip, keep = np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2, dtype=complex)
+    flipped = False
+    for channel, w, _ in classical_channels():
+        for n in (2, 3):
+            for _ in range(10):
+                letters = [rng.dirichlet(np.ones(2)) for _ in range(2)]
+                strings = [tuple(int(b) for b in np.binary_repr(i, n)) for i in range(2**n)]
+                picked = sorted(rng.choice(2**n, size=int(rng.integers(2, 2**n + 1)), replace=False))
+                words = tuple(strings[i] for i in picked)
+                probs = tuple(rng.dirichlet(np.ones(len(words))))
+                flips = {(t, y): tuple(int(b) * (s > t) for s, b in enumerate(rng.integers(2, size=n)))
+                         for t in range(1, n - 1) for y in range(2)}
+                flipped |= any(any(bits) for bits in flips.values())
+                feedback = [
+                    {y: (kron_all(flip if flips[t, y][s] else keep for s in range(t + 1, n)),) for y in range(2)}
+                    if t < n - 1 else {}
+                    for t in range(1, n)
+                ]
+                states = product_states([DensityMatrix(np.diag(x).astype(complex), (2,)) for x in letters], words)
+                measurements = tuple(on_freshest(basis_povm(2), t, feedback[t - 1]) for t in range(1, n))
+                code = FeedbackCode(Codebook(2, n, words), channel, probs, states, measurements + (None,))
+                code = with_pgm_decoder(code, probs)
+                lhs, _, slack = verify_ddpi(code)
+                want, total = oracle_massey_terms(w, letters, words, probs, flips)
+                assert abs(slack) <= 1e-12, (channel.label, n, slack)
+                assert np.allclose(directed_terms(code), want, rtol=0.0, atol=1e-12), (channel.label, n)
+                assert abs(lhs - total) <= 1e-12, (channel.label, n, lhs, total)
+    assert flipped
 
 
 def test_directed_terms_with_feedback_stay_below_the_shannon_capacity():

@@ -293,6 +293,24 @@ def test_ehs_state_weights_match_prefix_probabilities():
         assert abs(got[k] - table[k]) < 1e-9
 
 
+def test_ehs_states_of_a_word_below_the_floor_equal_a_walk_without_it():
+    # ehs_states walks every codeword; a word below PROB_FLOOR weighs its
+    # branches below the floor too, so pruned drops them and the states are
+    # those of a walk of the other words, array for array.
+    from qfeedback.protocol import _ehs_states, _walk
+    from qfeedback.quantum import PROB_FLOOR
+
+    code = random_feedback_code(np.random.default_rng(5), depolarizing_channel(0.25), 3, num_words=4)
+    code = dataclasses.replace(code, probs=(0.3, PROB_FLOOR / 2, 0.3, 0.4 - PROB_FLOOR / 2))
+    assert validate_code(code).ok
+    others = [w for i, w in enumerate(code.codebook.words) if i != 1]
+    want = _ehs_states(code, list(_walk(code, others)), code.probs)
+    for got, ref in zip(ehs_states(code), want, strict=True):
+        assert (got.classical_registers, got.quantum_dims) == (ref.classical_registers, ref.quantum_dims)
+        for a, b in ((got.labels, ref.labels), (got.weights, ref.weights), (got.states, ref.states)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_outcome_chain_normalization_and_k1_formula():
     rng = np.random.default_rng(6)
     code = random_feedback_code(rng, depolarizing_channel(0.2), 2, num_words=2)
