@@ -62,11 +62,8 @@ from .capacity import (  # noqa: F401
     holevo_capacity,
 )
 from .achievability import (  # noqa: F401
-    TypicalityParams,
     build_double_blocked_code,
     cond_typical_projector,
-    disturbance_accumulator,
-    error_recursion,
     gamma_operator,
     gentle_measurement_check,
     hayashi_nagaoka_check,

@@ -57,26 +57,7 @@ PROJECTOR_CAP = 4096
 STRING_CAP = 2**20
 DIM_BUDGET = 512  # qubits: n*l <= 9
 EXPONENT_RTOL = 1e-12  # relative slack of the eigenvalue cap, compared as log2 exponents
-
-
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Width delta, exponent constant c, and block copies l for epsilon_t."""
-
-    delta: float
-    c: float = 1.0
-    l: int = 1
-
-    def __post_init__(self):
-        # Written "not (... > 0)" so that a NaN parameter is rejected too.
-        if not (self.delta > 0 and self.c > 0):
-            raise ValidationError("typicality parameters must be positive")
-        check_count(self.l, "block copies l", 1)
-
-    def epsilon(self, t: int) -> float:
-        """2^(-t l c delta^2), strictly decreasing in t."""
-        check_count(t, "round index", 1)
-        return float(2.0 ** (-t * self.l * self.c * self.delta**2))
+BOUND_SLACK = 1e-9  # an achievability bound passes while the measured value exceeds it by at most this
 
 
 def _typical_types(p, n: int, delta: float):
@@ -274,7 +255,7 @@ def gentle_measurement_check(rho: DensityMatrix, effect: np.ndarray, eps: float)
         distance=distance,
         bound=bound,
         hypothesis_ok=overlap >= 1.0 - 3.0 * eps - 1e-12,
-        passed=distance <= bound + 1e-9,
+        passed=distance <= bound + BOUND_SLACK,
     )
 
 
@@ -297,7 +278,7 @@ def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
 
     Requires 0 <= S <= I and T >= 0.  Returns (violation, passed) where the
     violation is the largest eigenvalue of LHS - RHS (negative when the
-    inequality holds strictly); it passes up to 1e-9.  The B = 1 call of
+    inequality holds strictly); it passes up to BOUND_SLACK.  The B = 1 call of
     ``_hn_violations``.
     """
     s = 0.5 * (s + s.conj().T)
@@ -306,7 +287,7 @@ def hayashi_nagaoka_check(s: np.ndarray, t: np.ndarray):
     if ws[-1] < -1e-9 or ws[0] > 1.0 + 1e-9 or wt[-1] < -1e-9:
         raise ValidationError("hayashi_nagaoka_check needs 0 <= S <= I and T >= 0")
     violation = float(_hn_violations(s[None], t[None], 2.0)[0])
-    return violation, violation <= 1e-9
+    return violation, violation <= BOUND_SLACK
 
 
 def _hn_violations(s: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
@@ -363,25 +344,6 @@ def typicality_bounds_check(rho: DensityMatrix, n: int, delta: float, c: float =
         overlap_ok=overlap >= overlap_bound - 1e-12,
         eigen_ok=top <= exponent + EXPONENT_RTOL * max(abs(top), abs(exponent)),
     )
-
-
-def error_recursion(per_round) -> list[float]:
-    """Cumulative error E(P_t) = E(P_{t-1}) + p_t (1 - E(P_{t-1}))."""
-    acc = 0.0
-    out = []
-    for p in per_round:
-        p = float(p)
-        if not 0.0 <= p <= 1.0 + 1e-12:
-            raise ValidationError(f"conditional error {p} outside [0,1]")
-        acc = acc + p * (1.0 - acc)
-        out.append(acc)
-    return out
-
-
-def disturbance_accumulator(params: TypicalityParams, t: int) -> float:
-    """sum_{s<=t} (sqrt(24 eps_s) + 6 eps_s) for eps_s = 2^(-s l c delta^2)."""
-    check_count(t, "round index", 1)
-    return cumulative_disturbance_bound(params.epsilon(s) for s in range(1, t + 1))
 
 
 def cumulative_disturbance_bound(eps_values) -> float:
@@ -632,7 +594,7 @@ class DisturbanceRecord:
 
     @property
     def passed(self) -> bool:
-        return self.distance <= self.bound + 1e-9
+        return self.distance <= self.bound + BOUND_SLACK
 
 
 def cumulative_disturbance_report(code: FeedbackCode, base: FeedbackCode) -> list[DisturbanceRecord]:

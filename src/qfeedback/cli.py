@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .achievability import (
+    BOUND_SLACK,
     _gentle_distances,
     _hn_violations,
     build_double_blocked_code,
@@ -270,7 +271,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
     results["hayashi_nagaoka"] = {
         "trials": hn_trials,
         "worst_violation": float(worst_hn),
-        "ok": worst_hn <= 1e-9,
+        "ok": worst_hn <= BOUND_SLACK,
         "self_test_weakened": self_test,
     }
 
@@ -287,7 +288,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
         effects.append(identity(3) - scale * pert)
     _, distances = _gentle_distances(np.array(rhos), np.array(effects))
     worst_gentle = float(np.max(distances - cumulative_disturbance_bound([eps])))
-    results["gentle_measurement"] = {"trials": gentle_trials, "worst_excess": worst_gentle, "ok": worst_gentle <= 1e-9}
+    results["gentle_measurement"] = {"trials": gentle_trials, "worst_excess": worst_gentle, "ok": worst_gentle <= BOUND_SLACK}
 
     # Typicality bounds with the provable per-state exponent constant.
     rho = density(np.diag([0.75, 0.25]))
@@ -312,7 +313,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
     results["cumulative_disturbance"] = {
         "branches": len(records),
         "worst_excess": float(worst_l4),
-        "ok": worst_l4 <= 1e-9,
+        "ok": all(r.passed for r in records),
     }
     return results
 

@@ -193,14 +193,20 @@ def validate_code(code: FeedbackCode) -> CodeReport:
         rep.add(f"measurements: expected {n}, got {len(code.measurements)}", 0.0)
         return rep
     histories = [()]  # every outcome history M_1..M_{j-1} can produce
+    final_labels = set()  # M_n's outcomes, over its measurements
     for j in range(1, n + 1):
         meas = code.measurements[j - 1]
         table = meas if isinstance(meas, dict) else dict.fromkeys(histories, meas)
         for hist in (h for h in histories if h not in table):
             rep.add(f"M_{j}: no measurement tabulated for history {hist!r}", 0.0)
-        histories = [h + (lab,) for h in histories if h in table for lab in table[h].labels]
+        histories = [h + (lab,) for h in histories if isinstance(table.get(h), Povm) for lab in table[h].labels]
         entries = meas.items() if isinstance(meas, dict) else [((), meas)]
         for hist, povm in entries:
+            if not isinstance(povm, Povm):
+                rep.add(f"M_{j}: not a measurement (history={hist!r})", 0.0)
+                continue
+            if j == n:
+                final_labels.update(povm.labels)
             if povm.dim not in {d**i for i in range(1, j + 1)}:
                 rep.add(f"M_{j}: dimension {povm.dim} != {d ** j}", 0.0)
             elif not (defect := povm.completeness_defect()) <= COMPLETENESS_TOL:
@@ -217,7 +223,6 @@ def validate_code(code: FeedbackCode) -> CodeReport:
                     rep.add(f"{where}: wrong shape", 0.0)
                 elif not (defect := completeness_defect(kraus)) <= COMPLETENESS_TOL:
                     rep.add(f"{where}: completeness", defect)
-    final_labels = set(code.outcome_labels(n))
     allowed = set(book.words) | {ER}
     if not final_labels <= allowed:
         rep.add("M_n: outcomes are not codewords plus 'er'", float(len(final_labels - allowed)))

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import re
@@ -8,15 +9,13 @@ import numpy as np
 import pytest
 from oracles import oracle_compressed_eigenvalues, oracle_typical_set, random_channel
 
+from qfeedback import achievability
 from qfeedback.achievability import (
     STRING_CAP,
     DisturbanceRecord,
-    TypicalityParams,
     build_double_blocked_code,
     cond_typical_projector,
     cumulative_disturbance_bound,
-    disturbance_accumulator,
-    error_recursion,
     gamma_operator,
     gentle_measurement_check,
     hayashi_nagaoka_check,
@@ -28,14 +27,18 @@ from qfeedback.achievability import (
     typical_set,
     typicality_bounds_check,
 )
-from qfeedback.linalg import herm_eigvals, identity, kron, trace_norm
+from qfeedback.directed import rate_report
+from qfeedback.linalg import herm_eigvals, identity, kron, kron_all, trace_norm
 from qfeedback.protocol import (
     CapExceededError,
     Codebook,
     FeedbackCode,
     enumerate_transcripts,
     error_probability,
+    product_states,
+    random_feedback_code,
     validate_code,
+    with_pgm_decoder,
 )
 from qfeedback.quantum import (
     ER,
@@ -49,6 +52,7 @@ from qfeedback.quantum import (
     pure_state,
     random_density_matrix,
     random_pure_state,
+    random_unitary,
 )
 
 
@@ -58,14 +62,6 @@ def one_block_code(channel, p0=0.5):
     states = (basis_state(2, 0), basis_state(2, 1))
     els = (((0,), np.diag([1.0, 0.0]).astype(complex)), ((1,), np.diag([0.0, 1.0]).astype(complex)))
     return FeedbackCode(book, channel, (p0, 1 - p0), states, (Povm(els),))
-
-
-def test_typicality_params():
-    p = TypicalityParams(delta=0.1, c=1.0, l=100)
-    assert 0 < p.epsilon(2) < p.epsilon(1) < 1
-    assert abs(p.epsilon(1) - 2.0 ** (-100 * 0.01)) < 1e-15
-    with pytest.raises(ValidationError):
-        TypicalityParams(delta=-1.0)
 
 
 def test_typical_set_all_strings_for_wide_delta():
@@ -329,22 +325,6 @@ def test_gentle_measurement_rejects_a_bad_eps(eps):
         gentle_measurement_check(rho, identity(2), eps)
 
 
-@pytest.mark.parametrize("l", [1.5, 0, -2])
-def test_typicality_params_reject_a_bad_copy_count(l):
-    with pytest.raises(ValidationError, match="block copies l must be an int >= 1"):
-        TypicalityParams(0.1, l=l)
-
-
-@pytest.mark.parametrize("t", [1.5, 0, -1])
-def test_round_index_must_be_a_positive_int(t):
-    # Unchecked, epsilon(1.5) returned a value and disturbance_accumulator(params, 1.5) raised TypeError.
-    params = TypicalityParams(0.1, l=2)
-    with pytest.raises(ValidationError, match="round index must be an int >= 1"):
-        params.epsilon(t)
-    with pytest.raises(ValidationError, match="round index must be an int >= 1"):
-        disturbance_accumulator(params, t)
-
-
 def test_gentle_measurement_trivial():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng, 3)
@@ -453,28 +433,22 @@ def test_typicality_overlap_past_the_float_range_matches_the_exact_sum(n, delta)
     assert rep.overlap_ok
 
 
-def test_error_recursion_basics():
-    assert error_recursion([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-    assert error_recursion([0.3]) == [0.3]
-    rng = np.random.default_rng(8)
-    ps = rng.uniform(0, 1, 6)
-    got = error_recursion(ps)
-    # telescoping oracle: 1 - prod(1 - p)
-    acc = 1.0
-    for i, p in enumerate(ps):
-        acc *= 1.0 - p
-        assert abs(got[i] - (1.0 - acc)) < 1e-12
-    assert all(got[i] <= got[i + 1] + 1e-15 for i in range(5))
-    assert all(g <= sum(ps[: i + 1]) + 1e-12 for i, g in enumerate(got))
-
-
-def test_disturbance_accumulator():
-    params = TypicalityParams(delta=0.1, c=1.0, l=100)
-    assert disturbance_accumulator(params, 1) == cumulative_disturbance_bound([params.epsilon(1)])
-    # closed form for eps = 1/24 at every round
-    assert abs(cumulative_disturbance_bound([1 / 24] * 3) - 3 * (1.0 + 6.0 / 24.0)) < 1e-12
-    want = sum(np.sqrt(24 * params.epsilon(s)) + 6 * params.epsilon(s) for s in (1, 2, 3))
-    assert abs(disturbance_accumulator(params, 3) - want) < 1e-12
+def test_bound_slack_is_the_one_pass_rule(monkeypatch):
+    # Closed form at eps = 1/24 in each of three rounds: sqrt(24/24) + 6/24 per round.
+    bound = cumulative_disturbance_bound([1 / 24] * 3)
+    assert abs(bound - 3 * (1.0 + 6.0 / 24.0)) < 1e-12
+    record = lambda excess: DisturbanceRecord((), (), 1, 1.0, bound + excess, bound, (1 / 24,) * 3)
+    assert record(0.5e-9).passed and not record(2e-9).passed
+    rho = random_density_matrix(np.random.default_rng(5), 2)
+    assert gentle_measurement_check(rho, identity(2), 0.0).passed
+    assert hayashi_nagaoka_check(identity(2), np.zeros((2, 2)))[1]
+    # Every achievability verdict reads the one constant, at call time.
+    monkeypatch.setattr(achievability, "BOUND_SLACK", 3e-9)
+    assert record(2e-9).passed
+    monkeypatch.setattr(achievability, "BOUND_SLACK", -1.0)
+    assert not record(0.0).passed
+    assert not gentle_measurement_check(rho, identity(2), 0.0).passed
+    assert not hayashi_nagaoka_check(identity(2), np.zeros((2, 2)))[1]
 
 
 def test_double_blocked_identity_channel_zero_error():
@@ -1063,8 +1037,6 @@ def test_non_positive_or_nan_delta_rejected(delta):
     with pytest.raises(ValidationError, match="positive"):
         typical_set([0.75, 0.25], 4, delta)
     with pytest.raises(ValidationError, match="positive"):
-        TypicalityParams(delta=delta)
-    with pytest.raises(ValidationError, match="positive"):
         typicality_bounds_check(density([[0.75, 0.0], [0.0, 0.25]]), 4, delta)
     with pytest.raises(ValidationError, match="positive"):
         build_double_blocked_code(one_block_code(depolarizing_channel(0.1)), 2, delta=delta)
@@ -1104,9 +1076,6 @@ def test_double_blocked_feedback_matches_independent_copies():
     # update is then the interleaved product of the copies' own states.  The
     # n=3 base has round-2 feedback for both outcomes, which the flat code
     # must place on each copy's last register.
-    import dataclasses
-
-    from qfeedback.protocol import random_feedback_code
 
     base = random_feedback_code(np.random.default_rng(3), depolarizing_channel(0.1), 3, num_words=2)
     flat = build_double_blocked_code(base, 2, delta=5.0)
@@ -1181,6 +1150,70 @@ def test_cumulative_disturbance_rejects_a_base_the_code_was_not_built_from():
         assert cumulative_disturbance_report(code, own)
         with pytest.raises(ValidationError, match=re.escape(f"slots {slots} of the code")):
             cumulative_disturbance_report(code, other)
+
+
+def _rotated(code, u):
+    # The code with its letters, measurement elements and feedback conjugated by U on every register.
+    def conj(m):
+        v = kron_all([u] * round(math.log(len(m), len(u))))
+        return v @ m @ v.conj().T
+
+    turn = lambda p: Povm(
+        tuple((lab, conj(f)) for lab, f in p.elements),
+        {lab: tuple(conj(k) for k in ops) for lab, ops in p.feedback.items()},
+    )
+    states = tuple(DensityMatrix(conj(s.mat), s.dims) for s in code.states)
+    slots = tuple({h: turn(p) for h, p in m.items()} if isinstance(m, dict) else turn(m) for m in code.measurements)
+    return dataclasses.replace(code, states=states, measurements=slots)
+
+
+def _covariance_gaps(base, u, l):
+    # Largest change, under U, of the base code's directed terms and errors, and
+    # of the l-copy blocked code's errors and cumulative-disturbance records.
+    rot = _rotated(base, u)
+    gaps = {
+        "terms": max(abs(a - b) for a, b in zip(rate_report(base).per_round, rate_report(rot).per_round, strict=True)),
+        "base": max(abs(a - b) for a, b in zip(error_probability(base), error_probability(rot))),
+    }
+    code, turned = build_double_blocked_code(base, l, delta=0.3), build_double_blocked_code(rot, l, delta=0.3)
+    gaps["blocked"] = max(abs(a - b) for a, b in zip(error_probability(code), error_probability(turned)))
+    want, got = cumulative_disturbance_report(code, base), cumulative_disturbance_report(turned, rot)
+    fields = lambda r: (r.probability, r.distance, r.bound, *r.epsilons)
+    same = [(r.group, r.outcomes, r.round) for r in got] == [(r.group, r.outcomes, r.round) for r in want]
+    gaps["records"] = max(abs(a - b) for p, q in zip(want, got) for a, b in zip(fields(p), fields(q))) if same else math.inf
+    return gaps
+
+
+@pytest.mark.parametrize("seed, l", [(0, 2), (1, 2), (2, 2), (1, 3)])
+def test_every_number_is_unitarily_covariant(seed, l):
+    # Depolarizing channels commute with U: conjugating a code by U on every
+    # register leaves every number unchanged, the blocked code built from the
+    # rotated base included, whose typical projectors live in a rotated
+    # eigenbasis.  Largest gaps seen: terms 8.9e-16, errors 1.4e-15, record fields
+    # 2.5e-14; a record list that differs in its groups, outcomes or rounds reads inf.
+    base = random_feedback_code(np.random.default_rng(seed), depolarizing_channel(0.1), 2, num_words=2)
+    gaps = _covariance_gaps(base, random_unitary(np.random.default_rng(100 + seed), 2), l)
+    assert max(gaps["terms"], gaps["base"], gaps["blocked"]) <= 1e-13, gaps
+    assert gaps["records"] <= 1e-12, gaps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: inside a degenerate eigenspace _canonical_basis keeps a computational-basis convention "
+    "that does not rotate with U, so the typical projectors of a degenerate letter, and the blocked errors, "
+    "depend on the basis (l=2: 0.8479 -> 0.8938)",
+)
+def test_blocked_code_of_a_degenerate_letter_is_unitarily_covariant():
+    # The seed-0 base code with letters I/2 and |0><0| and its decoder rebuilt for them.
+    rough = random_feedback_code(np.random.default_rng(0), depolarizing_channel(0.1), 2, num_words=2)
+    letters = (density(identity(2) / 2), basis_state(2, 0))
+    partial = dataclasses.replace(
+        rough, states=product_states(letters, rough.codebook.words), measurements=rough.measurements[:-1] + (None,)
+    )
+    gaps = _covariance_gaps(with_pgm_decoder(partial, partial.probs), random_unitary(np.random.default_rng(100), 2), 2)
+    assert max(gaps["terms"], gaps["base"]) <= 1e-13, gaps  # holds: 1.2e-15
+    assert gaps["blocked"] <= 1e-13, gaps
+    assert gaps["records"] <= 1e-12, gaps
 
 
 @pytest.mark.parametrize("n", [100, 400, 2000])

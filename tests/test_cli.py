@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfeedback import cli, protocol
+from qfeedback import achievability, cli, protocol
+from qfeedback.achievability import DisturbanceRecord
 from qfeedback.cli import main
 from qfeedback.config import (
     ConfigError,
@@ -442,6 +443,22 @@ def test_verify_lemmas_output_pin(argv):
     overlap = "checks.typicality.overlap"
     assert abs(got.pop(overlap)[1] - want.pop(overlap)[1]) <= 1e-15
     assert got == want
+
+
+def test_verify_lemmas_cumulative_check_is_all_records_passed(monkeypatch):
+    # The battery's verdict is the records' own; worst_excess is only reported beside it.
+    records = lambda *excess: [DisturbanceRecord((), (), 1, 1.0, 1.0 + e, 1.0, ()) for e in excess]
+    monkeypatch.setattr(cli, "build_double_blocked_code", lambda base, l, delta: None)
+    for excess, ok in [((0.5e-9,), True), ((-0.1, 2e-9), False), ((), True)]:
+        monkeypatch.setattr(cli, "cumulative_disturbance_report", lambda code, base: records(*excess))
+        got = cli._lemma_battery(1, 0, False)["cumulative_disturbance"]
+        assert got["ok"] is ok is all(r.passed for r in records(*excess))
+        assert got["branches"] == len(excess)
+    # A wider slack in the one pass rule moves the battery with the records.
+    monkeypatch.setattr(achievability, "BOUND_SLACK", 3e-9)
+    monkeypatch.setattr(cli, "cumulative_disturbance_report", lambda code, base: records(2e-9))
+    got = cli._lemma_battery(1, 0, False)["cumulative_disturbance"]
+    assert got["ok"] is True and got["worst_excess"] > 1e-9
 
 
 def test_verify_lemmas_reproducible():

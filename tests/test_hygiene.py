@@ -121,7 +121,7 @@ def test_settable_value_counter():
 
 
 # The library's settable values; lower it when a change removes one.
-SETTABLE_VALUES = 26
+SETTABLE_VALUES = 24
 
 
 def test_settable_values_do_not_grow():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import basis_povm, oracle_random_feedback_code, outcome_chain, random_channel, random_povm, round_update
 
+from qfeedback.capacity import FeedbackCodeFamily, default_words
 from qfeedback.cqstate import cq_entropy
 from qfeedback.linalg import identity, kron
 from qfeedback.protocol import (
@@ -23,6 +24,7 @@ from qfeedback.quantum import (
     ER,
     DensityMatrix,
     Povm,
+    QuantumChannel,
     ValidationError,
     apply_kraus,
     basis_state,
@@ -478,6 +480,60 @@ def test_validate_code_flags_feedback_for_a_missing_outcome():
     m1 = dataclasses.replace(m1, feedback={**m1.feedback, 7: m1.feedback[0]})
     rep = validate_code(dataclasses.replace(code, measurements=(m1,) + code.measurements[1:]))
     assert [name for name, _ in rep.violations] == ["feedback round 2 outcome 7: not an outcome of M_1"]
+
+
+def _basis_code_with(**changes):
+    code = two_word_basis_code(identity_channel(2))
+    assert validate_code(code).ok
+    return dataclasses.replace(code, **changes)
+
+
+def _not_psd_state():
+    rho = DensityMatrix.__new__(DensityMatrix)
+    object.__setattr__(rho, "mat", np.diag([1.5, -0.5]).astype(complex))
+    object.__setattr__(rho, "dims", (2,))
+    object.__setattr__(rho, "_eig", None)
+    return rho
+
+
+def _wrong_shape_feedback():
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    m1 = code.measurements[0]
+    m1 = dataclasses.replace(m1, feedback={**m1.feedback, 0: (identity(4),)})
+    return dataclasses.replace(code, measurements=(m1,) + code.measurements[1:])
+
+
+VIOLATIONS = {
+    "channel: not square": lambda: _basis_code_with(channel=QuantumChannel((np.eye(3, 2),))),
+    "ensemble: arity mismatch with codebook": lambda: _basis_code_with(probs=(0.5, 0.25, 0.25)),
+    "ensemble: state 0 has shape (2, 2)": lambda: _basis_code_with(
+        states=(DensityMatrix(np.eye(4) / 4, (2, 2)), basis_state(2, 1))
+    ),
+    "ensemble: state 0 is not PSD": lambda: _basis_code_with(states=(_not_psd_state(), basis_state(2, 1))),
+    "measurements: expected 1, got 2": lambda: _basis_code_with(measurements=(basis_povm(2),) * 2),
+    "feedback round 2 outcome 0: wrong shape": _wrong_shape_feedback,
+}
+
+
+@pytest.mark.parametrize("name", list(VIOLATIONS))
+def test_validate_code_reports_each_structural_violation(name):
+    # One fault in a valid code is reported as that violation alone.
+    assert [v for v, _ in validate_code(VIOLATIONS[name]()).violations] == [name]
+
+
+def test_validate_code_reports_what_is_not_a_measurement():
+    # FeedbackCodeFamily.build leaves M_n as None for with_pgm_decoder to fill.
+    family = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(2))
+    code = family.build(family.initial())
+    assert [v for v, _ in validate_code(code).violations] == ["M_2: not a measurement (history=())"]
+    # Inside an adaptive table, the entry is reported and its history ends there:
+    # an M_3 table without its extensions is complete.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    m1, m2, m3 = code.measurements
+    table = {(m1.labels[0],): m2, (m1.labels[1],): "not a povm"}
+    last = {(m1.labels[0], lab): m3 for lab in m2.labels}
+    rep = validate_code(dataclasses.replace(code, measurements=(m1, table, last)))
+    assert [v for v, _ in rep.violations] == [f"M_2: not a measurement (history={(m1.labels[1],)!r})"]
 
 
 def test_validate_code_flags_feedback_on_the_last_two_measurements():
