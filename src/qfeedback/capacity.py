@@ -59,14 +59,13 @@ class AscentResult:
 
 
 def simplex_projection(c: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    n = len(c)
+    """Euclidean projection onto the probability simplex; raises on non-finite input (k = 0 qualifies while |max c| < 2^53)."""
+    if not np.isfinite(c).all():
+        raise ValidationError(f"cannot project {c} onto the simplex: not finite")
     a = -np.sort(-c)
-    lam = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    for k in range(n - 1, -1, -1):
-        if a[k] > lam[k]:
-            return np.maximum(c - lam[k], 0.0)
-    return np.full(n, 1.0 / n)
+    lam = (np.cumsum(a) - 1.0) / np.arange(1, len(c) + 1)
+    k = next((k for k in range(len(c) - 1, 0, -1) if a[k] > lam[k]), 0)
+    return np.maximum(c - lam[k], 0.0)
 
 
 def coordinate_ascent(

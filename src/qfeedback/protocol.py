@@ -14,7 +14,9 @@ once: its pieces (``Frontier``) are (B, D, D) stacks of branch states with
 the word index, outcome history and path probability of each branch, and
 ``_updated`` is the one update step.  Transcripts, EHS states, averaged
 final states, prefix tables and error probabilities are all read off that
-walk; ``sample_transcript`` steps one drawn branch through ``_updated``.
+walk.  ``sample_transcript`` draws through its (word index, history) nodes,
+each expanded by one ``_updated`` when a draw first reaches it and kept in the
+code's private table, bounded by the nodes drawn (``replace`` starts it empty).
 Codes are assembled here too: letter-product codeword states (``product_states``),
 measurements on the freshest register (``on_freshest``) and the PGM final
 measurement (``with_pgm_decoder``).
@@ -104,6 +106,7 @@ class FeedbackCode:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "measurements", tuple(self.measurements))
+        object.__setattr__(self, "_nodes", {})  # sample_transcript's (word index, history) -> node
 
     @property
     def n(self) -> int:
@@ -389,29 +392,47 @@ def _draw(weights: np.ndarray, rng) -> int:
     return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
-def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
-    """Draw one transcript, stepping one branch through ``_updated``; reproducible for a seeded generator.
+def _node(code: FeedbackCode, front: Frontier) -> tuple:
+    """(omega^t, draw weights, labels, children) of the one-branch piece ``front``, read-only; raises as the walk does.
 
-    Each round draws among its outcomes above PROB_FLOOR, weighted by their
-    probabilities given the branch; M_n draws from ``outcome_probabilities``
-    as ``_transcripts`` reads them.
+    The children are ``_updated``'s piece; at t = n-1 they are None and the weights M_n's kept outcome probabilities."""
+    front.states.setflags(write=False)
+    state, t = DensityMatrix(front.states[0], code.dims), len(front.history[0])
+    povm = code.measurement(t + 1, front.history[0])
+    if t + 1 < code.n:
+        kids = _updated(code, t + 2, povm, front)
+        kids.states.setflags(write=False)
+        weights, labels = kids.prob, [h[-1] for h in kids.history]
+    else:
+        kids, p = None, outcome_probabilities(povm, front.states, code.dims)
+        _, e, labels = _kept(p, p, povm.labels)
+        weights = p[0, e]
+    weights.setflags(write=False)
+    return state, weights, labels, kids
+
+
+def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
+    """Draw one transcript through the code's node table; reproducible for a seeded generator.
+
+    The first draw to reach a (word index, history) node expands it (``_node``) and stores it once its checks
+    pass.  Each round draws among its outcomes above PROB_FLOOR, weighted by their probabilities given the
+    branch; M_n draws from ``outcome_probabilities`` as ``_transcripts`` reads them.
     """
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
     word = tuple(int(x) for x in word)
-    front, prob = _start(code, [word]), 1.0
-    states = (DensityMatrix(front.states[0], code.dims),)
-    for m in range(2, code.n + 1):
-        kids = _updated(code, m, code.measurement(m - 1, front.history[0]), front)
-        b = _draw(kids.prob, rng)
-        prob *= float(kids.prob[b])
-        front = _branch(kids, b)
-        states += (DensityMatrix(front.states[0], code.dims),)
-    final = code.measurement(code.n, front.history[0])
-    p = outcome_probabilities(final, front.states, code.dims)
-    _, e, labels = _kept(p, p, final.labels)
-    b = _draw(p[0, e], rng)
-    return ProtocolTranscript(word, front.history[0] + (labels[b],), prob * float(p[0, e[b]]), states)
+    key, prob, states, kids, b = (code.word_index(word), ()), 1.0, (), None, 0
+    while True:
+        node = code._nodes.get(key)
+        if node is None:
+            node = code._nodes[key] = _node(code, _branch(kids, b) if key[1] else _start(code, [word]))
+        state, weights, labels, kids = node
+        states += (state,)
+        b = _draw(weights, rng)
+        prob *= float(weights[b])
+        key = (key[0], key[1] + (labels[b],))
+        if kids is None:
+            return ProtocolTranscript(word, key[1], prob, states)
 
 
 def _average_states(code: FeedbackCode, pieces) -> dict:

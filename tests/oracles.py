@@ -6,7 +6,10 @@ per-object kernels of ``qfeedback.quantum`` (``apply_channel_at``,
 ``measure``, ``apply_kraus``) and ``measure_probabilities`` below, and evaluate
 entropies on the materialized block-diagonal matrix.  They are slow and
 small by design.  ``per_entropy`` is the exception: it is the one-entropy
-body that the batched ``cq_entropies`` pass must equal bit for bit.  The
+body that the batched ``cq_entropies`` pass must equal bit for bit.  So is
+``oracle_sample_transcript``, the sampler with no node table: every draw
+steps its branch through the walk's ``_updated`` again, and
+``sample_transcript`` must equal it bit for bit.  The
 capacity layer has two more: ``oracle_output_ensemble`` builds the Holevo
 objective's ensemble one ``pure_state`` and ``apply_channel`` at a time, and
 ``oracle_coordinate_ascent`` is the ascent with its greedy extension written
@@ -35,7 +38,19 @@ import numpy as np
 from qfeedback.capacity import ASCENT_TOL, FD_STEP, STEP0, AscentResult, simplex_projection
 from qfeedback.cqstate import CqState, _first_seen, _split_keys
 from qfeedback.linalg import PSD_TOL, RANK_TOL, LinalgError, as_matrix, herm_eig, kron_all, partial_trace
-from qfeedback.protocol import Codebook, FeedbackCode, on_freshest, product_states, round_zero, with_pgm_decoder
+from qfeedback.protocol import (
+    Codebook,
+    FeedbackCode,
+    ProtocolTranscript,
+    _branch,
+    _draw,
+    _start,
+    _updated,
+    on_freshest,
+    product_states,
+    round_zero,
+    with_pgm_decoder,
+)
 from qfeedback.quantum import (
     COMPLETENESS_TOL,
     PROB_FLOOR,
@@ -44,6 +59,7 @@ from qfeedback.quantum import (
     Povm,
     QuantumChannel,
     ValidationError,
+    _kept,
     apply_channel,
     apply_channel_at,
     apply_kraus,
@@ -114,6 +130,29 @@ def oracle_transcripts(code: FeedbackCode, word) -> list[tuple]:
             if p_path * p >= PROB_FLOOR:
                 out.append((history + (k_n,), p_path * p, states))
     return out
+
+
+def oracle_sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
+    """The per-call sampler: one drawn branch stepped through ``_updated`` on every draw, with no node table.
+
+    ``sample_transcript`` must equal it bit for bit on an equally seeded generator.
+    """
+    if isinstance(rng, int):
+        rng = np.random.default_rng(rng)
+    word = tuple(int(x) for x in word)
+    front, prob = _start(code, [word]), 1.0
+    states = (DensityMatrix(front.states[0], code.dims),)
+    for m in range(2, code.n + 1):
+        kids = _updated(code, m, code.measurement(m - 1, front.history[0]), front)
+        b = _draw(kids.prob, rng)
+        prob *= float(kids.prob[b])
+        front = _branch(kids, b)
+        states += (DensityMatrix(front.states[0], code.dims),)
+    final = code.measurement(code.n, front.history[0])
+    p = outcome_probabilities(final, front.states, code.dims)
+    _, e, labels = _kept(p, p, final.labels)
+    b = _draw(p[0, e], rng)
+    return ProtocolTranscript(word, front.history[0] + (labels[b],), prob * float(p[0, e[b]]), states)
 
 
 def outcome_chain(code: FeedbackCode) -> dict:

@@ -44,6 +44,14 @@ def test_simplex_projection_basic():
     assert np.allclose(p, [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "c", [[np.inf, 0.0], [np.inf, np.inf, 1.0], [-np.inf, 0.3], [np.nan, 0.5], [0.2, np.nan, 0.8]], ids=str
+)
+def test_simplex_projection_rejects_non_finite_input(c):
+    with pytest.raises(ValidationError, match="not finite"):
+        simplex_projection(np.array(c))
+
+
 def test_coordinate_ascent_quadratic():
     # max of -(x-1)^2 - (y+2)^2
     f = lambda v: -((v[0] - 1.0) ** 2) - (v[1] + 2.0) ** 2

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -307,6 +308,14 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert code1 == code2 == 0
     assert text1 == text2
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_simulate_stdout_is_pinned():
+    # sha256 of `qfeedback simulate configs/depolarizing.json --samples 2000 --seed 7` stdout as the
+    # per-call sampler (`oracle_sample_transcript`) printed it: the sampler's node table moves no byte.
+    code, text = run_cli(["simulate", DEPOLARIZING, "--samples", 2000, "--seed", 7])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == "21f06d5b87197fdc9d7e6705297adfbae0313eafa16217b346b373d07abc4aaa"
 
 
 def test_simulate_over_the_cap(monkeypatch, capsys):

@@ -29,6 +29,12 @@ def test_cq_state_rejects_nan_weight():
         CqState((("A", 2),), (2,), branches)
 
 
+def test_cq_state_rejects_a_duplicate_branch_label():
+    branches = (((0, 1), 0.5, basis_state(2, 0)), ((1, 0), 0.25, basis_state(2, 1)), ((0, 1), 0.25, basis_state(2, 1)))
+    with pytest.raises(ValidationError, match=r"duplicate branch label \(0, 1\)"):
+        CqState((("A", 2), ("B", 2)), (2,), branches)
+
+
 def random_cq(rng, names=("A",), sizes=(2,), qdims=(2,), sparse=1.0):
     """Random CqState with every label combination (or a subset) populated."""
     import itertools
@@ -202,6 +208,13 @@ def test_materialize_cross_check_random():
     full = materialize(s)
     assert abs(np.trace(full.mat) - 1.0) < 1e-12
     assert abs(entropy(full) - cq_entropy(s, ("A",), (0,))) < 1e-9
+
+
+def test_cq_entropy_takes_a_bare_register_name():
+    s = random_cq(np.random.default_rng(24), names=("A1", "A2"), sizes=(2, 3), qdims=(2,))
+    assert cq_entropy(s, "A1") == cq_entropy(s, ("A1",))
+    assert cq_entropy(s, "A2", (0,)) == cq_entropy(s, ("A2",), (0,))
+    assert cq_entropy(s, "A1") != cq_entropy(s, ("A2",))
 
 
 def test_invalid_subsets_raise():

@@ -1,10 +1,21 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import basis_povm, oracle_random_feedback_code, outcome_chain, random_channel, random_povm, round_update
+from oracles import (
+    basis_povm,
+    oracle_random_feedback_code,
+    oracle_sample_transcript,
+    outcome_chain,
+    random_channel,
+    random_povm,
+    round_update,
+)
 
+from qfeedback.achievability import build_double_blocked_code
 from qfeedback.capacity import FeedbackCodeFamily, default_words
+from qfeedback.config import load_config
 from qfeedback.cqstate import cq_entropy
 from qfeedback.linalg import identity, kron
 from qfeedback.protocol import (
@@ -35,6 +46,8 @@ from qfeedback.quantum import (
     measure,
     random_unitary,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_word_basis_code(channel, n=1):
@@ -252,14 +265,119 @@ def test_sampling_matches_enumeration():
         assert abs(freq - p) <= 3.2 * sigma + 1e-12
 
 
+def same_transcripts(got, want):
+    """Outcomes, probability and every state's dims and bytes are equal."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.word, a.outcomes, a.probability) == (b.word, b.outcomes, b.probability)
+        assert [(s.dims, s.mat.tobytes()) for s in a.states] == [(s.dims, s.mat.tobytes()) for s in b.states]
+
+
 def test_sample_transcript_reproducible():
-    rng = np.random.default_rng(4)
-    code = random_feedback_code(rng, depolarizing_channel(0.3), 2, num_words=2)
+    # Two separately built codes: each draws from its own node table.
+    one, two = (random_feedback_code(np.random.default_rng(4), depolarizing_channel(0.3), 2, num_words=2) for _ in "12")
+    word = one.codebook.words[0]
+    same_transcripts([sample_transcript(one, word, s) for s in range(20)], [sample_transcript(two, word, s) for s in range(20)])
+
+
+def blocked_capture_code(l):
+    """The seed-9 depolarizing(0.1) n=2 base of tests/capture_blocked.py, double-blocked at l copies."""
+    from capture_blocked import DELTA
+
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    return build_double_blocked_code(base, l, delta=DELTA)
+
+
+SAMPLER_CODES = {
+    "random-n1": lambda: random_feedback_code(np.random.default_rng(40), depolarizing_channel(0.2), 1, num_words=2),
+    "random-n2": lambda: random_feedback_code(np.random.default_rng(41), depolarizing_channel(0.3), 2, num_words=3),
+    "random-n3": lambda: random_feedback_code(np.random.default_rng(42), depolarizing_channel(0.2), 3, num_words=4),
+    "config-depolarizing": lambda: load_config(str(CONFIGS / "depolarizing.json")).code,
+    "config-identity": lambda: load_config(str(CONFIGS / "identity.json")).code,
+    "blocked-l2": lambda: blocked_capture_code(2),
+}
+
+
+def draw_many(sampler, code, seed, count):
+    """``count`` transcripts on one generator, cycling through the codewords."""
+    rng = np.random.default_rng(seed)
+    return [sampler(code, code.codebook.words[i % code.codebook.size], rng) for i in range(count)]
+
+
+@pytest.mark.parametrize("name", SAMPLER_CODES)
+def test_sample_transcript_equals_the_oracle_bit_for_bit(name):
+    code = SAMPLER_CODES[name]()
+    want = {seed: draw_many(oracle_sample_transcript, code, seed, 200) for seed in (1, 2)}
+    assert not code._nodes
+    same_transcripts(draw_many(sample_transcript, code, 1, 200), want[1])  # cold table
+    nodes = dict(code._nodes)
+    same_transcripts(draw_many(sample_transcript, code, 1, 200), want[1])  # warm: every node stored
+    assert code._nodes == nodes
+    same_transcripts(draw_many(sample_transcript, code, 2, 200), want[2])  # warm, new paths too
+    copy = dataclasses.replace(code)
+    assert not copy._nodes and repr(copy) == repr(code)
+    same_transcripts(draw_many(sample_transcript, copy, 2, 200), want[2])
+
+
+def missing_history_code():
+    """n=2: M_2 is tabulated for M_1's outcome 0 only."""
+    code = random_feedback_code(np.random.default_rng(4), depolarizing_channel(0.3), 2, num_words=2)
+    return dataclasses.replace(code, measurements=(code.measurements[0], {(0,): code.measurements[1]}))
+
+
+def nan_feedback_code():
+    """n=4: after M_1's outcome 1, M_2's feedback is a NaN family, which the update on that node rejects."""
+    code = random_feedback_code(np.random.default_rng(4), depolarizing_channel(0.3), 4, num_words=2)
+    m2 = code.measurements[1]
+    bad = Povm(m2.elements, {k: (np.full((2, 2), np.nan),) for k in m2.labels})
+    return dataclasses.replace(code, measurements=(code.measurements[0], {(0,): m2, (1,): bad}, *code.measurements[2:]))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(missing_history_code, r"no measurement tabulated for history \(1,\)"), (nan_feedback_code, "Kraus family is not complete")],
+    ids=["missing-history", "nan-feedback"],
+)
+def test_a_faulty_node_raises_on_every_draw_that_reaches_it(make, message):
+    code = make()
     word = code.codebook.words[0]
-    t1 = sample_transcript(code, word, 7)
-    t2 = sample_transcript(code, word, 7)
-    assert t1.outcomes == t2.outcomes
-    assert t1.probability == t2.probability
+    lib, ora = np.random.default_rng(5), np.random.default_rng(5)
+    raised = 0
+    for _ in range(40):
+        try:
+            want = oracle_sample_transcript(code, word, ora)
+        except ValidationError:
+            with pytest.raises(ValidationError, match=message):
+                sample_transcript(code, word, lib)
+            raised += 1
+        else:
+            same_transcripts([sample_transcript(code, word, lib)], [want])
+        assert (0, (1,)) not in code._nodes
+    assert 0 < raised < 40
+    assert {(0, ()), (0, (0,))} <= set(code._nodes)
+
+
+def test_a_sampled_state_is_read_only():
+    code = load_config(str(CONFIGS / "depolarizing.json")).code
+    word = code.codebook.words[0]
+    tr = sample_transcript(code, word, 3)
+    for state in tr.states:
+        with pytest.raises(ValueError, match="read-only"):
+            state.mat[0, 0] = 5.0
+    same_transcripts([sample_transcript(code, word, 3)], [oracle_sample_transcript(code, word, 3)])
+
+
+def test_node_count_is_the_nodes_the_draws_visit():
+    # configs/depolarizing.json: each of 2 codewords has its omega^0 and 2 outcomes of M_1.
+    code = load_config(str(CONFIGS / "depolarizing.json")).code
+    draw_many(sample_transcript, code, 0, 200)
+    assert len(code._nodes) == 6
+    # The l=3 blocked code (d=64) after 2000 draws as `qfeedback simulate` makes them.
+    code = blocked_capture_code(3)
+    rng, probs = np.random.default_rng(0), np.asarray(code.probs)
+    for _ in range(2000):
+        sample_transcript(code, code.codebook.words[int(rng.choice(code.codebook.size, p=probs / probs.sum()))], rng)
+    assert len(code._nodes) == 761
 
 
 def test_ehs_state_time_zero_weights_are_input_ensemble():
