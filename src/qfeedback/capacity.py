@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directed import _terms
+from .cqstate import _cmi_plan
+from .directed import _term_requests
 from .linalg import kron_all
-from .protocol import Codebook, FeedbackCode, _ehs_states, _walk, on_freshest, product_states, with_pgm_decoder
+from .protocol import Codebook, FeedbackCode, _ehs_by_law, _walk, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
     Ensemble,
@@ -59,9 +60,9 @@ class AscentResult:
 
 
 def simplex_projection(c: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex; raises on non-finite input (k = 0 qualifies while |max c| < 2^53)."""
-    if not np.isfinite(c).all():
-        raise ValidationError(f"cannot project {c} onto the simplex: not finite")
+    """Euclidean projection onto the probability simplex; raises unless every |c| < 2^53, where k = 0 qualifies."""
+    if not (np.abs(c) < 2.0**53).all():  # "not <" so that NaN fails too
+        raise ValidationError(f"cannot project {c} onto the simplex: not finite, or some |c| reaches 2^53")
     a = -np.sort(-c)
     lam = (np.cumsum(a) - 1.0) / np.arange(1, len(c) + 1)
     k = next((k for k in range(len(c) - 1, 0, -1) if a[k] > lam[k]), 0)
@@ -267,23 +268,31 @@ class FeedbackCodeFamily:
             x[base:] = rng.uniform(0.0, np.pi, self.size - base)
         return x
 
-    def build(self, x: np.ndarray) -> FeedbackCode:
-        """The code at ``x``, its M_n None: the objective never reads it."""
+    def build(self, x: np.ndarray, parts: dict) -> FeedbackCode:
+        """The code at ``x``, its M_n None: the objective never reads it.
+
+        ``parts`` holds this family's last codeword states and each last M_t with the bytes it was made from, and
+        a build from the same bytes takes the part from there: pass ``{}`` for a build that reuses nothing."""
         n = self.n
         probs = simplex_projection(x[self.prob_block])
         base = len(self.words)
-        letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(2)]
-        states = product_states(letters, self.words)
+        key = x[base : base + 4].tobytes()  # the letter angles
+        if parts.get("states", (None,))[0] != key:
+            letters = [bloch_state(x[base + 2 * a], x[base + 2 * a + 1]) for a in range(2)]
+            parts["states"] = key, product_states(letters, self.words)
         fbase = self.fb_start
         fb: dict = {}  # M_t's feedback: per outcome, one unitary per register t+1..n-1, in register order
         for idx, (m, k, _) in enumerate(self.fb_slots):
             fb.setdefault(m - 1, {}).setdefault(k, []).append(euler_unitary(*x[fbase + 3 * idx : fbase + 3 * idx + 3]))
         mbase = base + 4
-        measurements = []
         for t in range(1, n):
             feedback = {k: (kron_all(us),) for k, us in fb.get(t, {}).items()}
-            measurements.append(on_freshest(rotated_qubit_povm(*x[mbase + 2 * t - 2 : mbase + 2 * t]), t, feedback))
-        return FeedbackCode(self.book, self.channel, probs, states, tuple(measurements) + (None,))
+            angles = x[mbase + 2 * t - 2 : mbase + 2 * t]
+            key = angles.tobytes() + b"".join(u.tobytes() for (u,) in feedback.values())
+            if parts.get(t, (None,))[0] != key:
+                parts[t] = key, on_freshest(rotated_qubit_povm(*angles), t, feedback)
+        measurements = tuple(parts[t][1] for t in range(1, n)) + (None,)
+        return FeedbackCode(self.book, self.channel, probs, parts["states"][1], measurements)
 
 
 @dataclass
@@ -314,18 +323,22 @@ def estimate_feedback_capacity(
     if channel.in_dim**n > 8:
         raise ValidationError("dimension budget allows n <= 3 for qubit channels")
     family = FeedbackCodeFamily(channel, default_words(n))
-    last = [None, None, None]  # the last code shape walked: key, code, walk pieces
+    last = [None, None, None]  # the last code shape walked: key, its EHS states by law, their term plans
+    parts: dict = {}  # the code parts of the last build (see FeedbackCodeFamily.build)
 
     def objective(x):
-        # directed_information_total(family.build(x)) / n.  The walk reads no codeword probability, so a move
-        # that keeps the non-probability coordinates (the key) reuses it.
+        # directed_information_total(family.build(x, {})) / n.  The walk reads no codeword probability, so a move
+        # that keeps the non-probability coordinates (the key) reuses it, and the plan of the terms on the branches
+        # its codeword law keeps.
         key = x[family.prob_block.stop :].tobytes()
         if key != last[0]:
-            code = family.build(x)
-            last[:] = key, code, list(_walk(code, family.words))
-        _, code, pieces = last
-        probs = simplex_projection(x[family.prob_block])  # as build computes them
-        return float(sum(_terms([_ehs_states(code, pieces, probs)])[0])) / family.n
+            code = family.build(x, parts)
+            last[:] = key, _ehs_by_law(code, list(_walk(code, family.words))), {}
+        _, law, plans = last
+        states, weights = law(simplex_projection(x[family.prob_block]))  # the probabilities as build makes them
+        if states not in plans:
+            plans[states] = _cmi_plan(_term_requests(states))
+        return float(sum(plans[states](dict(zip(states, weights))))) / family.n
 
     fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
@@ -345,7 +358,7 @@ def estimate_feedback_capacity(
         values.append(res.value)
         if res.value > best_val:
             best_x, best_val, best_converged = res.x, res.value, res.converged
-    code = family.build(best_x)
+    code = family.build(best_x, {})
     weights = [max(p, 1e-12) for p in code.probs]
     total = sum(weights)
     code = with_pgm_decoder(code, [w / total for w in weights])

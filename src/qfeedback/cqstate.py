@@ -4,10 +4,12 @@ A CqState is a weighted list of branches, each pairing a tuple of classical
 labels with a quantum state, stored as stacks: a (B, C) label array, a (B,)
 weight array and a (B, D, D) state array.  The full block-diagonal matrix is
 never built; entropies and mutual informations run on the branch
-decomposition in one pass per call: the requests of a call share each
-classical grouping and partial trace of a state, and every block marginal of
-one size goes through one stacked eigvalsh.  That is what keeps protocol
-states with many classical registers tractable.
+decomposition in two steps.  A plan (``_compile``) shares each classical
+grouping and partial trace of a state among the requests of a call; its
+evaluation on the weights sums the weighted blocks and puts every block
+marginal of one size through one stacked eigvalsh.  A plan serves any
+weights on its branches, so the optimizer compiles one per walk and a
+codeword-law move costs only the weighted sums and the eigvalsh.
 """
 
 from __future__ import annotations
@@ -80,11 +82,7 @@ class CqState:
         if len(first) != len(group):
             dup = np.flatnonzero(np.bincount(group) > 1)[0]
             raise ValidationError(f"duplicate branch label {_label(labels[first[dup]])}")
-        if not np.all(weights >= -1e-12):  # "not >=" so that a NaN weight fails
-            raise ValidationError("negative branch weight")
-        total = float(np.cumsum(weights)[-1])
-        if not abs(total - 1.0) <= WEIGHT_TOL:
-            raise ValidationError(f"branch weights sum to {total:.12g}")
+        _check_weights(weights)
         fields = dict(classical_registers=regs, quantum_dims=qdims, labels=labels, weights=weights, states=states)
         vars(self).update(fields)  # the dataclass is frozen: its fields are set once, here
 
@@ -107,6 +105,14 @@ class CqState:
         raise ValidationError(f"unknown classical register {name!r}")
 
 
+def _check_weights(weights) -> None:
+    if not np.all(weights >= -1e-12):  # "not >=" so that a NaN weight fails
+        raise ValidationError("negative branch weight")
+    total = float(np.cumsum(weights)[-1])
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        raise ValidationError(f"branch weights sum to {total:.12g}")
+
+
 def _label(row) -> tuple[int, ...]:
     return tuple(int(x) for x in row)
 
@@ -123,13 +129,13 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(group, dtype=int), np.array(first, dtype=int)
 
 
-def pruned(labels, weights, states):
-    """Drop branches below PROB_FLOOR and renormalize, summing the weights in branch order."""
+def _pruned(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Which branches are at or above PROB_FLOOR, and their weights renormalized, summing them in branch order."""
     keep = weights >= PROB_FLOOR
     if not keep.any():
         raise ValidationError("all branches fell below the weight floor")
     kept = weights[keep]
-    return labels[keep], kept / np.cumsum(kept)[-1], states[keep]
+    return keep, kept / np.cumsum(kept)[-1]
 
 
 def _split_keys(state: CqState, keys):
@@ -151,17 +157,47 @@ def _split_keys(state: CqState, keys):
     return classical, sorted(quantum)
 
 
-def _grouping(state: CqState, cls):
-    """Each branch's group by its labels on ``cls`` (first-seen order), each group's first branch and weight."""
-    group, first = _first_seen(state.labels[:, cls])
-    return group, first, np.bincount(group, state.weights, minlength=len(first))
+def _compile(requests):
+    """``cq_entropies`` compiled: a function of a dict of each state's branch weights, which it checks.
 
+    The plan holds all that the weights do not change: each request's key, each grouping's (group, first), each
+    partial trace, and per marginal size the keys whose block marginals share one eigvalsh.
+    """
+    split = [(state, *_split_keys(state, keys)) for state, keys in requests]
+    ids = [(state, frozenset(cls), tuple(qnt)) for state, cls, qnt in split]  # groups ignore the key order
+    groupings, traces, by_size = {}, {}, {}
+    for key, (state, cls, qnt) in dict(zip(ids, split)).items():
+        if key[:2] not in groupings:
+            groupings[key[:2]] = _first_seen(state.labels[:, cls])
+        if qnt and key[::2] not in traces:
+            traces[key[::2]] = partial_trace(state.states, state.quantum_dims, qnt)
+        if qnt:
+            by_size.setdefault(traces[key[::2]].shape[-1], []).append(key)
 
-def _block_sums(state: CqState, group, size: int, reduced) -> np.ndarray:
-    """Unnormalized marginal of each of ``size`` groups: the weighted ``reduced`` states summed in branch order."""
-    marginals = np.zeros((size,) + reduced.shape[1:], dtype=complex)
-    np.add.at(marginals, group, state.weights[:, None, None] * reduced)
-    return marginals
+    def evaluate(weights: dict) -> list[float]:
+        for w in weights.values():
+            _check_weights(w)
+        sums = {}  # per grouping: the group weights, summed in branch order, their entropy, the groups kept
+        for (state, cls), (group, first) in groupings.items():
+            w_g = np.bincount(group, weights[state], minlength=len(first))
+            sums[state, cls] = w_g, shannon(w_g), w_g >= PROB_FLOOR
+        values = {key: sums[key[:2]][1] for key in ids}
+        for keys in by_size.values():
+            stacks = []
+            for state, cls, qnt in keys:  # each kept group's marginal: its weighted traces summed in branch order
+                w_g, _, keep = sums[state, cls]
+                marginals = np.zeros((len(w_g),) + traces[state, qnt].shape[1:], dtype=complex)
+                np.add.at(marginals, groupings[state, cls][0], weights[state][:, None, None] * traces[state, qnt])
+                stacks.append(marginals[keep] / w_g[keep, None, None])
+            ents, start = entropies(np.concatenate(stacks)), 0
+            for key, stack in zip(keys, stacks):
+                w_g, _, keep = sums[key[:2]]
+                terms = w_g[keep] * ents[start : start + len(stack)]
+                start += len(stack)
+                values[key] += float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+        return [values[key] for key in ids]
+
+    return evaluate
 
 
 def cq_entropies(requests) -> list[float]:
@@ -169,33 +205,12 @@ def cq_entropies(requests) -> list[float]:
 
     Each is S = H(label marginal) + sum_a p_a S(rho_a) on the block
     decomposition.  Requests on one state share each classical grouping and
-    each partial trace, a repeated request is evaluated once, and the
-    normalized block marginals of one size, over all requests, go through
-    one stacked eigvalsh.
+    each partial trace, and a repeated request is evaluated once (``_compile``);
+    on the states' weights, the normalized block marginals of one size, over
+    all requests, go through one stacked eigvalsh.
     """
-    split = [(state, *_split_keys(state, keys)) for state, keys in requests]
-    ids = [(state, frozenset(cls), tuple(qnt)) for state, cls, qnt in split]  # groups ignore the key order
-    groupings, traces, values, by_size = {}, {}, {}, {}
-    for key, (state, cls, qnt) in dict(zip(ids, split)).items():
-        if key[:2] not in groupings:
-            group, first, w_g = _grouping(state, cls)
-            groupings[key[:2]] = group, first, w_g, shannon(w_g), w_g >= PROB_FLOOR
-        group, first, w_g, h, keep = groupings[key[:2]]
-        if not qnt:
-            values[key] = h
-            continue
-        if (state, key[2]) not in traces:
-            traces[state, key[2]] = partial_trace(state.states, state.quantum_dims, qnt)
-        stack = _block_sums(state, group, len(first), traces[state, key[2]])[keep] / w_g[keep, None, None]
-        by_size.setdefault(stack.shape[-1], []).append((key, h, w_g[keep], stack))
-    for same in by_size.values():
-        ents = entropies(np.concatenate([stack for *_, stack in same]))
-        start = 0
-        for key, h, kept, stack in same:
-            terms = kept * ents[start : start + len(stack)]
-            start += len(stack)
-            values[key] = h + float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
-    return [values[key] for key in ids]
+    requests = list(requests)
+    return _compile(requests)({state: state.weights for state, _ in requests})
 
 
 def cq_entropy(state: CqState, classical=(), quantum=()) -> float:
@@ -215,6 +230,22 @@ def conditional_mutual_information(state: CqState, part_a, part_b, part_c) -> fl
     return conditional_mutual_informations([(state, part_a, part_b, part_c)])[0]
 
 
+def _cmi_plan(requests):
+    """``conditional_mutual_informations`` compiled: a function of the weights, as ``_compile``'s plan takes them."""
+    parts = [(state, tuple(a), tuple(b), tuple(c)) for state, a, b, c in requests]
+    wanted = [(state, keys) for state, a, b, c in parts for keys in (a + b + c, a + c, b + c, c)[: 4 if c else 3]]
+    plan = _compile(wanted)
+
+    def cmis(weights: dict) -> list[float]:
+        values, out = iter(plan(weights)), []
+        for *_, c in parts:
+            s_abc, s_ac, s_bc = next(values), next(values), next(values)
+            out.append(s_ac + s_bc - s_abc - next(values) if c else s_ac + s_bc - s_abc)
+        return out
+
+    return cmis
+
+
 def conditional_mutual_informations(requests) -> list[float]:
     """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) per ``(state, A, B, C)`` request, in one ``cq_entropies`` pass.
 
@@ -222,11 +253,5 @@ def conditional_mutual_informations(requests) -> list[float]:
     or quantum register indices (int); registers in no part are traced out.
     Overlapping parts repeat a key in ABC and raise.
     """
-    parts = [(state, tuple(a), tuple(b), tuple(c)) for state, a, b, c in requests]
-    wanted = [(state, keys) for state, a, b, c in parts for keys in (a + b + c, a + c, b + c, c)[: 4 if c else 3]]
-    values = iter(cq_entropies(wanted))
-    out = []
-    for *_, c in parts:
-        s_abc, s_ac, s_bc = next(values), next(values), next(values)
-        out.append(s_ac + s_bc - s_abc - next(values) if c else s_ac + s_bc - s_abc)
-    return out
+    requests = list(requests)
+    return _cmi_plan(requests)({state: state.weights for state, *_ in requests})

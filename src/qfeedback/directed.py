@@ -17,7 +17,7 @@ from .cqstate import conditional_mutual_informations
 from .protocol import (
     FeedbackCode,
     _average_states,
-    _ehs_states,
+    _ehs_by_law,
     _error_figures,
     _p_correct,
     _transcripts,
@@ -60,10 +60,14 @@ def _directed_parts(t: int):
     return part_a, part_b, part_c
 
 
+def _term_requests(run) -> list:
+    """Term t's ``conditional_mutual_informations`` request on the t-th state of ``run``."""
+    return [(state, *_directed_parts(t)) for t, state in enumerate(run, start=1)]
+
+
 def _terms(runs) -> list[list[float]]:
     """Per run of states, term t on its t-th state; the terms of every run come from one entropy pass."""
-    requests = [(state, *_directed_parts(t)) for run in runs for t, state in enumerate(run, start=1)]
-    values = iter(conditional_mutual_informations(requests))
+    values = iter(conditional_mutual_informations([r for run in runs for r in _term_requests(run)]))
     return [[next(values) for _ in run] for run in runs]
 
 
@@ -177,7 +181,7 @@ def _converse(code: FeedbackCode):
     law = _message_law(code, uniform=True)
     pieces = list(_walk(code, words))
     laws = _transcripts(code, pieces)
-    states = _ehs_states(code, pieces, code.probs)
+    states = _ehs_by_law(code, pieces)(code.probs)[0]
     terms, final_terms = _terms([states, [states[-1]] * n])
     i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
     i_mk = _classical_term(code, law, laws)

@@ -86,6 +86,8 @@ class DensityMatrix:
             for lo, hi in zip([0, *ends], [*ends, len(w)]):
                 if hi - lo > 1:
                     v[:, lo:hi] = _canonical_basis(v[:, lo:hi])
+            w.setflags(write=False)  # read-only: every holder of this state shares them
+            v.setflags(write=False)
             object.__setattr__(self, "_eig", (w, v))
         return self._eig
 

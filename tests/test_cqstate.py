@@ -3,13 +3,19 @@ import pytest
 
 from qfeedback.cqstate import (
     CqState,
+    _cmi_plan,
+    _compile,
+    _pruned,
     conditional_mutual_information,
+    conditional_mutual_informations,
+    cq_entropies,
     cq_entropy,
     mutual_information,
 )
 from oracles import materialize, materialized_entropy
 from qfeedback.linalg import kron
 from qfeedback.quantum import (
+    PROB_FLOOR,
     DensityMatrix,
     ValidationError,
     basis_state,
@@ -226,3 +232,68 @@ def test_invalid_subsets_raise():
         mutual_information(s, ("A",), ("A",))
     with pytest.raises(ValidationError):
         conditional_mutual_information(s, ("A",), (0,), (0,))
+
+
+QDIMS = ((2,), (3,), (2, 2), (5,), (2, 3), (7,), (2, 2, 2), (8,))  # d = 2..8
+
+
+def random_keys(rng, state) -> list:
+    """A random set of the state's register keys, classical names first in random order, then quantum indices."""
+    names = [n for n, _ in state.classical_registers if rng.random() < 0.5]
+    qnt = [q for q in range(len(state.quantum_dims)) if rng.random() < 0.5]
+    return [*rng.permutation(names).tolist(), *qnt]
+
+
+def random_split(rng, state) -> tuple:
+    """(A, B, C) for a conditional mutual information: each register in one part or none, A and B not empty."""
+    keys = [n for n, _ in state.classical_registers] + list(range(len(state.quantum_dims)))
+    while True:
+        part = rng.integers(0, 4, len(keys))  # 3 = traced out
+        a, b, c = ([k for k, p in zip(keys, part) if p == i] for i in range(3))
+        if a and b:
+            return a, b, c
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_compiled_plan_equals_the_one_shot_pass_on_every_law(seed):
+    # cq_entropies compiles its requests (_compile) and calls the plan on the states' weights, and _cmi_plan
+    # compiles conditional_mutual_informations.  A plan compiled on the states of one set of kept branches (the
+    # keep masks of _pruned) and called on the weights of later laws that keep the same branches must equal a
+    # fresh one-shot pass bit for bit.  A law that sends a branch below PROB_FLOOR keeps other branches, so it
+    # gets its own plan.
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    names, sizes = tuple(f"R{i}" for i in range(k)), tuple(int(s) for s in rng.integers(2, 4, k))
+    base = [random_cq(rng, names, sizes, QDIMS[seed], sparse=0.75) for _ in range(2)]
+    keys = [(i, random_keys(rng, base[i])) for i in rng.integers(0, 2, 12)]
+    splits = [(i, random_split(rng, base[i])) for i in rng.integers(0, 2, 6)]
+    plans = {}
+    for below in [False] * 5 + [True] * 5:
+        raw = [rng.dirichlet(np.ones(len(s.weights))) for s in base]
+        if below:
+            raw[0][0] = PROB_FLOOR / 3  # _pruned renormalizes what is left
+        kept = [_pruned(w) for w in raw]
+        fresh = [
+            CqState.stacked(s.classical_registers, s.quantum_dims, s.labels[keep], w, s.states[keep])
+            for s, (keep, w) in zip(base, kept)
+        ]
+        masks = tuple(keep.tobytes() for keep, _ in kept)
+        if masks not in plans:
+            plan = _compile([(fresh[i], ks) for i, ks in keys])
+            plans[masks] = fresh, plan, _cmi_plan([(fresh[i], *abc) for i, abc in splits])
+        states, plan, cmi_plan = plans[masks]
+        weights = {state: w for state, (_, w) in zip(states, kept)}
+        assert plan(weights) == cq_entropies([(fresh[i], ks) for i, ks in keys])
+        want = conditional_mutual_informations([(fresh[i], *abc) for i, abc in splits])
+        assert cmi_plan(weights) == want
+    assert len(plans) == 2
+    # Every CqState weight check runs on a reused plan too.
+    states, plan, cmi_plan = plans[next(iter(plans))]
+    weights = {state: state.weights for state in states}
+    negative = states[0].weights.copy()
+    negative[:2] = negative[0] + negative[1] + 1e-6, -1e-6
+    heavy = states[0].weights * (1 + 1e-9)
+    for w, text in ((negative, "negative branch weight"), (heavy, "branch weights sum to 1.000000001")):
+        for evaluate in (plan, cmi_plan):
+            with pytest.raises(ValidationError, match=text):
+                evaluate({**weights, states[0]: w})

@@ -367,6 +367,19 @@ def test_a_sampled_state_is_read_only():
     same_transcripts([sample_transcript(code, word, 3)], [oracle_sample_transcript(code, word, 3)])
 
 
+def test_a_sampled_state_eigendecomposition_is_read_only():
+    # Sampled states are shared between transcripts through the node table, and so is each one's cached
+    # eigendecomposition: writing into it raises instead of changing the next transcript's spectrum.
+    code = load_config(str(CONFIGS / "depolarizing.json")).code
+    word = code.codebook.words[0]
+    w, v = sample_transcript(code, word, 3).states[0].eig()
+    want = w.copy()
+    for arr in (w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = -1.0
+    assert np.array_equal(sample_transcript(code, word, 3).states[0].eigvals(), want)
+
+
 def test_node_count_is_the_nodes_the_draws_visit():
     # configs/depolarizing.json: each of 2 codewords has its omega^0 and 2 outcomes of M_1.
     code = load_config(str(CONFIGS / "depolarizing.json")).code
@@ -415,16 +428,16 @@ def test_ehs_state_weights_match_prefix_probabilities():
 
 def test_ehs_states_of_a_word_below_the_floor_equal_a_walk_without_it():
     # ehs_states walks every codeword; a word below PROB_FLOOR weighs its
-    # branches below the floor too, so pruned drops them and the states are
+    # branches below the floor too, so _pruned drops them and the states are
     # those of a walk of the other words, array for array.
-    from qfeedback.protocol import _ehs_states, _walk
+    from qfeedback.protocol import _ehs_by_law, _walk
     from qfeedback.quantum import PROB_FLOOR
 
     code = random_feedback_code(np.random.default_rng(5), depolarizing_channel(0.25), 3, num_words=4)
     code = dataclasses.replace(code, probs=(0.3, PROB_FLOOR / 2, 0.3, 0.4 - PROB_FLOOR / 2))
     assert validate_code(code).ok
     others = [w for i, w in enumerate(code.codebook.words) if i != 1]
-    want = _ehs_states(code, list(_walk(code, others)), code.probs)
+    want, _ = _ehs_by_law(code, list(_walk(code, others)))(code.probs)
     for got, ref in zip(ehs_states(code), want, strict=True):
         assert (got.classical_registers, got.quantum_dims) == (ref.classical_registers, ref.quantum_dims)
         for a, b in ((got.labels, ref.labels), (got.weights, ref.weights), (got.states, ref.states)):
@@ -642,7 +655,7 @@ def test_validate_code_reports_each_structural_violation(name):
 def test_validate_code_reports_what_is_not_a_measurement():
     # FeedbackCodeFamily.build leaves M_n as None for with_pgm_decoder to fill.
     family = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(2))
-    code = family.build(family.initial())
+    code = family.build(family.initial(), {})
     assert [v for v, _ in validate_code(code).violations] == ["M_2: not a measurement (history=())"]
     # Inside an adaptive table, the entry is reported and its history ends there:
     # an M_3 table without its extensions is complete.

@@ -73,6 +73,9 @@ def test_eig_basis_canonical_inside_degenerate_eigenspace():
     assert np.max(np.abs(v[:, 1:] - want)) < 1e-12
     assert np.max(np.abs(v.conj().T @ v - identity(3))) < 1e-12
     assert np.max(np.abs((v * w) @ v.conj().T - rho.mat)) < 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        v[:, 1:] = 0.0  # the decomposition is cached: a write would corrupt every later eig()
+    assert np.max(np.abs(v[:, 1:] - want)) < 1e-12
 
 
 def test_apply_identity_channel():
