@@ -257,6 +257,7 @@ class FeedbackCodeFamily:
         self.prob_block = slice(0, len(self.words))
         self.fb_start = len(self.words) + 4 + 2 * (self.n - 1)
         self.size = self.fb_start + 3 * len(self.fb_slots)
+        self._parts: dict = {}  # the last codeword states and each last M_t, with the bytes each was made from
 
     def initial(self, rng: np.random.Generator | None = None) -> np.ndarray:
         x = np.zeros(self.size)
@@ -268,12 +269,9 @@ class FeedbackCodeFamily:
             x[base:] = rng.uniform(0.0, np.pi, self.size - base)
         return x
 
-    def build(self, x: np.ndarray, parts: dict) -> FeedbackCode:
-        """The code at ``x``, its M_n None: the objective never reads it.
-
-        ``parts`` holds this family's last codeword states and each last M_t with the bytes it was made from, and
-        a build from the same bytes takes the part from there: pass ``{}`` for a build that reuses nothing."""
-        n = self.n
+    def build(self, x: np.ndarray) -> FeedbackCode:
+        """The code at ``x``, its M_n None (the objective never reads it), reusing each part whose bytes stayed."""
+        n, parts = self.n, self._parts
         probs = simplex_projection(x[self.prob_block])
         base = len(self.words)
         key = x[base : base + 4].tobytes()  # the letter angles
@@ -323,22 +321,23 @@ def estimate_feedback_capacity(
     if channel.in_dim**n > 8:
         raise ValidationError("dimension budget allows n <= 3 for qubit channels")
     family = FeedbackCodeFamily(channel, default_words(n))
-    last = [None, None, None]  # the last code shape walked: key, its EHS states by law, their term plans
-    parts: dict = {}  # the code parts of the last build (see FeedbackCodeFamily.build)
+    last = [None, None, None, None]  # the last shape's key, its _ehs_by_law pair, states and term plan by keep masks
 
     def objective(x):
-        # directed_information_total(family.build(x, {})) / n.  The walk reads no codeword probability, so a move
-        # that keeps the non-probability coordinates (the key) reuses it, and the plan of the terms on the branches
-        # its codeword law keeps.
+        # directed_information_total(family.build(x)) / n.  The walk reads no codeword probability, so a move that
+        # keeps the non-probability coordinates (the key) reuses it, and the states and term plan of its keep masks.
         key = x[family.prob_block.stop :].tobytes()
         if key != last[0]:
-            code = family.build(x, parts)
-            last[:] = key, _ehs_by_law(code, list(_walk(code, family.words))), {}
-        _, law, plans = last
-        states, weights = law(simplex_projection(x[family.prob_block]))  # the probabilities as build makes them
-        if states not in plans:
-            plans[states] = _cmi_plan(_term_requests(states))
-        return float(sum(plans[states](dict(zip(states, weights))))) / family.n
+            code = family.build(x)
+            last[:] = key, *_ehs_by_law(code, list(_walk(code, family.words))), {}
+        _, law, make, plans = last
+        kept = law(simplex_projection(x[family.prob_block]))  # the probabilities as build makes them
+        masks = tuple(keep.tobytes() for keep, _ in kept)
+        if masks not in plans:
+            states = make(kept)
+            plans[masks] = states, _cmi_plan(_term_requests(states))
+        states, plan = plans[masks]
+        return float(sum(plan({state: weights for state, (_, weights) in zip(states, kept)}))) / family.n
 
     fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
@@ -358,7 +357,7 @@ def estimate_feedback_capacity(
         values.append(res.value)
         if res.value > best_val:
             best_x, best_val, best_converged = res.x, res.value, res.converged
-    code = family.build(best_x, {})
+    code = family.build(best_x)
     weights = [max(p, 1e-12) for p in code.probs]
     total = sum(weights)
     code = with_pgm_decoder(code, [w / total for w in weights])

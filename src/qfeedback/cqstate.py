@@ -4,12 +4,11 @@ A CqState is a weighted list of branches, each pairing a tuple of classical
 labels with a quantum state, stored as stacks: a (B, C) label array, a (B,)
 weight array and a (B, D, D) state array.  The full block-diagonal matrix is
 never built; entropies and mutual informations run on the branch
-decomposition in two steps.  A plan (``_compile``) shares each classical
-grouping and partial trace of a state among the requests of a call; its
-evaluation on the weights sums the weighted blocks and puts every block
-marginal of one size through one stacked eigvalsh.  A plan serves any
-weights on its branches, so the optimizer compiles one per walk and a
-codeword-law move costs only the weighted sums and the eigvalsh.
+decomposition in two steps.  A plan (``_compile``) holds each classical
+grouping and partial trace that a call's requests share; evaluated on the
+weights, it sums the weighted blocks and puts every block marginal of one
+size through one stacked eigvalsh.  So the optimizer compiles one plan per
+walk, and a codeword-law move costs only the weighted sums and the eigvalsh.
 """
 
 from __future__ import annotations
@@ -158,11 +157,9 @@ def _split_keys(state: CqState, keys):
 
 
 def _compile(requests):
-    """``cq_entropies`` compiled: a function of a dict of each state's branch weights, which it checks.
-
-    The plan holds all that the weights do not change: each request's key, each grouping's (group, first), each
-    partial trace, and per marginal size the keys whose block marginals share one eigvalsh.
-    """
+    """``cq_entropies`` compiled: a function of each state's branch weights (a dict), which it checks.  The plan
+    holds what the weights do not change: the keys, each grouping's (group, first), each partial trace, and per
+    marginal size the keys whose block marginals share one eigvalsh."""
     split = [(state, *_split_keys(state, keys)) for state, keys in requests]
     ids = [(state, frozenset(cls), tuple(qnt)) for state, cls, qnt in split]  # groups ignore the key order
     groupings, traces, by_size = {}, {}, {}

@@ -181,7 +181,8 @@ def _converse(code: FeedbackCode):
     law = _message_law(code, uniform=True)
     pieces = list(_walk(code, words))
     laws = _transcripts(code, pieces)
-    states = _ehs_by_law(code, pieces)(code.probs)[0]
+    kept_by, make = _ehs_by_law(code, pieces)
+    states = make(kept_by(code.probs))
     terms, final_terms = _terms([states, [states[-1]] * n])
     i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
     i_mk = _classical_term(code, law, laws)

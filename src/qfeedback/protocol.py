@@ -448,19 +448,17 @@ def _average_states(code: FeedbackCode, pieces) -> dict:
 
 
 def _ehs_by_law(code: FeedbackCode, pieces):
-    """EHS states for t = 0..n-1 from the pieces of ``_walk`` as a function of the codeword law, the one place a law
-    meets a walk: ``law(probs)`` is the states and their weights.
-
-    A branch weighs its word's ``probs`` entry times a path probability of at most 1, so ``_pruned`` drops every
-    branch of a word below PROB_FLOOR.  The states of one set of kept branches are made, their labels checked,
-    once: a later law that keeps the same branches gets them back, with the first law's weights in them."""
+    """EHS states for t = 0..n-1 from the pieces of ``_walk`` in two steps, the one place a codeword law meets a
+    walk: ``law(probs)`` is each t's keep mask and weights, and ``make(kept)`` the states of those branches.  A
+    branch weighs its word's ``probs`` entry times a path probability of at most 1, so ``_pruned`` drops every
+    branch of a word below PROB_FLOOR."""
     n = code.n
     marks = [{lab: i + 1 for i, lab in enumerate(code.outcome_labels(j))} for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
         (f"X{j + 1}", len(marks[j]) + 1) for j in range(n - 1)
     )
     letters = np.array(code.codebook.words, dtype=int).reshape(code.codebook.size, n)
-    steps, made = [], {}
+    steps = []
     for t in range(n):
         fronts = [f for t_f, f in pieces if t_f == t]
         word = np.concatenate([f.word for f in fronts])
@@ -469,18 +467,17 @@ def _ehs_by_law(code: FeedbackCode, pieces):
         prob, states = np.concatenate([f.prob for f in fronts]), np.concatenate([f.states for f in fronts])
         steps.append((labels, word, prob, states))
 
-    def law(probs) -> tuple[tuple[CqState, ...], list[np.ndarray]]:
+    def law(probs) -> list[tuple[np.ndarray, np.ndarray]]:
         p_word = np.array(probs)
-        kept = [_pruned(p_word[word] * prob) for _, word, prob, _ in steps]
-        masks = tuple(keep.tobytes() for keep, _ in kept)
-        if masks not in made:
-            made[masks] = tuple(
-                CqState.stacked(regs, code.dims, labels[keep], weights, states[keep])
-                for (labels, _, _, states), (keep, weights) in zip(steps, kept)
-            )
-        return made[masks], [weights for _, weights in kept]
+        return [_pruned(p_word[word] * prob) for _, word, prob, _ in steps]
 
-    return law
+    def make(kept) -> tuple[CqState, ...]:
+        return tuple(
+            CqState.stacked(regs, code.dims, labels[keep], weights, states[keep])
+            for (labels, _, _, states), (keep, weights) in zip(steps, kept)
+        )
+
+    return law, make
 
 
 def ehs_states(code: FeedbackCode) -> list[CqState]:
@@ -491,7 +488,8 @@ def ehs_states(code: FeedbackCode) -> list[CqState]:
     of M_j stored as its index + 1).  The quantum part of state t is
     omega^t, in which registers 0..t have passed through the channel.
     """
-    return list(_ehs_by_law(code, list(_walk(code, code.codebook.words)))(code.probs)[0])
+    law, make = _ehs_by_law(code, list(_walk(code, code.codebook.words)))
+    return list(make(law(code.probs)))
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:

@@ -34,6 +34,11 @@ def small_cfg(**kw):
     return OptimizerConfig(**base)
 
 
+def fresh_build(family, x):
+    """``family.build(x)`` on a copy of the family with no parts to reuse."""
+    return FeedbackCodeFamily(family.channel, family.words).build(x)
+
+
 def test_simplex_projection_basic():
     p = simplex_projection(np.array([0.2, 0.5, 0.3]))
     assert np.allclose(p, [0.2, 0.5, 0.3])
@@ -107,9 +112,10 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     # counted where it enters coordinate_ascent.  Rungs shorter than the
     # FD_STEP probe would add evaluations that gain at rounding level only.
     # Only a call that moves a non-probability coordinate walks the code; the
-    # others reuse the last walk.  The directed-term plan is compiled once per
-    # (walk, set of kept branches), never per call.
-    count, walked, compiled, seen = [0], [0], [0], set()
+    # others reuse the last walk.  The EHS states are made and the
+    # directed-term plan compiled once per (walk, set of kept branches), never
+    # per call.
+    count, walked, compiled, made, seen = [0], [0], [0], [0], set()
     original, walk, plan, by_law = capacity.coordinate_ascent, capacity._walk, capacity._cmi_plan, capacity._ehs_by_law
 
     def counted_ascent(objective, *args, **kwargs):
@@ -128,14 +134,18 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
         return plan(requests)
 
     def recorded_by_law(code, pieces):
-        law, index = by_law(code, pieces), walked[0]
+        (law, make), index = by_law(code, pieces), walked[0]
 
-        def recorded(probs):  # records (walk, the labels of every kept branch)
-            states, weights = law(probs)
-            seen.add((index, tuple(state.labels.tobytes() for state in states)))
-            return states, weights
+        def recorded(probs):  # records (walk, the keep mask of every t)
+            kept = law(probs)
+            seen.add((index, tuple(keep.tobytes() for keep, _ in kept)))
+            return kept
 
-        return recorded
+        def counted_make(kept):
+            made[0] += 1
+            return make(kept)
+
+        return recorded, counted_make
 
     monkeypatch.setattr(capacity, "coordinate_ascent", counted_ascent)
     monkeypatch.setattr(capacity, "_walk", counted_walk)
@@ -143,15 +153,17 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     monkeypatch.setattr(capacity, "_ehs_by_law", recorded_by_law)
     res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=sweeps))
     assert count[0] == evals
-    assert walked[0] == compiled[0] == len(seen) == {1: 72, 3: 314}[sweeps]
+    assert walked[0] == compiled[0] == made[0] == len(seen) == {1: 72, 3: 314}[sweeps]
     assert abs(res.rate - rate) <= 1e-12
 
 
 def test_a_build_remakes_only_the_parts_whose_inputs_moved(monkeypatch):
     # One sweep at n=3 builds the code 72 times in the objective and once at
-    # the end.  Given an empty dict each time, the builds make 73 codeword-state
-    # tuples and 293 Povms (4 per build plus the decoder); reusing the parts
-    # whose inputs did not move, 30 and 105, for the same bits.
+    # the end.  With the family's part table emptied before each build, the
+    # builds make 73 codeword-state tuples and 293 Povms (4 per build plus the
+    # decoder); reusing the parts whose inputs did not move, 29 and 103 (the
+    # final build reuses the codeword states and one M_t of the objective's
+    # last build), for the same bits.
     build = FeedbackCodeFamily.build
     made = {}
 
@@ -164,14 +176,14 @@ def test_a_build_remakes_only_the_parts_whose_inputs_moved(monkeypatch):
         monkeypatch.setattr(capacity, "product_states", counted("states", capacity.product_states))
         monkeypatch.setattr(Povm, "__post_init__", counted("povms", Povm.__post_init__))
         if not reuse:
-            monkeypatch.setattr(FeedbackCodeFamily, "build", lambda self, x, parts: build(self, x, {}))
+            monkeypatch.setattr(FeedbackCodeFamily, "build", lambda self, x: self._parts.clear() or build(self, x))
         res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=1))
         monkeypatch.undo()
         made[reuse] = count["states"], count["povms"]
         return res
 
     reused, rebuilt = run(True), run(False)
-    assert made == {True: (30, 105), False: (73, 293)}
+    assert made == {True: (29, 103), False: (73, 293)}
     assert (reused.rate, reused.no_feedback_rate) == (rebuilt.rate, rebuilt.no_feedback_rate)
     assert np.array(reused.code.probs).tobytes() == np.array(rebuilt.code.probs).tobytes()
 
@@ -179,14 +191,14 @@ def test_a_build_remakes_only_the_parts_whose_inputs_moved(monkeypatch):
 def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
     # The objective reuses its last walk when a call keeps every
     # non-probability coordinate, whichever words sit below PROB_FLOOR.  An
-    # ascent driven by directed_information_total(family.build(x, {})) / n must
-    # see the same value at every point and report the same bits.
+    # ascent driven by directed_information_total(fresh_build(family, x)) / n
+    # must see the same value at every point and report the same bits.
     channel, cfg = depolarizing_channel(0.1), OptimizerConfig(starts=2, seed=0, max_sweeps=1)
     original = capacity.coordinate_ascent
     below_floor = []
     for n in (1, 2, 3):
         family = FeedbackCodeFamily(channel, default_words(n))
-        plain = lambda x: directed_information_total(family.build(x, {})) / n
+        plain = lambda x: directed_information_total(fresh_build(family, x)) / n
         values, objectives = {}, []
 
         def run(driver):
@@ -249,7 +261,7 @@ def test_a_move_below_the_floor_reuses_the_walk(monkeypatch):
     low = x.copy()
     low[family.prob_block] = [0.5, 0.5, PROB_FLOOR / 2, 0.0]
     for point in (x, low, x):
-        assert objectives[0](point) == directed_information_total(family.build(point, {})) / n
+        assert objectives[0](point) == directed_information_total(fresh_build(family, point)) / n
     assert walked[0] == 1
     assert [len(requests[0][0].weights) for requests in compiled] == [4, 2]  # omega^0 of every word, then of two
 
@@ -333,7 +345,7 @@ def test_default_words():
 def test_family_build_valid_code():
     fam = FeedbackCodeFamily(depolarizing_channel(0.2), default_words(2))
     x = fam.initial()
-    partial = fam.build(x, {})
+    partial = fam.build(x)
     code = with_pgm_decoder(partial, partial.probs)
     rep = validate_code(code)
     assert rep.ok, rep.violations
@@ -422,7 +434,7 @@ def test_code_from_spec_matches_family_build(n):
     channel = depolarizing_channel(0.2)
     fam = FeedbackCodeFamily(channel, default_words(n))
     x = fam.initial(np.random.default_rng(n))
-    built = fam.build(x, {})
+    built = fam.build(x)
     angles = [float(v) for v in x[len(fam.words) :]]
     fbase = fam.fb_start - len(fam.words)
     feedback: dict = {}
@@ -449,14 +461,14 @@ def test_code_from_spec_matches_family_build(n):
 
 
 def test_each_intermediate_measurement_is_made_once_with_its_feedback(monkeypatch):
-    # A build with no parts to reuse makes, at n=3, two rotated qubit
+    # A family's first build makes, at n=3, two rotated qubit
     # measurements and the two M_j made from them, M_1 carrying its feedback;
     # the random generator adds the decoder.
     made = []
     init = Povm.__post_init__
     monkeypatch.setattr(Povm, "__post_init__", lambda self: (made.append(self), init(self)))
     fam = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(3))
-    code = fam.build(fam.initial(np.random.default_rng(0)), {})
+    code = fam.build(fam.initial(np.random.default_rng(0)))
     assert len(made) == 4
     assert sorted(code.measurements[0].feedback) == [0, 1] and not code.measurements[1].feedback
     made.clear()

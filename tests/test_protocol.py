@@ -437,7 +437,8 @@ def test_ehs_states_of_a_word_below_the_floor_equal_a_walk_without_it():
     code = dataclasses.replace(code, probs=(0.3, PROB_FLOOR / 2, 0.3, 0.4 - PROB_FLOOR / 2))
     assert validate_code(code).ok
     others = [w for i, w in enumerate(code.codebook.words) if i != 1]
-    want, _ = _ehs_by_law(code, list(_walk(code, others)))(code.probs)
+    law, make = _ehs_by_law(code, list(_walk(code, others)))
+    want = make(law(code.probs))
     for got, ref in zip(ehs_states(code), want, strict=True):
         assert (got.classical_registers, got.quantum_dims) == (ref.classical_registers, ref.quantum_dims)
         for a, b in ((got.labels, ref.labels), (got.weights, ref.weights), (got.states, ref.states)):
@@ -655,7 +656,7 @@ def test_validate_code_reports_each_structural_violation(name):
 def test_validate_code_reports_what_is_not_a_measurement():
     # FeedbackCodeFamily.build leaves M_n as None for with_pgm_decoder to fill.
     family = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(2))
-    code = family.build(family.initial(), {})
+    code = family.build(family.initial())
     assert [v for v, _ in validate_code(code).violations] == ["M_2: not a measurement (history=())"]
     # Inside an adaptive table, the entry is reported and its history ends there:
     # an M_3 table without its extensions is complete.
