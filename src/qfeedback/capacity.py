@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cqstate import _cmi_plan
-from .directed import _term_requests
+from .directed import _terms_by_law
 from .linalg import kron_all
-from .protocol import Codebook, FeedbackCode, _ehs_by_law, _walk, on_freshest, product_states, with_pgm_decoder
+from .protocol import Codebook, FeedbackCode, on_freshest, product_states, with_pgm_decoder
 from .quantum import (
     DensityMatrix,
     Ensemble,
@@ -321,23 +320,15 @@ def estimate_feedback_capacity(
     if channel.in_dim**n > 8:
         raise ValidationError("dimension budget allows n <= 3 for qubit channels")
     family = FeedbackCodeFamily(channel, default_words(n))
-    last = [None, None, None, None]  # the last shape's key, its _ehs_by_law pair, states and term plan by keep masks
+    last = [None, None]  # the last walk's key (its non-probability coordinates) and its _terms_by_law
 
     def objective(x):
         # directed_information_total(family.build(x)) / n.  The walk reads no codeword probability, so a move that
-        # keeps the non-probability coordinates (the key) reuses it, and the states and term plan of its keep masks.
+        # keeps the non-probability coordinates reuses it and its compiled plan.
         key = x[family.prob_block.stop :].tobytes()
         if key != last[0]:
-            code = family.build(x)
-            last[:] = key, *_ehs_by_law(code, list(_walk(code, family.words))), {}
-        _, law, make, plans = last
-        kept = law(simplex_projection(x[family.prob_block]))  # the probabilities as build makes them
-        masks = tuple(keep.tobytes() for keep, _ in kept)
-        if masks not in plans:
-            states = make(kept)
-            plans[masks] = states, _cmi_plan(_term_requests(states))
-        states, plan = plans[masks]
-        return float(sum(plan({state: weights for state, (_, weights) in zip(states, kept)}))) / family.n
+            last[:] = key, _terms_by_law(family.build(x))
+        return float(sum(last[1](simplex_projection(x[family.prob_block])))) / family.n
 
     fb_coords = set(range(family.fb_start, family.size))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)

@@ -128,13 +128,12 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(group, dtype=int), np.array(first, dtype=int)
 
 
-def _pruned(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Which branches are at or above PROB_FLOOR, and their weights renormalized, summing them in branch order."""
-    keep = weights >= PROB_FLOOR
-    if not keep.any():
+def _pruned(weights) -> np.ndarray:
+    """``weights`` with each weight below PROB_FLOOR set to 0 and the rest renormalized, summed in branch order."""
+    kept = np.where(weights >= PROB_FLOOR, weights, 0.0)
+    if not kept.any():
         raise ValidationError("all branches fell below the weight floor")
-    kept = weights[keep]
-    return keep, kept / np.cumsum(kept)[-1]
+    return kept / np.cumsum(kept)[-1]
 
 
 def _split_keys(state: CqState, keys):

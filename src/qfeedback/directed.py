@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cqstate import conditional_mutual_informations
+from .cqstate import _cmi_plan, conditional_mutual_informations
 from .protocol import (
     FeedbackCode,
     _average_states,
@@ -22,8 +22,6 @@ from .protocol import (
     _p_correct,
     _transcripts,
     _walk,
-    ehs_state,
-    ehs_states,
 )
 from .quantum import ValidationError, holevo_chis, shannon
 
@@ -71,9 +69,17 @@ def _terms(runs) -> list[list[float]]:
     return [[next(values) for _ in run] for run in runs]
 
 
+def _terms_by_law(code: FeedbackCode):
+    """``terms(probs)``, the per-round terms of ``code`` under the codeword law ``probs``: one walk and one plan on
+    ``_ehs_by_law``'s states, which cover every walked branch (a branch below PROB_FLOOR weighs 0), serve every law."""
+    states, law = _ehs_by_law(code, list(_walk(code, code.codebook.words)))
+    plan = _cmi_plan(_term_requests(states))
+    return lambda probs: plan(dict(zip(states, law(probs))))
+
+
 def directed_terms(code: FeedbackCode) -> list[float]:
     """Per-round terms, each on its own protocol-time state (the EHS state at time t-1)."""
-    return _terms([ehs_states(code)])[0]
+    return _terms_by_law(code)(code.probs)
 
 
 def directed_information_total(code: FeedbackCode) -> float:
@@ -82,7 +88,8 @@ def directed_information_total(code: FeedbackCode) -> float:
 
 def directed_information_final(code: FeedbackCode) -> float:
     """All terms evaluated on the final pre-decoding state."""
-    return float(sum(_terms([[ehs_state(code, code.n - 1)] * code.n])[0]))
+    states, _ = _ehs_by_law(code, list(_walk(code, code.codebook.words)))
+    return float(sum(_terms([[states[-1]] * code.n])[0]))
 
 
 def _message_law(code: FeedbackCode, uniform: bool) -> list[float]:
@@ -181,8 +188,7 @@ def _converse(code: FeedbackCode):
     law = _message_law(code, uniform=True)
     pieces = list(_walk(code, words))
     laws = _transcripts(code, pieces)
-    kept_by, make = _ehs_by_law(code, pieces)
-    states = make(kept_by(code.probs))
+    states, _ = _ehs_by_law(code, pieces)
     terms, final_terms = _terms([states, [states[-1]] * n])
     i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
     i_mk = _classical_term(code, law, laws)

@@ -195,13 +195,6 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
     return herm_eig(m, vectors=False)
 
 
-def psd_eig(m: np.ndarray):
-    """``herm_eig`` of a PSD matrix or (B, D, D) stack, checked by ``check_psd``."""
-    w, v = herm_eig(m)
-    check_psd(w)
-    return w, v
-
-
 def check_psd(w: np.ndarray) -> None:
     """Raise on the first of descending spectra (a (D,) or (B, D) array) with an eigenvalue below -PSD_TOL."""
     low = w[..., -1:].reshape(-1)
@@ -219,7 +212,8 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything lower raises.
     """
-    w, v = psd_eig(m)
+    w, v = herm_eig(m)
+    check_psd(w)
     return from_spectrum(v, np.sqrt(np.clip(w, 0.0, None)))
 
 

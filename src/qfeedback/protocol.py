@@ -448,10 +448,11 @@ def _average_states(code: FeedbackCode, pieces) -> dict:
 
 
 def _ehs_by_law(code: FeedbackCode, pieces):
-    """EHS states for t = 0..n-1 from the pieces of ``_walk`` in two steps, the one place a codeword law meets a
-    walk: ``law(probs)`` is each t's keep mask and weights, and ``make(kept)`` the states of those branches.  A
-    branch weighs its word's ``probs`` entry times a path probability of at most 1, so ``_pruned`` drops every
-    branch of a word below PROB_FLOOR."""
+    """EHS states for t = 0..n-1 on every branch of ``_walk``'s pieces, weighed by ``law(code.probs)``, and ``law``,
+    the one place a codeword law meets a walk: ``law(probs)`` is each t's branch weights, ``_pruned``, so every branch
+    of a word below PROB_FLOOR weighs 0.  Raises unless every ``code.probs`` entry is finite and at least -1e-12."""
+    if not all(np.isfinite(p) and p >= -1e-12 for p in code.probs):
+        raise ValidationError(f"codeword probabilities {code.probs} are not a law")
     n = code.n
     marks = [{lab: i + 1 for i, lab in enumerate(code.outcome_labels(j))} for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
@@ -467,29 +468,26 @@ def _ehs_by_law(code: FeedbackCode, pieces):
         prob, states = np.concatenate([f.prob for f in fronts]), np.concatenate([f.states for f in fronts])
         steps.append((labels, word, prob, states))
 
-    def law(probs) -> list[tuple[np.ndarray, np.ndarray]]:
+    def law(probs) -> list[np.ndarray]:
         p_word = np.array(probs)
         return [_pruned(p_word[word] * prob) for _, word, prob, _ in steps]
 
-    def make(kept) -> tuple[CqState, ...]:
-        return tuple(
-            CqState.stacked(regs, code.dims, labels[keep], weights, states[keep])
-            for (labels, _, _, states), (keep, weights) in zip(steps, kept)
-        )
-
-    return law, make
+    return [CqState.stacked(regs, code.dims, lab, w, st) for (lab, _, _, st), w in zip(steps, law(code.probs))], law
 
 
 def ehs_states(code: FeedbackCode) -> list[CqState]:
-    """EHS states for t = 0..n-1 from one walk of the codewords.
+    """EHS states for t = 0..n-1 from one walk of the codewords, their branches of weight 0 dropped.
 
     Classical registers: A_1..A_n holding the codeword letters and
     X_1..X_{n-1} holding recorded outcomes (0 = not yet recorded, outcome k
     of M_j stored as its index + 1).  The quantum part of state t is
     omega^t, in which registers 0..t have passed through the channel.
     """
-    law, make = _ehs_by_law(code, list(_walk(code, code.codebook.words)))
-    return list(make(law(code.probs)))
+    out = []
+    for s in _ehs_by_law(code, list(_walk(code, code.codebook.words)))[0]:
+        k = s.weights > 0  # the branches the law keeps
+        out.append(CqState.stacked(s.classical_registers, s.quantum_dims, s.labels[k], s.weights[k], s.states[k]))
+    return out
 
 
 def ehs_state(code: FeedbackCode, t: int) -> CqState:

@@ -1123,6 +1123,22 @@ def test_cumulative_disturbance_reads_the_code_it_is_given():
     assert sorted(got, key=lambda r: r.group) == sorted(want, key=lambda r: r.group)
 
 
+def test_cumulative_disturbance_skips_a_branch_whose_correct_outcome_is_unreachable():
+    # With one history's final measurement replaced by the all-'er'
+    # measurement, no outcome of the last global round decodes that history's
+    # branches correctly: they give no record, and every other record stays.
+    base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
+    code = build_double_blocked_code(base, 2, delta=0.3)
+    final = dict(code.measurements[-1])
+    history = next(iter(final))
+    final[history] = Povm(((ER, identity(final[history].dim)),))
+    blind = dataclasses.replace(code, measurements=code.measurements[:-1] + (final,))
+    want = cumulative_disturbance_report(code, base)
+    dropped = [r for r in want if r.round == base.n and r.outcomes[:-1] == history]
+    assert dropped
+    assert cumulative_disturbance_report(blind, base) == [r for r in want if r not in dropped]
+
+
 def test_cumulative_disturbance_rejects_a_code_that_is_not_copies_of_the_base():
     from qfeedback.protocol import random_feedback_code
 

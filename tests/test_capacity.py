@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import classical_channel, classical_channels, oracle_blahut_arimoto
-from qfeedback import capacity
+from qfeedback import capacity, directed
 from qfeedback.capacity import (
     FeedbackCodeFamily,
     OptimizerConfig,
@@ -14,6 +14,7 @@ from qfeedback.capacity import (
     simplex_projection,
 )
 from qfeedback.config import code_from_spec
+from qfeedback.cqstate import CqState
 from qfeedback.directed import directed_information_total
 from qfeedback.protocol import random_feedback_code, validate_code, with_pgm_decoder
 from qfeedback.quantum import (
@@ -111,49 +112,33 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     # The objective is a closure of estimate_feedback_capacity, so it is
     # counted where it enters coordinate_ascent.  Rungs shorter than the
     # FD_STEP probe would add evaluations that gain at rounding level only.
-    # Only a call that moves a non-probability coordinate walks the code; the
-    # others reuse the last walk.  The EHS states are made and the
-    # directed-term plan compiled once per (walk, set of kept branches), never
-    # per call.
-    count, walked, compiled, made, seen = [0], [0], [0], [0], set()
-    original, walk, plan, by_law = capacity.coordinate_ascent, capacity._walk, capacity._cmi_plan, capacity._ehs_by_law
+    # Only a call that moves a non-probability coordinate walks the code
+    # (_terms_by_law); the others reuse the last walk.  Each walk builds its n
+    # EHS states and compiles its directed-term plan once, never per call.
+    count, walks, walked, compiled, built = [0], [0], [0], [0], [0]
+    original, by_law = capacity.coordinate_ascent, capacity._terms_by_law
+    walk, plan = directed._walk, directed._cmi_plan
+    stacked = CqState.stacked.__func__
+
+    def counted(counter, f):
+        def call(*args):
+            counter[0] += 1
+            return f(*args)
+
+        return call
 
     def counted_ascent(objective, *args, **kwargs):
-        def counted(x):
-            count[0] += 1
-            return objective(x)
-
-        return original(counted, *args, **kwargs)
-
-    def counted_walk(*args):
-        walked[0] += 1
-        return walk(*args)
-
-    def counted_plan(requests):
-        compiled[0] += 1
-        return plan(requests)
-
-    def recorded_by_law(code, pieces):
-        (law, make), index = by_law(code, pieces), walked[0]
-
-        def recorded(probs):  # records (walk, the keep mask of every t)
-            kept = law(probs)
-            seen.add((index, tuple(keep.tobytes() for keep, _ in kept)))
-            return kept
-
-        def counted_make(kept):
-            made[0] += 1
-            return make(kept)
-
-        return recorded, counted_make
+        return original(counted(count, objective), *args, **kwargs)
 
     monkeypatch.setattr(capacity, "coordinate_ascent", counted_ascent)
-    monkeypatch.setattr(capacity, "_walk", counted_walk)
-    monkeypatch.setattr(capacity, "_cmi_plan", counted_plan)
-    monkeypatch.setattr(capacity, "_ehs_by_law", recorded_by_law)
+    monkeypatch.setattr(capacity, "_terms_by_law", counted(walks, by_law))
+    monkeypatch.setattr(directed, "_walk", counted(walked, walk))
+    monkeypatch.setattr(directed, "_cmi_plan", counted(compiled, plan))
+    monkeypatch.setattr(CqState, "stacked", classmethod(counted(built, stacked)))
     res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=sweeps))
     assert count[0] == evals
-    assert walked[0] == compiled[0] == made[0] == len(seen) == {1: 72, 3: 314}[sweeps]
+    assert walks[0] == walked[0] == compiled[0] == {1: 72, 3: 314}[sweeps]
+    assert built[0] == 3 * walked[0]
     assert abs(res.rate - rate) <= 1e-12
 
 
@@ -236,13 +221,13 @@ def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
 
 def test_a_move_below_the_floor_reuses_the_walk(monkeypatch):
     # A probability move that sends codewords below PROB_FLOOR keeps every
-    # non-probability coordinate, so it reuses the stored walk of every word.
-    # It keeps fewer branches, so it compiles a term plan of its own, once:
-    # the move back reuses the first plan.
+    # non-probability coordinate, so it reuses the stored walk of every word
+    # and its plan: those words' branches weigh 0.  Neither the move nor the
+    # move back compiles a plan.
     channel, n = depolarizing_channel(0.1), 2
     family = FeedbackCodeFamily(channel, default_words(n))
-    objectives, walked, original, walk = [], [0], capacity.coordinate_ascent, capacity._walk
-    compiled, plan = [], capacity._cmi_plan
+    objectives, walked, compiled, original = [], [0], [0], capacity.coordinate_ascent
+    walk, plan = directed._walk, directed._cmi_plan
 
     def recorded_ascent(objective, *args, **kwargs):
         objectives.append(objective)
@@ -252,18 +237,23 @@ def test_a_move_below_the_floor_reuses_the_walk(monkeypatch):
         walked[0] += 1
         return walk(*args)
 
+    def counted_plan(requests):
+        compiled[0] += 1
+        return plan(requests)
+
     monkeypatch.setattr(capacity, "coordinate_ascent", recorded_ascent)
-    monkeypatch.setattr(capacity, "_walk", counted_walk)
-    monkeypatch.setattr(capacity, "_cmi_plan", lambda requests: compiled.append(requests) or plan(requests))
+    monkeypatch.setattr(directed, "_walk", counted_walk)
+    monkeypatch.setattr(directed, "_cmi_plan", counted_plan)
     # No sweep: each stage evaluates the family's start alone, one shape walked once.
     estimate_feedback_capacity(channel, n, OptimizerConfig(starts=1, seed=0, max_sweeps=0))
+    assert walked[0] == compiled[0] == 1
     x = family.initial()
     low = x.copy()
     low[family.prob_block] = [0.5, 0.5, PROB_FLOOR / 2, 0.0]
-    for point in (x, low, x):
-        assert objectives[0](point) == directed_information_total(fresh_build(family, point)) / n
-    assert walked[0] == 1
-    assert [len(requests[0][0].weights) for requests in compiled] == [4, 2]  # omega^0 of every word, then of two
+    values = [objectives[0](point) for point in (x, low, x)]
+    assert walked[0] == compiled[0] == 1
+    assert values == [directed_information_total(fresh_build(family, point)) / n for point in (x, low, x)]
+    assert values[1] != values[0]
 
 
 def test_n3_one_sweep_rates_pinned():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,17 @@ def test_validate_shipped_configs():
         code, out = run_cli(["validate", cfg])
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+def test_running_the_module_runs_main(monkeypatch, capsys):
+    # ``python -m qfeedback.cli`` exits with main's status.  runpy warns when
+    # the module it runs is already imported, so it runs from a fresh copy.
+    monkeypatch.delitem(sys.modules, "qfeedback.cli")
+    monkeypatch.setattr(sys, "argv", ["qfeedback", "validate", str(DEPOLARIZING)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("qfeedback.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_validate_bad_kraus_exits_one(tmp_path):

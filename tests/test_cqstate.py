@@ -257,38 +257,27 @@ def random_split(rng, state) -> tuple:
 @pytest.mark.parametrize("seed", range(8))
 def test_a_compiled_plan_equals_the_one_shot_pass_on_every_law(seed):
     # cq_entropies compiles its requests (_compile) and calls the plan on the states' weights, and _cmi_plan
-    # compiles conditional_mutual_informations.  A plan compiled on the states of one set of kept branches (the
-    # keep masks of _pruned) and called on the weights of later laws that keep the same branches must equal a
-    # fresh one-shot pass bit for bit.  A law that sends a branch below PROB_FLOOR keeps other branches, so it
-    # gets its own plan.
+    # compiles conditional_mutual_informations.  One plan compiled on the states of every branch and called on
+    # the weights of later laws, zero-filled by _pruned, must equal a fresh one-shot pass on states that carry
+    # those weights, bit for bit, a law that sends a branch below PROB_FLOOR (weight 0) included.
     rng = np.random.default_rng(seed)
     k = 2 + seed % 3
     names, sizes = tuple(f"R{i}" for i in range(k)), tuple(int(s) for s in rng.integers(2, 4, k))
-    base = [random_cq(rng, names, sizes, QDIMS[seed], sparse=0.75) for _ in range(2)]
-    keys = [(i, random_keys(rng, base[i])) for i in rng.integers(0, 2, 12)]
-    splits = [(i, random_split(rng, base[i])) for i in rng.integers(0, 2, 6)]
-    plans = {}
+    states = [random_cq(rng, names, sizes, QDIMS[seed], sparse=0.75) for _ in range(2)]
+    keys = [(i, random_keys(rng, states[i])) for i in rng.integers(0, 2, 12)]
+    splits = [(i, random_split(rng, states[i])) for i in rng.integers(0, 2, 6)]
+    plan = _compile([(states[i], ks) for i, ks in keys])
+    cmi_plan = _cmi_plan([(states[i], *abc) for i, abc in splits])
     for below in [False] * 5 + [True] * 5:
-        raw = [rng.dirichlet(np.ones(len(s.weights))) for s in base]
+        raw = [rng.dirichlet(np.ones(len(s.weights))) for s in states]
         if below:
-            raw[0][0] = PROB_FLOOR / 3  # _pruned renormalizes what is left
-        kept = [_pruned(w) for w in raw]
-        fresh = [
-            CqState.stacked(s.classical_registers, s.quantum_dims, s.labels[keep], w, s.states[keep])
-            for s, (keep, w) in zip(base, kept)
-        ]
-        masks = tuple(keep.tobytes() for keep, _ in kept)
-        if masks not in plans:
-            plan = _compile([(fresh[i], ks) for i, ks in keys])
-            plans[masks] = fresh, plan, _cmi_plan([(fresh[i], *abc) for i, abc in splits])
-        states, plan, cmi_plan = plans[masks]
-        weights = {state: w for state, (_, w) in zip(states, kept)}
+            raw[0][0] = PROB_FLOOR / 3  # _pruned sets it to 0 and renormalizes what is left
+        weights = {s: _pruned(w) for s, w in zip(states, raw)}
+        assert (weights[states[0]][0] == 0.0) == below
+        fresh = [CqState.stacked(s.classical_registers, s.quantum_dims, s.labels, weights[s], s.states) for s in states]
         assert plan(weights) == cq_entropies([(fresh[i], ks) for i, ks in keys])
-        want = conditional_mutual_informations([(fresh[i], *abc) for i, abc in splits])
-        assert cmi_plan(weights) == want
-    assert len(plans) == 2
+        assert cmi_plan(weights) == conditional_mutual_informations([(fresh[i], *abc) for i, abc in splits])
     # Every CqState weight check runs on a reused plan too.
-    states, plan, cmi_plan = plans[next(iter(plans))]
     weights = {state: state.weights for state in states}
     negative = states[0].weights.copy()
     negative[:2] = negative[0] + negative[1] + 1e-6, -1e-6

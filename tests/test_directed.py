@@ -14,8 +14,9 @@ from oracles import (
     oracle_random_feedback_code,
 )
 from qfeedback.cli import main
-from qfeedback.cqstate import conditional_mutual_information
+from qfeedback.cqstate import conditional_mutual_information, conditional_mutual_informations
 from qfeedback.directed import (
+    _term_requests,
     directed_information_final,
     directed_information_total,
     directed_terms,
@@ -29,16 +30,19 @@ from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
     ehs_state,
+    ehs_states,
     error_probability,
     on_freshest,
     product_states,
     random_feedback_code,
+    validate_code,
     with_pgm_decoder,
 )
 from qfeedback.quantum import (
     DensityMatrix,
     Ensemble,
     Povm,
+    ValidationError,
     basis_state,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -241,12 +245,20 @@ def test_rate_report_walks_each_codeword_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("rate_report rebuilt the EHS states")
 
+    built, by_law = [], protocol._ehs_by_law
+
+    def counted_by_law(*args):
+        built.append(args)
+        return by_law(*args)
+
     for mod in (protocol, directed):
         monkeypatch.setattr(mod, "_walk", counted, raising=False)
-        monkeypatch.setattr(mod, "ehs_states", forbidden)
-        monkeypatch.setattr(mod, "ehs_state", forbidden)
+        monkeypatch.setattr(mod, "_ehs_by_law", counted_by_law, raising=False)
+    monkeypatch.setattr(protocol, "ehs_states", forbidden)
+    monkeypatch.setattr(protocol, "ehs_state", forbidden)
     rate_report(code)
     assert sorted(walked) == sorted(code.codebook.words)
+    assert len(built) == 1  # the EHS states are built once
 
 
 def test_verify_ddpi_walks_each_codeword_once(monkeypatch):
@@ -265,13 +277,60 @@ def test_verify_ddpi_walks_each_codeword_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("verify_ddpi walked the codewords again")
 
+    built, by_law = [], protocol._ehs_by_law
+
+    def counted_by_law(*args):
+        built.append(args)
+        return by_law(*args)
+
     for mod in (protocol, directed):
         monkeypatch.setattr(mod, "_walk", counted, raising=False)
-        monkeypatch.setattr(mod, "ehs_states", forbidden)
-        monkeypatch.setattr(mod, "ehs_state", forbidden)
+        monkeypatch.setattr(mod, "_ehs_by_law", counted_by_law, raising=False)
+    monkeypatch.setattr(protocol, "ehs_states", forbidden)
+    monkeypatch.setattr(protocol, "ehs_state", forbidden)
     monkeypatch.setattr(directed, "message_information", forbidden)
     assert verify_ddpi(code) == want
     assert sorted(walked) == sorted(code.codebook.words)
+    assert len(built) == 1  # the EHS states are built once
+
+
+def test_directed_terms_with_a_word_at_zero_stay_within_1e15_of_the_terms_on_ehs_states():
+    # The terms are evaluated on every walked branch, a word at probability 0
+    # weighing 0, while ehs_states drops those branches.  The letter groups of
+    # the entropies are then summed in walk order, not in kept-branch order, so
+    # a code whose words are not sorted may move by rounding; with its words
+    # sorted the two orders agree and so do the bits.
+    channel = depolarizing_channel(0.25)
+    for seed in range(10):
+        for n, num_words in ((2, 3), (3, 4), (3, 6)):
+            base = random_feedback_code(np.random.default_rng(seed), channel, n, num_words=num_words)
+            for i in range(num_words):
+                probs = np.array(base.probs)
+                probs[i] = 0.0
+                code = dataclasses.replace(base, probs=tuple(probs / probs.sum()))
+                want = conditional_mutual_informations(_term_requests(ehs_states(code)))
+                assert max(abs(a - b) for a, b in zip(directed_terms(code), want, strict=True)) <= 1e-15
+                order = sorted(range(num_words), key=lambda j: code.codebook.words[j])
+                ordered = dataclasses.replace(
+                    code,
+                    codebook=Codebook(2, n, [code.codebook.words[j] for j in order]),
+                    probs=tuple(code.probs[j] for j in order),
+                    states=tuple(code.states[j] for j in order),
+                )
+                assert directed_terms(ordered) == conditional_mutual_informations(_term_requests(ehs_states(ordered)))
+
+
+@pytest.mark.parametrize("probs", [(1.25, -0.25), (float("nan"), 1.0)])
+def test_a_codeword_law_that_is_not_a_law_raises(probs):
+    # A negative or NaN codeword probability is no law: the EHS states and
+    # every figure read off them raise, where pruning once dropped the entry
+    # and renormalized the rest.  validate_code reports the law, never raises.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.1), 2)
+    code = dataclasses.replace(code, probs=probs)
+    assert not validate_code(code).ok
+    for f in (ehs_states, directed_information_total, rate_report, verify_ddpi):
+        with pytest.raises(ValidationError, match="not a law"):
+            f(code)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,8 @@ its name, no module keeps state between calls (no ``global``, no memoizing
 decorator, no lower-case module-level container), and the README's example
 runs as written.  Tolerances and floors are module constants: no
 function takes one as a parameter, so no caller can loosen a check per call.  The count
-of settable values may only fall, so a new knob shows up in the diff.
+of settable values may only fall, so a new knob shows up in the diff, and so may the
+library's line count.
 """
 
 import ast
@@ -126,6 +127,15 @@ SETTABLE_VALUES = 24
 
 def test_settable_values_do_not_grow():
     assert sum(settable_values(p.read_text()) for p in SRC.glob("*.py")) <= SETTABLE_VALUES
+
+
+# The library's line count, counted as bench/run.py's ``src_lines`` counts it.  A change that must grow the
+# library raises it in the same diff and says why.
+SRC_LINES = 3705
+
+
+def test_src_lines_do_not_grow():
+    assert sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted(SRC.glob("*.py"))) <= SRC_LINES
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

@@ -428,8 +428,9 @@ def test_ehs_state_weights_match_prefix_probabilities():
 
 def test_ehs_states_of_a_word_below_the_floor_equal_a_walk_without_it():
     # ehs_states walks every codeword; a word below PROB_FLOOR weighs its
-    # branches below the floor too, so _pruned drops them and the states are
-    # those of a walk of the other words, array for array.
+    # branches below the floor too, so _pruned weighs them 0, ehs_states drops
+    # them and the states are those of a walk of the other words, array for
+    # array.
     from qfeedback.protocol import _ehs_by_law, _walk
     from qfeedback.quantum import PROB_FLOOR
 
@@ -437,8 +438,7 @@ def test_ehs_states_of_a_word_below_the_floor_equal_a_walk_without_it():
     code = dataclasses.replace(code, probs=(0.3, PROB_FLOOR / 2, 0.3, 0.4 - PROB_FLOOR / 2))
     assert validate_code(code).ok
     others = [w for i, w in enumerate(code.codebook.words) if i != 1]
-    law, make = _ehs_by_law(code, list(_walk(code, others)))
-    want = make(law(code.probs))
+    want, _ = _ehs_by_law(code, list(_walk(code, others)))
     for got, ref in zip(ehs_states(code), want, strict=True):
         assert (got.classical_registers, got.quantum_dims) == (ref.classical_registers, ref.quantum_dims)
         for a, b in ((got.labels, ref.labels), (got.weights, ref.weights), (got.states, ref.states)):

@@ -22,6 +22,7 @@ from qfeedback.quantum import (
     density,
     depolarizing_channel,
     entropy,
+    entropy_of,
     euler_unitary,
     fully_depolarizing_channel,
     holevo_chi,
@@ -153,6 +154,15 @@ def test_entropy_values():
     rng = np.random.default_rng(3)
     psi = random_pure_state(rng, 5)
     assert entropy(psi) < 1e-10
+
+
+def test_entropy_of_a_raw_matrix_agrees_with_entropy():
+    # entropy_of takes the eigenvalues alone (eigvalsh), entropy those of the
+    # eigendecomposition (eigh): the two solvers agree to rounding.
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4, 8):
+        m = random_density_matrix(rng, d).mat
+        assert abs(entropy_of(m) - entropy(density(m))) <= 1e-12
 
 
 def test_entropy_concavity():
