@@ -37,6 +37,7 @@ from .protocol import (
     Codebook,
     FeedbackCode,
     _branch,
+    _check_law,
     _start,
     _updated,
     _walk,
@@ -497,8 +498,8 @@ def build_double_blocked_code(
     result is an ordinary FeedbackCode: global-round measurements are
     tabulated per outcome history (``{history: Povm}``), and the final
     measurement emits flat codewords (or 'er').  Raises unless ``l`` is an int
-    >= 1 and ``groups`` a non-empty list of l-tuples of base codewords whose
-    total base probability is positive.
+    >= 1, ``groups`` a non-empty list of l-tuples of base codewords whose
+    total base probability is positive, and ``base.probs`` a law.
     """
     check_count(l, "block copies l", 1)
     n, d = base.n, base.channel.in_dim
@@ -516,6 +517,7 @@ def build_double_blocked_code(
     # Written "not (... > 0)" so that a NaN total is rejected too.
     if not (total > 0):
         raise ValidationError(f"groups must carry positive total base probability, got {float(total)}")
+    _check_law(base.probs)
     gprobs = gprobs / total
 
     flat_words = tuple(_interleave(g, n, l) for g in groups)

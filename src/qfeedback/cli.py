@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = load_config(args.config)
-    rep, lhs = _converse(cfg.code)
+    rep, (lhs, _, _) = _converse(cfg.code)
     slack = rep.directed_total - lhs
     report = {
         "command": "info",
@@ -227,7 +227,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
         n = int(rng.integers(1, 4))
         channel = depolarizing_channel(float(rng.uniform(0.0, 0.6)))
         code = random_feedback_code(rng, channel, n, num_words=min(int(rng.integers(2, 5)), 2**n))
-        rep, lhs = _converse(code)
+        rep, (lhs, _, _) = _converse(code)
         worst_ddpi = min(worst_ddpi, rep.directed_total - lhs)
         worst_holevo = min(worst_holevo, rep.i_message_quantum - rep.i_message_classical)
         worst_fano = min(worst_fano, rep.fano_bound - rep.h_message_rate)

@@ -63,12 +63,6 @@ def _term_requests(run) -> list:
     return [(state, *_directed_parts(t)) for t, state in enumerate(run, start=1)]
 
 
-def _terms(runs) -> list[list[float]]:
-    """Per run of states, term t on its t-th state; the terms of every run come from one entropy pass."""
-    values = iter(conditional_mutual_informations([r for run in runs for r in _term_requests(run)]))
-    return [[next(values) for _ in run] for run in runs]
-
-
 def _terms_by_law(code: FeedbackCode):
     """``terms(probs)``, the per-round terms of ``code`` under the codeword law ``probs``: one walk and one plan on
     ``_ehs_by_law``'s states, which cover every walked branch (a branch below PROB_FLOOR weighs 0), serve every law."""
@@ -88,17 +82,7 @@ def directed_information_total(code: FeedbackCode) -> float:
 
 def directed_information_final(code: FeedbackCode) -> float:
     """All terms evaluated on the final pre-decoding state."""
-    states, _ = _ehs_by_law(code, list(_walk(code, code.codebook.words)))
-    return float(sum(_terms([[states[-1]] * code.n])[0]))
-
-
-def _message_law(code: FeedbackCode, uniform: bool) -> list[float]:
-    """P(M = i), message i being sent as codeword i: uniform, or the input ensemble renormalized."""
-    num = len(code.codebook.words)
-    if uniform:
-        return [1.0 / num] * num
-    total = sum(code.probs)
-    return [p / total for p in code.probs]
+    return _converse(code)[0].directed_final
 
 
 def _holevo_terms(code: FeedbackCode, message_laws, pieces) -> list[float]:
@@ -111,18 +95,13 @@ def _holevo_terms(code: FeedbackCode, message_laws, pieces) -> list[float]:
 
 
 def _classical_term(code: FeedbackCode, law, laws) -> float:
-    """I(M : K_1^n): Shannon mutual information of the message-outcome joint law."""
-    cond = {}
-    for w, pairs in laws.items():
-        joint: dict = {}
-        for outcomes, prob in pairs:
-            joint[outcomes] = joint.get(outcomes, 0.0) + prob
-        cond[w] = joint
-    sent = list(zip(law, code.codebook.words))
-    h_k_given_m = sum(p_m * shannon(cond[w].values()) for p_m, w in sent)
+    """I(M : K_1^n): Shannon mutual information of the message-outcome joint law; a word's transcripts have
+    distinct outcomes, so its pairs are its conditional law."""
+    sent = [(p_m, dict(laws[w])) for p_m, w in zip(law, code.codebook.words)]
+    h_k_given_m = sum(p_m * shannon(cond.values()) for p_m, cond in sent)
     marginal: dict = {}
-    for p_m, w in sent:
-        for k, p in cond[w].items():
+    for p_m, cond in sent:
+        for k, p in cond.items():
             marginal[k] = marginal.get(k, 0.0) + p_m * p
     return float(shannon(marginal.values()) - h_k_given_m)
 
@@ -134,8 +113,7 @@ def message_information(code: FeedbackCode) -> tuple[float, float]:
     final states; the classical term is Shannon mutual information of the
     message-outcome joint law.
     """
-    law, pieces = _message_law(code, uniform=False), list(_walk(code, code.codebook.words))
-    return _holevo_terms(code, [law], pieces)[0], _classical_term(code, law, _transcripts(code, pieces))
+    return _converse(code)[1][:2]
 
 
 def verify_ddpi(code: FeedbackCode):
@@ -143,11 +121,10 @@ def verify_ddpi(code: FeedbackCode):
 
     Returns (lhs, rhs, slack); the inequality holds when slack >= 0 up to
     numerical tolerance.  One message per codeword, weighted by the input
-    ensemble so both sides describe the same joint state.  Both sides come
-    from ``_converse``'s one walk: the right-hand side is the rate report's
-    ``directed_total``.
+    ensemble so both sides describe the same joint state; the right-hand
+    side is the rate report's ``directed_total``.
     """
-    report, lhs = _converse(code)
+    report, (lhs, _, _) = _converse(code)
     return lhs, report.directed_total, report.directed_total - lhs
 
 
@@ -156,12 +133,11 @@ def fano_bound(code: FeedbackCode) -> float:
 
     epsilon_n = (1 + P_e n R)/n with R = log2(#messages)/n, as in ``rate_report``.
     """
-    law, laws = _message_law(code, uniform=False), _transcripts(code, _walk(code, code.codebook.words))
-    return float(_fano(code, law, laws, _classical_term(code, law, laws))[2])
+    return _converse(code)[1][2]
 
 
 def _fano(code: FeedbackCode, law, laws, i_mk: float) -> tuple[float, float, float]:
-    """(R, epsilon_n, Fano bound) under a message law, for ``fano_bound`` and ``rate_report``."""
+    """(R, epsilon_n, Fano bound) under a message law."""
     n, words = code.n, code.codebook.words
     rate = float(np.log2(len(words)) / n) if len(words) > 1 else 0.0
     p_err = sum(p_m * (1.0 - _p_correct(laws[w], w)) for p_m, w in zip(law, words))
@@ -178,22 +154,25 @@ def rate_report(code: FeedbackCode) -> RateReport:
     return _converse(code)[0]
 
 
-def _converse(code: FeedbackCode):
-    """``rate_report``'s report (uniform law) and ``verify_ddpi``'s I(M:Z_1^n) (ensemble law), from one walk.
+def _converse(code: FeedbackCode) -> tuple[RateReport, tuple[float, float, float]]:
+    """The converse chain from one walk, the one body of every converse number: ``rate_report``'s report (uniform
+    message law) and (I(M:Z_1^n), I(M:K_1^n), Fano bound) under the ensemble law, message i sent as codeword i.
 
-    One entropy pass gives the directed terms on the protocol-time and the final states.
+    ``_ehs_by_law`` checks the codeword law before any message law is formed; one entropy pass gives the directed
+    terms on the protocol-time and the final states.
     """
-    n = code.n
-    words = code.codebook.words
-    law = _message_law(code, uniform=True)
+    n, words = code.n, code.codebook.words
     pieces = list(_walk(code, words))
-    laws = _transcripts(code, pieces)
     states, _ = _ehs_by_law(code, pieces)
-    terms, final_terms = _terms([states, [states[-1]] * n])
-    i_mz, lhs = _holevo_terms(code, [law, _message_law(code, uniform=False)], pieces)
-    i_mk = _classical_term(code, law, laws)
+    num, total = len(words), sum(code.probs)
+    uniform, ensemble = [1.0 / num] * num, [p / total for p in code.probs]
+    laws = _transcripts(code, pieces)
+    values = conditional_mutual_informations(_term_requests(states) + _term_requests([states[-1]] * n))
+    terms, final_terms = values[:n], values[n:]
+    i_mz, lhs = _holevo_terms(code, [uniform, ensemble], pieces)
+    i_mk, ens_mk = _classical_term(code, uniform, laws), _classical_term(code, ensemble, laws)
     avg_err, max_err = _error_figures(code, laws)
-    rate, eps, fano = _fano(code, law, laws, i_mk)
+    rate, eps, fano = _fano(code, uniform, laws, i_mk)
     report = RateReport(
         n=n,
         num_messages=len(words),
@@ -207,7 +186,7 @@ def _converse(code: FeedbackCode):
         max_error=float(max_err),
         epsilon_n=float(eps),
         fano_bound=float(fano),
-        h_message_rate=float(shannon(law) / n),
+        h_message_rate=float(shannon(uniform) / n),
     )
     report.check()
-    return report, lhs
+    return report, (lhs, ens_mk, float(_fano(code, ensemble, laws, ens_mk)[2]))

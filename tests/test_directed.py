@@ -230,67 +230,53 @@ def test_rate_report_consistency():
     assert rep.avg_error <= rep.max_error + 1e-12
 
 
-def test_rate_report_walks_each_codeword_once(monkeypatch):
+# Each converse view and the part of ``_converse(code)`` = (report, ensemble
+# triple) it must equal.
+VIEWS = {
+    "rate_report": (rate_report, lambda report, ens: report),
+    "verify_ddpi": (verify_ddpi, lambda report, ens: (ens[0], report.directed_total, report.directed_total - ens[0])),
+    "message_information": (message_information, lambda report, ens: ens[:2]),
+    "fano_bound": (fano_bound, lambda report, ens: ens[2]),
+    "directed_information_final": (directed_information_final, lambda report, ens: report.directed_final),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_each_converse_view_walks_once_and_equals_the_body(name, monkeypatch):
     from qfeedback import directed, protocol
 
-    rng = np.random.default_rng(12)
-    code = random_feedback_code(rng, depolarizing_channel(0.2), 3, num_words=3)
-    walked = []
-    walk = protocol._walk
+    view, part = VIEWS[name]
+    codes = []
+    for n in (1, 2, 3):
+        for seed in range(2):
+            rng = np.random.default_rng(100 * n + seed)
+            codes.append(random_feedback_code(rng, depolarizing_channel(0.15), n, num_words=min(3, 2**n)))
+    codes.append(dataclasses.replace(codes[-1], probs=(0.0, *codes[-1].probs[1:])))  # a word at probability 0
+    for code in codes:
+        assert view(code) == part(*directed._converse(code)), (name, code.n)
+
+    code = random_feedback_code(np.random.default_rng(12), depolarizing_channel(0.2), 3, num_words=3)
+    walked, built = [], []
+    walk, by_law = protocol._walk, protocol._ehs_by_law
 
     def counted(code, words, *args, **kwargs):
         walked.extend(tuple(w) for w in words)
         return walk(code, words, *args, **kwargs)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("rate_report rebuilt the EHS states")
-
-    built, by_law = [], protocol._ehs_by_law
-
     def counted_by_law(*args):
         built.append(args)
         return by_law(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} rebuilt the EHS states")
 
     for mod in (protocol, directed):
         monkeypatch.setattr(mod, "_walk", counted, raising=False)
         monkeypatch.setattr(mod, "_ehs_by_law", counted_by_law, raising=False)
     monkeypatch.setattr(protocol, "ehs_states", forbidden)
     monkeypatch.setattr(protocol, "ehs_state", forbidden)
-    rate_report(code)
-    assert sorted(walked) == sorted(code.codebook.words)
-    assert len(built) == 1  # the EHS states are built once
-
-
-def test_verify_ddpi_walks_each_codeword_once(monkeypatch):
-    from qfeedback import directed, protocol
-
-    rng = np.random.default_rng(12)
-    code = random_feedback_code(rng, depolarizing_channel(0.2), 3, num_words=3)
-    want = verify_ddpi(code)
-    walked = []
-    walk = protocol._walk
-
-    def counted(code, words, *args, **kwargs):
-        walked.extend(tuple(w) for w in words)
-        return walk(code, words, *args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("verify_ddpi walked the codewords again")
-
-    built, by_law = [], protocol._ehs_by_law
-
-    def counted_by_law(*args):
-        built.append(args)
-        return by_law(*args)
-
-    for mod in (protocol, directed):
-        monkeypatch.setattr(mod, "_walk", counted, raising=False)
-        monkeypatch.setattr(mod, "_ehs_by_law", counted_by_law, raising=False)
-    monkeypatch.setattr(protocol, "ehs_states", forbidden)
-    monkeypatch.setattr(protocol, "ehs_state", forbidden)
-    monkeypatch.setattr(directed, "message_information", forbidden)
-    assert verify_ddpi(code) == want
-    assert sorted(walked) == sorted(code.codebook.words)
+    view(code)
+    assert sorted(walked) == sorted(code.codebook.words)  # each codeword is walked once
     assert len(built) == 1  # the EHS states are built once
 
 
@@ -320,17 +306,26 @@ def test_directed_terms_with_a_word_at_zero_stay_within_1e15_of_the_terms_on_ehs
                 assert directed_terms(ordered) == conditional_mutual_informations(_term_requests(ehs_states(ordered)))
 
 
-@pytest.mark.parametrize("probs", [(1.25, -0.25), (float("nan"), 1.0)])
+@pytest.mark.parametrize("probs", [(1.25, -0.25), (float("nan"), 1.0), (0.0, 0.0), (1.0, float("inf"))])
 def test_a_codeword_law_that_is_not_a_law_raises(probs):
-    # A negative or NaN codeword probability is no law: the EHS states and
-    # every figure read off them raise, where pruning once dropped the entry
-    # and renormalized the rest.  validate_code reports the law, never raises.
+    # A negative, NaN or infinite codeword probability, or a zero total, is no
+    # law: the EHS states and every figure read off the law raise, where
+    # pruning once dropped the entry and renormalized the rest and the
+    # message law came out negative, NaN or 0/0.  validate_code reports the
+    # law, never raises.
+    from qfeedback.achievability import build_double_blocked_code
+
     code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.1), 2)
     code = dataclasses.replace(code, probs=probs)
     assert not validate_code(code).ok
-    for f in (ehs_states, directed_information_total, rate_report, verify_ddpi):
+    views = (rate_report, verify_ddpi, message_information, fano_bound, directed_information_final)
+    for f in (ehs_states, directed_information_total, error_probability, *views):
         with pytest.raises(ValidationError, match="not a law"):
             f(code)
+    # The blocked build checks the groups' total first, so a NaN or zero total
+    # is rejected as a group that carries no probability.
+    with pytest.raises(ValidationError, match="not a law|groups must carry positive total base probability"):
+        build_double_blocked_code(code, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
