@@ -512,12 +512,11 @@ def build_double_blocked_code(
         groups = [tuple(tuple(w) for w in g) for g in groups]
         if not groups or any(len(g) != l for g in groups):
             raise ValidationError(f"groups must be a non-empty list of {l}-tuples of base codewords")
+    _check_law(base.probs)
     gprobs = np.array([np.prod([base.probs[base.word_index(w)] for w in g]) for g in groups], dtype=float)
     total = gprobs.sum()
-    # Written "not (... > 0)" so that a NaN total is rejected too.
-    if not (total > 0):
+    if total <= 0:
         raise ValidationError(f"groups must carry positive total base probability, got {float(total)}")
-    _check_law(base.probs)
     gprobs = gprobs / total
 
     flat_words = tuple(_interleave(g, n, l) for g in groups)

@@ -258,7 +258,7 @@ class FeedbackCodeFamily:
         self.size = self.fb_start + 3 * len(self.fb_slots)
         self._parts: dict = {}  # the last codeword states and each last M_t, with the bytes each was made from
 
-    def initial(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def initial(self, rng: np.random.Generator | None) -> np.ndarray:
         x = np.zeros(self.size)
         base = len(self.words)
         x[self.prob_block] = 1.0 / base

@@ -244,7 +244,7 @@ def _lemma_battery(trials: int, seed: int, self_test: bool) -> dict:
         (rng.dirichlet(np.ones(3)), [random_density_matrix(rng, 2) for _ in range(3)]) for _ in range(cq_trials)
     ]
     infos = conditional_mutual_informations(
-        (CqState((("A", 3),), (2,), tuple(((i,), float(p[i]), st[i]) for i in range(3))), ("A",), (0,), ())
+        (CqState((("A", 3),), (2,), np.arange(3)[:, None], p, np.array([rho.mat for rho in st])), ("A",), (0,), ())
         for p, st in ensembles
     )
     stack = np.array([rho.mat for _, st in ensembles for rho in st])

@@ -18,24 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .quantum import (
-    PROB_FLOOR,
-    DensityMatrix,
-    ValidationError,
-    entropies,
-    shannon,
-)
+from .quantum import PROB_FLOOR, ValidationError, entropies, shannon
 
 WEIGHT_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CqState:
     """Block-diagonal state: sum_a w_a |a><a| (x) rho_a with tuple labels a.
 
-    Built from (label tuple, weight, DensityMatrix) branches, or by
-    ``stacked`` from (B, C) labels, (B,) weights and (B, D, D) states that
-    have passed ``check_states``.
+    Built from (B, C) labels, (B,) weights and (B, D, D) states that have
+    passed ``check_states``.
     """
 
     classical_registers: tuple[tuple[str, int], ...]
@@ -44,34 +37,19 @@ class CqState:
     weights: np.ndarray
     states: np.ndarray
 
-    def __init__(self, classical_registers, quantum_dims, branches):
-        regs, branches = tuple(classical_registers), tuple(branches)
-        qdims = tuple(int(d) for d in quantum_dims)
-        for lab, _, rho in branches:
-            if len(lab) != len(regs):
-                raise ValidationError("label tuple length does not match registers")
-            if rho.dims != qdims:
-                raise ValidationError("branch state shape mismatch")
-        labels = np.array([[int(x) for x in lab] for lab, _, _ in branches], dtype=int)
-        weights = np.array([float(w) for _, w, _ in branches])
-        states = np.array([rho.mat for _, _, rho in branches])
-        self._fill(regs, qdims, labels.reshape(len(branches), len(regs)), weights, states)
-
-    @classmethod
-    def stacked(cls, classical_registers, quantum_dims, labels, weights, states) -> "CqState":
-        self = object.__new__(cls)
-        self._fill(tuple(classical_registers), tuple(quantum_dims), labels, weights, states)
-        return self
-
-    def _fill(self, regs, qdims, labels, weights, states):
-        regs = tuple((str(n), int(s)) for n, s in regs)
+    def __post_init__(self):
+        regs = tuple((str(n), int(s)) for n, s in self.classical_registers)
+        qdims = tuple(int(d) for d in self.quantum_dims)
+        labels = np.asarray(self.labels, dtype=int)
+        weights = np.asarray(self.weights, dtype=float)
+        states = np.asarray(self.states, dtype=complex)
         if len({n for n, _ in regs}) != len(regs):
             raise ValidationError("duplicate classical register names")
         if not len(weights):
             raise ValidationError("CqState needs at least one branch")
         if labels.shape != (len(weights), len(regs)):
             raise ValidationError("label tuple length does not match registers")
-        if states.shape[1:] != (int(np.prod(qdims)),) * 2:
+        if states.shape != (len(weights),) + (int(np.prod(qdims)),) * 2:
             raise ValidationError("branch state shape mismatch")
         sizes = [s for _, s in regs]
         outside = ((labels < 0) | (labels >= np.array(sizes, dtype=int))).any(axis=1)
@@ -83,19 +61,8 @@ class CqState:
             raise ValidationError(f"duplicate branch label {_label(labels[first[dup]])}")
         _check_weights(weights)
         fields = dict(classical_registers=regs, quantum_dims=qdims, labels=labels, weights=weights, states=states)
-        vars(self).update(fields)  # the dataclass is frozen: its fields are set once, here
-
-    @property
-    def branches(self) -> tuple:
-        """(label tuple, weight, DensityMatrix) per branch."""
-        return tuple(
-            (_label(lab), float(w), DensityMatrix(rho, self.quantum_dims))
-            for lab, w, rho in zip(self.labels, self.weights, self.states)
-        )
-
-    @property
-    def quantum_dim(self) -> int:
-        return int(np.prod(self.quantum_dims))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def register_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.classical_registers):

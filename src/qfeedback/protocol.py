@@ -477,7 +477,7 @@ def _ehs_by_law(code: FeedbackCode, pieces):
         p_word = np.array(probs)
         return [_pruned(p_word[word] * prob) for _, word, prob, _ in steps]
 
-    return [CqState.stacked(regs, code.dims, lab, w, st) for (lab, _, _, st), w in zip(steps, law(code.probs))], law
+    return [CqState(regs, code.dims, lab, w, st) for (lab, _, _, st), w in zip(steps, law(code.probs))], law
 
 
 def ehs_states(code: FeedbackCode) -> list[CqState]:
@@ -491,7 +491,7 @@ def ehs_states(code: FeedbackCode) -> list[CqState]:
     out = []
     for s in _ehs_by_law(code, list(_walk(code, code.codebook.words)))[0]:
         k = s.weights > 0  # the branches the law keeps
-        out.append(CqState.stacked(s.classical_registers, s.quantum_dims, s.labels[k], s.weights[k], s.states[k]))
+        out.append(CqState(s.classical_registers, s.quantum_dims, s.labels[k], s.weights[k], s.states[k]))
     return out
 
 

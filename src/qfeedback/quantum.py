@@ -27,7 +27,6 @@ from .linalg import (
     herm_eigvals,
     identity,
     left_product,
-    partial_trace,
     pinv_sqrt,
 )
 
@@ -96,11 +95,6 @@ class DensityMatrix:
 
     def validate(self) -> None:
         self.eig()
-
-    def ptrace(self, keep) -> "DensityMatrix":
-        keep = sorted(set(keep))
-        out = partial_trace(self.mat, self.dims, keep)
-        return DensityMatrix(out, tuple(self.dims[k] for k in keep))
 
 
 def check_states(stack: np.ndarray) -> None:
@@ -319,10 +313,6 @@ class Ensemble:
         if any(rho.dims != dims for _, rho in items):
             raise ValidationError("ensemble states have mixed shapes")
         object.__setattr__(self, "items", items)
-
-    def average(self) -> DensityMatrix:
-        mat = sum(p * rho.mat for p, rho in self.items)
-        return DensityMatrix(mat, self.items[0][1].dims)
 
 
 def holevo_chi(e: Ensemble) -> float:

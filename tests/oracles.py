@@ -26,7 +26,9 @@ with feedback-free and non-projective draws added.  The classical limit has
 ``classical_channels`` (BSC(0.1) and the Z-channel(0.3) with their Shannon
 capacities), ``oracle_blahut_arimoto`` (the Shannon capacity of any classical
 channel) and ``oracle_massey_terms``, Massey's directed-information terms from
-the classical joint law, with no quantum code path.
+the classical joint law, with no quantum code path.  The per-branch form of a
+``CqState`` is here too: ``cq_state`` builds one from (label tuple, weight,
+DensityMatrix) branches and ``cq_branches`` lists them back.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from qfeedback.quantum import (
     apply_channel,
     apply_channel_at,
     apply_kraus,
+    density,
     entropies,
     entropy,
     measure,
@@ -192,24 +195,39 @@ def oracle_ehs_branches(code: FeedbackCode) -> list[dict]:
     return out
 
 
+def cq_state(registers, quantum_dims, branches) -> CqState:
+    """The ``CqState`` of (label tuple, weight, DensityMatrix) branches, the per-branch form the tests write."""
+    branches, regs = tuple(branches), tuple(registers)
+    labels = np.array([lab for lab, _, _ in branches], dtype=int).reshape(len(branches), len(regs))
+    weights = np.array([w for _, w, _ in branches], dtype=float)
+    return CqState(regs, quantum_dims, labels, weights, np.array([rho.mat for _, _, rho in branches]))
+
+
+def cq_branches(state: CqState) -> tuple:
+    """(label tuple, weight, DensityMatrix) per branch of ``state``: ``cq_state``'s inverse."""
+    return tuple(
+        (tuple(int(x) for x in lab), float(w), DensityMatrix(rho, state.quantum_dims))
+        for lab, w, rho in zip(state.labels, state.weights, state.states)
+    )
+
+
 def materialize(state: CqState) -> DensityMatrix:
     """Block-diagonal embedding with classical labels as orthonormal basis states.
 
     A small-dimension test oracle; guarded by MATERIALIZE_CAP.
     """
     sizes = [s for _, s in state.classical_registers]
-    c_dim = int(np.prod(sizes))
-    total = c_dim * state.quantum_dim
+    q_dim = int(np.prod(state.quantum_dims))
+    total = int(np.prod(sizes)) * q_dim
     if total > MATERIALIZE_CAP:
         raise ValidationError(f"materialized dimension {total} exceeds cap {MATERIALIZE_CAP}")
-    q_dim = state.quantum_dim
     mat = np.zeros((total, total), dtype=complex)
-    for lab, w, rho in state.branches:
+    for lab, w, rho in zip(state.labels, state.weights, state.states):
         offset = 0
         for x, s in zip(lab, sizes):
             offset = offset * s + x
         start = offset * q_dim
-        mat[start : start + q_dim, start : start + q_dim] += w * rho.mat
+        mat[start : start + q_dim, start : start + q_dim] += w * rho
     return DensityMatrix(mat, tuple(sizes) + state.quantum_dims)
 
 
@@ -219,7 +237,7 @@ def materialized_entropy(state: CqState, classical=(), quantum=()) -> float:
     full = materialize(state)
     n_c = len(state.classical_registers)
     keep = sorted(cls) + [n_c + int(i) for i in quantum]
-    return entropy(full.ptrace(keep)) if keep else 0.0
+    return entropy(density(partial_trace(full.mat, full.dims, keep))) if keep else 0.0
 
 
 def per_entropy(state: CqState, classical=(), quantum=()) -> float:
@@ -267,7 +285,7 @@ def oracle_rate_report(code: FeedbackCode, uniform_messages: bool = True) -> dic
         (f"X{j}", len(code.outcome_labels(j)) + 1) for j in range(1, n)
     )
     states = [
-        CqState(regs, code.dims, [(lab, w, rho) for lab, (w, rho) in table.items()])
+        cq_state(regs, code.dims, [(lab, w, rho) for lab, (w, rho) in table.items()])
         for table in oracle_ehs_branches(code)
     ]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_random_feedback_code, random_channel
+from oracles import cq_state, oracle_random_feedback_code, random_channel
 
 from qfeedback.achievability import (
     build_double_blocked_code,
@@ -27,7 +27,7 @@ from qfeedback.achievability import (
 )
 from qfeedback.capacity import OptimizerConfig, estimate_feedback_capacity, grid_search_chi
 from qfeedback.cli import main as cli_main
-from qfeedback.cqstate import CqState, mutual_information
+from qfeedback.cqstate import mutual_information
 from qfeedback.directed import directed_information_total, rate_report, verify_ddpi
 from qfeedback.linalg import herm_eigvals, identity
 from qfeedback.protocol import (
@@ -116,7 +116,7 @@ def test_criterion_03_cq_identity():
         k = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(k))
         states = [random_density_matrix(rng, 2) for _ in range(k)]
-        s = CqState(
+        s = cq_state(
             (("A", k),),
             (2,),
             tuple(((i,), float(probs[i]), states[i]) for i in range(k)),

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import oracle_compressed_eigenvalues, oracle_typical_set, random_channel
+from oracles import cq_branches, oracle_compressed_eigenvalues, oracle_typical_set, random_channel
 
 from qfeedback import achievability
 from qfeedback.achievability import (
@@ -575,8 +575,8 @@ def test_ehs_states_consistent_with_single_queries():
     for t in range(3):
         single = ehs_state(code, t)
         assert single.classical_registers == all_states[t].classical_registers
-        got = {lab: w for lab, w, _ in single.branches}
-        want = {lab: w for lab, w, _ in all_states[t].branches}
+        got = {lab: w for lab, w, _ in cq_branches(single)}
+        want = {lab: w for lab, w, _ in cq_branches(all_states[t])}
         assert set(got) == set(want)
         for k in got:
             assert abs(got[k] - want[k]) < 1e-12
@@ -1016,11 +1016,15 @@ def test_non_product_blocked_errors_pinned(name):
     assert np.allclose(error_probability(flat), pins["error"], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("probs", [(1.0, 0.0), (0.5, float("nan"))])
-def test_blocked_code_rejects_groups_of_no_probability(probs):
+@pytest.mark.parametrize(
+    "probs, message",
+    [((1.0, 0.0), "groups must carry positive total base probability"), ((0.5, float("nan")), "not a law")],
+)
+def test_blocked_code_rejects_groups_of_no_probability(probs, message):
     # Unchecked, (1.0, 0.0) with the one group (w1, w1) normalized 0 by 0: the
     # code came out with probs (nan,) and a RuntimeWarning, and its error
-    # probability was (nan, 1.0).
+    # probability was (nan, 1.0).  A base law with a NaN is no law, whatever
+    # the groups.
     from dataclasses import replace
 
     from qfeedback.protocol import random_feedback_code
@@ -1028,7 +1032,7 @@ def test_blocked_code_rejects_groups_of_no_probability(probs):
     base = random_feedback_code(np.random.default_rng(9), depolarizing_channel(0.1), 2, num_words=2)
     base = replace(base, probs=probs)
     w1 = base.codebook.words[1]
-    with pytest.raises(ValidationError, match="groups must carry positive total base probability"):
+    with pytest.raises(ValidationError, match=message):
         build_double_blocked_code(base, 2, delta=0.3, groups=[(w1, w1)])
 
 

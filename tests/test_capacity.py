@@ -118,7 +118,7 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     count, walks, walked, compiled, built = [0], [0], [0], [0], [0]
     original, by_law = capacity.coordinate_ascent, capacity._terms_by_law
     walk, plan = directed._walk, directed._cmi_plan
-    stacked = CqState.stacked.__func__
+    post_init = CqState.__post_init__
 
     def counted(counter, f):
         def call(*args):
@@ -134,7 +134,7 @@ def test_n3_objective_evaluation_budget(monkeypatch, sweeps, evals, rate):
     monkeypatch.setattr(capacity, "_terms_by_law", counted(walks, by_law))
     monkeypatch.setattr(directed, "_walk", counted(walked, walk))
     monkeypatch.setattr(directed, "_cmi_plan", counted(compiled, plan))
-    monkeypatch.setattr(CqState, "stacked", classmethod(counted(built, stacked)))
+    monkeypatch.setattr(CqState, "__post_init__", counted(built, post_init))
     res = estimate_feedback_capacity(depolarizing_channel(0.1), 3, OptimizerConfig(starts=1, seed=0, max_sweeps=sweeps))
     assert count[0] == evals
     assert walks[0] == walked[0] == compiled[0] == {1: 72, 3: 314}[sweeps]
@@ -210,7 +210,7 @@ def test_walk_reuse_is_bit_identical_to_the_plain_objective(monkeypatch):
         assert np.array(reused.code.probs).tobytes() == np.array(reference.code.probs).tobytes()
         # One shape met with one word above the floor, then every word, then one again: the reused walk must
         # give the plain value at each.
-        x = family.initial()
+        x = family.initial(None)
         one_live = x.copy()
         one_live[family.prob_block] = np.eye(len(family.words))[0]
         for point in (one_live, x, one_live):
@@ -247,7 +247,7 @@ def test_a_move_below_the_floor_reuses_the_walk(monkeypatch):
     # No sweep: each stage evaluates the family's start alone, one shape walked once.
     estimate_feedback_capacity(channel, n, OptimizerConfig(starts=1, seed=0, max_sweeps=0))
     assert walked[0] == compiled[0] == 1
-    x = family.initial()
+    x = family.initial(None)
     low = x.copy()
     low[family.prob_block] = [0.5, 0.5, PROB_FLOOR / 2, 0.0]
     values = [objectives[0](point) for point in (x, low, x)]
@@ -334,7 +334,7 @@ def test_default_words():
 
 def test_family_build_valid_code():
     fam = FeedbackCodeFamily(depolarizing_channel(0.2), default_words(2))
-    x = fam.initial()
+    x = fam.initial(None)
     partial = fam.build(x)
     code = with_pgm_decoder(partial, partial.probs)
     rep = validate_code(code)

@@ -12,7 +12,7 @@ from qfeedback.cqstate import (
     cq_entropy,
     mutual_information,
 )
-from oracles import materialize, materialized_entropy
+from oracles import cq_branches, cq_state, materialize, materialized_entropy
 from qfeedback.linalg import kron
 from qfeedback.quantum import (
     PROB_FLOOR,
@@ -32,13 +32,56 @@ from qfeedback.quantum import (
 def test_cq_state_rejects_nan_weight():
     branches = (((0,), float("nan"), basis_state(2, 0)), ((1,), 0.5, basis_state(2, 1)))
     with pytest.raises(ValidationError, match="negative branch weight"):
-        CqState((("A", 2),), (2,), branches)
+        cq_state((("A", 2),), (2,), branches)
 
 
 def test_cq_state_rejects_a_duplicate_branch_label():
     branches = (((0, 1), 0.5, basis_state(2, 0)), ((1, 0), 0.25, basis_state(2, 1)), ((0, 1), 0.25, basis_state(2, 1)))
     with pytest.raises(ValidationError, match=r"duplicate branch label \(0, 1\)"):
-        CqState((("A", 2), ("B", 2)), (2,), branches)
+        cq_state((("A", 2), ("B", 2)), (2,), branches)
+
+
+def _arrays(**changes):
+    """Two branches on register A (size 2) and one qubit, as constructor arguments, with ``changes`` applied."""
+    rho = random_density_matrix(np.random.default_rng(0), 2).mat
+    args = dict(
+        classical_registers=(("A", 2),),
+        quantum_dims=(2,),
+        labels=np.array([[0], [1]]),
+        weights=np.array([0.25, 0.75]),
+        states=np.array([rho, rho]),
+    )
+    return {**args, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            dict(classical_registers=(("A", 2), ("A", 2)), labels=np.array([[0, 0], [1, 1]])),
+            "duplicate classical register names",
+        ),
+        (dict(labels=np.zeros((0, 1), dtype=int), weights=np.zeros(0), states=np.zeros((0, 2, 2))), "at least one branch"),
+        (dict(labels=np.array([[0, 0], [1, 0]])), "label tuple length does not match registers"),
+        (dict(labels=np.array([[0], [2]])), r"label \(2,\) outside register alphabets"),
+        (dict(labels=np.array([[1], [1]])), r"duplicate branch label \(1,\)"),
+        (dict(weights=np.array([np.nan, 0.75])), "negative branch weight"),
+        (dict(weights=np.array([0.25, 0.75]) * (1 + 1e-9)), "branch weights sum to 1.000000001"),
+        (dict(states=np.zeros((3, 2, 2))), "branch state shape mismatch"),  # B + 1 states for B weights
+    ],
+)
+def test_cq_state_rejects_each_invalid_array_input(changes, message):
+    CqState(**_arrays())
+    with pytest.raises(ValidationError, match=message):
+        CqState(**_arrays(**changes))
+
+
+def test_cq_state_of_nested_lists_equals_the_array_built_state():
+    arrays = _arrays()
+    nested = CqState(**{**arrays, "labels": [[0], [1]], "weights": [0.25, 0.75]})
+    requests = [("A", 0), ("A",), (0,)]
+    got = cq_entropies([(nested, keys) for keys in requests])
+    assert got == cq_entropies([(CqState(**arrays), keys) for keys in requests])
 
 
 def random_cq(rng, names=("A",), sizes=(2,), qdims=(2,), sparse=1.0):
@@ -56,12 +99,12 @@ def random_cq(rng, names=("A",), sizes=(2,), qdims=(2,), sparse=1.0):
         (lab, float(w[i]), DensityMatrix(random_density_matrix(rng, dim).mat, qdims))
         for i, lab in enumerate(labels)
     )
-    return CqState(tuple(zip(names, sizes)), qdims, branches)
+    return cq_state(tuple(zip(names, sizes)), qdims, branches)
 
 
 def test_uniform_classical_bit_entropy():
     psi = basis_state(2, 0)
-    s = CqState((("A", 2),), (2,), (((0,), 0.5, psi), ((1,), 0.5, psi)))
+    s = cq_state((("A", 2),), (2,), (((0,), 0.5, psi), ((1,), 0.5, psi)))
     assert abs(cq_entropy(s, classical=("A",), quantum=(0,)) - 1.0) < 1e-12
     assert abs(cq_entropy(s, classical=("A",)) - 1.0) < 1e-12
     # No classical registers selected: plain entropy of the averaged marginal.
@@ -83,7 +126,7 @@ def test_cq_entropy_matches_materialization():
 def test_mutual_information_product_state():
     rng = np.random.default_rng(11)
     rho = random_density_matrix(rng, 2)
-    s = CqState(
+    s = cq_state(
         (("A", 2),),
         (2,),
         (((0,), 0.5, rho), ((1,), 0.5, rho)),
@@ -96,7 +139,7 @@ def test_mutual_information_equals_holevo():
     for _ in range(20):
         probs = rng.dirichlet(np.ones(3))
         states = [random_density_matrix(rng, 2) for _ in range(3)]
-        s = CqState(
+        s = cq_state(
             (("A", 3),),
             (2,),
             tuple(((i,), float(probs[i]), states[i]) for i in range(3)),
@@ -109,7 +152,7 @@ def test_mutual_information_maximally_entangled():
     psi = np.zeros(4)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     rho = DensityMatrix(pure_state(psi).mat, (2, 2))
-    s = CqState((), (2, 2), (((), 1.0, rho),))
+    s = cq_state((), (2, 2), (((), 1.0, rho),))
     assert abs(mutual_information(s, (0,), (1,)) - 2.0) < 1e-10
 
 
@@ -134,7 +177,7 @@ def test_cmi_markov_chain_is_zero():
             for b in range(2):
                 w = p_a[a] * p_c_given_a[a][c] * p_b_given_c[c][b]
                 branches.append(((a, c, b), w, psi))
-    s = CqState((("A", 2), ("C", 2), ("B", 2)), (2,), tuple(branches))
+    s = cq_state((("A", 2), ("C", 2), ("B", 2)), (2,), tuple(branches))
     assert abs(conditional_mutual_information(s, ("A",), ("B",), ("C",))) < 1e-10
 
 
@@ -178,7 +221,7 @@ def test_entropy_decomposition():
         s = random_cq(rng, names=("A",), sizes=(3,), qdims=(2,))
         total = cq_entropy(s, classical=("A",), quantum=(0,))
         h_label = cq_entropy(s, classical=("A",))
-        avg = sum(w * entropy(rho) for _, w, rho in s.branches)
+        avg = sum(w * entropy(rho) for _, w, rho in cq_branches(s))
         assert abs(total - (h_label + avg)) < 1e-10
 
 
@@ -194,7 +237,7 @@ def test_conditioning_reduces_conditional_entropy():
 
 def test_materialize_single_branch():
     rho = basis_state(2, 1)
-    s = CqState((("A", 2),), (2,), (((1,), 1.0, rho),))
+    s = cq_state((("A", 2),), (2,), (((1,), 1.0, rho),))
     full = materialize(s)
     want = kron(basis_state(2, 1).mat, rho.mat)
     assert np.allclose(full.mat, want)
@@ -202,7 +245,7 @@ def test_materialize_single_branch():
 
 def test_materialize_two_orthogonal_branches():
     psi = basis_state(2, 0)
-    s = CqState((("A", 2),), (2,), (((0,), 0.5, psi), ((1,), 0.5, psi)))
+    s = cq_state((("A", 2),), (2,), (((0,), 0.5, psi), ((1,), 0.5, psi)))
     full = materialize(s)
     assert abs(np.trace(full.mat) - 1.0) < 1e-12
     assert abs(entropy(full) - 1.0) < 1e-10
@@ -274,7 +317,7 @@ def test_a_compiled_plan_equals_the_one_shot_pass_on_every_law(seed):
             raw[0][0] = PROB_FLOOR / 3  # _pruned sets it to 0 and renormalizes what is left
         weights = {s: _pruned(w) for s, w in zip(states, raw)}
         assert (weights[states[0]][0] == 0.0) == below
-        fresh = [CqState.stacked(s.classical_registers, s.quantum_dims, s.labels, weights[s], s.states) for s in states]
+        fresh = [CqState(s.classical_registers, s.quantum_dims, s.labels, weights[s], s.states) for s in states]
         assert plan(weights) == cq_entropies([(fresh[i], ks) for i, ks in keys])
         assert cmi_plan(weights) == conditional_mutual_informations([(fresh[i], *abc) for i, abc in splits])
     # Every CqState weight check runs on a reused plan too.

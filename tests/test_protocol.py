@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import (
     basis_povm,
+    cq_branches,
     oracle_random_feedback_code,
     oracle_sample_transcript,
     outcome_chain,
@@ -17,7 +18,7 @@ from qfeedback.achievability import build_double_blocked_code
 from qfeedback.capacity import FeedbackCodeFamily, default_words
 from qfeedback.config import load_config
 from qfeedback.cqstate import cq_entropy
-from qfeedback.linalg import identity, kron
+from qfeedback.linalg import identity, kron, partial_trace
 from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
@@ -397,9 +398,9 @@ def test_ehs_state_time_zero_weights_are_input_ensemble():
     code = two_word_basis_code(identity_channel(2), n=2)
     s = ehs_state(code, 0)
     assert [n for n, _ in s.classical_registers] == ["A1", "A2", "X1"]
-    weights = sorted(w for _, w, _ in s.branches)
+    weights = sorted(w for _, w, _ in cq_branches(s))
     assert np.allclose(weights, [0.5, 0.5])
-    for lab, w, rho in s.branches:
+    for lab, w, rho in cq_branches(s):
         word = lab[:2]
         assert lab[2] == 0  # X register still null
         assert np.allclose(rho.mat, kron_all_states(word))
@@ -416,7 +417,7 @@ def test_ehs_state_weights_match_prefix_probabilities():
             key = (word, t.outcomes[:2])
             table[key] = table.get(key, 0.0) + code.probs[idx] * t.probability
     got = {}
-    for lab, w, _ in s.branches:
+    for lab, w, _ in cq_branches(s):
         word = lab[:3]
         k1 = code.outcome_labels(1)[lab[3] - 1]
         k2 = code.outcome_labels(2)[lab[4] - 1]
@@ -656,7 +657,7 @@ def test_validate_code_reports_each_structural_violation(name):
 def test_validate_code_reports_what_is_not_a_measurement():
     # FeedbackCodeFamily.build leaves M_n as None for with_pgm_decoder to fill.
     family = FeedbackCodeFamily(depolarizing_channel(0.1), default_words(2))
-    code = family.build(family.initial())
+    code = family.build(family.initial(None))
     assert [v for v, _ in validate_code(code).violations] == ["M_2: not a measurement (history=())"]
     # Inside an adaptive table, the entry is reported and its history ends there:
     # an M_3 table without its extensions is complete.
@@ -777,12 +778,12 @@ def test_ehs_receiver_state_cross_check():
     code = random_feedback_code(rng, depolarizing_channel(0.2), 2, num_words=2)
     t = 1
     s = ehs_state(code, t)
-    got = sum(w * rho.ptrace(range(t + 1)).mat for _, w, rho in s.branches)
+    got = sum(w * partial_trace(rho.mat, rho.dims, range(t + 1)) for _, w, rho in cq_branches(s))
     # direct oracle from the walk
     acc = None
     for idx, word in enumerate(code.codebook.words):
         for tr in enumerate_transcripts(code, word):
-            part = tr.states[t].ptrace(range(t + 1)).mat
+            part = partial_trace(tr.states[t].mat, tr.states[t].dims, range(t + 1))
             w = code.probs[idx] * tr.probability
             acc = w * part if acc is None else acc + w * part
     assert np.allclose(got, acc, atol=1e-9)

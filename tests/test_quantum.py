@@ -338,13 +338,13 @@ def test_holevo_chi_bounded_by_average_entropy():
         probs = rng.dirichlet(np.ones(3))
         states = [random_density_matrix(rng, 2) for _ in range(3)]
         e = Ensemble(tuple((float(p), s) for p, s in zip(probs, states)))
-        assert holevo_chi(e) <= entropy(e.average()) + 1e-10
+        assert holevo_chi(e) <= entropy(density(sum(p * rho.mat for p, rho in e.items))) + 1e-10
     # Equality for pure-state members.
     for _ in range(10):
         probs = rng.dirichlet(np.ones(3))
         states = [random_pure_state(rng, 2) for _ in range(3)]
         e = Ensemble(tuple((float(p), s) for p, s in zip(probs, states)))
-        assert abs(holevo_chi(e) - entropy(e.average())) < 1e-9
+        assert abs(holevo_chi(e) - entropy(density(sum(p * rho.mat for p, rho in e.items)))) < 1e-9
 
 
 def test_apply_kraus_identity_and_unitary():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from oracles import (
     basis_povm,
+    cq_branches,
+    cq_state,
     measure_probabilities,
     oracle_coordinate_ascent,
     oracle_ehs_branches,
@@ -35,7 +37,6 @@ from qfeedback.achievability import (
 )
 from qfeedback.capacity import grid_search_chi
 from qfeedback.cqstate import (
-    CqState,
     _first_seen,
     conditional_mutual_information,
     conditional_mutual_informations,
@@ -156,7 +157,7 @@ def test_transcripts_and_ehs_match_the_oracle(name):
             assert abs(tr.probability - p) <= TOL
             assert max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(tr.states, states)) <= TOL
     for state, table in zip(ehs_states(code), oracle_ehs_branches(code), strict=True):
-        got = {lab: (w, rho) for lab, w, rho in state.branches}
+        got = {lab: (w, rho) for lab, w, rho in cq_branches(state)}
         assert set(got) == set(table)
         for lab, (w, rho) in table.items():
             assert abs(got[lab][0] - w) <= TOL
@@ -203,7 +204,7 @@ def test_a_branch_whose_children_all_fall_below_the_floor_leaves_an_empty_piece(
     got, want = error_probability(code), oracle_error_probability(code)
     assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
     for state, table in zip(ehs_states(code), oracle_ehs_branches(code), strict=True):
-        got = {lab: w for lab, w, _ in state.branches}
+        got = {lab: w for lab, w, _ in cq_branches(state)}
         assert set(got) == set(table)
         assert max(abs(got[lab] - w) for lab, (w, _) in table.items()) <= TOL
 
@@ -261,7 +262,7 @@ def test_walk_raises_as_the_oracle_on_a_corrupted_povm_element():
 
 def test_stacked_entropy_rejects_a_non_hermitian_marginal():
     rho = density(np.diag([0.6, 0.4]))
-    state = CqState((("A", 2),), (2,), (((0,), 0.5, rho), ((1,), 0.5, rho)))
+    state = cq_state((("A", 2),), (2,), (((0,), 0.5, rho), ((1,), 0.5, rho)))
     assert cq_entropy(state, ("A",), (0,)) > 0.0
     object.__setattr__(state, "states", state.states.copy())
     state.states[1, 0, 1] = 1e-3
@@ -335,7 +336,7 @@ def floored_state():
     labels = ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2))
     weights = (0.5, 0.3, 0.2 - 4e-15, 4e-15)
     registers = (("A1", 2), ("A2", 2), ("X", 3))
-    return CqState(registers, (2, 2), [(lab, w, DensityMatrix(r.mat, (2, 2))) for lab, w, r in zip(labels, weights, rhos)])
+    return cq_state(registers, (2, 2), [(lab, w, DensityMatrix(r.mat, (2, 2))) for lab, w, r in zip(labels, weights, rhos)])
 
 
 def test_batched_entropies_equal_one_request_at_a_time():
