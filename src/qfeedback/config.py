@@ -249,14 +249,12 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
 
 @dataclass
 class ExperimentConfig:
-    channel: QuantumChannel
     code: FeedbackCode
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     _require_keys(data, {"channel", "protocol"}, {"channel", "protocol"}, "config")
-    channel = channel_from_spec(data["channel"])
-    return ExperimentConfig(channel, code_from_spec(data["protocol"], channel))
+    return ExperimentConfig(code_from_spec(data["protocol"], channel_from_spec(data["channel"])))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -40,13 +40,16 @@ class CqState:
     def __post_init__(self):
         regs = tuple((str(n), int(s)) for n, s in self.classical_registers)
         qdims = tuple(int(d) for d in self.quantum_dims)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         weights = np.asarray(self.weights, dtype=float)
         states = np.asarray(self.states, dtype=complex)
         if len({n for n, _ in regs}) != len(regs):
             raise ValidationError("duplicate classical register names")
-        if not len(weights):
-            raise ValidationError("CqState needs at least one branch")
+        if weights.ndim != 1 or not len(weights):
+            raise ValidationError("CqState needs a 1-D weight array with at least one branch")
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValidationError("branch labels are not integers")
+        labels = labels.astype(int, copy=False)
         if labels.shape != (len(weights), len(regs)):
             raise ValidationError("label tuple length does not match registers")
         if states.shape != (len(weights),) + (int(np.prod(qdims)),) * 2:

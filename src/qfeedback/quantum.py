@@ -170,11 +170,6 @@ class QuantumChannel:
 
     def __post_init__(self):
         ks = tuple(as_matrix(k) for k in self.kraus)
-        if not ks:
-            raise ValidationError("channel needs at least one Kraus operator")
-        rows, cols = ks[0].shape
-        if any(k.shape != (rows, cols) for k in ks):
-            raise ValidationError("Kraus operators have mixed shapes")
         if not completeness_defect(ks) <= COMPLETENESS_TOL:
             raise ValidationError(f"channel '{self.label}' is not trace preserving")
         object.__setattr__(self, "kraus", ks)
@@ -189,7 +184,10 @@ class QuantumChannel:
 
 
 def completeness_defect(mats) -> float:
-    """max |sum M^dagger M - I|, elementwise, for a family of operators of one shape."""
+    """max |sum M^dagger M - I|, elementwise: 1 for an empty family (a zero sum), inf for operators of unequal shapes."""
+    mats = tuple(mats)
+    if len({m.shape for m in mats}) != 1:
+        return math.inf if mats else 1.0
     total = sum(m.conj().T @ m for m in mats)
     return float(np.max(np.abs(total - identity(total.shape[0]))))
 
@@ -240,9 +238,9 @@ def apply_channel_at(phi: QuantumChannel, rho: DensityMatrix, register: int) -> 
 def kraus_at(maps, stack: np.ndarray, dims, registers) -> np.ndarray:
     """A complete Kraus family on a contiguous ascending register block of a matrix or (B, D, D) stack over ``dims``."""
     mats = [as_matrix(m) for m in maps]
-    dim = mats[0].shape[0]
     if not completeness_defect(mats) <= COMPLETENESS_TOL:
         raise ValidationError("Kraus family is not complete")
+    dim = mats[0].shape[0]
     regs = list(range(len(dims)) if registers is None else registers)
     if not regs or regs != list(range(regs[0], regs[-1] + 1)) or (
         dim != np.prod(dims[regs[0] : regs[-1] + 1])
@@ -354,7 +352,8 @@ class Povm:
     and post-state F rho F^dagger / p; completeness sum F^dagger F = I.
     ``feedback`` maps an outcome to the Kraus family applied after the next
     channel use: for M_j of a feedback code, on registers j+1..n-1
-    (0-indexed).  Only ``validate_code`` checks the families.
+    (0-indexed).  ``validate_code`` reports the families, and the walk
+    checks each one where it applies it.
     """
 
     elements: tuple[tuple[Hashable, np.ndarray], ...]
@@ -364,16 +363,11 @@ class Povm:
         fb = {label: tuple(as_matrix(k) for k in ops) for label, ops in self.feedback.items()}
         object.__setattr__(self, "feedback", fb)
         els = tuple((label, as_matrix(m)) for label, m in self.elements)
-        if not els:
-            raise ValidationError("POVM needs at least one element")
         labels = [label for label, _ in els]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate POVM outcome labels")
-        dim = els[0][1].shape[0]
-        if any(m.shape != (dim, dim) for _, m in els):
-            raise ValidationError("POVM elements have mixed shapes")
         object.__setattr__(self, "elements", els)
-        if not self.completeness_defect() <= COMPLETENESS_TOL:
+        if not self.completeness_defect() <= COMPLETENESS_TOL or self.dim != els[0][1].shape[1]:
             raise ValidationError("POVM is not complete")
 
     @property

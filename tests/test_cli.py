@@ -210,6 +210,19 @@ def test_feedback_for_a_missing_outcome_exits_two(tmp_path):
     assert run_cli(["validate", path])[0] == 0
 
 
+def test_an_empty_feedback_family_exits_one(tmp_path, capsys):
+    # The PGM decoder walks the code when the config loads, so every command meets the family.
+    data = json.loads(DEPOLARIZING.read_text())
+    data["protocol"].update(N3, feedback={"2": {"0": []}})
+    path = tmp_path / "empty_feedback.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "info", "simulate"):
+        assert run_cli([command, path])[0] == 1
+        err = capsys.readouterr().err
+        assert "validation error: Kraus family is not complete" in err
+        assert "Traceback" not in err
+
+
 def _qutrit_config(n):
     """Identity channel on a qutrit, basis-state letters given as explicit matrices."""
     basis = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]

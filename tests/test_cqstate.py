@@ -68,6 +68,9 @@ def _arrays(**changes):
         (dict(weights=np.array([np.nan, 0.75])), "negative branch weight"),
         (dict(weights=np.array([0.25, 0.75]) * (1 + 1e-9)), "branch weights sum to 1.000000001"),
         (dict(states=np.zeros((3, 2, 2))), "branch state shape mismatch"),  # B + 1 states for B weights
+        (dict(weights=np.float64(1.0)), "1-D weight array with at least one branch"),
+        (dict(weights=np.array([[0.25], [0.75]])), "1-D weight array with at least one branch"),
+        (dict(labels=np.array([[0.7], [1.0]])), "branch labels are not integers"),
     ],
 )
 def test_cq_state_rejects_each_invalid_array_input(changes, message):

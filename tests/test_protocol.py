@@ -18,6 +18,7 @@ from qfeedback.achievability import build_double_blocked_code
 from qfeedback.capacity import FeedbackCodeFamily, default_words
 from qfeedback.config import load_config
 from qfeedback.cqstate import cq_entropy
+from qfeedback.directed import rate_report
 from qfeedback.linalg import identity, kron, partial_trace
 from qfeedback.protocol import (
     Codebook,
@@ -604,6 +605,24 @@ def test_validate_code_flags_nan_completeness_defects():
     measurements = (bad_povm,) + code.measurements[1:]
     rep = validate_code(dataclasses.replace(code, measurements=measurements))
     assert [name for name, _ in rep.violations] == ["M_1: completeness defect (history=())"]
+
+
+def test_an_empty_feedback_family_is_reported_and_rejected_as_incomplete():
+    # Sum K^dagger K over no operators is 0: the family misses I by 1 wherever the walk applies it.
+    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.2), 3)
+    m1 = dataclasses.replace(code.measurements[0], feedback={0: ()})
+    code = dataclasses.replace(code, measurements=(m1,) + code.measurements[1:])
+    assert validate_code(code).violations == [("feedback round 2 outcome 0: completeness", 1.0)]
+    word = code.codebook.words[0]
+    rng = np.random.default_rng(0)
+    for run in (
+        lambda: error_probability(code),
+        lambda: rate_report(code),
+        lambda: enumerate_transcripts(code, word),
+        lambda: [sample_transcript(code, word, rng) for _ in range(50)],
+    ):
+        with pytest.raises(ValidationError, match="Kraus family is not complete"):
+            run()
 
 
 def test_validate_code_flags_feedback_for_a_missing_outcome():

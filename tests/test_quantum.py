@@ -19,6 +19,7 @@ from qfeedback.quantum import (
     basis_state,
     bloch_state,
     channel_output,
+    completeness_defect,
     density,
     depolarizing_channel,
     entropy,
@@ -27,6 +28,7 @@ from qfeedback.quantum import (
     fully_depolarizing_channel,
     holevo_chi,
     identity_channel,
+    kraus_at,
     leading_block_rest,
     measure,
     pure_state,
@@ -280,6 +282,30 @@ def test_leading_block_rest_table(dim, dims, registers, rest):
     message = f"dimension {dim} does not match the leading registers of {dims}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         leading_block_rest(dim, dims, registers)
+
+
+@pytest.mark.parametrize(
+    "family, defect", [((), 1.0), ((identity(2), identity(3)), np.inf)], ids=["empty", "mixed-shapes"]
+)
+def test_an_empty_or_mixed_family_fails_the_one_completeness_rule(family, defect):
+    # Sum K^dagger K of no operators is 0, which misses I by 1; mixed shapes have no sum.
+    assert completeness_defect(family) == defect
+    with pytest.raises(ValidationError, match="channel 'c' is not trace preserving"):
+        QuantumChannel(family, "c")
+    with pytest.raises(ValidationError, match="POVM is not complete"):
+        Povm(tuple(enumerate(family)))
+    rho = basis_state(2, 0)
+    with pytest.raises(ValidationError, match="Kraus family is not complete"):
+        apply_kraus(family, rho)
+    with pytest.raises(ValidationError, match="Kraus family is not complete"):
+        kraus_at(family, np.array([rho.mat]), rho.dims, [0])
+
+
+def test_a_povm_of_a_complete_rectangular_element_is_not_complete():
+    isometry = np.eye(3)[:, :2]  # F^dagger F = I_2, but F maps C^2 into C^3
+    assert completeness_defect([isometry]) == 0.0
+    with pytest.raises(ValidationError, match="POVM is not complete"):
+        Povm(((0, isometry),))
 
 
 def test_apply_kraus_rejects_a_non_contiguous_block():
