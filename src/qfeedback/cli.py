@@ -40,7 +40,9 @@ from .protocol import (
     CapExceededError,
     Codebook,
     FeedbackCode,
+    _draw,
     _error_figures,
+    _law,
     _transcripts,
     _walk,
     random_feedback_code,
@@ -126,11 +128,10 @@ def cmd_simulate(args) -> int:
     if args.samples:
         rng = np.random.default_rng(args.seed)
         counts: dict[str, int] = {}
-        words = code.codebook.words
-        probs = np.asarray(code.probs)
+        law = _law(np.asarray(code.probs))
         errors = 0
         for _ in range(args.samples):
-            word = words[int(rng.choice(len(words), p=probs / probs.sum()))]
+            word = words[_draw(law, rng)]
             tr = sample_transcript(code, word, rng)
             key = _outcome_key(tr.outcomes)
             counts[key] = counts.get(key, 0) + 1

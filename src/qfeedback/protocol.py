@@ -15,8 +15,9 @@ the word index, outcome history and path probability of each branch, and
 ``_updated`` is the one update step.  Transcripts, EHS states, averaged
 final states, prefix tables and error probabilities are all read off that
 walk.  ``sample_transcript`` draws through its (word index, history) nodes,
-each expanded by one ``_updated`` when a draw first reaches it and kept in the
-code's private table, bounded by the nodes drawn (``replace`` starts it empty).
+each expanded by one ``_updated`` when a draw first reaches it and kept with its
+draw law in the code's private table, bounded by the nodes drawn (``replace``
+starts it empty); a draw is one uniform and one bisect, equal to ``Generator.choice``'s.
 Codes are assembled here too: letter-product codeword states (``product_states``),
 measurements on the freshest register (``on_freshest``) and the PGM final
 measurement (``with_pgm_decoder``).
@@ -24,6 +25,7 @@ measurement (``with_pgm_decoder``).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Hashable
@@ -388,12 +390,18 @@ def enumerate_transcripts(code: FeedbackCode, word) -> list[ProtocolTranscript]:
     ]
 
 
-def _draw(weights: np.ndarray, rng) -> int:
-    return int(rng.choice(len(weights), p=weights / weights.sum()))
+def _law(weights: np.ndarray) -> list:
+    """The cumulative law ``Generator.choice(len(w), p=w / w.sum())`` forms, which ``_draw`` bisects at its uniform."""
+    cdf = np.cumsum(weights / weights.sum())
+    return (cdf / cdf[-1]).tolist()
+
+
+def _draw(cdf: list, rng) -> int:
+    return bisect.bisect_right(cdf, rng.random())
 
 
 def _node(code: FeedbackCode, front: Frontier) -> tuple:
-    """(omega^t, draw weights, labels, children) of the one-branch piece ``front``, read-only; raises as the walk does.
+    """(omega^t, draw weights, their ``_law``, labels, children) of the one-branch piece ``front``; raises as walks do.
 
     The children are ``_updated``'s piece; at t = n-1 they are None and the weights M_n's kept outcome probabilities."""
     front.states.setflags(write=False)
@@ -408,7 +416,7 @@ def _node(code: FeedbackCode, front: Frontier) -> tuple:
         _, e, labels = _kept(p, p, povm.labels)
         weights = p[0, e]
     weights.setflags(write=False)
-    return state, weights, labels, kids
+    return state, weights, _law(weights), labels, kids
 
 
 def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
@@ -416,7 +424,8 @@ def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
 
     The first draw to reach a (word index, history) node expands it (``_node``) and stores it once its checks
     pass.  Each round draws among its outcomes above PROB_FLOOR, weighted by their probabilities given the
-    branch; M_n draws from ``outcome_probabilities`` as ``_transcripts`` reads them.
+    branch; M_n draws from ``outcome_probabilities`` as ``_transcripts`` reads them.  A node stores its draw law
+    (``_law``), so a draw is one ``rng.random()`` and one bisect, bit-identical to ``Generator.choice``.
     """
     if isinstance(rng, int):
         rng = np.random.default_rng(rng)
@@ -426,9 +435,9 @@ def sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
         node = code._nodes.get(key)
         if node is None:
             node = code._nodes[key] = _node(code, _branch(kids, b) if key[1] else _start(code, [word]))
-        state, weights, labels, kids = node
+        state, weights, cdf, labels, kids = node
         states += (state,)
-        b = _draw(weights, rng)
+        b = _draw(cdf, rng)
         prob *= float(weights[b])
         key = (key[0], key[1] + (labels[b],))
         if kids is None:

@@ -284,13 +284,15 @@ def entropy(rho: DensityMatrix) -> float:
 
 
 def entropies(stack: np.ndarray) -> np.ndarray:
-    """Entropies of a non-empty (B, D, D) stack of PSD unit-trace matrices, from one eigvalsh."""
-    return _spectral_entropies(herm_eigvals(stack))
+    """Entropies of a non-empty (B, D, D) stack of PSD unit-trace matrices, from one eigvalsh (``check_psd``-checked)."""
+    w = herm_eigvals(stack)
+    check_psd(w)
+    return _spectral_entropies(w)
 
 
 def entropy_of(mat: np.ndarray) -> float:
-    """Entropy of a raw PSD matrix of unit trace."""
-    return shannon(herm_eigvals(mat))
+    """Entropy of a raw PSD matrix of unit trace: ``entropies`` of it alone, so negative spectrum raises."""
+    return float(entropies(np.asarray(mat)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ entropies on the materialized block-diagonal matrix.  They are slow and
 small by design.  ``per_entropy`` is the exception: it is the one-entropy
 body that the batched ``cq_entropies`` pass must equal bit for bit.  So is
 ``oracle_sample_transcript``, the sampler with no node table: every draw
-steps its branch through the walk's ``_updated`` again, and
-``sample_transcript`` must equal it bit for bit.  The
+steps its branch through the walk's ``_updated`` again and picks an outcome
+with numpy's ``Generator.choice``, and ``sample_transcript`` must equal it bit
+for bit.  The
 capacity layer has two more: ``oracle_output_ensemble`` builds the Holevo
 objective's ensemble one ``pure_state`` and ``apply_channel`` at a time, and
 ``oracle_coordinate_ascent`` is the ascent with its greedy extension written
@@ -45,7 +46,6 @@ from qfeedback.protocol import (
     FeedbackCode,
     ProtocolTranscript,
     _branch,
-    _draw,
     _start,
     _updated,
     on_freshest,
@@ -138,6 +138,7 @@ def oracle_transcripts(code: FeedbackCode, word) -> list[tuple]:
 def oracle_sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscript:
     """The per-call sampler: one drawn branch stepped through ``_updated`` on every draw, with no node table.
 
+    Each outcome is numpy's ``Generator.choice`` on the kept outcome probabilities over their sum.
     ``sample_transcript`` must equal it bit for bit on an equally seeded generator.
     """
     if isinstance(rng, int):
@@ -147,14 +148,14 @@ def oracle_sample_transcript(code: FeedbackCode, word, rng) -> ProtocolTranscrip
     states = (DensityMatrix(front.states[0], code.dims),)
     for m in range(2, code.n + 1):
         kids = _updated(code, m, code.measurement(m - 1, front.history[0]), front)
-        b = _draw(kids.prob, rng)
+        b = int(rng.choice(len(kids.prob), p=kids.prob / kids.prob.sum()))
         prob *= float(kids.prob[b])
         front = _branch(kids, b)
         states += (DensityMatrix(front.states[0], code.dims),)
     final = code.measurement(code.n, front.history[0])
     p = outcome_probabilities(final, front.states, code.dims)
     _, e, labels = _kept(p, p, final.labels)
-    b = _draw(p[0, e], rng)
+    b = int(rng.choice(len(e), p=p[0, e] / p[0, e].sum()))
     return ProtocolTranscript(word, front.history[0] + (labels[b],), prob * float(p[0, e[b]]), states)
 
 

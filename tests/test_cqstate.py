@@ -13,7 +13,7 @@ from qfeedback.cqstate import (
     mutual_information,
 )
 from oracles import cq_branches, cq_state, materialize, materialized_entropy
-from qfeedback.linalg import kron
+from qfeedback.linalg import LinalgError, kron
 from qfeedback.quantum import (
     PROB_FLOOR,
     DensityMatrix,
@@ -33,6 +33,17 @@ def test_cq_state_rejects_nan_weight():
     branches = (((0,), float("nan"), basis_state(2, 0)), ((1,), 0.5, basis_state(2, 1)))
     with pytest.raises(ValidationError, match="negative branch weight"):
         cq_state((("A", 2),), (2,), branches)
+
+
+def test_cq_entropy_raises_on_a_branch_state_with_negative_spectrum():
+    # diag(1.2, -0.2) is Hermitian with unit trace, so the constructor keeps it; its entropy would read -0.316 bit.
+    states = np.array([np.diag([1.2, -0.2]), np.eye(2) / 2])
+    s = CqState((("A", 2),), (2,), np.array([[0], [1]]), np.array([0.5, 0.5]), states)
+    one = CqState((("A", 1),), (2,), np.array([[0]]), np.array([1.0]), states[:1])
+    for state, classical in ((s, "A"), (one, ()), (one, "A")):
+        with pytest.raises(LinalgError, match="not PSD: min eigenvalue -2.000e-01"):
+            cq_entropy(state, classical, (0,))
+    assert cq_entropy(s, "A", ()) == 1.0
 
 
 def test_cq_state_rejects_a_duplicate_branch_label():

@@ -24,6 +24,8 @@ from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
     ProtocolTranscript,
+    _draw,
+    _law,
     ehs_state,
     ehs_states,
     enumerate_transcripts,
@@ -35,6 +37,7 @@ from qfeedback.protocol import (
 )
 from qfeedback.quantum import (
     ER,
+    PROB_FLOOR,
     DensityMatrix,
     Povm,
     QuantumChannel,
@@ -319,6 +322,24 @@ def test_sample_transcript_equals_the_oracle_bit_for_bit(name):
     copy = dataclasses.replace(code)
     assert not copy._nodes and repr(copy) == repr(code)
     same_transcripts(draw_many(sample_transcript, copy, 2, 200), want[2])
+    # What a node draws from is what Generator.choice accepts: finite weights of at least PROB_FLOOR (``_kept``).
+    for _, weights, cdf, _, _ in code._nodes.values():
+        assert np.isfinite(weights).all() and weights.min() >= PROB_FLOOR and cdf == _law(weights)
+
+
+def test_the_stored_law_draws_as_generator_choice():
+    # 3,000 seeded laws of 1 to 200 unnormalized weights spread over 14 decades, about a fifth of them at
+    # PROB_FLOOR: each draw from the stored law picks Generator.choice's index on an equally seeded generator,
+    # and the two generators stay in step.
+    corpus = np.random.default_rng(35)
+    for i in range(3000):
+        k = int(corpus.integers(1, 201))
+        w = 10.0 ** corpus.uniform(-14, 0, size=k) * 10.0 ** corpus.uniform(-3, 3)
+        w[corpus.random(k) < 0.2] = PROB_FLOOR
+        law, lib, ref = _law(w), np.random.default_rng([35, i]), np.random.default_rng([35, i])
+        for _ in range(10):
+            assert _draw(law, lib) == int(ref.choice(k, p=w / w.sum()))
+            assert lib.random() == ref.random()
 
 
 def missing_history_code():

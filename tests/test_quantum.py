@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import basis_povm, measure_probabilities, random_channel, random_isometry, random_povm
 
-from qfeedback.linalg import embed_operator, herm_eigvals, identity, kron
+from qfeedback.linalg import LinalgError, embed_operator, herm_eigvals, identity, kron
 from qfeedback.quantum import (
     ER,
     DensityMatrix,
@@ -36,6 +36,7 @@ from qfeedback.quantum import (
     random_pure_state,
     rotated_qubit_povm,
     random_unitary,
+    shannon,
     square_root_measurement,
 )
 
@@ -165,6 +166,9 @@ def test_entropy_of_a_raw_matrix_agrees_with_entropy():
     for d in (1, 2, 3, 4, 8):
         m = random_density_matrix(rng, d).mat
         assert abs(entropy_of(m) - entropy(density(m))) <= 1e-12
+        assert entropy_of(m) == shannon(herm_eigvals(m))  # the one-matrix value, to the last bit
+    with pytest.raises(LinalgError, match="not PSD: min eigenvalue -2.000e-01"):
+        entropy_of(np.diag([1.2, -0.2]))  # Hermitian with unit trace; its entropy would read -0.316 bit
 
 
 def test_entropy_concavity():
