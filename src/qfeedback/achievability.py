@@ -37,7 +37,6 @@ from .protocol import (
     Codebook,
     FeedbackCode,
     _branch,
-    _check_law,
     _start,
     _updated,
     _walk,
@@ -50,6 +49,7 @@ from .quantum import (
     Povm,
     ValidationError,
     check_count,
+    check_law,
     entropy,
     square_root_measurement,
 )
@@ -512,7 +512,7 @@ def build_double_blocked_code(
         groups = [tuple(tuple(w) for w in g) for g in groups]
         if not groups or any(len(g) != l for g in groups):
             raise ValidationError(f"groups must be a non-empty list of {l}-tuples of base codewords")
-    _check_law(base.probs)
+    check_law(base.probs, "codeword ")
     gprobs = np.array([np.prod([base.probs[base.word_index(w)] for w in g]) for g in groups], dtype=float)
     total = gprobs.sum()
     if total <= 0:

@@ -21,6 +21,7 @@ from .quantum import (
     ValidationError,
     amplitude_damping_channel,
     bloch_state,
+    check_law,
     dephasing_channel,
     depolarizing_channel,
     euler_unitary,
@@ -167,9 +168,10 @@ def code_from_spec(spec: dict, channel: QuantumChannel) -> FeedbackCode:
     probs = tuple(_number(float, p, "protocol.probs") for p in _shaped(spec["probs"], list, "protocol.probs"))
     if len(probs) != len(words):
         raise ConfigError("protocol.probs: arity does not match words")
-    # Written "not >=" / "not <=" so that a NaN probability fails the check.
-    if not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
-        raise ValidationError("protocol.probs: not a probability distribution")
+    try:
+        check_law(probs, "codeword ")
+    except ValidationError as exc:
+        raise ValidationError(f"protocol.probs: {exc}") from None
 
     if ("letter_states" in spec) == ("states" in spec):
         raise ConfigError("protocol: give exactly one of letter_states or states")

@@ -45,9 +45,11 @@ from .quantum import (
     _kept,
     channel_at,
     check_count,
+    check_law,
     check_states,
     completeness_defect,
     kraus_at,
+    law_defects,
     leading_block_rest,
     outcome_probabilities,
     random_density_matrix,
@@ -180,11 +182,8 @@ def validate_code(code: FeedbackCode) -> CodeReport:
     if len(code.probs) != book.size or len(code.states) != book.size:
         rep.add("ensemble: arity mismatch with codebook", 0.0)
         return rep
-    psum = sum(code.probs)
-    if not abs(psum - 1.0) <= 1e-12:
-        rep.add("ensemble: probabilities do not sum to 1", abs(psum - 1.0))
-    if not all(p >= -1e-12 for p in code.probs):
-        rep.add("ensemble: negative probability", min(code.probs))
+    for name, magnitude in law_defects(code.probs, ""):
+        rep.add(f"ensemble: {name}", magnitude)
     for i, rho in enumerate(code.states):
         if rho.dims != (d,) * n:
             rep.add(f"ensemble: state {i} has shape {rho.dims}", 0.0)
@@ -456,17 +455,11 @@ def _average_states(code: FeedbackCode, pieces) -> dict:
     return {code.codebook.words[w]: a for w, a in zip(acc, stack)}
 
 
-def _check_law(probs) -> None:
-    """Raise unless ``probs`` is a codeword law: every entry finite and at least -1e-12, with a positive total."""
-    if not (all(np.isfinite(p) and p >= -1e-12 for p in probs) and sum(probs) > 0):
-        raise ValidationError(f"codeword probabilities {probs} are not a law")
-
-
 def _ehs_by_law(code: FeedbackCode, pieces):
     """EHS states for t = 0..n-1 on every branch of ``_walk``'s pieces, weighed by ``law(code.probs)``, and ``law``,
     the one place a codeword law meets a walk: ``law(probs)`` is each t's branch weights, ``_pruned``, so every branch
-    of a word below PROB_FLOOR weighs 0.  Raises unless ``code.probs`` is a law (``_check_law``)."""
-    _check_law(code.probs)
+    of a word below PROB_FLOOR weighs 0.  Raises unless ``code.probs`` is a law (``check_law``)."""
+    check_law(code.probs, "codeword ")
     n = code.n
     marks = [{lab: i + 1 for i, lab in enumerate(code.outcome_labels(j))} for j in range(1, n)]
     regs = tuple((f"A{i + 1}", code.codebook.alphabet) for i in range(n)) + tuple(
@@ -519,8 +512,8 @@ def _p_correct(transcripts, word) -> float:
 def _error_figures(code: FeedbackCode, laws) -> tuple[float, float]:
     """(average, maximal) error from each codeword's transcript law; a word with no transcript never decodes.
 
-    Raises unless ``code.probs`` is a law (``_check_law``)."""
-    _check_law(code.probs)
+    Raises unless ``code.probs`` is a law (``check_law``)."""
+    check_law(code.probs, "codeword ")
     errors = [1.0 - _p_correct(laws.get(w, ()), w) for w in code.codebook.words]
     return sum((prob * err for prob, err in zip(code.probs, errors)), 0.0), max([0.0, *errors])
 

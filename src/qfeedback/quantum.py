@@ -50,6 +50,19 @@ def check_count(x, what: str, least: int) -> None:
         raise ValidationError(f"{what} must be an int >= {least}, got {x!r}")
 
 
+def law_defects(probs, noun: str) -> list[tuple[str, float]]:
+    """The one law rule, each defect as (name, magnitude): every entry >= 0 (NaN fails), the total within 1e-12 of 1."""
+    defects = [] if (off := abs(sum(probs) - 1.0)) <= 1e-12 else [(f"{noun}probabilities do not sum to 1", off)]
+    return defects if all(p >= 0 for p in probs) else [*defects, (f"negative {noun}probability", min(probs))]
+
+
+def check_law(probs, noun: str) -> None:
+    """Raise ``ValidationError`` naming each of ``law_defects(probs, noun)``, whose ``noun`` is "" or a word and a space."""
+    if defects := law_defects(probs, noun):
+        names = "; ".join(name for name, _ in defects)
+        raise ValidationError(f"probabilities {list(probs)} are not a law (not a probability distribution): {names}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """PSD, trace-one Hermitian matrix on a multi-register Hilbert space."""
@@ -305,10 +318,7 @@ class Ensemble:
         items = tuple((float(p), rho) for p, rho in self.items)
         if not items:
             raise ValidationError("empty ensemble")
-        if not all(p >= -1e-12 for p, _ in items):
-            raise ValidationError("negative ensemble probability")
-        if not abs(sum(p for p, _ in items) - 1.0) <= 1e-12:
-            raise ValidationError("ensemble probabilities do not sum to 1")
+        check_law([p for p, _ in items], "ensemble ")
         dims = items[0][1].dims
         if any(rho.dims != dims for _, rho in items):
             raise ValidationError("ensemble states have mixed shapes")

@@ -13,7 +13,9 @@ from oracles import (
     oracle_massey_terms,
     oracle_random_feedback_code,
 )
+from qfeedback.achievability import build_double_blocked_code
 from qfeedback.cli import main
+from qfeedback.config import load_config
 from qfeedback.cqstate import conditional_mutual_information, conditional_mutual_informations
 from qfeedback.directed import (
     _term_requests,
@@ -25,7 +27,7 @@ from qfeedback.directed import (
     rate_report,
     verify_ddpi,
 )
-from qfeedback.linalg import kron, kron_all
+from qfeedback.linalg import LinalgError, kron, kron_all
 from qfeedback.protocol import (
     Codebook,
     FeedbackCode,
@@ -35,10 +37,12 @@ from qfeedback.protocol import (
     on_freshest,
     product_states,
     random_feedback_code,
+    sample_transcript,
     validate_code,
     with_pgm_decoder,
 )
 from qfeedback.quantum import (
+    ER,
     DensityMatrix,
     Ensemble,
     Povm,
@@ -251,7 +255,8 @@ def test_each_converse_view_walks_once_and_equals_the_body(name, monkeypatch):
         for seed in range(2):
             rng = np.random.default_rng(100 * n + seed)
             codes.append(random_feedback_code(rng, depolarizing_channel(0.15), n, num_words=min(3, 2**n)))
-    codes.append(dataclasses.replace(codes[-1], probs=(0.0, *codes[-1].probs[1:])))  # a word at probability 0
+    zeroed = np.array([0.0, *codes[-1].probs[1:]])
+    codes.append(dataclasses.replace(codes[-1], probs=tuple(zeroed / zeroed.sum())))  # a word at probability 0
     for code in codes:
         assert view(code) == part(*directed._converse(code)), (name, code.n)
 
@@ -306,24 +311,202 @@ def test_directed_terms_with_a_word_at_zero_stay_within_1e15_of_the_terms_on_ehs
                 assert directed_terms(ordered) == conditional_mutual_informations(_term_requests(ehs_states(ordered)))
 
 
-@pytest.mark.parametrize("probs", [(1.25, -0.25), (float("nan"), 1.0), (0.0, 0.0), (1.0, float("inf"))])
-def test_a_codeword_law_that_is_not_a_law_raises(probs):
-    # A negative, NaN or infinite codeword probability, or a zero total, is no
-    # law: the EHS states and every figure read off the law raise, where
-    # pruning once dropped the entry and renormalized the rest and the
-    # message law came out negative, NaN or 0/0.  validate_code reports the
-    # law, never raises.
-    from qfeedback.achievability import build_double_blocked_code
+CONFIGS = Path(__file__).parent.parent / "configs"
 
-    code = random_feedback_code(np.random.default_rng(1), depolarizing_channel(0.1), 2)
-    code = dataclasses.replace(code, probs=probs)
-    assert not validate_code(code).ok
-    views = (rate_report, verify_ddpi, message_information, fano_bound, directed_information_final)
-    for f in (ehs_states, directed_information_total, error_probability, *views):
+
+@pytest.fixture(scope="module")
+def law_codes():
+    # The law corpus: the library generator, the oracle generator with each
+    # switch off, both shipped configs and an l=2 blocked code.
+    channel = depolarizing_channel(0.1)
+    base = random_feedback_code(np.random.default_rng(9), channel, 2)
+    return {
+        "random_feedback_code": random_feedback_code(np.random.default_rng(1), channel, 2),
+        "no feedback": oracle_random_feedback_code(np.random.default_rng(2), channel, 3, feedback=False),
+        "not projective": oracle_random_feedback_code(np.random.default_rng(3), channel, 3, projective=False),
+        "depolarizing.json": load_config(CONFIGS / "depolarizing.json").code,
+        "identity.json": load_config(CONFIGS / "identity.json").code,
+        "blocked l=2": build_double_blocked_code(base, 2, delta=0.3),
+    }
+
+
+LAW_CODES = (
+    "random_feedback_code", "no feedback", "not projective", "depolarizing.json", "identity.json", "blocked l=2"
+)
+CONVERSE_VIEWS = (rate_report, verify_ddpi, message_information, fano_bound, directed_information_final)
+
+
+def _with_law(code, law):
+    """``code`` under ``law(code.probs)``, padded with zero probabilities to the codebook size."""
+    probs = tuple(law(code.probs))
+    return dataclasses.replace(code, probs=probs + (0.0,) * (code.codebook.size - len(probs)))
+
+
+def _cli_exits(name, code, tmp_path, capsys) -> set:
+    """Exit codes of ``qfeedback validate``/``info``/``simulate`` on config ``name`` with ``code``'s probabilities."""
+    data = json.loads((CONFIGS / name).read_text())
+    data["protocol"]["probs"] = list(code.probs)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    exits = {main([command, str(path)]) for command in ("validate", "info", "simulate")}
+    capsys.readouterr()
+    return exits
+
+
+@pytest.mark.parametrize("name", LAW_CODES)
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda p: (1.25, -0.25),
+        lambda p: (float("nan"), 1.0),
+        lambda p: (0.0, 0.0),
+        lambda p: (1.0, float("inf")),
+        lambda p: (0.9, 0.9),
+        lambda p: (0.45, 0.45),
+        lambda p: (1 + 1e-13, -1e-13),
+        lambda p: (p[0] + 2e-12, *p[1:]),
+    ],
+    ids=["(1.25,-0.25)", "(nan,1)", "(0,0)", "(1,inf)", "(0.9,0.9)", "(0.45,0.45)", "(1+1e-13,-1e-13)", "total+2e-12"],
+)
+def test_a_codeword_law_that_is_not_a_law_raises(law_codes, name, law, tmp_path, capsys):
+    # One rule decides what a codeword law is (quantum.law_defects): every
+    # entry >= 0 and a total within 1e-12 of 1.  validate_code reports a law
+    # that breaks it and every entry point that reads the law raises
+    # ValidationError, nothing else.  Once, (0.9, 0.9) gave the directed
+    # terms of (0.5, 0.5), because the EHS weights were renormalized, and an
+    # average error above the maximal one, because the error was not.
+    code = law_codes[name]
+    bad = _with_law(code, law)
+    names = {name for name, _ in validate_code(bad).violations}
+    assert names and names <= {"ensemble: probabilities do not sum to 1", "ensemble: negative probability"}
+    for f in (ehs_states, directed_terms, directed_information_total, error_probability, *CONVERSE_VIEWS):
         with pytest.raises(ValidationError, match="not a law"):
-            f(code)
+            f(bad)
     with pytest.raises(ValidationError, match="not a law"):
-        build_double_blocked_code(code, 2)
+        build_double_blocked_code(bad, 2)
+    with pytest.raises(ValidationError, match="not a law"):
+        Ensemble(tuple(zip(bad.probs, bad.states)))
+    if name.endswith(".json"):
+        assert _cli_exits(name, bad, tmp_path, capsys) == {1}
+    # The one entry point that reads no law: the law is reported only.
+    for word in code.codebook.words:
+        got, want = sample_transcript(bad, word, 5), sample_transcript(code, word, 5)
+        assert (got.outcomes, got.probability) == (want.outcomes, want.probability)
+
+
+@pytest.mark.parametrize("name", LAW_CODES)
+@pytest.mark.parametrize("law", [lambda p: p, lambda p: (p[0] + 5e-13, *p[1:])], ids=["unmutated", "total+5e-13"])
+def test_a_law_within_the_tolerance_passes_everywhere(law_codes, name, law, tmp_path, capsys):
+    code = _with_law(law_codes[name], law)
+    assert validate_code(code).ok
+    average, worst = error_probability(code)
+    assert average <= worst * (1 + 1e-12)
+    for f in (ehs_states, directed_terms, *CONVERSE_VIEWS):
+        f(code)
+    report = rate_report(code)
+    assert report.avg_error <= report.max_error * (1 + 1e-12)
+    Ensemble(tuple(zip(code.probs, code.states)))
+    if name.endswith(".json"):
+        assert _cli_exits(name, code, tmp_path, capsys) == {0}
+
+
+def _replaced(code, j, measurement):
+    return dataclasses.replace(code, measurements=code.measurements[: j - 1] + (measurement,) + code.measurements[j:])
+
+
+def _with_feedback(code, j, outcome, kraus):
+    m = code.measurements[j - 1]
+    return _replaced(code, j, Povm(m.elements, {**m.feedback, outcome: kraus}))
+
+
+def _renamed(povm, old, new):
+    return Povm(tuple((new if lab == old else lab, f) for lab, f in povm.elements), povm.feedback)
+
+
+def _scaled_feedback(code):
+    return _with_feedback(code, 1, 0, (0.5 * code.measurements[0].feedback[0][0],))
+
+
+NOT_PSD = np.kron(np.diag([1.3, -0.3]), np.eye(2) / 2)  # Hermitian with unit trace, eigenvalue -0.15
+
+
+def _not_psd(code):
+    return dataclasses.replace(code, states=(DensityMatrix(NOT_PSD, (2, 2)), *code.states[1:]))
+
+
+RAISES, REPORTED = "every entry point raises", "reported only; the walk is unaffected"
+
+
+# Each mutation acts on random_feedback_code(seed, depolarizing(0.1), n): at
+# seed 4 and n = 3, M_1 carries a feedback unitary per outcome.
+@pytest.mark.parametrize(
+    "cls, seed, n, mutate",
+    [
+        pytest.param(
+            RAISES,
+            4,
+            3,
+            lambda c: _replaced(c, 2, {(k,): c.measurements[1] for k in c.measurements[0].labels if k != 1}),
+            id="dropped table history",
+        ),
+        pytest.param(RAISES, 4, 3, lambda c: _with_feedback(c, 1, 0, ()), id="empty feedback family"),
+        pytest.param(RAISES, 4, 3, lambda c: _with_feedback(c, 1, 0, (np.eye(4),)), id="mis-shaped feedback family"),
+        pytest.param(RAISES, 4, 3, _scaled_feedback, id="incomplete feedback family"),
+        pytest.param(
+            REPORTED, 4, 3, lambda c: _with_feedback(c, 3, c.codebook.words[0], (np.eye(1),)), id="feedback on M_n"
+        ),
+        pytest.param(
+            REPORTED,
+            4,
+            3,
+            lambda c: _replaced(c, 3, _renamed(c.measurements[2], ER, "lost")),
+            id="final label not a codeword",
+        ),
+        pytest.param(
+            RAISES,
+            1,
+            2,
+            _not_psd,
+            id="non-PSD codeword state",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="FOUND: only validate_code checks a codeword state's spectrum, so every walk reads it and "
+                "error_probability gives (0.1688, 0.7517); item 7 measures the cost of a check first",
+            ),
+        ),
+    ],
+)
+def test_a_mutated_code_is_rejected_by_every_entry_point_or_by_none(cls, seed, n, mutate):
+    # Each kind of structural mutation has one class: either validate_code
+    # reports it and every entry point raises (ValidationError or
+    # LinalgError, nothing else; a draw raises once it reaches the defect),
+    # or validate_code reports it and the walk never reads it, so every
+    # number equals the unmutated code's.  The law's kinds are the corpus
+    # above.
+    code = random_feedback_code(np.random.default_rng(seed), depolarizing_channel(0.1), n)
+    bad = mutate(code)
+    assert not validate_code(bad).ok
+    draws = [(word, k) for word in code.codebook.words for k in range(20)]
+    if cls == RAISES:
+        for f in (ehs_states, directed_terms, rate_report, error_probability):
+            with pytest.raises((ValidationError, LinalgError)):
+                f(bad)
+        raised = 0
+        for word, k in draws:
+            try:
+                sample_transcript(bad, word, k)
+            except (ValidationError, LinalgError):
+                raised += 1
+        assert raised
+        return
+    for got, want in zip(ehs_states(bad), ehs_states(code), strict=True):
+        assert np.array_equal(got.weights, want.weights) and np.array_equal(got.states, want.states)
+    for f in (directed_terms, rate_report, error_probability):
+        assert f(bad) == f(code)
+    for word, k in draws:
+        got, want = sample_transcript(bad, word, k), sample_transcript(code, word, k)
+        assert (got.outcomes[:-1], got.probability) == (want.outcomes[:-1], want.probability)
+        assert (got.decoded == word) == (want.decoded == word)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
